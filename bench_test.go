@@ -482,6 +482,101 @@ func BenchmarkStoreMatch(b *testing.B) {
 	}
 }
 
+// overlayGraphs returns dbpedia@2000 under delta overlays of 0, 64, 1024 and
+// 16384 inserts, plus 2000 (subject, predicate) probes. The overlays come from
+// OverlayWith, which never compacts, so the sizes hold even where they exceed
+// the auto-compaction threshold; the inserts recombine terms the graph already
+// has, because OverlayWith skips triples with unknown terms.
+func overlayGraphs(b *testing.B) (sizes []int, graphs []*store.Graph, probes [][2]rdf.ID) {
+	b.Helper()
+	g, _, err := datasets.BuildWithFacet("dbpedia", 2000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := g.Triples()
+	var extra []rdf.Triple
+	for i := 0; len(extra) < 16384; i++ {
+		if i == len(ts) {
+			b.Fatal("graph too small to recombine 16384 new triples")
+		}
+		x := rdf.Triple{S: ts[i].S, P: ts[i].P, O: ts[(i+len(ts)/2)%len(ts)].S}
+		if !g.Contains(x) {
+			extra = append(extra, x)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		x := ts[i*len(ts)/2000]
+		s, _ := g.Dict().Lookup(x.S)
+		p, _ := g.Dict().Lookup(x.P)
+		probes = append(probes, [2]rdf.ID{s, p})
+	}
+	sizes = []int{0, 64, 1024, 16384}
+	for _, n := range sizes {
+		// Every n-th triple, so each overlay spans the whole subject range.
+		var sample []rdf.Triple
+		for i := 0; n > 0 && i < len(extra); i += len(extra) / n {
+			sample = append(sample, extra[i])
+		}
+		og := g.OverlayWith(sample)
+		if got := og.MemStats().OverlayAdds; got != n {
+			b.Fatalf("overlay holds %d inserts, want %d", got, n)
+		}
+		graphs = append(graphs, og)
+	}
+	return sizes, graphs, probes
+}
+
+// BenchmarkPointScanOverOverlay measures the (s, p, ?) point scan an
+// index-nested-loop join issues by the thousand (one op = 2000 of them),
+// against the size of the delta overlay it has to consult: the cost curve of
+// reading beside a writer.
+func BenchmarkPointScanOverOverlay(b *testing.B) {
+	sizes, graphs, probes := overlayGraphs(b)
+	for i, g := range graphs {
+		b.Run(fmt.Sprintf("overlay=%d", sizes[i]), func(b *testing.B) {
+			var it store.Iterator
+			pass := func() (n int) {
+				for _, pr := range probes {
+					g.ScanInto(&it, pr[0], pr[1], rdf.NoID)
+					for it.Next() {
+						n++
+					}
+				}
+				return n
+			}
+			if pass() == 0 { // also the warm-up: the iterator's arena is allocated once
+				b.Fatal("no matches")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			// One op is a pass over all 2000 probes, so that CI's -benchtime 1x
+			// sample is 2000 scans, not one cold one.
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+		})
+	}
+}
+
+// BenchmarkGraphFork measures the copy-on-write fork every transaction
+// starts with (one op = 100 forks), against the size of the overlay the fork
+// inherits.
+func BenchmarkGraphFork(b *testing.B) {
+	sizes, graphs, _ := overlayGraphs(b)
+	for i, g := range graphs {
+		b.Run(fmt.Sprintf("overlay=%d", sizes[i]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 100; j++ { // 100 forks per op: see above
+					if f := g.Fork(); f.Len() != g.Len() {
+						b.Fatal("bad fork")
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineAggregateQuery measures the full SPARQL pipeline on the
 // facet template query.
 func BenchmarkEngineAggregateQuery(b *testing.B) {

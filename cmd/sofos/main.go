@@ -218,7 +218,7 @@ func cmdInspect(args []string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "view %s: %d groups, %d encoding triples, %d nodes\nquery:\n%s\n\n",
-		v, mat.Data.NumGroups(), mat.Triples, mat.Nodes, v.Query())
+		v, mat.Data.NumGroups(), mat.Triples, mat.Nodes(), v.Query())
 	header := append(append([]string{}, v.Dims()...), s.Facet.Agg.String())
 	t := benchkit.NewTable("contents (first groups)", header...)
 	for i, g := range mat.Data.Groups {

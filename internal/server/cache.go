@@ -10,8 +10,11 @@ import (
 
 // resultCache is a sharded LRU over rendered query responses. Keys embed the
 // catalog generation and view-set hash (see Server.cacheKey), so a write
-// never serves a stale entry: it bumps the generation, every later lookup
-// uses a new key, and the orphaned entries age out of the LRU naturally.
+// never serves a stale entry: it bumps the generation and every later lookup
+// uses a new key. The orphaned entries can never be hit again, so a shard
+// drops them at its first insert under the newer generation rather than
+// holding their bodies until the LRU ages them out: beside a steady writer
+// that was most of the server's memory.
 // Sharding keeps the per-lookup critical section off the contended path when
 // many clients replay the same hot workload.
 type resultCache struct {
@@ -34,6 +37,7 @@ type cacheShard struct {
 	cap     int
 	byteCap int64 // 0 = no byte budget
 	bytes   int64 // rendered bytes currently held
+	gen     int64 // generation of the newest insert; every entry is of it
 }
 
 // cacheEntry stores the fully rendered JSON body of a cached answer (with
@@ -118,12 +122,23 @@ func (c *resultCache) lookup(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// put inserts (or refreshes) an entry, evicting least-recent entries while
-// the shard overflows its entry count or byte budget.
-func (c *resultCache) put(key string, body []byte) {
+// put inserts (or refreshes) an answer computed at generation gen, evicting
+// the shard's entries of older generations, then least-recent entries while
+// the shard overflows its entry count or byte budget. An answer older than
+// the shard's generation is dropped: no later lookup could ask for it.
+func (c *resultCache) put(gen int64, key string, body []byte) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if gen < s.gen {
+		return
+	}
+	if gen > s.gen {
+		c.evictions.Add(int64(s.ll.Len()))
+		s.ll.Init()
+		clear(s.items)
+		s.bytes, s.gen = 0, gen
+	}
 	if el, ok := s.items[key]; ok {
 		e := el.Value.(*cacheEntry)
 		s.bytes += int64(len(body)) - int64(len(e.body))

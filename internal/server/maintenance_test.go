@@ -102,7 +102,7 @@ func TestCacheByteBudget(t *testing.T) {
 	c := newResultCache(1<<20, 64*numCacheShards)
 	body := make([]byte, 48)
 	for i := 0; i < 8*numCacheShards; i++ {
-		c.put(fmt.Sprintf("key-%d", i), body)
+		c.put(0, fmt.Sprintf("key-%d", i), body)
 	}
 	st := c.stats()
 	if st.Bytes > int64(64*numCacheShards) {
@@ -116,7 +116,7 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 	// A single body above the shard budget still caches (and is served).
 	huge := make([]byte, 1024)
-	c.put("huge", huge)
+	c.put(0, "huge", huge)
 	if got, ok := c.get("huge"); !ok || len(got) != 1024 {
 		t.Error("oversized body was not cached")
 	}
@@ -124,10 +124,35 @@ func TestCacheByteBudget(t *testing.T) {
 
 func TestCacheByteAccountingOnReplace(t *testing.T) {
 	c := newResultCache(numCacheShards, 0)
-	c.put("k", make([]byte, 100))
-	c.put("k", make([]byte, 10))
+	c.put(0, "k", make([]byte, 100))
+	c.put(0, "k", make([]byte, 10))
 	if _, bytes := c.usage(); bytes != 10 {
 		t.Errorf("bytes after replace = %d, want 10", bytes)
+	}
+}
+
+// TestCacheDropsSupersededGenerations: entries keyed under a generation no
+// lookup will name again must not sit in memory until the LRU reaches them.
+func TestCacheDropsSupersededGenerations(t *testing.T) {
+	c := newResultCache(1<<20, 0)
+	for i := 0; i < 256; i++ {
+		c.put(1, fmt.Sprintf("g1|q%d", i), make([]byte, 100))
+	}
+	for i := 0; i < 256; i++ { // enough keys to reach every shard
+		c.put(2, fmt.Sprintf("g2|q%d", i), make([]byte, 10))
+	}
+	c.put(1, "g1|late", make([]byte, 100)) // a reader that pinned generation 1
+	if entries, bytes := c.usage(); entries != 256 || bytes != 2560 {
+		t.Errorf("cache holds %d entries, %d bytes after the generation moved; want the 256 new ones, 2560 bytes", entries, bytes)
+	}
+	if _, ok := c.get("g1|q0"); ok {
+		t.Error("an entry of the superseded generation is still served")
+	}
+	if _, ok := c.get("g2|q0"); !ok {
+		t.Error("an entry of the current generation was dropped")
+	}
+	if st := c.stats(); st.Evictions != 256 {
+		t.Errorf("evictions = %d, want the 256 superseded entries", st.Evictions)
 	}
 }
 

@@ -500,7 +500,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// never shared across requests.
 		resp.Cached = true
 		if body, err := json.Marshal(resp); err == nil {
-			s.cache.put(key, body)
+			s.cache.put(st.Generation, key, body)
 		}
 		resp.Cached = false
 	}

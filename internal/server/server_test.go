@@ -425,7 +425,7 @@ func TestCacheDisabled(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(numCacheShards, 0) // one entry per shard
 	for i := 0; i < 10*numCacheShards; i++ {
-		c.put(fmt.Sprintf("key-%d", i), []byte("{}"))
+		c.put(0, fmt.Sprintf("key-%d", i), []byte("{}"))
 	}
 	st := c.stats()
 	if st.Entries > numCacheShards {

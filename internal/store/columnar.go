@@ -14,11 +14,12 @@ import (
 // run range found by binary search. The runs are stored behind the run
 // interface (run.go): flat fixed-width slices or delta/varint-compressed
 // blocks (block.go), chosen per graph by codec. On top of the immutable runs
-// sits a small mutable delta overlay (pending inserts and tombstones) that is
-// merged into fresh runs once it exceeds a fraction of the base (LSM-style).
-// Readers capture the run plus a copy of the in-range delta, so scans never
-// hold the graph lock while yielding and mutations never invalidate a live
-// Iterator.
+// sits a small delta overlay (pending inserts and tombstones, overlay.go) —
+// sorted per permutation like the runs, replaced copy-on-write by each write —
+// that is merged into fresh runs once it exceeds a fraction of the base
+// (LSM-style). Readers capture the run plus the in-range sub-slices of the
+// overlay, so scans never hold the graph lock while yielding and mutations
+// never invalidate a live Iterator.
 
 // permKind selects one of the three sorted permutations.
 type permKind uint8
@@ -179,14 +180,6 @@ func choosePerm(s, p, o rdf.ID) (kind permKind, key rdf.EncodedTriple, depth int
 	}
 }
 
-// matchesPattern reports whether an SPO-ordered triple matches the pattern
-// (NoID components are wildcards).
-func matchesPattern(t rdf.EncodedTriple, s, p, o rdf.ID) bool {
-	return (s == rdf.NoID || t[0] == s) &&
-		(p == rdf.NoID || t[1] == p) &&
-		(o == rdf.NoID || t[2] == o)
-}
-
 // mergeRuns three-way merges a base run with sorted inserts and sorted
 // tombstones, streaming the result through a fresh builder in the graph's
 // codec — block runs are re-encoded block by block with no intermediate flat
@@ -247,11 +240,15 @@ func permuteSorted(kind permKind, ts []rdf.EncodedTriple) []rdf.EncodedTriple {
 // affect triples it yields, and it must not be shared between goroutines.
 type Iterator struct {
 	kind   permKind
-	base   run                 // shared immutable run (nil for pure-delta ranges)
-	lo, hi int                 // remaining base positions [lo, hi)
-	a      *spanArena          // decoded span; a.key(a.idx) is the key at lo
-	extra  []rdf.EncodedTriple // remaining in-range delta inserts (sorted)
-	dels   []rdf.EncodedTriple // remaining in-range tombstones (sorted)
+	base   run        // shared immutable run (nil for pure-delta ranges)
+	lo, hi int        // remaining base positions [lo, hi)
+	a      *spanArena // decoded span; a.key(a.idx) is the key at lo
+
+	// extra and dels are the remaining in-range delta inserts and tombstones
+	// (sorted). They alias the graph's shared overlay slices: an Iterator only
+	// ever re-slices them, never writes or appends.
+	extra []rdf.EncodedTriple
+	dels  []rdf.EncodedTriple
 
 	// ms/mp/mo are the merge buffers NextSpan fills when the delta overlay is
 	// non-empty and spans cannot be served straight from the arena.
@@ -334,14 +331,17 @@ func (it *Iterator) NextSpan() (s, p, o []rdf.ID) {
 			return c1, c2, c0
 		}
 	}
-	// Delta overlay in range: merge through Next into reusable buffers.
-	if it.ms == nil {
-		it.ms = make([]rdf.ID, 0, spanChunk)
-		it.mp = make([]rdf.ID, 0, spanChunk)
-		it.mo = make([]rdf.ID, 0, spanChunk)
+	// Delta overlay in range: merge through Next into reusable buffers, sized
+	// to what is left — a point scan beside a writer must not pay for a
+	// full-span buffer.
+	chunk := min(spanChunk, it.hi-it.lo+len(it.extra))
+	if cap(it.ms) < chunk {
+		it.ms = make([]rdf.ID, 0, chunk)
+		it.mp = make([]rdf.ID, 0, chunk)
+		it.mo = make([]rdf.ID, 0, chunk)
 	}
 	it.ms, it.mp, it.mo = it.ms[:0], it.mp[:0], it.mo[:0]
-	for len(it.ms) < spanChunk && it.Next() {
+	for len(it.ms) < chunk && it.Next() {
 		it.ms = append(it.ms, it.s)
 		it.mp = append(it.mp, it.p)
 		it.mo = append(it.mo, it.o)
@@ -385,12 +385,12 @@ func (it *Iterator) Remaining() int {
 // sub-iterators covering contiguous, disjoint key ranges, such that running
 // the sub-iterators in order yields exactly the sequence the receiver would
 // have yielded. The receiver is not consumed. Each part shares the immutable
-// base run (and so stays a consistent snapshot) and owns a disjoint slice of
-// the delta buffers, so the parts may be iterated from different goroutines
-// concurrently — every part gets its own decode arena, lazily. Partition
-// boundaries are aligned to block starts so no part ever decodes a partial
-// block at its edges. This is the data-parallel scan primitive: the engine
-// splits a leading pattern range into per-worker sub-ranges.
+// base run (and so stays a consistent snapshot) and reads a disjoint slice of
+// the shared delta overlay, so the parts may be iterated from different
+// goroutines concurrently — every part gets its own decode arena, lazily.
+// Partition boundaries are aligned to block starts so no part ever decodes a
+// partial block at its edges. This is the data-parallel scan primitive: the
+// engine splits a leading pattern range into per-worker sub-ranges.
 func (it *Iterator) Split(n int) []Iterator {
 	if n <= 1 || it.Remaining() == 0 {
 		p := *it

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"maps"
 
 	"sofos/internal/rdf"
 )
@@ -49,13 +48,17 @@ func (g *Graph) Apply(inserts, deletes []rdf.Triple) (Delta, error) {
 	if len(inserts) > 0 && len(deletes) > 0 {
 		insIdx = make(map[rdf.EncodedTriple]int, len(inserts))
 	}
+	b := batch{g: g}
 	for _, t := range inserts {
-		s, p, o := g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)
-		if g.addEncodedLocked(s, p, o) {
+		k := rdf.EncodedTriple{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)}
+		if b.add(k) {
 			if insIdx != nil {
-				insIdx[rdf.EncodedTriple{s, p, o}] = len(d.Inserted)
+				insIdx[k] = len(d.Inserted)
 			}
 			d.Inserted = append(d.Inserted, t)
+			// The compaction policy applies insert by insert, as it does for
+			// single Adds; deletes wait for the end of the batch.
+			b.maybeCompact()
 		}
 	}
 	var cancelled map[int]bool // indices of d.Inserted undone by a same-batch delete
@@ -72,7 +75,7 @@ func (g *Graph) Apply(inserts, deletes []rdf.Triple) (Delta, error) {
 		if !ok {
 			continue
 		}
-		if !g.deleteLocked(s, p, o) {
+		if !b.remove(rdf.EncodedTriple{s, p, o}) {
 			continue
 		}
 		if i, ok := insIdx[rdf.EncodedTriple{s, p, o}]; ok {
@@ -94,7 +97,7 @@ func (g *Graph) Apply(inserts, deletes []rdf.Triple) (Delta, error) {
 		}
 		d.Inserted = kept
 	}
-	g.maybeCompactLocked()
+	b.commit()
 	d.ToVersion = g.version
 	return d, nil
 }
@@ -143,34 +146,23 @@ func ComposeDeltas(ds []Delta) Delta {
 
 // OverlayWith returns a read-only union of the graph and the extra triples,
 // sharing the receiver's immutable sorted runs and its term dictionary: the
+// extra triples are merged into a copy of the sorted delta overlay, so the
 // cost is O(|delta overlay| + |extra|), never O(|G|). Incremental view
 // maintenance uses it to evaluate delete-side joins against G ∪ Δ⁻ without
 // rebuilding the pre-update graph.
 //
 // The overlay supports the read API only (Scan, Match, Contains, Estimate,
-// Len, Triples); mutating it — or mutating the receiver or its dictionary
-// while the overlay is in use — is undefined. Component-count statistics
-// (DistinctNodes, DistinctPredicates) are not maintained and read as zero.
+// Len, Triples and the distinct-component statistics); mutating it — or
+// mutating the receiver or its dictionary while the overlay is in use — is
+// undefined, and it keeps the receiver's Version.
 // Extra triples whose terms were never interned in the receiver's dictionary
 // are skipped: such a triple cannot have been part of any earlier graph
 // state, and adding it would mutate the shared dictionary.
 func (g *Graph) OverlayWith(extra []rdf.Triple) *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	o := &Graph{
-		dict:    g.dict,
-		codec:   g.codec,
-		runs:    g.runs, // shares the immutable runs; never mutated in place
-		adds:    make(map[rdf.EncodedTriple]struct{}, len(g.adds)+len(extra)),
-		dels:    make(map[rdf.EncodedTriple]struct{}, len(g.dels)),
-		countS:  make(map[rdf.ID]int),
-		countP:  make(map[rdf.ID]int),
-		countO:  make(map[rdf.ID]int),
-		n:       g.n,
-		version: g.version,
-	}
-	maps.Copy(o.adds, g.adds)
-	maps.Copy(o.dels, g.dels)
+	o := g.forkLocked()
+	b := batch{g: o}
 	for _, t := range extra {
 		s, ok := g.dict.Lookup(t.S)
 		if !ok {
@@ -184,20 +176,9 @@ func (g *Graph) OverlayWith(extra []rdf.Triple) *Graph {
 		if !ok {
 			continue
 		}
-		k := rdf.EncodedTriple{s, p, ob}
-		if _, tomb := o.dels[k]; tomb {
-			delete(o.dels, k) // resurrect the still-present run entry
-			o.n++
-			continue
-		}
-		if _, dup := o.adds[k]; dup {
-			continue
-		}
-		if o.inRunsLocked(k) {
-			continue
-		}
-		o.adds[k] = struct{}{}
-		o.n++
+		b.add(rdf.EncodedTriple{s, p, ob})
 	}
+	b.flush() // no compaction: that would be O(|G|)
+	o.version = g.version
 	return o
 }

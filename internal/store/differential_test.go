@@ -1,91 +1,376 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"sofos/internal/rdf"
 )
 
-// TestDifferentialColumnarVsNestedMap drives the columnar Graph and the
-// seed's nested-map reference side by side through a randomized add/remove
-// workload and asserts byte-identical Match and Estimate results for every
-// pattern shape at multiple points — including states where the columnar
-// delta overlay holds pending inserts and tombstones.
-func TestDifferentialColumnarVsNestedMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	g := NewGraph()
-	ref := NewNestedMapGraph()
+// parentSnapshotDigests are, per seed, the SHA-256 over every snapshot the
+// property test's operation sequence saves, as written by the hash-map
+// overlay this representation replaced (commit a234d07). Matching them means
+// the sorted overlay compacts at the same operations and serializes to the
+// same v3 bytes.
+var parentSnapshotDigests = map[int64]string{
+	1: "0a624a8168980dc072c05d6d9bd9e5e9ba5785fdd6412642a1a8b451be7c3268",
+	2: "457d24712935ba258e1d44c56814106f8f87c0a1cdcd1b148f75792780d6443f",
+	3: "e59a2dacfae087cedfadce1ea21e33a7903c46052e824bf5cc19e0ba78067226",
+}
 
-	// Pre-intern a fixed term universe so both stores speak the same IDs.
-	nS, nP, nO := 25, 6, 30
-	var ids []rdf.ID
-	for i := 0; i < nS+nP+nO; i++ {
-		ids = append(ids, g.dict.Intern(rdf.NewIRI(fmt.Sprintf("http://ex.org/t%d", i))))
+// TestGraphPropertyVsNestedMap drives a family of forked columnar graphs and
+// a nested-map reference per graph through one seeded random interleaving of
+// Add, Remove, Apply, RemoveTriples, Fork, Compact, OverlayWith and
+// Save/Load, checking after every step that all read paths agree with the
+// reference for every pattern shape, and that iterators opened earlier still
+// yield the state they were opened on.
+func TestGraphPropertyVsNestedMap(t *testing.T) {
+	for seed, digest := range parentSnapshotDigests {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			if raceEnabled && seed != 1 {
+				t.Skip("one goroutine, nothing for the race detector to find: one seed bounds the 10x cost")
+			}
+			if got := runGraphProperty(t, seed, 500); got != digest {
+				t.Errorf("snapshot digest %s, parent commit wrote %s", got, digest)
+			}
+		})
 	}
-	randS := func() rdf.ID { return ids[rng.Intn(nS)] }
-	randP := func() rdf.ID { return ids[nS+rng.Intn(nP)] }
-	randO := func() rdf.ID { return ids[nS+nP+rng.Intn(nO)] }
+}
 
-	check := func(step int) {
-		t.Helper()
-		if g.Len() != ref.Len() {
-			t.Fatalf("step %d: Len %d != reference %d", step, g.Len(), ref.Len())
-		}
-		for trial := 0; trial < 60; trial++ {
-			var s, p, o rdf.ID
-			if rng.Intn(2) == 0 {
-				s = randS()
-			}
-			if rng.Intn(2) == 0 {
-				p = randP()
-			}
-			if rng.Intn(2) == 0 {
-				o = randO()
-			}
-			if got, want := g.Estimate(s, p, o), ref.Estimate(s, p, o); got != want {
-				t.Fatalf("step %d: Estimate(%d,%d,%d) = %d, reference %d", step, s, p, o, got, want)
-			}
-			got := collectMatches(g.Match, s, p, o)
-			want := collectMatches(ref.Match, s, p, o)
-			if got != want {
-				t.Fatalf("step %d: Match(%d,%d,%d) diverged:\n columnar: %s\n reference: %s",
-					step, s, p, o, got, want)
-			}
-			// The iterator API must agree with Match exactly.
-			var viaIter []rdf.EncodedTriple
-			it := g.Scan(s, p, o)
-			for it.Next() {
-				ms, mp, mo := it.Triple()
-				viaIter = append(viaIter, rdf.EncodedTriple{ms, mp, mo})
-			}
-			if rendered := renderTriples(viaIter); rendered != got {
-				t.Fatalf("step %d: Scan(%d,%d,%d) != Match: %s vs %s", step, s, p, o, rendered, got)
-			}
-		}
-	}
+// graphUnderTest pairs a graph with its model.
+type graphUnderTest struct {
+	g   *Graph
+	ref *NestedMapGraph
+}
 
-	for step := 0; step < 3000; step++ {
-		s, p, o := randS(), randP(), randO()
-		if rng.Intn(3) == 0 {
-			if g.removeEncoded(s, p, o) != ref.Remove(s, p, o) {
-				t.Fatalf("step %d: Remove(%d,%d,%d) return values diverged", step, s, p, o)
-			}
+// pinnedScan is an iterator opened in the past and what it must still yield.
+type pinnedScan struct {
+	parts []Iterator
+	spans bool                // drain through NextSpan rather than Next
+	want  []rdf.EncodedTriple // sorted
+	due   int
+}
+
+func runGraphProperty(t *testing.T, seed int64, steps int) string {
+	rng := rand.New(rand.NewSource(seed))
+	digest := sha256.New()
+
+	// Term universe. Node IRIs serve as subjects and as objects, so
+	// DistinctNodes has a real union to count; draws never depend on what the
+	// graphs answer, so one seed is one operation sequence.
+	node := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex.org/n%d", i)) }
+	randTriple := func() rdf.Triple {
+		x := rdf.Triple{S: node(rng.Intn(40)), P: rdf.NewIRI(fmt.Sprintf("http://ex.org/p%d", rng.Intn(6)))}
+		if o := rng.Intn(90); o < 60 {
+			x.O = node(o)
 		} else {
-			if g.AddEncoded(s, p, o) != ref.Add(s, p, o) {
-				t.Fatalf("step %d: Add(%d,%d,%d) return values diverged", step, s, p, o)
+			x.O = rdf.NewInteger(int64(o))
+		}
+		return x
+	}
+	var recent []rdf.Triple // inserted at some point: likely delete hits
+	fresh := func(n int) []rdf.Triple {
+		out := make([]rdf.Triple, n)
+		for i := range out {
+			out[i] = randTriple()
+		}
+		recent = append(recent, out...)
+		return out
+	}
+	seen := func(n int) []rdf.Triple {
+		out := make([]rdf.Triple, n)
+		for i := range out {
+			if rng.Intn(5) == 0 {
+				out[i] = randTriple()
+			} else {
+				out[i] = recent[rng.Intn(len(recent))]
 			}
 		}
-		if step%500 == 499 {
-			check(step)
+		return out
+	}
+	// encode returns the triple's IDs, false if a term was never interned.
+	encode := func(g *Graph, x rdf.Triple) (k rdf.EncodedTriple, ok bool) {
+		for i, term := range []rdf.Term{x.S, x.P, x.O} {
+			if k[i], ok = g.dict.Lookup(term); !ok {
+				return k, false
+			}
+		}
+		return k, true
+	}
+	refAdd := func(h *graphUnderTest, x rdf.Triple) bool {
+		k, ok := encode(h.g, x)
+		return ok && h.ref.Add(k[0], k[1], k[2])
+	}
+	refRemove := func(h *graphUnderTest, x rdf.Triple) bool {
+		k, ok := encode(h.g, x)
+		return ok && h.ref.Remove(k[0], k[1], k[2])
+	}
+
+	var reuse Iterator // ScanInto target shared by every check on every graph
+	drain := func(parts []Iterator, spans bool) []rdf.EncodedTriple {
+		var out []rdf.EncodedTriple
+		for i := range parts {
+			it := &parts[i]
+			if !spans {
+				for it.Next() {
+					out = append(out, rdf.EncodedTriple{it.S(), it.P(), it.O()})
+				}
+				continue
+			}
+			for {
+				ss, ps, os := it.NextSpan()
+				if len(ss) == 0 {
+					break
+				}
+				for j := range ss {
+					out = append(out, rdf.EncodedTriple{ss[j], ps[j], os[j]})
+				}
+			}
+		}
+		return out
+	}
+	randPattern := func(g *Graph, shape int) (s, p, o rdf.ID) {
+		k, _ := encode(g, randTriple()) // a never-interned term stays a wildcard
+		if shape&1 != 0 {
+			s = k[0]
+		}
+		if shape&2 != 0 {
+			p = k[1]
+		}
+		if shape&4 != 0 {
+			o = k[2]
+		}
+		return s, p, o
+	}
+	check := func(step int, what string, g *Graph, ref *NestedMapGraph) {
+		t.Helper()
+		checkOverlayInvariants(t, g)
+		if g.Len() != ref.Len() {
+			t.Fatalf("step %d %s: Len %d, reference %d", step, what, g.Len(), ref.Len())
+		}
+		nodes := make(map[rdf.ID]struct{})
+		for id := range ref.countS {
+			nodes[id] = struct{}{}
+		}
+		for id := range ref.countO {
+			nodes[id] = struct{}{}
+		}
+		if g.DistinctNodes() != len(nodes) || g.DistinctPredicates() != len(ref.countP) {
+			t.Fatalf("step %d %s: distinct nodes/predicates %d/%d, reference %d/%d", step, what,
+				g.DistinctNodes(), g.DistinctPredicates(), len(nodes), len(ref.countP))
+		}
+		for shape := 0; shape < 8; shape++ {
+			s, p, o := randPattern(g, shape)
+			want := sortedMatches(ref, s, p, o)
+			if got := g.Estimate(s, p, o); got != ref.Estimate(s, p, o) {
+				t.Fatalf("step %d %s: Estimate(%d,%d,%d) = %d, reference %d", step, what, s, p, o, got, ref.Estimate(s, p, o))
+			}
+			g.ScanInto(&reuse, s, p, o)
+			if n := reuse.Remaining(); n != ref.Estimate(s, p, o) {
+				t.Fatalf("step %d %s: Remaining(%d,%d,%d) = %d, reference %d", step, what, s, p, o, n, ref.Estimate(s, p, o))
+			}
+			split := reuse.Split(1 + rng.Intn(4))
+			inOrder := drain([]Iterator{g.Scan(s, p, o)}, false)
+			if !slices.IsSortedFunc(inOrder, reuse.kind.cmpSPO) {
+				t.Fatalf("step %d %s: Scan(%d,%d,%d) yields out of order: %v", step, what, s, p, o, inOrder)
+			}
+			for name, got := range map[string][]rdf.EncodedTriple{
+				"NextSpan": drain([]Iterator{g.Scan(s, p, o)}, true),
+				"Split":    drain(split, rng.Intn(2) == 0),
+				"ScanInto": drain([]Iterator{reuse}, false),
+			} {
+				if !slices.Equal(got, inOrder) {
+					t.Fatalf("step %d %s: %s(%d,%d,%d) yields %v, Next yields %v", step, what, name, s, p, o, got, inOrder)
+				}
+			}
+			if slices.SortFunc(inOrder, cmpKeys); !slices.Equal(inOrder, want) {
+				t.Fatalf("step %d %s: Scan(%d,%d,%d) diverged:\n columnar:  %v\n reference: %v", step, what, s, p, o, inOrder, want)
+			}
+			x := randTriple()
+			if k, ok := encode(g, x); g.Contains(x) != (ok && ref.Estimate(k[0], k[1], k[2]) == 1) {
+				t.Fatalf("step %d %s: Contains(%v) = %v, reference disagrees", step, what, x, g.Contains(x))
+			}
 		}
 	}
-	check(3000)
-	// Also compare against a compacted (delta-free) state.
-	g.Compact()
-	check(3001)
+	saveLoad := func(step int, h *graphUnderTest) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := h.g.Save(&buf); err != nil {
+			t.Fatalf("step %d: Save: %v", step, err)
+		}
+		digest.Write(buf.Bytes())
+		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("step %d: Load: %v", step, err)
+		}
+		check(step, "reloaded", loaded, h.ref)
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil {
+			t.Fatalf("step %d: re-Save: %v", step, err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("step %d: snapshot does not round-trip byte-identically", step)
+		}
+	}
+
+	first := &graphUnderTest{g: NewGraph(), ref: NewNestedMapGraph()}
+	boot := fresh(2000)
+	if _, err := first.g.LoadTriples(boot); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range boot {
+		refAdd(first, x)
+	}
+	handles := []*graphUnderTest{first}
+	var pinned []pinnedScan
+
+	for step := 0; step < steps; step++ {
+		h := handles[rng.Intn(len(handles))]
+		switch r := rng.Intn(100); {
+		case r < 20:
+			x := fresh(1)[0]
+			added, err := h.g.Add(x)
+			if err != nil || added != refAdd(h, x) {
+				t.Fatalf("step %d: Add(%v) = %v, %v; reference disagrees", step, x, added, err)
+			}
+		case r < 35:
+			x := seen(1)[0]
+			if removed := h.g.Remove(x); removed != refRemove(h, x) {
+				t.Fatalf("step %d: Remove(%v) = %v, reference disagrees", step, x, removed)
+			}
+		case r < 62:
+			ins, del := fresh(rng.Intn(300)), seen(rng.Intn(120))
+			if n := rng.Intn(4); n <= len(ins) {
+				del = append(del, ins[:n]...) // inserted and deleted by one batch
+			}
+			from := h.g.Version()
+			d, err := h.g.Apply(ins, del)
+			if err != nil {
+				t.Fatalf("step %d: Apply: %v", step, err)
+			}
+			// The delta must be the net effect: replaying it on the model
+			// takes every triple, and leaves the model where the batch does.
+			replayed := h.ref.Clone()
+			for _, x := range ins {
+				refAdd(h, x)
+			}
+			for _, x := range del {
+				refRemove(h, x)
+			}
+			for _, x := range d.Inserted {
+				if k, _ := encode(h.g, x); !replayed.Add(k[0], k[1], k[2]) {
+					t.Fatalf("step %d: Apply reports %v inserted, it was present", step, x)
+				}
+			}
+			for _, x := range d.Deleted {
+				if k, _ := encode(h.g, x); !replayed.Remove(k[0], k[1], k[2]) {
+					t.Fatalf("step %d: Apply reports %v deleted, it was absent", step, x)
+				}
+			}
+			if replayed.Len() != h.ref.Len() || d.FromVersion != from || d.ToVersion != h.g.Version() {
+				t.Fatalf("step %d: Apply delta %d..%d (+%d -%d) is not the batch's net effect", step,
+					d.FromVersion, d.ToVersion, len(d.Inserted), len(d.Deleted))
+			}
+			if rng.Intn(3) == 0 {
+				saveLoad(step, h)
+			}
+		case r < 70:
+			del := seen(rng.Intn(200))
+			want := 0
+			for _, x := range del {
+				if refRemove(h, x) {
+					want++
+				}
+			}
+			if got := h.g.RemoveTriples(del); got != want {
+				t.Fatalf("step %d: RemoveTriples removed %d, reference %d", step, got, want)
+			}
+		case r < 78:
+			// Parent and fork both stay writable here: stricter than the MVCC
+			// chain, which freezes the parent, and it is what would expose a
+			// write through a shared slice or count map.
+			f := &graphUnderTest{g: h.g.Fork(), ref: h.ref.Clone()}
+			if len(handles) < 4 {
+				handles = append(handles, f)
+			} else {
+				handles[rng.Intn(len(handles))] = f
+			}
+			h = f
+		case r < 82:
+			h.g.Compact()
+		case r < 88:
+			extra := seen(rng.Intn(40))
+			extra = append(extra, rdf.Triple{S: node(1000 + step), P: boot[0].P, O: node(1)}) // never interned: skipped
+			union := h.ref.Clone()
+			for _, x := range extra {
+				if k, ok := encode(h.g, x); ok {
+					union.Add(k[0], k[1], k[2])
+				}
+			}
+			version := h.g.Version()
+			ov := h.g.OverlayWith(extra)
+			check(step, "OverlayWith", ov, union)
+			if ov.Version() != version || h.g.Version() != version {
+				t.Fatalf("step %d: OverlayWith moved a version", step)
+			}
+		case r < 93:
+			saveLoad(step, h)
+		default:
+			for i := 0; i < 3; i++ {
+				s, p, o := randPattern(h.g, rng.Intn(8))
+				pin := pinnedScan{
+					spans: rng.Intn(2) == 0,
+					want:  sortedMatches(h.ref, s, p, o),
+					due:   step + 1 + rng.Intn(6),
+				}
+				if it := h.g.Scan(s, p, o); rng.Intn(2) == 0 {
+					pin.parts = it.Split(3)
+				} else {
+					pin.parts = []Iterator{it}
+				}
+				pinned = append(pinned, pin)
+			}
+		}
+		check(step, "after the step", h.g, h.ref)
+		kept := pinned[:0]
+		for _, pin := range pinned {
+			if pin.due > step {
+				kept = append(kept, pin)
+			} else if got := drain(pin.parts, pin.spans); !slices.IsSortedFunc(got, pin.parts[0].kind.cmpSPO) {
+				t.Fatalf("step %d: an iterator opened earlier yields out of order: %v", step, got)
+			} else if slices.SortFunc(got, cmpKeys); !slices.Equal(got, pin.want) {
+				t.Fatalf("step %d: an iterator opened earlier no longer yields its snapshot:\n got:  %v\n want: %v", step, got, pin.want)
+			}
+		}
+		pinned = kept
+	}
+	for _, h := range handles {
+		check(steps, "at the end", h.g, h.ref)
+		saveLoad(steps, h)
+	}
+	return hex.EncodeToString(digest.Sum(nil))
+}
+
+// sortedMatches returns the reference's matches of a pattern in SPO order.
+func sortedMatches(ref *NestedMapGraph, s, p, o rdf.ID) []rdf.EncodedTriple {
+	var out []rdf.EncodedTriple
+	ref.Match(s, p, o, func(ms, mp, mo rdf.ID) bool {
+		out = append(out, rdf.EncodedTriple{ms, mp, mo})
+		return true
+	})
+	slices.SortFunc(out, cmpKeys)
+	return out
+}
+
+// cmpSPO orders (s, p, o) triples the way this permutation's scans yield them.
+func (k permKind) cmpSPO(a, b rdf.EncodedTriple) int {
+	return cmpKeys(k.key(a[0], a[1], a[2]), k.key(b[0], b[1], b[2]))
 }
 
 // removeEncoded is a test helper mirroring AddEncoded for the reference

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 
 	"sofos/internal/rdf"
@@ -12,9 +11,10 @@ import (
 // triggered automatically; above it, the overlay is merged once it reaches
 // compactFraction of the base runs. Growing the threshold with the base
 // keeps interleaved Add/Remove workloads amortized near-linear, while
-// compactMaxDelta caps the overlay absolutely: scans and estimates filter
-// through the whole delta, so on very large graphs the fraction alone would
-// let per-scan overhead grow with the base.
+// compactMaxDelta caps the overlay absolutely: a scan finds its overlay
+// entries by binary search, but every write re-merges the whole sorted overlay
+// (copy-on-write) and every fork copies the counts it touched, so on very
+// large graphs the fraction alone would let per-write cost grow with the base.
 const (
 	compactMinDelta = 1024
 	compactFraction = 8 // compact when delta ≥ base/compactFraction
@@ -39,23 +39,21 @@ type Graph struct {
 	// Iterators stay valid across writes. A nil run is an empty index.
 	runs [numPerms]run
 
-	// adds holds triples inserted since the last compaction (disjoint from
-	// runs); dels holds tombstones for run triples removed since then. Both
-	// are keyed in SPO order.
-	adds map[rdf.EncodedTriple]struct{}
-	dels map[rdf.EncodedTriple]struct{}
+	// ov is the delta overlay: triples inserted and run triples tombstoned
+	// since the last compaction, as sorted slices that are immutable once
+	// installed here (see overlay).
+	ov overlay
 
-	n int // live triple count: runs[permSPO].size() - len(dels) + len(adds)
+	n int // live triple count: runs[permSPO].size() - |ov.dels| + |ov.adds|
 
 	// version counts successful mutations; view catalogs compare it against
 	// the version captured at materialization time to detect staleness.
 	version int64
 
-	// Per-component occurrence counts for distinct-component statistics
-	// (len(countS) = distinct subjects, ...), updated incrementally.
-	countS map[rdf.ID]int
-	countP map[rdf.ID]int
-	countO map[rdf.ID]int
+	// counts are the per-component occurrence counts behind the
+	// distinct-component statistics, indexed subject, predicate, object and
+	// updated incrementally.
+	counts [3]idCounts
 
 	// storage records how this graph's runs are resident (heap or mmap) and
 	// pages holds the paged snapshot image the runs slice into, when the graph
@@ -96,15 +94,7 @@ func (g *Graph) SetVersion(v int64) {
 // NewGraph returns an empty graph with a fresh dictionary, using the
 // process-wide default run codec (see SetDefaultCodec).
 func NewGraph() *Graph {
-	return &Graph{
-		dict:   rdf.NewDict(),
-		codec:  DefaultCodec().runCodec(),
-		adds:   make(map[rdf.EncodedTriple]struct{}),
-		dels:   make(map[rdf.EncodedTriple]struct{}),
-		countS: make(map[rdf.ID]int),
-		countP: make(map[rdf.ID]int),
-		countO: make(map[rdf.ID]int),
-	}
+	return &Graph{dict: rdf.NewDict(), codec: DefaultCodec().runCodec()}
 }
 
 // BuildFrom constructs a compacted graph directly from a triple slice — the
@@ -169,36 +159,14 @@ func (g *Graph) inRunsLocked(k rdf.EncodedTriple) bool {
 }
 
 func (g *Graph) containsLocked(s, p, o rdf.ID) bool {
-	k := rdf.EncodedTriple{s, p, o}
-	if _, ok := g.adds[k]; ok {
-		return true
-	}
-	if _, ok := g.dels[k]; ok {
-		return false
-	}
-	return g.inRunsLocked(k)
+	return g.keyStateLocked(rdf.EncodedTriple{s, p, o}).present()
 }
 
 func (g *Graph) addEncodedLocked(s, p, o rdf.ID) bool {
-	k := rdf.EncodedTriple{s, p, o}
-	if _, ok := g.adds[k]; ok {
-		return false
-	}
-	if _, ok := g.dels[k]; ok {
-		delete(g.dels, k) // resurrect the still-present run entry
-	} else if g.inRunsLocked(k) {
-		return false
-	} else {
-		g.adds[k] = struct{}{}
-	}
-	g.n++
-	g.version++
-	g.pagedDirty = true
-	g.countS[s]++
-	g.countP[p]++
-	g.countO[o]++
-	g.maybeCompactLocked()
-	return true
+	b := batch{g: g}
+	added := b.add(rdf.EncodedTriple{s, p, o})
+	b.commit()
+	return added
 }
 
 // Remove deletes a triple if present and reports whether it was.
@@ -221,82 +189,38 @@ func (g *Graph) Remove(t rdf.Triple) bool {
 }
 
 func (g *Graph) removeEncodedLocked(s, p, o rdf.ID) bool {
-	if !g.deleteLocked(s, p, o) {
-		return false
-	}
-	g.maybeCompactLocked()
-	return true
-}
-
-// deleteLocked is removeEncodedLocked without the compaction check, so batch
-// removals can defer one compaction to the end instead of rebuilding the
-// runs repeatedly mid-batch.
-func (g *Graph) deleteLocked(s, p, o rdf.ID) bool {
-	k := rdf.EncodedTriple{s, p, o}
-	if _, ok := g.adds[k]; ok {
-		delete(g.adds, k)
-	} else if _, ok := g.dels[k]; ok {
-		return false
-	} else if g.inRunsLocked(k) {
-		g.dels[k] = struct{}{}
-	} else {
-		return false
-	}
-	g.n--
-	g.version++
-	g.pagedDirty = true
-	decOrDelete(g.countS, s)
-	decOrDelete(g.countP, p)
-	decOrDelete(g.countO, o)
-	return true
-}
-
-// decOrDelete decrements a counter, deleting the key at zero so len() of the
-// counter maps equals the number of distinct live components.
-func decOrDelete(m map[rdf.ID]int, k rdf.ID) {
-	if m[k] <= 1 {
-		delete(m, k)
-	} else {
-		m[k]--
-	}
-}
-
-// maybeCompactLocked merges the delta overlay into the runs once it exceeds
-// the size threshold.
-func (g *Graph) maybeCompactLocked() {
-	delta := len(g.adds) + len(g.dels)
-	if delta >= compactMinDelta &&
-		(delta >= compactMaxDelta || delta*compactFraction >= runSize(g.runs[permSPO])) {
-		g.compactLocked()
-	}
+	b := batch{g: g}
+	removed := b.remove(rdf.EncodedTriple{s, p, o})
+	b.commit()
+	return removed
 }
 
 // compactLocked merges pending inserts and tombstones into freshly built
-// sorted runs, leaving the delta overlay empty. Old runs are left untouched
-// for any live Iterators.
+// sorted runs, leaving the delta overlay empty, and folds the count
+// adjustments into fresh base maps. Old runs, overlay slices and count maps
+// are left untouched for live Iterators and forks.
 func (g *Graph) compactLocked() {
-	if len(g.adds) == 0 && len(g.dels) == 0 {
+	if g.ov.size() == 0 {
 		return
 	}
-	adds := make([]rdf.EncodedTriple, 0, len(g.adds))
-	for t := range g.adds {
-		adds = append(adds, t)
-	}
-	dels := make([]rdf.EncodedTriple, 0, len(g.dels))
-	for t := range g.dels {
-		dels = append(dels, t)
-	}
 	for k := permKind(0); k < numPerms; k++ {
-		g.runs[k] = mergeRuns(g.codec, g.runs[k], permuteSorted(k, adds), permuteSorted(k, dels))
+		g.runs[k] = mergeRuns(g.codec, g.runs[k], g.ov.adds[k], g.ov.dels[k])
 	}
-	g.adds = make(map[rdf.EncodedTriple]struct{})
-	g.dels = make(map[rdf.EncodedTriple]struct{})
+	g.ov = overlay{}
+	g.foldCountsLocked()
 }
 
-// Compact merges any pending delta overlay into the sorted runs. Scans and
-// estimates are cheapest against a compacted graph, so call it after a batch
-// of mutations and before a query-heavy phase; bulk-load paths compact
-// automatically.
+func (g *Graph) foldCountsLocked() {
+	for i := range g.counts {
+		g.counts[i].fold()
+	}
+}
+
+// Compact merges any pending delta overlay into the sorted runs. A scan whose
+// range holds overlay entries merges them in triple by triple instead of
+// serving whole decoded spans, and every write and fork pays for the
+// overlay's size, so call it after a large batch of mutations and before a
+// scan-heavy phase; bulk-load paths compact automatically.
 func (g *Graph) Compact() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -334,10 +258,11 @@ func (g *Graph) Scan(s, p, o rdf.ID) (it Iterator) {
 	return it
 }
 
-// ScanInto is Scan reusing the caller's Iterator value (and its delta
-// buffers plus decode arena), for allocation-free scan loops on hot paths.
+// ScanInto is Scan reusing the caller's Iterator value (its decode arena and
+// merge buffers), for allocation-free scan loops on hot paths. The delta
+// slices are dropped, never reused: they alias the shared overlay.
 func (g *Graph) ScanInto(it *Iterator, s, p, o rdf.ID) {
-	it.base, it.extra, it.dels = nil, it.extra[:0], it.dels[:0]
+	it.base, it.extra, it.dels = nil, nil, nil
 	g.mu.RLock()
 	g.scanInto(it, s, p, o)
 	g.mu.RUnlock()
@@ -359,8 +284,9 @@ func (g *Graph) scanPermLocked(kind permKind, key rdf.EncodedTriple, depth int) 
 }
 
 // scanPermInto fills an Iterator with one permutation range: the base-run
-// segment found by binary search plus copies of the in-range delta entries.
-// It builds in place so the hot path copies no Iterator values.
+// segment and the in-range overlay entries, each found by binary search and
+// shared, not copied. It builds in place so the hot path copies no Iterator
+// values.
 func (g *Graph) scanPermInto(it *Iterator, kind permKind, key rdf.EncodedTriple, depth int) {
 	if depth == 0 && g.pages != nil {
 		// A full scan over a paged snapshot touches every payload page in
@@ -374,21 +300,11 @@ func (g *Graph) scanPermInto(it *Iterator, kind permKind, key rdf.EncodedTriple,
 	if it.a != nil {
 		it.a.reset() // stale decoded span from a previous scan
 	}
-	if len(g.adds) > 0 {
-		for t := range g.adds {
-			if pk := kind.key(t[0], t[1], t[2]); cmpPrefix(pk, key, depth) == 0 {
-				it.extra = append(it.extra, pk)
-			}
-		}
-		sortKeys(it.extra)
+	if adds := g.ov.adds[kind]; len(adds) > 0 {
+		it.extra = prefixRange(adds, key, depth)
 	}
-	if len(g.dels) > 0 {
-		for t := range g.dels {
-			if pk := kind.key(t[0], t[1], t[2]); cmpPrefix(pk, key, depth) == 0 {
-				it.dels = append(it.dels, pk)
-			}
-		}
-		sortKeys(it.dels)
+	if dels := g.ov.dels[kind]; len(dels) > 0 {
+		it.dels = prefixRange(dels, key, depth)
 	}
 }
 
@@ -426,24 +342,9 @@ func (g *Graph) estimateLocked(s, p, o rdf.ID) int {
 	}
 	kind, key, depth := choosePerm(s, p, o)
 	lo, hi := rangeOf(g.runs[kind], key, depth)
-	n := hi - lo
-	// Delta entries match the range iff they match the pattern (tombstones
-	// are always run members, so pattern match implies range membership).
-	if len(g.dels) > 0 {
-		for t := range g.dels {
-			if matchesPattern(t, s, p, o) {
-				n--
-			}
-		}
-	}
-	if len(g.adds) > 0 {
-		for t := range g.adds {
-			if matchesPattern(t, s, p, o) {
-				n++
-			}
-		}
-	}
-	return n
+	return hi - lo +
+		len(prefixRange(g.ov.adds[kind], key, depth)) -
+		len(prefixRange(g.ov.dels[kind], key, depth))
 }
 
 // Triples returns all triples, decoded, in SPO-sorted ID order.
@@ -468,60 +369,59 @@ func (g *Graph) SortedTriples() []rdf.Triple {
 }
 
 // Clone returns an independent copy of the graph, including its dictionary.
-// The immutable columnar runs are shared by pointer — compaction replaces
-// runs wholesale and never mutates them in place, so sharing is safe and
-// keeps cloning O(overlay + dictionary) instead of O(data). That matters for
-// mmap-backed graphs, where deep-copying the runs would pull the whole file
-// resident; materialization clones the base graph to build the expanded graph
-// G+ without mutating G.
+// Everything immutable is shared by reference — the columnar runs, the sorted
+// overlay slices and the base count maps are all replaced wholesale, never
+// mutated in place — so cloning is O(dictionary), not O(data). That matters
+// for mmap-backed graphs, where deep-copying the runs would pull the whole
+// file resident; materialization clones the base graph to build the expanded
+// graph G+ without mutating G.
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	c := NewGraph()
+	c := g.forkLocked()
 	c.dict = g.dict.Clone()
-	c.codec = g.codec
-	c.runs = g.runs
-	c.storage = g.storage
-	c.pages = g.pages
-	maps.Copy(c.adds, g.adds)
-	maps.Copy(c.dels, g.dels)
-	maps.Copy(c.countS, g.countS)
-	maps.Copy(c.countP, g.countP)
-	maps.Copy(c.countO, g.countO)
-	c.n = g.n
-	c.version = g.version
 	return c
 }
 
 // Fork returns a writable copy-on-write successor of the graph for MVCC
 // commit chains: the term dictionary is shared by pointer (it is append-only
 // and internally synchronized, so readers of the published snapshot and the
-// writer preparing the next generation interleave safely), the immutable runs
-// and any paged snapshot image are shared, and only the delta overlay and
-// component counts are copied — O(overlay), never O(data) or O(dictionary).
-// Unlike Clone, Fork carries the paged-snapshot provenance (pagedPath and
-// dirtiness) so hard-link checkpoints keep working across generations.
+// writer preparing the next generation interleave safely), and the immutable
+// runs, any paged snapshot image, the sorted overlay slices and the base
+// count maps are shared too. The only thing copied is the count adjustment
+// since the last compaction — O(IDs the overlay touched), never O(data),
+// O(distinct terms) or O(dictionary). Unlike Clone, Fork carries the
+// paged-snapshot provenance (pagedPath and dirtiness) so hard-link checkpoints
+// keep working across generations.
 //
 // The receiver must be treated as frozen once it has been published: the fork
 // is where all further mutation happens.
 func (g *Graph) Fork() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	c := NewGraph()
-	c.dict = g.dict
-	c.codec = g.codec
-	c.runs = g.runs
-	c.storage = g.storage
-	c.pages = g.pages
-	maps.Copy(c.adds, g.adds)
-	maps.Copy(c.dels, g.dels)
-	maps.Copy(c.countS, g.countS)
-	maps.Copy(c.countP, g.countP)
-	maps.Copy(c.countO, g.countO)
-	c.n = g.n
-	c.version = g.version
+	c := g.forkLocked()
 	c.pagedPath = g.pagedPath
 	c.pagedDirty = g.pagedDirty
+	return c
+}
+
+// forkLocked is the part Fork, Clone and OverlayWith share: a graph over the
+// receiver's dictionary, runs, pages and overlay with its own count
+// adjustments.
+func (g *Graph) forkLocked() *Graph {
+	c := &Graph{
+		dict:    g.dict,
+		codec:   g.codec,
+		runs:    g.runs,
+		ov:      g.ov,
+		n:       g.n,
+		version: g.version,
+		storage: g.storage,
+		pages:   g.pages,
+	}
+	for i := range g.counts {
+		c.counts[i] = g.counts[i].fork()
+	}
 	return c
 }
 
@@ -531,21 +431,25 @@ func (g *Graph) Fork() *Graph {
 func (g *Graph) DistinctNodes() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	seen := make(map[rdf.ID]struct{}, len(g.countS)+len(g.countO))
-	for s := range g.countS {
-		seen[s] = struct{}{}
-	}
-	for o := range g.countO {
-		seen[o] = struct{}{}
-	}
-	return len(seen)
+	return g.distinctNodesLocked()
+}
+
+func (g *Graph) distinctNodesLocked() int {
+	subjects, objects := &g.counts[0], &g.counts[2]
+	n := subjects.distinct
+	objects.each(func(id rdf.ID, _ int) {
+		if subjects.get(id) == 0 {
+			n++
+		}
+	})
+	return n
 }
 
 // DistinctPredicates returns the number of distinct predicates in use.
 func (g *Graph) DistinctPredicates() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.countP)
+	return g.counts[1].distinct
 }
 
 // LoadTriples adds every triple in ts in one batch — single lock
@@ -600,13 +504,14 @@ func (g *Graph) loadEncodedLocked(ts []rdf.EncodedTriple) int {
 			continue // already present
 		}
 		fresh = append(fresh, t)
-		g.countS[t[0]]++
-		g.countP[t[1]]++
-		g.countO[t[2]]++
+		for i, id := range t {
+			g.counts[i].add(id, 1)
+		}
 	}
 	if len(fresh) == 0 {
 		return 0
 	}
+	g.foldCountsLocked()
 	for k := permKind(0); k < numPerms; k++ {
 		ins := fresh
 		if k != permSPO {
@@ -648,6 +553,7 @@ func (g *Graph) AdoptPagedSource(path string) {
 func (g *Graph) RemoveTriples(ts []rdf.Triple) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	b := batch{g: g}
 	removed := 0
 	for _, t := range ts {
 		s, ok := g.dict.Lookup(t.S)
@@ -662,10 +568,10 @@ func (g *Graph) RemoveTriples(ts []rdf.Triple) int {
 		if !ok {
 			continue
 		}
-		if g.deleteLocked(s, p, o) {
+		if b.remove(rdf.EncodedTriple{s, p, o}) {
 			removed++
 		}
 	}
-	g.maybeCompactLocked()
+	b.commit()
 	return removed
 }

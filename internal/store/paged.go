@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"sofos/internal/rdf"
@@ -122,8 +121,8 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 	if err := g.writeOverlays(w); err != nil {
 		return err
 	}
-	for _, m := range []map[rdf.ID]int{g.countS, g.countP, g.countO} {
-		if err := writeIDCounts(w, m); err != nil {
+	for i := range g.counts {
+		if err := writeIDCounts(w, &g.counts[i]); err != nil {
 			return err
 		}
 	}
@@ -216,12 +215,8 @@ func (w *snapshotWriter) zeros(n int) error {
 
 // writeIDCounts writes one per-component occurrence-count section in
 // ascending ID order.
-func writeIDCounts(w *snapshotWriter, m map[rdf.ID]int) error {
-	ids := make([]rdf.ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+func writeIDCounts(w *snapshotWriter, c *idCounts) error {
+	ids := c.sortedIDs()
 	if err := w.uvarint(uint64(len(ids))); err != nil {
 		return fmt.Errorf("store: writing count section: %w", err)
 	}
@@ -229,7 +224,7 @@ func writeIDCounts(w *snapshotWriter, m map[rdf.ID]int) error {
 		if err := w.uvarint(uint64(id)); err != nil {
 			return fmt.Errorf("store: writing count id: %w", err)
 		}
-		if err := w.uvarint(uint64(m[id])); err != nil {
+		if err := w.uvarint(uint64(c.get(id))); err != nil {
 			return fmt.Errorf("store: writing count value: %w", err)
 		}
 	}
@@ -629,12 +624,7 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 	if err := checkOverlayMembership(g, adds, dels); err != nil {
 		return nil, err
 	}
-	for _, t := range dels {
-		g.dels[t] = struct{}{}
-	}
-	for _, t := range adds {
-		g.adds[t] = struct{}{}
-	}
+	g.ov = newOverlay(adds, dels)
 	g.n = runs[permSPO].n - len(dels) + len(adds)
 	// The persisted count sections describe the live triple set (overlay
 	// already folded in at save time); their totals triple-check n.
@@ -644,7 +634,9 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 				[3]string{"subject-count", "predicate-count", "object-count"}[i], totals[i], g.n)
 		}
 	}
-	g.countS, g.countP, g.countO = counts[0], counts[1], counts[2]
+	for i := range counts {
+		g.counts[i] = newIDCounts(counts[i])
+	}
 	g.storage = st
 	g.version = int64(g.n) // mirror the v1/v2 paths
 	return g, nil

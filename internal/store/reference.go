@@ -107,6 +107,16 @@ func (g *NestedMapGraph) Remove(s, p, o rdf.ID) bool {
 	return true
 }
 
+// decOrDelete decrements a counter, deleting the key at zero so len() of the
+// counter maps equals the number of distinct live components.
+func decOrDelete(m map[rdf.ID]int, k rdf.ID) {
+	if m[k] <= 1 {
+		delete(m, k)
+	} else {
+		m[k]--
+	}
+}
+
 // Clone returns a deep copy — the per-triple re-insertion cost the columnar
 // Clone's memcpy path is benchmarked against.
 func (g *NestedMapGraph) Clone() *NestedMapGraph {

@@ -180,12 +180,7 @@ func (g *Graph) saveV1Locked(w *snapshotWriter) error {
 // writeOverlays writes the delta-overlay sections (adds then dels),
 // SPO-sorted, shared by the v2 and v3 writers.
 func (g *Graph) writeOverlays(w *snapshotWriter) error {
-	for _, overlay := range []map[rdf.EncodedTriple]struct{}{g.adds, g.dels} {
-		keys := make([]rdf.EncodedTriple, 0, len(overlay))
-		for t := range overlay {
-			keys = append(keys, t)
-		}
-		sortKeys(keys)
+	for _, keys := range [][]rdf.EncodedTriple{g.ov.adds[permSPO], g.ov.dels[permSPO]} {
 		if err := w.uvarint(uint64(len(keys))); err != nil {
 			return fmt.Errorf("store: writing overlay count: %w", err)
 		}
@@ -450,6 +445,8 @@ func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
 	}
 	var sums [numPerms]uint64
 	var sizes [numPerms]int
+	// Occurrence counts of the run triples; the overlay is folded in below.
+	counts := [3]map[rdf.ID]int{{}, {}, {}}
 	for k := permKind(0); k < numPerms; k++ {
 		r, err := readBlockRun(br)
 		if err != nil {
@@ -468,9 +465,9 @@ func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
 		case k == permSPO:
 			kk := k
 			each = func(s, p, o rdf.ID) {
-				g.countS[s]++
-				g.countP[p]++
-				g.countO[o]++
+				counts[0][s]++
+				counts[1][p]++
+				counts[2][o]++
 				if flatKeys != nil {
 					flatKeys = append(flatKeys, kk.key(s, p, o))
 				}
@@ -500,19 +497,21 @@ func loadV2(br *bufio.Reader, c Codec) (*Graph, error) {
 		if !g.inRunsLocked(t) {
 			return nil, fmt.Errorf("store: overlay tombstone %v not present in runs", t)
 		}
-		g.dels[t] = struct{}{}
-		decOrDelete(g.countS, t[0])
-		decOrDelete(g.countP, t[1])
-		decOrDelete(g.countO, t[2])
+		for i, id := range t {
+			decOrDelete(counts[i], id)
+		}
 	}
 	for _, t := range adds {
 		if g.inRunsLocked(t) {
 			return nil, fmt.Errorf("store: overlay insert %v already present in runs", t)
 		}
-		g.adds[t] = struct{}{}
-		g.countS[t[0]]++
-		g.countP[t[1]]++
-		g.countO[t[2]]++
+		for i, id := range t {
+			counts[i][id]++
+		}
+	}
+	g.ov = newOverlay(adds, dels)
+	for i := range counts {
+		g.counts[i] = newIDCounts(counts[i])
 	}
 	g.n = sizes[permSPO] - len(dels) + len(adds)
 	g.version = int64(g.n) // mirror the v1 path: LoadEncoded counts each triple

@@ -65,18 +65,11 @@ func (g *Graph) Snapshot() *Stats {
 	defer g.mu.RUnlock()
 	st := &Stats{
 		Triples:            g.n,
-		DistinctSubjects:   len(g.countS),
-		DistinctPredicates: len(g.countP),
-		DistinctObjects:    len(g.countO),
+		DistinctSubjects:   g.counts[0].distinct,
+		DistinctPredicates: g.counts[1].distinct,
+		DistinctObjects:    g.counts[2].distinct,
+		DistinctNodes:      g.distinctNodesLocked(),
 	}
-	seen := make(map[rdf.ID]struct{}, len(g.countS)+len(g.countO))
-	for s := range g.countS {
-		seen[s] = struct{}{}
-	}
-	for o := range g.countO {
-		seen[o] = struct{}{}
-	}
-	st.DistinctNodes = len(seen)
 	it := g.scanPermLocked(permPOS, rdf.EncodedTriple{}, 0)
 
 	// The iterator yields (p, o, s)-sorted triples: predicate ranges are
@@ -120,11 +113,15 @@ func (g *Graph) Snapshot() *Stats {
 	return st
 }
 
+// overlayEntryBytes is what one overlay entry occupies: a 12-byte key in each
+// of the three permutations' sorted slices.
+const overlayEntryBytes = 3 * 12
+
 // EstimatedBytes approximates the in-memory footprint of the graph's triple
 // data, used for the paper's storage-amplification reports and the memory-
 // budget selection variant. It counts dictionary string bytes once plus the
 // columnar index cost: three permutation runs at 12 bytes (three 4-byte IDs)
-// per triple, plus map overhead for any uncompacted delta entries.
+// per triple, and the same three 12-byte keys per uncompacted delta entry.
 func (g *Graph) EstimatedBytes() int64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -134,7 +131,7 @@ func (g *Graph) EstimatedBytes() int64 {
 		return true
 	})
 	total += int64(runSize(g.runs[permSPO])) * (3 * 12)
-	total += int64(len(g.adds)+len(g.dels)) * 48
+	total += int64(g.ov.size()) * overlayEntryBytes
 	return total
 }
 
@@ -177,8 +174,8 @@ func (g *Graph) MemStats() MemStats {
 		Codec:       g.codec.name(),
 		Storage:     g.storage.String(),
 		Triples:     g.n,
-		OverlayAdds: len(g.adds),
-		OverlayDels: len(g.dels),
+		OverlayAdds: len(g.ov.adds[permSPO]),
+		OverlayDels: len(g.ov.dels[permSPO]),
 	}
 	if g.pages != nil {
 		ms.Pages = g.pages.pages()
@@ -196,9 +193,7 @@ func (g *Graph) MemStats() MemStats {
 		}
 		ms.IndexBytes += perms[k].Bytes
 	}
-	// Each overlay entry costs roughly one map bucket slot: 12-byte key plus
-	// bucket and pointer overhead.
-	ms.IndexBytes += int64(len(g.adds)+len(g.dels)) * 48
+	ms.IndexBytes += int64(g.ov.size()) * overlayEntryBytes
 	g.dict.EachTerm(func(_ rdf.ID, t rdf.Term) bool {
 		ms.DictBytes += int64(len(t.Value) + len(t.Datatype) + len(t.Lang) + 16)
 		return true

@@ -56,7 +56,6 @@ type Maintenance struct {
 type Materialized struct {
 	Data    *Data
 	Triples int           // triples added to G+
-	Nodes   int           // distinct nodes in the encoding
 	Bytes   int64         // estimated encoding bytes
 	Elapsed time.Duration // total materialization time (compute + encode)
 	Maint   Maintenance   // maintenance mode and last-refresh bookkeeping
@@ -71,6 +70,17 @@ type Materialized struct {
 	// concurrent read-side planners safe.
 	keyIdxOnce sync.Once
 	keyIdx     map[string]int
+
+	nodesOnce sync.Once
+	nodes     int
+}
+
+// Nodes returns the number of distinct nodes in the view's encoding. It is an
+// O(|view|) pass that only reports read, so it runs on first use instead of
+// on every commit — an incremental refresh does no per-group work for it.
+func (m *Materialized) Nodes() int {
+	m.nodesOnce.Do(func() { m.nodes = ComputeStats(m.Data).Nodes })
+	return m.nodes
 }
 
 // groupIndex returns the record's binary-key → group-position index,
@@ -340,11 +350,9 @@ func (c *Catalog) materializeData(data *Data, start time.Time, baseVersion int64
 	if _, err := c.expanded.LoadTriples(triples); err != nil {
 		return nil, fmt.Errorf("views: encoding %s: %w", data.View, err)
 	}
-	st := ComputeStats(data)
 	m := &Materialized{
 		Data:        data,
 		Triples:     len(triples),
-		Nodes:       st.Nodes,
 		Bytes:       bytes,
 		Elapsed:     time.Since(start),
 		Maint:       Maintenance{Mode: c.maintMode.String(), LastPath: "initial"},

@@ -589,7 +589,10 @@ func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaR
 	// The record's cached binary-key index (built once per record, not per
 	// refresh) locates each delta's group.
 	idx := mat.groupIndex()
-	newGroups := append([]Group(nil), old.Groups...)
+	// One copy of the groups per refresh: room for every delta to be a birth,
+	// so the surviving and born groups below are assembled in place.
+	newGroups := make([]Group, len(old.Groups), len(old.Groups)+len(order))
+	copy(newGroups, old.Groups)
 	dead := make(map[int]bool)
 	encChanged := make(map[int]bool)
 	var born []Group
@@ -670,10 +673,13 @@ func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaR
 		diff.add = append(diff.add, ts...)
 	}
 
-	final := make([]Group, 0, len(newGroups)-len(dead)+len(born))
-	for i, g := range newGroups {
-		if !dead[i] {
-			final = append(final, g)
+	final := newGroups
+	if len(dead) > 0 {
+		final = newGroups[:0]
+		for i, g := range newGroups {
+			if !dead[i] {
+				final = append(final, g)
+			}
 		}
 	}
 	final = append(final, born...)
@@ -782,12 +788,10 @@ func (c *Catalog) commitIncremental(v facet.View, p *incrementalPlan, start time
 	for _, t := range p.diff.remove {
 		bytes -= tripleBytes(t)
 	}
-	st := ComputeStats(p.data)
 	p.data.ComputeTime = time.Since(start)
 	updated := &Materialized{
 		Data:    p.data,
 		Triples: mat.Triples + len(p.diff.add) - len(p.diff.remove),
-		Nodes:   st.Nodes,
 		Bytes:   bytes,
 		Elapsed: time.Since(start),
 		Maint: Maintenance{

@@ -200,11 +200,9 @@ func (c *Catalog) applyRefresh(v facet.View, fresh *Data, start time.Time, baseV
 		// (same reasoning as Catalog.Drop).
 		c.expanded.Compact()
 	}
-	st := ComputeStats(fresh)
 	updated := &Materialized{
 		Data:    fresh,
 		Triples: len(newTriples),
-		Nodes:   st.Nodes,
 		Bytes:   bytes,
 		Elapsed: time.Since(start),
 		Maint: Maintenance{

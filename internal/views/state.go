@@ -272,8 +272,6 @@ func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in i
 		for _, t := range triples {
 			bytes += tripleBytes(t)
 		}
-		st := ComputeStats(m.Data)
-		m.Nodes = st.Nodes
 		m.Bytes = bytes
 		m.Maint.Mode = c.maintMode.String()
 		c.mats[mask] = m

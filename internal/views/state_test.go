@@ -93,9 +93,9 @@ func TestCatalogStateRoundTrip(t *testing.T) {
 				if !reflect.DeepEqual(got.Data.Groups, want.Data.Groups) {
 					t.Fatalf("view %s groups differ after restore", want.Data.View)
 				}
-				if got.Triples != want.Triples || got.Nodes != want.Nodes || got.Bytes != want.Bytes {
+				if got.Triples != want.Triples || got.Nodes() != want.Nodes() || got.Bytes != want.Bytes {
 					t.Fatalf("view %s stats: got (%d,%d,%d), want (%d,%d,%d)", want.Data.View,
-						got.Triples, got.Nodes, got.Bytes, want.Triples, want.Nodes, want.Bytes)
+						got.Triples, got.Nodes(), got.Bytes, want.Triples, want.Nodes(), want.Bytes)
 				}
 				if got.baseVersion != want.baseVersion {
 					t.Fatalf("view %s baseVersion %d, want %d", want.Data.View, got.baseVersion, want.baseVersion)

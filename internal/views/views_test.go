@@ -278,7 +278,7 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Triples == 0 || m.Nodes == 0 || m.Bytes == 0 {
+	if m.Triples == 0 || m.Nodes() == 0 || m.Bytes == 0 {
 		t.Errorf("materialized stats = %+v", m)
 	}
 	if c.Expanded().Len() != baseLen+m.Triples {
