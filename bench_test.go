@@ -1374,7 +1374,7 @@ func benchReadLatency(b *testing.B, mvcc bool) {
 			}
 		}
 		c.Base().Compact()
-		c.Expanded().Compact()
+		c.ViewGraph().Compact()
 		return nil
 	}
 	// commitTxn wraps writeTxn in the mode's write discipline: the serial

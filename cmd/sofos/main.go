@@ -275,7 +275,7 @@ func cmdSelect(args []string, w io.Writer) error {
 			benchkit.FmtDuration(mat.Elapsed))
 	}
 	fmt.Fprintf(w, "G+ now has %d triples (amplification %.2fx)\n",
-		s.Catalog.Expanded().Len(), s.Catalog.StorageAmplification())
+		s.Graph.Len()+s.Catalog.AddedTriples(), s.Catalog.StorageAmplification())
 	return nil
 }
 

@@ -9,8 +9,9 @@
 //
 //   - the view lattice V(F) (facet.Lattice) — every granularity the facet
 //     can be aggregated at;
-//   - the catalog (views.Catalog) — the expanded graph G+ holding the
-//     currently materialized views, plus maintenance state;
+//   - the catalog (views.Catalog) — the view graph V holding the encodings
+//     of the currently materialized views (the expanded graph G+ is the
+//     logical union G ∪ V), plus maintenance state;
 //   - the rewriter (rewrite.Rewriter) — the online module answering queries
 //     from the best usable view, falling back to G;
 //   - the cost-model suite (cost.Model) and the greedy selectors

@@ -173,8 +173,8 @@ func TestRestoreCheckpointPlusReplay(t *testing.T) {
 	if !reflect.DeepEqual(restored.Graph.SortedTriples(), live.Graph.SortedTriples()) {
 		t.Fatal("base graph differs after restore")
 	}
-	if !reflect.DeepEqual(restored.Catalog.Expanded().SortedTriples(), live.Catalog.Expanded().SortedTriples()) {
-		t.Fatal("expanded graph G+ differs after restore")
+	if !reflect.DeepEqual(restored.Catalog.ViewGraph().SortedTriples(), live.Catalog.ViewGraph().SortedTriples()) {
+		t.Fatal("view graph V differs after restore")
 	}
 	if got, want := mustAnswer(t, restored, restoreQuery), mustAnswer(t, live, restoreQuery); !reflect.DeepEqual(got, want) {
 		t.Fatalf("answers differ after restore:\n got %v\nwant %v", got, want)

@@ -164,23 +164,23 @@ func (s *System) SelectViewsByMemory(m cost.Model, budgetBytes int64) (*selectio
 	})
 }
 
-// Materialize materializes every view of a selection into G+, computing
-// independent views on the system's worker pool. After the last view's
-// encoding is merged it compacts G+'s delta overlay, so the online module's
-// queries run against pure sorted permutation runs.
+// Materialize materializes every view of a selection into the view graph V,
+// computing independent views on the system's worker pool. After the last
+// view's encoding is merged it compacts V's delta overlay, so the online
+// module's queries run against pure sorted permutation runs.
 func (s *System) Materialize(sel *selection.Selection) ([]*views.Materialized, error) {
 	out, err := s.Catalog.MaterializeAll(sel.Views, s.Workers)
 	if err != nil {
 		return nil, err
 	}
-	s.Catalog.Expanded().Compact()
+	s.Catalog.ViewGraph().Compact()
 	return out, nil
 }
 
-// ApplyUpdate commits one batched update (inserts first, then deletes)
-// through the catalog: base graph and G+ stay consistent, views turn stale,
-// and the batch's effective delta ΔG is captured so the next Refresh can
-// apply it incrementally instead of rescanning the graph.
+// ApplyUpdate commits one batched update (inserts first, then deletes) to
+// the base graph through the catalog: views turn stale, and the batch's
+// effective delta ΔG is captured so the next Refresh can apply it
+// incrementally instead of rescanning the graph.
 func (s *System) ApplyUpdate(inserts, deletes []rdf.Triple) (store.Delta, error) {
 	return s.Catalog.ApplyUpdate(inserts, deletes)
 }
@@ -192,7 +192,7 @@ func (s *System) Refresh() (int, error) {
 	return s.Catalog.RefreshAllParallel(s.Workers)
 }
 
-// Reset drops all materialized views, restoring G+ to G.
+// Reset drops all materialized views, emptying V so that G+ equals G.
 func (s *System) Reset() { s.Catalog.Reset() }
 
 // Answer answers one analytical query through the online module.

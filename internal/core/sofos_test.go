@@ -28,8 +28,14 @@ func TestNewSystem(t *testing.T) {
 	if s.Lattice.Size() != 16 {
 		t.Errorf("lattice size = %d", s.Lattice.Size())
 	}
-	if s.Catalog.Expanded().Len() != s.Graph.Len() {
-		t.Error("catalog not initialized from base")
+	if s.Catalog.Base() != s.Graph {
+		t.Error("catalog not built over the system graph")
+	}
+	if n := s.Catalog.ViewGraph().Len(); n != 0 || s.Catalog.AddedTriples() != 0 {
+		t.Errorf("view graph V has %d triples before any materialization, want 0", n)
+	}
+	if s.Catalog.StorageAmplification() != 1 {
+		t.Errorf("amplification = %f with no views, want 1", s.Catalog.StorageAmplification())
 	}
 }
 

@@ -78,8 +78,8 @@ func (d *Dict) Len() int {
 	return len(d.terms)
 }
 
-// Clone returns an independent copy of the dictionary. The expanded graph G+
-// uses this so materialization does not mutate the base graph's dictionary.
+// Clone returns an independent copy of the dictionary. Graph.Clone uses this
+// so mutating a cloned graph never grows the original's dictionary.
 func (d *Dict) Clone() *Dict {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -1,9 +1,10 @@
 // Package rewrite implements the online module's query translation (§3.2 of
 // the SOFOS paper): given an analytical query Q targeting a facet F, it
 // identifies the best materialized view that can answer Q, translates Q into
-// a query Q' over the view's blank-node encoding in the expanded graph G+,
-// re-aggregates the precomputed values to Q's granularity, and falls back to
-// the base graph G when no view is usable.
+// a query Q' over the view's blank-node encoding in the view graph V (the
+// expanded graph G+ is G ∪ V, and Q' reads only V), re-aggregates the
+// precomputed values to Q's granularity, and falls back to the base graph G
+// when no view is usable.
 package rewrite
 
 import (
@@ -189,7 +190,7 @@ func (r *Rewriter) AnswerWith(q *sparql.Query, opts engine.Options) (*Answer, er
 	merged.Span = opts.Span
 	return r.answer(q,
 		engine.NewWithOptions(r.catalog.Base(), merged),
-		engine.NewWithOptions(r.catalog.Expanded(), merged),
+		engine.NewWithOptions(r.catalog.ViewGraph(), merged),
 		opts.Span)
 }
 

@@ -564,7 +564,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Facet:           sys.Facet.Name,
 		Dims:            sys.Facet.Dims,
 		BaseTriples:     sys.Graph.Len(),
-		ExpandedTriples: sys.Catalog.Expanded().Len(),
+		ExpandedTriples: sys.Graph.Len() + sys.Catalog.AddedTriples(),
 		Amplification:   sys.Catalog.StorageAmplification(),
 		Materialized:    len(sys.Catalog.Materialized()),
 		StaleViews:      len(sys.Catalog.StaleViews()),

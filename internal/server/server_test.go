@@ -331,7 +331,7 @@ func TestMaterializeBySelection(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	query(t, ts, apexQuery)
 	query(t, ts, apexQuery)
 	var st api.StatsResponse
@@ -346,6 +346,30 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit / 1 miss", st.Cache)
+	}
+	if st.ExpandedTriples != st.BaseTriples || st.Amplification != 1 {
+		t.Errorf("no views: expanded_triples = %d, amplification = %v; want %d, 1",
+			st.ExpandedTriples, st.Amplification, st.BaseTriples)
+	}
+	// With views, expanded_triples is |G+| = |G| + Σ view triples, and the
+	// amplification is |G+| / |G| — the fixture's country view adds 4 groups
+	// of 3 triples to 96 base triples.
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, nil); code != http.StatusOK {
+		t.Fatalf("materialize returned status %d", code)
+	}
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats returned status %d", code)
+	}
+	viewTriples := 0
+	for _, m := range srv.System().Catalog.Materialized() {
+		viewTriples += m.Triples
+	}
+	if st.ExpandedTriples != st.BaseTriples+viewTriples {
+		t.Errorf("expanded_triples = %d, want base %d + view %d", st.ExpandedTriples, st.BaseTriples, viewTriples)
+	}
+	if st.BaseTriples != 96 || viewTriples != 12 || st.Amplification != 1.125 {
+		t.Errorf("base = %d, view triples = %d, amplification = %v; want 96, 12, 1.125",
+			st.BaseTriples, viewTriples, st.Amplification)
 	}
 	var h api.HealthResponse
 	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK || !h.OK {

@@ -24,8 +24,8 @@
 //
 // Beyond point mutations (Add/Remove), the store offers batched bulk paths
 // (LoadTriples/LoadEncoded/RemoveTriples, BuildFrom) that take the write
-// lock once and sort-merge into the runs; Clone, used to derive the expanded
-// graph G+, and Fork, the MVCC successor, which share runs, overlay and base
+// lock once and sort-merge into the runs; Clone, an independent copy, and
+// Fork, the MVCC successor, which share runs, overlay and base
 // component counts by reference and copy only the count adjustments since
 // the last compaction; exact pattern-cardinality Estimate for the
 // planner, per-predicate statistics (Stats), a binary snapshot format

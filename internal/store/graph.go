@@ -373,8 +373,8 @@ func (g *Graph) SortedTriples() []rdf.Triple {
 // overlay slices and the base count maps are all replaced wholesale, never
 // mutated in place — so cloning is O(dictionary), not O(data). That matters
 // for mmap-backed graphs, where deep-copying the runs would pull the whole
-// file resident; materialization clones the base graph to build the expanded
-// graph G+ without mutating G.
+// file resident; experiments and tests clone a graph to mutate the copy
+// without disturbing the original.
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

@@ -52,10 +52,10 @@ type Maintenance struct {
 	DeltaSize int
 }
 
-// Materialized records one view materialized into G+.
+// Materialized records one view materialized into the view graph V.
 type Materialized struct {
 	Data    *Data
-	Triples int           // triples added to G+
+	Triples int           // triples of the view's encoding in V
 	Bytes   int64         // estimated encoding bytes
 	Elapsed time.Duration // total materialization time (compute + encode)
 	Maint   Maintenance   // maintenance mode and last-refresh bookkeeping
@@ -104,17 +104,17 @@ func (m *Materialized) View() facet.View { return m.Data.View }
 // (current graph version minus BaseVersion) in stats and metrics.
 func (m *Materialized) BaseVersion() int64 { return m.baseVersion }
 
-// Catalog manages the expanded graph G+ for one facet: the base graph plus
-// the encodings of every currently materialized view. It implements the
-// offline module's "view materialization" half.
+// Catalog manages the expanded graph G+ for one facet as the logical union of
+// the base graph G and the view graph V, which holds only the materialized
+// views' encodings. It implements the offline module's materialization half.
 type Catalog struct {
-	facet    *facet.Facet
-	base     *store.Graph
-	expanded *store.Graph
-	baseEng  *engine.Engine
-	expEng   *engine.Engine
-	engOpts  engine.Options // options the engines were built with
-	mats     map[facet.Mask]*Materialized
+	facet   *facet.Facet
+	base    *store.Graph
+	vg      *store.Graph // V: the view encodings only
+	baseEng *engine.Engine
+	expEng  *engine.Engine // over V
+	engOpts engine.Options // options the engines were built with
+	mats    map[facet.Mask]*Materialized
 
 	// generation counts committed catalog mutations: base-graph inserts and
 	// deletes, materializations, drops, resets, and refreshes. Two reads that
@@ -142,22 +142,22 @@ type Catalog struct {
 	staleMemo atomic.Pointer[staleState]
 }
 
-// NewCatalog clones base into a fresh expanded graph G+.
+// NewCatalog returns a catalog over base with an empty view graph V: G+ = G.
 func NewCatalog(base *store.Graph, f *facet.Facet) *Catalog {
 	return NewCatalogWithOptions(base, f, engine.Options{})
 }
 
 // NewCatalogWithOptions is NewCatalog with explicit engine options, so a
 // caller can bound (or disable) parallel query execution on both the base
-// and expanded engines.
+// and view-graph engines.
 func NewCatalogWithOptions(base *store.Graph, f *facet.Facet, opts engine.Options) *Catalog {
-	expanded := base.Clone()
+	vg := store.NewGraph()
 	return &Catalog{
 		facet:     f,
 		base:      base,
-		expanded:  expanded,
+		vg:        vg,
 		baseEng:   engine.NewWithOptions(base, opts),
-		expEng:    engine.NewWithOptions(expanded, opts),
+		expEng:    engine.NewWithOptions(vg, opts),
 		engOpts:   opts,
 		mats:      make(map[facet.Mask]*Materialized),
 		maintMode: maintenanceMode(f),
@@ -165,7 +165,7 @@ func NewCatalogWithOptions(base *store.Graph, f *facet.Facet, opts engine.Option
 }
 
 // Fork returns a writable copy-on-write successor of the catalog for MVCC
-// commit chains: both graphs are forked (immutable runs and dictionaries
+// commit chains: G and V are forked (immutable runs and dictionaries
 // shared, delta overlays copied), the materialization records are carried by
 // pointer — they are immutable once committed and replaced wholesale on
 // refresh, which also preserves the pointer-identity stale-plan check in
@@ -174,13 +174,13 @@ func NewCatalogWithOptions(base *store.Graph, f *facet.Facet, opts engine.Option
 // frozen once published; all further mutation happens on the fork.
 func (c *Catalog) Fork() *Catalog {
 	nb := c.base.Fork()
-	ne := c.expanded.Fork()
+	nv := c.vg.Fork()
 	nc := &Catalog{
 		facet:         c.facet,
 		base:          nb,
-		expanded:      ne,
+		vg:            nv,
 		baseEng:       engine.NewWithOptions(nb, c.engOpts),
-		expEng:        engine.NewWithOptions(ne, c.engOpts),
+		expEng:        engine.NewWithOptions(nv, c.engOpts),
 		engOpts:       c.engOpts,
 		mats:          make(map[facet.Mask]*Materialized, len(c.mats)),
 		log:           c.log.fork(),
@@ -229,13 +229,14 @@ func (c *Catalog) EngineOptions() engine.Options { return c.engOpts }
 // Base returns the original graph G.
 func (c *Catalog) Base() *store.Graph { return c.base }
 
-// Expanded returns the expanded graph G+.
-func (c *Catalog) Expanded() *store.Graph { return c.expanded }
+// ViewGraph returns the view graph V: the encodings of the materialized
+// views and nothing else. G+ is the logical union of Base and ViewGraph.
+func (c *Catalog) ViewGraph() *store.Graph { return c.vg }
 
 // BaseEngine returns an engine over G.
 func (c *Catalog) BaseEngine() *engine.Engine { return c.baseEng }
 
-// ExpandedEngine returns an engine over G+.
+// ExpandedEngine returns the engine over V, which rewritten queries read.
 func (c *Catalog) ExpandedEngine() *engine.Engine { return c.expEng }
 
 // Has reports whether the view is materialized.
@@ -345,9 +346,9 @@ func (c *Catalog) materializeData(data *Data, start time.Time, baseVersion int64
 	for _, t := range triples {
 		bytes += tripleBytes(t)
 	}
-	// Bulk-load the encoding into G+ in one batch: a single lock acquisition
+	// Bulk-load the encoding into V in one batch: a single lock acquisition
 	// and sorted-run merge instead of per-triple index maintenance.
-	if _, err := c.expanded.LoadTriples(triples); err != nil {
+	if _, err := c.vg.LoadTriples(triples); err != nil {
 		return nil, fmt.Errorf("views: encoding %s: %w", data.View, err)
 	}
 	m := &Materialized{
@@ -461,7 +462,7 @@ func tripleBytes(t rdf.Triple) int64 {
 	return int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + len(t.O.Datatype) + 12)
 }
 
-// Drop removes a materialized view's triples from G+, reporting whether the
+// Drop removes a materialized view's triples from V, reporting whether the
 // view was present. The tombstones are merged out immediately: a dropped
 // view can leave a large sub-threshold delta overlay that every subsequent
 // scan and estimate would otherwise have to filter through.
@@ -469,7 +470,7 @@ func (c *Catalog) Drop(v facet.View) bool {
 	if !c.drop(v) {
 		return false
 	}
-	c.expanded.Compact()
+	c.vg.Compact()
 	return true
 }
 
@@ -481,30 +482,30 @@ func (c *Catalog) drop(v facet.View) bool {
 		return false
 	}
 	if triples, err := Encode(m.Data); err == nil {
-		c.expanded.RemoveTriples(triples)
+		c.vg.RemoveTriples(triples)
 	}
 	delete(c.mats, v.Mask)
 	c.bump()
 	return true
 }
 
-// Reset drops every materialized view, restoring G+ to the base contents,
-// with a single run compaction at the end.
+// Reset drops every materialized view, emptying V so that G+ equals G, with
+// a single run compaction at the end.
 func (c *Catalog) Reset() {
 	for _, m := range c.Materialized() {
 		c.drop(m.Data.View)
 	}
-	c.expanded.Compact()
+	c.vg.Compact()
 }
 
-// StorageAmplification is |G+| / |G| in triples, the quantity panel ③ of the
-// demo contrasts against query time.
+// StorageAmplification is |G+| / |G| = (|G| + |V|) / |G| in triples, the
+// quantity panel ③ of the demo contrasts against query time.
 func (c *Catalog) StorageAmplification() float64 {
 	if c.base.Len() == 0 {
 		return 1
 	}
-	return float64(c.expanded.Len()) / float64(c.base.Len())
+	return float64(c.base.Len()+c.vg.Len()) / float64(c.base.Len())
 }
 
-// AddedTriples is the total number of materialized triples in G+.
-func (c *Catalog) AddedTriples() int { return c.expanded.Len() - c.base.Len() }
+// AddedTriples is |V|, the total number of materialized view triples.
+func (c *Catalog) AddedTriples() int { return c.vg.Len() }

@@ -2,19 +2,19 @@
 // the SOFOS paper). A view's contents are computed either directly from the
 // base graph G or by rolling up an already-materialized finer view; they
 // are then encoded back into RDF as blank nodes carrying the aggregation
-// values — a generalization of the MARVEL encoding — producing the
-// expanded graph G+.
+// values — a generalization of the MARVEL encoding — into a view graph V.
+// The expanded graph G+ is the logical union G ∪ V; G is never copied.
 //
-// The Catalog is the package's center: it owns G+ (a clone of G plus every
-// materialized view's encoding), tracks which views of a facet are
+// The Catalog is the package's center: it owns V (every materialized view's
+// encoding and nothing else), tracks which views of a facet are
 // materialized, and routes each materialization through the cheapest
 // source (base computation or ancestor roll-up). Batch operations
 // (MaterializeAll, RefreshAllParallel) compute independent views on a
-// bounded worker pool in cover-order waves and serialize only the G+
-// encoding step.
+// bounded worker pool in cover-order waves and serialize only the V
+// encoding step. Rewritten queries read V alone; base answers read G alone.
 //
-// Maintenance: ApplyUpdate (and the Insert/Delete shorthands) mutates G,
-// mirrors into G+, and captures the batch's effective delta (store.Delta)
+// Maintenance: ApplyUpdate (and the Insert/Delete shorthands) mutates G
+// only, captures the batch's effective delta (store.Delta)
 // into a per-catalog log, turning materialized views stale (the memoized
 // Stale/StaleViews compare each record's base version against
 // Graph.Version). Refresh brings a view up to date by the cheapest sound

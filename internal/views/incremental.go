@@ -767,7 +767,7 @@ func (c *Catalog) planIncremental(v facet.View, mat *Materialized, eng *engine.E
 	}, nil
 }
 
-// commitIncremental applies a planned delta refresh to G+ and swaps the new
+// commitIncremental applies a planned delta refresh to V and swaps the new
 // record in. It reports false (committing nothing) when the view's record
 // changed since planning — the view stays stale and the next refresh cycle
 // picks it up — so a stale plan can never clobber newer state.
@@ -777,8 +777,8 @@ func (c *Catalog) commitIncremental(v facet.View, p *incrementalPlan, start time
 		return nil, false, nil
 	}
 	// Small diffs go through the graph's delta overlay (Apply), not the
-	// bulk-merge LoadTriples path: the whole point is to avoid O(|G+|) work.
-	if _, err := c.expanded.Apply(p.diff.add, p.diff.remove); err != nil {
+	// bulk-merge LoadTriples path: the whole point is to avoid O(|V|) work.
+	if _, err := c.vg.Apply(p.diff.add, p.diff.remove); err != nil {
 		return nil, false, fmt.Errorf("views: applying incremental refresh of %s: %w", v, err)
 	}
 	bytes := mat.Bytes

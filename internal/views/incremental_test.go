@@ -52,8 +52,8 @@ func assertBitIdentical(t *testing.T, label string, inc, full *Data) {
 // refreshes through the incremental delta path, the other is forced down the
 // full recompute path. After every round the view contents must be
 // bit-identical — same keys, same aggregate terms, same (Sum, Count)
-// companions, same contribution counts — and the two expanded graphs G+
-// must hold exactly the same triples.
+// companions, same contribution counts — and the two view graphs V must
+// hold exactly the same triples.
 func TestIncrementalRefreshMatchesFull(t *testing.T) {
 	for _, agg := range []string{"SUM", "COUNT", "MIN", "MAX", "AVG"} {
 		t.Run(agg, func(t *testing.T) {
@@ -133,10 +133,10 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s round %d", agg, round)
 				assertBitIdentical(t, label, mi.Data, mf.Data)
-				// The encodings in G+ must coincide triple for triple.
-				ti, tf := ci.Expanded().SortedTriples(), cf.Expanded().SortedTriples()
+				// The encodings in V must coincide triple for triple.
+				ti, tf := ci.ViewGraph().SortedTriples(), cf.ViewGraph().SortedTriples()
 				if !reflect.DeepEqual(ti, tf) {
-					t.Fatalf("%s: G+ diverged (%d vs %d triples)", label, len(ti), len(tf))
+					t.Fatalf("%s: V diverged (%d vs %d triples)", label, len(ti), len(tf))
 				}
 				// And both must equal a from-scratch computation.
 				direct, err := Compute(cf.BaseEngine(), v)

@@ -14,13 +14,15 @@ import (
 // retains the effective delta of every committed update batch (the delta
 // log of incremental.go), and refreshes stale views either by replaying the
 // missed deltas in O(|ΔG|) — the self-maintainable path — or by recomputing
-// from the base graph and applying the minimal encoding diff to G+.
+// from the base graph and applying the minimal encoding diff to V.
 
-// ApplyUpdate commits one batched update — inserts first, then deletes —
-// through the catalog: the base graph and G+ stay consistent, materialized
-// views turn stale, and the batch's effective delta ΔG is captured into the
-// maintenance log so the next refresh can apply it without a full scan.
-// Inserts are validated up front; an error means nothing was applied.
+// ApplyUpdate commits one batched update — inserts first, then deletes — to
+// the base graph G only: V is untouched, so base triples (even ones spelled
+// in the sofos: vocabulary) can never reach a view-answered query.
+// Materialized views turn stale, and the batch's effective delta ΔG is
+// captured into the maintenance log so the next refresh can apply it without
+// a full scan. Inserts are validated up front; an error means nothing was
+// applied.
 func (c *Catalog) ApplyUpdate(inserts, deletes []rdf.Triple) (store.Delta, error) {
 	d, err := c.base.Apply(inserts, deletes)
 	if err != nil {
@@ -32,9 +34,6 @@ func (c *Catalog) ApplyUpdate(inserts, deletes []rdf.Triple) (store.Delta, error
 	// An empty delta whose version interval moved (a batch that inserted and
 	// deleted the same triples) still gets recorded: the log chain stays
 	// contiguous, and the next refresh replays it for free.
-	if _, err := c.expanded.Apply(d.Inserted, d.Deleted); err != nil {
-		return d, fmt.Errorf("views: mirroring update into G+: %w", err)
-	}
 	c.log.record(d)
 	c.log.prune(c.minBaseVersion())
 	if !d.Empty() {
@@ -55,9 +54,8 @@ func (c *Catalog) minBaseVersion() int64 {
 	return min
 }
 
-// Insert adds a triple to the base graph and mirrors it into G+ so the two
-// stay consistent; materialized views become stale (see Stale) and the
-// insertion joins the maintenance delta log.
+// Insert adds a triple to the base graph; materialized views become stale
+// (see Stale) and the insertion joins the maintenance delta log.
 func (c *Catalog) Insert(t rdf.Triple) (bool, error) {
 	d, err := c.ApplyUpdate([]rdf.Triple{t}, nil)
 	if err != nil {
@@ -66,7 +64,7 @@ func (c *Catalog) Insert(t rdf.Triple) (bool, error) {
 	return len(d.Inserted) == 1, nil
 }
 
-// Delete removes a triple from the base graph and from G+.
+// Delete removes a triple from the base graph.
 func (c *Catalog) Delete(t rdf.Triple) bool {
 	d, err := c.ApplyUpdate(nil, []rdf.Triple{t})
 	return err == nil && len(d.Deleted) == 1
@@ -118,7 +116,7 @@ func (c *Catalog) StaleViews() []facet.View {
 // self-maintainable and the delta log covers the view's staleness window, it
 // replays the missed ΔG directly onto the stored groups (O(|ΔG|)); otherwise
 // it recomputes from the current base graph and applies the encoding diff to
-// G+. Refreshing a fresh view is a no-op. The path taken is recorded in the
+// V. Refreshing a fresh view is a no-op. The path taken is recorded in the
 // record's Maint field.
 func (c *Catalog) Refresh(v facet.View) (*Materialized, error) {
 	mat, ok := c.mats[v.Mask]
@@ -149,7 +147,7 @@ func (c *Catalog) Refresh(v facet.View) (*Materialized, error) {
 }
 
 // applyRefresh swaps freshly computed view contents in for the current
-// materialization, applying the encoding diff to G+ — the full-recompute
+// materialization, applying the encoding diff to V — the full-recompute
 // refresh path. The compute phase is separated out so
 // PlanRefresh/CommitRefresh can recompute many views concurrently (or off
 // the write path entirely) and serialize only this mutation step.
@@ -185,9 +183,9 @@ func (c *Catalog) applyRefresh(v facet.View, fresh *Data, start time.Time, baseV
 		}
 		bytes += tripleBytes(t)
 	}
-	// Apply the diff to G+ as two batches so the sorted runs merge once per
+	// Apply the diff to V as two batches so the sorted runs merge once per
 	// direction instead of once per triple.
-	if _, err := c.expanded.LoadTriples(toAdd); err != nil {
+	if _, err := c.vg.LoadTriples(toAdd); err != nil {
 		return nil, fmt.Errorf("views: refreshing %s: %w", v, err)
 	}
 	toRemove := make([]rdf.Triple, 0, len(oldSet))
@@ -195,10 +193,10 @@ func (c *Catalog) applyRefresh(v facet.View, fresh *Data, start time.Time, baseV
 		toRemove = append(toRemove, t)
 	}
 	if len(toRemove) > 0 {
-		c.expanded.RemoveTriples(toRemove)
+		c.vg.RemoveTriples(toRemove)
 		// Merge the tombstones out so subsequent scans pay no delta filter
 		// (same reasoning as Catalog.Drop).
-		c.expanded.Compact()
+		c.vg.Compact()
 	}
 	updated := &Materialized{
 		Data:    fresh,

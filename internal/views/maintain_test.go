@@ -10,10 +10,23 @@ import (
 	"sofos/internal/rdf"
 )
 
-func TestInsertMirrorsIntoExpanded(t *testing.T) {
+// TestApplyUpdateLeavesViewGraphUntouched: an update is applied once, to G;
+// the view graph V changes only when a view is (re)materialized or dropped.
+func TestApplyUpdateLeavesViewGraphUntouched(t *testing.T) {
 	g := popGraph(t, 21, 2, 2, 1)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
+	if _, err := c.Materialize(f.View(facet.MaskFromBits(0))); err != nil {
+		t.Fatal(err)
+	}
+	vg := c.ViewGraph()
+	vVersion, vLen := vg.Version(), vg.Len()
+	unchanged := func(step string) {
+		t.Helper()
+		if vg.Version() != vVersion || vg.Len() != vLen {
+			t.Errorf("%s moved V: version %d -> %d, len %d -> %d", step, vVersion, vg.Version(), vLen, vg.Len())
+		}
+	}
 	tr := rdf.Triple{
 		S: rdf.NewIRI("http://ex.org/obsNew"),
 		P: rdf.NewIRI("http://ex.org/country"),
@@ -23,10 +36,11 @@ func TestInsertMirrorsIntoExpanded(t *testing.T) {
 	if err != nil || !added {
 		t.Fatalf("Insert = %v, %v", added, err)
 	}
-	if !c.Base().Contains(tr) || !c.Expanded().Contains(tr) {
-		t.Error("insert not mirrored")
+	if !c.Base().Contains(tr) || vg.Contains(tr) {
+		t.Error("insert must land in G and only in G")
 	}
-	// Duplicate insert is a no-op in both graphs.
+	unchanged("Insert")
+	// Duplicate insert is a no-op.
 	added, err = c.Insert(tr)
 	if err != nil || added {
 		t.Errorf("duplicate Insert = %v, %v", added, err)
@@ -34,9 +48,10 @@ func TestInsertMirrorsIntoExpanded(t *testing.T) {
 	if !c.Delete(tr) {
 		t.Fatal("Delete = false")
 	}
-	if c.Base().Contains(tr) || c.Expanded().Contains(tr) {
-		t.Error("delete not mirrored")
+	if c.Base().Contains(tr) {
+		t.Error("delete not applied to G")
 	}
+	unchanged("Delete")
 	if c.Delete(tr) {
 		t.Error("second Delete = true")
 	}
@@ -116,18 +131,19 @@ func TestRefreshProducesCorrectAnswers(t *testing.T) {
 	}
 	assertSameGroups(t, v, direct, refreshed.Data)
 
-	// And the G+ encoding must match: exactly the fresh triples present.
+	// And V must hold exactly the fresh encoding.
 	want, err := Encode(refreshed.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range want {
-		if !c.Expanded().Contains(tr) {
-			t.Errorf("G+ missing refreshed triple %s", tr)
+		if !c.ViewGraph().Contains(tr) {
+			t.Errorf("V missing refreshed triple %s", tr)
 		}
 	}
-	if got := c.Expanded().Len() - c.Base().Len(); got != len(want) {
-		t.Errorf("G+ has %d view triples, want %d", got, len(want))
+	if got := c.ViewGraph().Len(); got != len(want) || c.AddedTriples() != got || refreshed.Triples != got {
+		t.Errorf("V has %d triples (AddedTriples %d, record %d), want %d",
+			got, c.AddedTriples(), refreshed.Triples, len(want))
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // either against the base graph (the store supports lock-free snapshot
 // scans) or by rolling up an already-materialized ancestor's immutable Data —
 // so independent lattice views can be computed concurrently with zero
-// coordination. Only the encoding into G+ mutates the expanded graph, and
+// coordination. Only the encoding into V mutates the view graph, and
 // that stays serial, batched between waves.
 
 // MaterializeAll materializes every listed view, computing independent view

@@ -53,9 +53,9 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 				t.Errorf("workers=%d: view %s computed from base, expected roll-up", workers, v)
 			}
 		}
-		if par.Expanded().Len() != serial.Expanded().Len() {
-			t.Errorf("workers=%d: |G+| = %d, serial %d",
-				workers, par.Expanded().Len(), serial.Expanded().Len())
+		if par.ViewGraph().Len() != serial.ViewGraph().Len() {
+			t.Errorf("workers=%d: |V| = %d, serial %d",
+				workers, par.ViewGraph().Len(), serial.ViewGraph().Len())
 		}
 	}
 }
@@ -262,8 +262,8 @@ func TestRefreshAllParallelMatchesSerial(t *testing.T) {
 	if n, err := got.RefreshAllParallel(4); err != nil || n == 0 {
 		t.Fatalf("parallel refresh: n=%d err=%v", n, err)
 	}
-	if got.Expanded().Len() != want.Expanded().Len() {
-		t.Errorf("parallel refresh |G+| = %d, serial %d", got.Expanded().Len(), want.Expanded().Len())
+	if got.ViewGraph().Len() != want.ViewGraph().Len() {
+		t.Errorf("parallel refresh |V| = %d, serial %d", got.ViewGraph().Len(), want.ViewGraph().Len())
 	}
 	for _, v := range latticeViews(f) {
 		gm, _ := got.Get(v.Mask)

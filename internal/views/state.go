@@ -21,7 +21,7 @@ import (
 // without those a restart would re-run selection and re-materialize every
 // view from scratch. SaveState captures exactly that catalog state in a
 // versioned binary format; RestoreCatalog rebuilds a warm catalog from it,
-// re-encoding the stored groups into G+ (content-keyed blank labels make the
+// re-encoding the stored groups into V (content-keyed blank labels make the
 // encoding bit-identical to the pre-crash one).
 //
 // Layout (integers varint/uvarint, strings length-prefixed):
@@ -222,7 +222,7 @@ func (c *Catalog) SaveState(out io.Writer) error {
 // RestoreCatalog rebuilds a warm catalog from saved state: the base graph
 // (already snapshot-loaded, with its version restored), the facet, and the
 // state written by SaveState. Every persisted view's groups are re-encoded
-// into a fresh G+ — bit-identical to the pre-checkpoint encoding, since group
+// into a fresh V — bit-identical to the pre-checkpoint encoding, since group
 // blank labels are content-keyed — and its staleness bookkeeping (baseVersion,
 // maintenance record) is reinstated, so no view is rematerialized from its
 // defining query. Corrupt input returns an error, never panics.
@@ -265,8 +265,8 @@ func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in i
 			return nil, fmt.Errorf("views: %s re-encodes to %d triples, state recorded %d",
 				m.Data.View, len(triples), m.Triples)
 		}
-		if _, err := c.expanded.LoadTriples(triples); err != nil {
-			return nil, fmt.Errorf("views: loading %s into G+: %w", m.Data.View, err)
+		if _, err := c.vg.LoadTriples(triples); err != nil {
+			return nil, fmt.Errorf("views: loading %s into V: %w", m.Data.View, err)
 		}
 		var bytes int64
 		for _, t := range triples {
@@ -276,7 +276,7 @@ func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in i
 		m.Maint.Mode = c.maintMode.String()
 		c.mats[mask] = m
 	}
-	c.expanded.Compact()
+	c.vg.Compact()
 	c.generation.Store(gen)
 	return c, nil
 }

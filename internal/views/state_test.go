@@ -107,10 +107,10 @@ func TestCatalogStateRoundTrip(t *testing.T) {
 					t.Fatalf("view %s staleness flipped across restore", want.Data.View)
 				}
 			}
-			// The expanded graph G+ must be bit-identical: content-keyed blank
+			// The view graph V must be bit-identical: content-keyed blank
 			// labels make the re-encoding deterministic.
-			if !reflect.DeepEqual(restored.Expanded().SortedTriples(), c.Expanded().SortedTriples()) {
-				t.Fatal("G+ differs after restore")
+			if !reflect.DeepEqual(restored.ViewGraph().SortedTriples(), c.ViewGraph().SortedTriples()) {
+				t.Fatal("V differs after restore")
 			}
 		})
 	}

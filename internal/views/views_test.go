@@ -270,8 +270,9 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
 	baseLen := g.Len()
-	if c.Expanded().Len() != baseLen {
-		t.Fatal("expanded not a clone of base")
+	vg := c.ViewGraph()
+	if vg.Len() != 0 || c.AddedTriples() != 0 {
+		t.Fatalf("view graph V has %d triples before any materialization", vg.Len())
 	}
 	v := f.View(facet.MaskFromBits(0, 1))
 	m, err := c.Materialize(v)
@@ -281,8 +282,11 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if m.Triples == 0 || m.Nodes() == 0 || m.Bytes == 0 {
 		t.Errorf("materialized stats = %+v", m)
 	}
-	if c.Expanded().Len() != baseLen+m.Triples {
-		t.Errorf("G+ size = %d, want %d", c.Expanded().Len(), baseLen+m.Triples)
+	if vg.Len() != m.Triples || c.AddedTriples() != m.Triples {
+		t.Errorf("|V| = %d, AddedTriples = %d, want %d", vg.Len(), c.AddedTriples(), m.Triples)
+	}
+	if want := float64(baseLen+m.Triples) / float64(baseLen); c.StorageAmplification() != want {
+		t.Errorf("amplification = %f, want (|G|+|V|)/|G| = %f", c.StorageAmplification(), want)
 	}
 	if g.Len() != baseLen {
 		t.Error("materialization mutated the base graph")
@@ -298,21 +302,40 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if err != nil || m2 != m {
 		t.Errorf("re-materialize = %v, %v", m2, err)
 	}
-	if c.Expanded().Len() != baseLen+m.Triples {
+	if vg.Len() != m.Triples {
 		t.Error("re-materialize duplicated triples")
 	}
-	// Drop restores G+.
+	// A second view adds its own encoding: AddedTriples = |V| = Σ m.Triples.
+	m3, err := c.Materialize(f.View(facet.MaskFromBits(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := m.Triples + m3.Triples; vg.Len() != sum || c.AddedTriples() != sum {
+		t.Errorf("|V| = %d, AddedTriples = %d, want Σ Triples = %d", vg.Len(), c.AddedTriples(), sum)
+	}
+	// Drop empties V again.
 	if !c.Drop(v) {
 		t.Fatal("Drop = false")
 	}
 	if c.Drop(v) {
 		t.Error("second Drop = true")
 	}
-	if c.Expanded().Len() != baseLen {
-		t.Errorf("G+ after drop = %d, want %d", c.Expanded().Len(), baseLen)
+	if !c.Drop(m3.View()) {
+		t.Fatal("Drop of the second view = false")
+	}
+	if vg.Len() != 0 || g.Len() != baseLen {
+		t.Errorf("after drop |V| = %d, |G| = %d; want 0, %d", vg.Len(), g.Len(), baseLen)
 	}
 	if c.StorageAmplification() != 1.0 {
 		t.Errorf("amplification after drop = %f", c.StorageAmplification())
+	}
+	// Reset empties V too.
+	if _, err := c.Materialize(v); err != nil {
+		t.Fatal(err)
+	}
+	c.Reset()
+	if vg.Len() != 0 || c.AddedTriples() != 0 {
+		t.Errorf("after Reset |V| = %d, want 0", vg.Len())
 	}
 }
 
