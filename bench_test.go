@@ -1,15 +1,18 @@
-// Package sofos_test holds the benchmark harness: one benchmark per
-// experiment of EXPERIMENTS.md (E1-E8, covering every panel of the paper's
-// Figure 3 and the demo scenario of §4), plus micro-benchmarks for the
-// substrate layers (store, engine, materializer, roll-up, selection).
+// Package sofos_test holds the microbenchmarks that have no per-layer twin
+// in the bench/ module: one benchmark per paper experiment (E1–E10, covering
+// every panel of the paper's Figure 3 and the demo scenario of §4), the
+// delta-overlay cost curve, the roll-up and join-order ablations, the codec
+// and storage axes, WAL append, recovery, and the observability overhead.
+// Layers that bench/ already times (store build and scans, engine execution,
+// materialization, selection, refresh, snapshots, serving) are measured
+// there, against a real sofos-serve, with a noise floor.
 //
-// Run everything with:
+// Run everything once with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchtime 1x .
 //
-// The experiment benchmarks print their result tables once (on the first
-// iteration) so a bench run doubles as a report generator; cmd/sofos-bench
-// produces the full formatted report.
+// The experiment benchmarks time the experiments and discard their tables;
+// cmd/sofos-bench renders the formatted report.
 package sofos_test
 
 import (
@@ -20,10 +23,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"sofos/internal/core"
 	"sofos/internal/cost"
@@ -33,8 +33,6 @@ import (
 	"sofos/internal/facet"
 	"sofos/internal/persist"
 	"sofos/internal/rdf"
-	"sofos/internal/rewrite"
-	"sofos/internal/selection"
 	"sofos/internal/server"
 	"sofos/internal/store"
 	"sofos/internal/views"
@@ -231,257 +229,6 @@ func BenchmarkStoreInsert(b *testing.B) {
 	}
 }
 
-// benchTriples generates a deterministic encoded workload shared by the
-// old-vs-new representation benchmarks. IDs are pre-interned so both stores
-// pay only index costs.
-func benchTriples(n int) []rdf.EncodedTriple {
-	out := make([]rdf.EncodedTriple, n)
-	for i := range out {
-		out[i] = rdf.EncodedTriple{
-			rdf.ID(1 + (i*7919)%(n/4+1)),
-			rdf.ID(1 + (i*31)%16),
-			rdf.ID(1 + (i*104729)%(n/2+1)),
-		}
-	}
-	return out
-}
-
-// BenchmarkStoreBulkLoad contrasts the columnar sorted-run bulk load against
-// per-triple insertion into the seed's nested-map representation — the
-// representation speedup headline for dataset loads and G+ materialization.
-func BenchmarkStoreBulkLoad(b *testing.B) {
-	ts := benchTriples(100_000)
-	b.Run("columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := store.NewGraph()
-			g.LoadEncoded(ts)
-		}
-	})
-	b.Run("nestedmap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g := store.NewNestedMapGraph()
-			for _, t := range ts {
-				g.Add(t.S(), t.P(), t.O())
-			}
-		}
-	})
-}
-
-// BenchmarkStoreClone contrasts the columnar memcpy clone against the
-// nested-map deep copy; NewCatalog pays exactly this cost to build G+.
-func BenchmarkStoreClone(b *testing.B) {
-	ts := benchTriples(100_000)
-	b.Run("columnar", func(b *testing.B) {
-		g := store.NewGraph()
-		g.LoadEncoded(ts)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if c := g.Clone(); c.Len() != g.Len() {
-				b.Fatal("bad clone")
-			}
-		}
-	})
-	b.Run("nestedmap", func(b *testing.B) {
-		g := store.NewNestedMapGraph()
-		for _, t := range ts {
-			g.Add(t.S(), t.P(), t.O())
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if c := g.Clone(); c.Len() != g.Len() {
-				b.Fatal("bad clone")
-			}
-		}
-	})
-}
-
-// BenchmarkStoreScanShapes measures every triple-pattern shape on both
-// representations: the columnar iterator's binary-search range scan vs the
-// nested-map callback walk.
-func BenchmarkStoreScanShapes(b *testing.B) {
-	ts := benchTriples(100_000)
-	cg := store.NewGraph()
-	cg.LoadEncoded(ts)
-	ng := store.NewNestedMapGraph()
-	for _, t := range ts {
-		ng.Add(t.S(), t.P(), t.O())
-	}
-	probe := ts[len(ts)/2]
-	shapes := []struct {
-		name    string
-		s, p, o rdf.ID
-	}{
-		{"sp_", probe.S(), probe.P(), rdf.NoID},
-		{"s__", probe.S(), rdf.NoID, rdf.NoID},
-		{"_p_", rdf.NoID, probe.P(), rdf.NoID},
-		{"__o", rdf.NoID, rdf.NoID, probe.O()},
-		{"s_o", probe.S(), rdf.NoID, probe.O()},
-	}
-	for _, sh := range shapes {
-		b.Run("columnar/"+sh.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				it := cg.Scan(sh.s, sh.p, sh.o)
-				n := 0
-				for it.Next() {
-					n++
-				}
-				if n == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-		b.Run("nestedmap/"+sh.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 0
-				ng.Match(sh.s, sh.p, sh.o, func(_, _, _ rdf.ID) bool { n++; return true })
-				if n == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExecJoinHeavy measures binding-propagation join execution over the
-// columnar store on the dbpedia facet star join — the join-heavy end-to-end
-// path (compare against BenchmarkEngineAggregateQuery history for the
-// nested-map numbers).
-func BenchmarkExecJoinHeavy(b *testing.B) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := engine.New(g)
-	q := f.TemplateQuery()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Execute(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// parallelBenchGraph builds the synthetic star-join graph behind the
-// parallel-execution benchmarks: nItems subjects with type/group/score edges
-// and (for two thirds) a hub link, large enough that the engine's leading
-// range Split and the parallel aggregation merge both engage.
-func parallelBenchGraph(b *testing.B, nItems, nGroups int) *store.Graph {
-	b.Helper()
-	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
-	typeP, groupP, scoreP, linkP, item := ex("type"), ex("group"), ex("score"), ex("link"), ex("item")
-	ts := make([]rdf.Triple, 0, 4*nItems)
-	for i := 0; i < nItems; i++ {
-		s := ex(fmt.Sprintf("s%06d", i))
-		ts = append(ts,
-			rdf.Triple{S: s, P: typeP, O: item},
-			rdf.Triple{S: s, P: groupP, O: ex(fmt.Sprintf("g%03d", i%nGroups))},
-			rdf.Triple{S: s, P: scoreP, O: rdf.NewInteger(int64((i * 7919) % 1000))},
-		)
-		if i%3 != 0 {
-			ts = append(ts, rdf.Triple{S: s, P: linkP, O: ex(fmt.Sprintf("hub%02d", i%31))})
-		}
-	}
-	g := store.NewGraph()
-	if _, err := g.LoadTriples(ts); err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkExecJoinHeavyParallel is the headline benchmark of the parallel
-// execution engine: a star join plus grouped aggregation at worker counts
-// {1, 2, 4, 8}. The workers=1 case is the serial baseline; CI tracks the
-// workers=4 / workers=1 ratio through the BENCH_pr.json artifact. Results
-// are identical at every worker count (see engine's differential tests).
-func BenchmarkExecJoinHeavyParallel(b *testing.B) {
-	g := parallelBenchGraph(b, 120_000, 40)
-	q, err := engine.ParseQuery(`PREFIX ex: <http://ex.org/>
-SELECT ?g (SUM(?v) AS ?sum) (COUNT(*) AS ?n) WHERE {
-  ?s ex:type ex:item .
-  ?s ex:group ?g .
-  ?s ex:score ?v .
-  ?s ex:link ?h .
-} GROUP BY ?g`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := engine.NewWithOptions(g, engine.Options{Workers: workers})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Execute(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 40 {
-					b.Fatalf("rows = %d", len(res.Rows))
-				}
-				if workers > 1 && res.Stats.Partitions == 0 {
-					b.Fatal("parallel run executed serially")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExecJoinHeavyWorkers runs the dbpedia facet star join at a scale
-// where the leading range splits, contrasting serial and parallel execution
-// on the paper's own workload shape.
-func BenchmarkExecJoinHeavyWorkers(b *testing.B) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 2000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := f.TemplateQuery()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := engine.NewWithOptions(g, engine.Options{Workers: workers})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Execute(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) == 0 {
-					b.Fatal("no rows")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStoreMatch measures indexed pattern matching on a loaded graph.
-func BenchmarkStoreMatch(b *testing.B) {
-	g, _, err := datasets.BuildWithFacet("dbpedia", 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, ok := g.Dict().Lookup(rdf.NewIRI("http://dbpedia.org/property/language"))
-	if !ok {
-		b.Fatal("predicate missing")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		g.Match(rdf.NoID, p, rdf.NoID, func(_, _, _ rdf.ID) bool { n++; return true })
-		if n == 0 {
-			b.Fatal("no matches")
-		}
-	}
-}
-
 // overlayGraphs returns dbpedia@2000 under delta overlays of 0, 64, 1024 and
 // 16384 inserts, plus 2000 (subject, predicate) probes. The overlays come from
 // OverlayWith, which never compacts, so the sizes hold even where they exceed
@@ -577,46 +324,8 @@ func BenchmarkGraphFork(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAggregateQuery measures the full SPARQL pipeline on the
-// facet template query.
-func BenchmarkEngineAggregateQuery(b *testing.B) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := engine.New(g)
-	q := f.TemplateQuery()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Execute(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkMaterializeFromBase measures computing + encoding one view from G.
-func BenchmarkMaterializeFromBase(b *testing.B) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := f.View(f.FullMask())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := views.NewCatalog(g, f)
-		if _, err := c.Materialize(v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRollUp measures the ancestor roll-up fast path (ablation for the
-// DESIGN.md roll-up design choice: computing children from a materialized
-// parent instead of from G).
+// BenchmarkRollUp measures the ancestor roll-up fast path: computing a child
+// view from a materialized parent instead of from G.
 func BenchmarkRollUp(b *testing.B) {
 	g, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
 	if err != nil {
@@ -665,61 +374,9 @@ func BenchmarkRollUpVsBaseAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkGreedySelection measures HRU greedy over a 16-view lattice.
-func BenchmarkGreedySelection(b *testing.B) {
-	e := env(b, "dbpedia", 25, 10)
-	p, err := e.System.Provider()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := &cost.AggValuesModel{Provider: p}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := selection.Greedy(e.System.Lattice, m, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnswerViaViewVsBase is the headline result at micro scale: the
-// same workload query answered through a materialized view and on the base
-// graph.
-func BenchmarkAnswerViaViewVsBase(b *testing.B) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := f.View(facet.MaskFromBits(2)).AnalyticalQuery() // per-language totals
-	b.Run("via-view", func(b *testing.B) {
-		c := views.NewCatalog(g, f)
-		if _, err := c.Materialize(f.View(facet.MaskFromBits(2))); err != nil {
-			b.Fatal(err)
-		}
-		rw := rewrite.New(c)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ans, err := rw.Answer(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ans.UsedView() {
-				b.Fatal("fell back to base")
-			}
-		}
-	})
-	b.Run("via-base", func(b *testing.B) {
-		eng := engine.New(g)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkJoinOrderAblation contrasts greedy selectivity-based join
 // ordering against naive text-order execution on the facet template query
-// (ablation for the DESIGN.md planner design choice).
+// (the planner ablation).
 func BenchmarkJoinOrderAblation(b *testing.B) {
 	g, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
 	if err != nil {
@@ -744,25 +401,6 @@ func BenchmarkJoinOrderAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotSaveLoad measures graph snapshot round-trips.
-func BenchmarkSnapshotSaveLoad(b *testing.B) {
-	g, _, err := datasets.BuildWithFacet("dbpedia", 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := g.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := store.Load(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Codec: block-compressed runs vs flat ---
 
 // codecGraph builds a dataset graph under one codec and compacts the overlay
@@ -783,8 +421,7 @@ func codecGraph(b *testing.B, dataset string, scale int, codec store.Codec) (*st
 // BenchmarkScanCodec sweeps the flat and block codecs across dataset scales:
 // a cold full-graph scan through the vectorized NextSpan path, and the facet
 // template star join through the engine. The run_bytes metric reports the
-// resident index footprint per codec — the compression headline BENCH_pr.json
-// tracks alongside the throughput ratio.
+// resident index footprint per codec, the compression half of the trade-off.
 func BenchmarkScanCodec(b *testing.B) {
 	for _, ds := range []struct {
 		name  string
@@ -918,116 +555,6 @@ func BenchmarkScanStorage(b *testing.B) {
 	}
 }
 
-// BenchmarkViewRefresh measures incremental refresh after a small base
-// mutation versus drop-and-rematerialize.
-func BenchmarkViewRefresh(b *testing.B) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := f.View(facet.MaskFromBits(0, 1))
-	b.Run("refresh", func(b *testing.B) {
-		c := views.NewCatalog(g.Clone(), f)
-		if _, err := c.Materialize(v); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr := rdf.Triple{
-				S: rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/bench%d", i)),
-				P: rdf.NewIRI("http://dbpedia.org/property/population"),
-				O: rdf.NewInteger(int64(i)),
-			}
-			if _, err := c.Insert(tr); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.Refresh(v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("drop-rematerialize", func(b *testing.B) {
-		c := views.NewCatalog(g.Clone(), f)
-		if _, err := c.Materialize(v); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr := rdf.Triple{
-				S: rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/bench%d", i)),
-				P: rdf.NewIRI("http://dbpedia.org/property/population"),
-				O: rdf.NewInteger(int64(i)),
-			}
-			if _, err := c.Insert(tr); err != nil {
-				b.Fatal(err)
-			}
-			c.Drop(v)
-			if _, err := c.Materialize(v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchRefreshPath drives the maintenance benchmark pair: a dbpedia-scale
-// graph (~100k triples at scale 2000) with the (country, lang) view
-// materialized, then per iteration one small update batch — an insert of a
-// fresh observation plus a delete of an older one — followed by a refresh.
-// With incremental maintenance on, the refresh replays just the batch's
-// delta (O(|ΔG|)); with it off, it re-runs the defining star join over the
-// whole graph. The Incremental/Full ratio in BENCH_pr.json tracks the
-// speedup trajectory of the O(|ΔG|) claim.
-func benchRefreshPath(b *testing.B, incremental bool) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 2000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := views.NewCatalog(g.Clone(), f)
-	c.SetIncrementalMaintenance(incremental)
-	v := f.View(facet.MaskFromBits(0, 2)) // per (country, lang)
-	if _, err := c.Materialize(v); err != nil {
-		b.Fatal(err)
-	}
-	dbp := func(local string) rdf.Term { return rdf.NewIRI("http://dbpedia.org/property/" + local) }
-	obsTriples := func(i int) []rdf.Triple {
-		obs := rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/maintobs%d", i))
-		return []rdf.Triple{
-			{S: obs, P: dbp("country"), O: rdf.NewIRI("http://dbpedia.org/resource/Country0")},
-			{S: obs, P: dbp("language"), O: rdf.NewLiteral("English")},
-			{S: obs, P: dbp("year"), O: rdf.NewYear(2016)},
-			{S: obs, P: dbp("population"), O: rdf.NewInteger(int64(1000 + i))},
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var del []rdf.Triple
-		if i >= 2 {
-			del = obsTriples(i - 2) // retire an older observation: deltas flow both ways
-		}
-		if _, err := c.ApplyUpdate(obsTriples(i), del); err != nil {
-			b.Fatal(err)
-		}
-		m, err := c.Refresh(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if incremental && m.Maint.LastPath != "incremental" {
-			b.Fatalf("refresh took path %q, want incremental", m.Maint.LastPath)
-		}
-		if !incremental && m.Maint.LastPath != "full" {
-			b.Fatalf("refresh took path %q, want full", m.Maint.LastPath)
-		}
-	}
-}
-
-// BenchmarkRefreshIncremental measures the O(|ΔG|) delta-replay refresh.
-func BenchmarkRefreshIncremental(b *testing.B) { benchRefreshPath(b, true) }
-
-// BenchmarkRefreshFull is the ablation baseline: the same workload with the
-// incremental path disabled, paying a full recompute per batch.
-func BenchmarkRefreshFull(b *testing.B) { benchRefreshPath(b, false) }
-
 // BenchmarkWorkloadGeneration measures query generation throughput.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	g, f, err := datasets.BuildWithFacet("swdf", 4, 1)
@@ -1042,95 +569,6 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
-// --- Server: the result cache on a hot repeated workload ---
-
-// benchFreshnessSeq makes each freshness-check insert unique across
-// benchmark invocations.
-var benchFreshnessSeq int
-
-// newBenchServer builds an HTTP server over a dbpedia system with no views
-// materialized — every cache miss pays full base-graph execution, which is
-// what the result cache is saving on a hot workload — plus the workload to
-// replay.
-func newBenchServer(b *testing.B, cacheEntries int) (http.Handler, *workload.Workload) {
-	b.Helper()
-	e := env(b, "dbpedia", 150, 20)
-	h := server.New(e.System, server.Config{CacheEntries: cacheEntries}).Handler()
-	return h, e.Workload
-}
-
-// BenchmarkServerRepeatedWorkload measures one full workload round against
-// the server handler, uncached vs cached (cache warmed by a prior round).
-// The handler is driven directly (no TCP, no client-side decoding) so the
-// numbers isolate what the server does: full execution on misses, a
-// rendered-body write on hits. The cached variant additionally proves zero
-// stale answers: after an /update the same query must be re-executed at the
-// new catalog generation, not served from the old entry.
-func BenchmarkServerRepeatedWorkload(b *testing.B) {
-	round := func(b *testing.B, h http.Handler, wl *workload.Workload) {
-		for _, q := range wl.Queries {
-			body, _ := json.Marshal(map[string]string{"query": q.Text})
-			req := httptest.NewRequest("POST", "/query", bytes.NewReader(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				b.Fatalf("query status %d: %s", rec.Code, rec.Body.String())
-			}
-		}
-	}
-	b.Run("uncached", func(b *testing.B) {
-		h, wl := newBenchServer(b, -1)
-		round(b, h, wl) // warmup round so both variants start hot
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			round(b, h, wl)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		h, wl := newBenchServer(b, 0)
-		round(b, h, wl) // warm the cache: later rounds are pure hits
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			round(b, h, wl)
-		}
-		b.StopTimer()
-		query := func(text string) (cached bool, generation int64) {
-			body, _ := json.Marshal(map[string]string{"query": text})
-			req := httptest.NewRequest("POST", "/query", bytes.NewReader(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			var out struct {
-				Cached     bool  `json:"cached"`
-				Generation int64 `json:"generation"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != 200 {
-				b.Fatalf("query status %d, err %v", rec.Code, err)
-			}
-			return out.Cached, out.Generation
-		}
-		if cached, _ := query(wl.Queries[0].Text); !cached {
-			b.Fatal("warmed query should be served from the cache before the update")
-		}
-		// Unique per invocation: the benchmark body reruns at growing b.N,
-		// and a duplicate insert would be a no-op that bumps nothing.
-		benchFreshnessSeq++
-		up := fmt.Sprintf(`{"insert": "<http://dbpedia.org/resource/BenchCity%d> <http://dbpedia.org/property/population> \"12345\"^^<http://www.w3.org/2001/XMLSchema#integer> ."}`, benchFreshnessSeq)
-		req := httptest.NewRequest("POST", "/update", bytes.NewReader([]byte(up)))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			b.Fatalf("update status %d: %s", rec.Code, rec.Body.String())
-		}
-		cached, gen1 := query(wl.Queries[0].Text)
-		if cached {
-			b.Fatal("stale answer served from the cache after an update")
-		}
-		if cached2, gen2 := query(wl.Queries[0].Text); !cached2 || gen2 != gen1 {
-			b.Fatalf("fresh answer was not re-cached (cached %v, generation %d vs %d)", cached2, gen2, gen1)
-		}
-	})
-}
-
 // BenchmarkTracedQueryOverhead measures the observability tax on the hottest
 // serving path — a fully cached repeated workload — instrumented (the
 // default) vs -obs=off. The acceptance bar is a ≤5% regression: per request
@@ -1140,7 +578,7 @@ func BenchmarkTracedQueryOverhead(b *testing.B) {
 	round := func(b *testing.B, h http.Handler, wl *workload.Workload) {
 		for _, q := range wl.Queries {
 			body, _ := json.Marshal(map[string]string{"query": q.Text})
-			req := httptest.NewRequest("POST", "/query", bytes.NewReader(body))
+			req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != 200 {
@@ -1296,189 +734,4 @@ func BenchmarkRecovery(b *testing.B) {
 			})
 		}
 	}
-}
-
-// --- PR 9: read latency under an eager write storm (MVCC vs serial lock) ---
-
-// benchReadLatency builds the PR-9 serving scenario at dbpedia@2000: the
-// (country, lang) view materialized, a writer continuously committing
-// eager-maintained update transactions (insert a fresh observation, retire
-// an old one, refresh the view inside the transaction), and one reader
-// measuring per-query latency through the rewriter. With mvcc=false the two
-// sides share a sync.RWMutex — the pre-PR-9 server discipline, where every
-// read stalls behind apply+refresh. With mvcc=true the writer runs on a
-// core.Chain fork and publishes with one atomic pointer swap, so reads pin
-// a snapshot and never block. The p50_ns/p99_ns metrics in BENCH_pr.json
-// track the headline claim: tail read latency under write pressure drops by
-// the full writer critical-section length.
-func benchReadLatency(b *testing.B, mvcc bool) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 2000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := core.NewWithOptions(g.Clone(), f, core.Options{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := f.View(facet.MaskFromBits(0, 2)) // per (country, lang)
-	if _, err := sys.Catalog.Materialize(v); err != nil {
-		b.Fatal(err)
-	}
-	q := v.AnalyticalQuery()
-	dbp := func(local string) rdf.Term { return rdf.NewIRI("http://dbpedia.org/property/" + local) }
-	// obsBatch is one transaction's insert set: a batch big enough that the
-	// writer's apply+refresh critical section is meaningful — the regime
-	// where the serial baseline's readers visibly stall.
-	const obsPerBatch = 128
-	obsBatch := func(i int) []rdf.Triple {
-		out := make([]rdf.Triple, 0, 4*obsPerBatch)
-		for j := 0; j < obsPerBatch; j++ {
-			obs := rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/latobs%dx%d", i, j))
-			out = append(out,
-				rdf.Triple{S: obs, P: dbp("country"), O: rdf.NewIRI("http://dbpedia.org/resource/Country0")},
-				rdf.Triple{S: obs, P: dbp("language"), O: rdf.NewLiteral("English")},
-				rdf.Triple{S: obs, P: dbp("year"), O: rdf.NewYear(2016)},
-				rdf.Triple{S: obs, P: dbp("population"), O: rdf.NewInteger(int64(1000 + i))},
-			)
-		}
-		return out
-	}
-
-	var mu sync.RWMutex // serial mode: readers RLock, the writer Locks
-	chain := core.NewChain(sys)
-
-	// writeTxn commits one eager transaction against catalog c: apply a
-	// batch, refresh the views, then compact the graphs so the state the
-	// readers see is always scan-optimal (scans over an uncompacted overlay
-	// pay O(overlay) per probe, which would swamp both modes identically).
-	// On the MVCC side all of this — compaction included — happens on the
-	// fork, so only compacted snapshots are ever published; on the serial
-	// side the same work runs under the write lock, stalling every reader
-	// that arrives mid-transaction. Deletes retire the batch from two
-	// rounds ago, so graph size is bounded across the run.
-	writeTxn := func(c *views.Catalog, i int) error {
-		var del []rdf.Triple
-		if i >= 2 {
-			del = obsBatch(i - 2)
-		}
-		if _, err := c.ApplyUpdate(obsBatch(i), del); err != nil {
-			return err
-		}
-		plan, err := c.PlanRefresh(1)
-		if err != nil {
-			return err
-		}
-		if plan != nil {
-			if _, err := c.CommitRefresh(plan); err != nil {
-				return err
-			}
-		}
-		c.Base().Compact()
-		c.ViewGraph().Compact()
-		return nil
-	}
-	// commitTxn wraps writeTxn in the mode's write discipline: the serial
-	// side holds the write lock across the whole transaction; the MVCC side
-	// does the same work on a chain fork and publishes with one pointer swap.
-	commitTxn := func(i int) error {
-		if mvcc {
-			txn := chain.Begin()
-			baseGen := txn.Base.Generation
-			if err := writeTxn(txn.Sys.Catalog, i); err != nil {
-				txn.Abort()
-				return err
-			}
-			txn.Sys.Catalog.SetGeneration(baseGen + 1)
-			txn.Commit()
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return writeTxn(sys.Catalog, i)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var werrMu sync.Mutex
-	var werr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			t0 := time.Now()
-			if err := commitTxn(i); err != nil {
-				werrMu.Lock()
-				werr = err
-				werrMu.Unlock()
-				return
-			}
-			// Pace at ~50% duty cycle: a background maintenance writer, not
-			// a CPU-saturating spin — the benchmark contrasts blocking, and
-			// on a small runner an unpaced writer would starve both readers
-			// of CPU and mask the lock-vs-snapshot difference.
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Since(t0)):
-			}
-		}
-	}()
-
-	read := func() error {
-		var ans *rewrite.Answer
-		var err error
-		if mvcc {
-			st := chain.Load()
-			ans, err = st.Sys.Answer(q)
-		} else {
-			mu.RLock()
-			ans, err = sys.Answer(q)
-			mu.RUnlock()
-		}
-		if err == nil && !ans.UsedView() {
-			return fmt.Errorf("read fell back to the base graph")
-		}
-		return err
-	}
-	// Warm the path once before timing and confirm the rewriter engages —
-	// the scenario is fast view-backed serving stalled by maintenance, not
-	// slow base-graph scans.
-	if ans, err := sys.Answer(q); err != nil || !ans.UsedView() {
-		b.Fatalf("warm-up answer err=%v usedView=%v", err, err == nil && ans.UsedView())
-	}
-
-	lat := make([]time.Duration, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if err := read(); err != nil {
-			b.Fatal(err)
-		}
-		lat = append(lat, time.Since(t0))
-	}
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-	werrMu.Lock()
-	defer werrMu.Unlock()
-	if werr != nil {
-		b.Fatalf("writer: %v", werr)
-	}
-	slices.Sort(lat)
-	b.ReportMetric(float64(lat[len(lat)/2]), "p50_ns")
-	b.ReportMetric(float64(lat[len(lat)*99/100]), "p99_ns")
-}
-
-// BenchmarkReadLatencyUnderWrites contrasts read tail latency under a
-// continuous eager-maintenance writer: the serial-rwmutex baseline (the
-// pre-MVCC server) against the snapshot-chain publish path. The acceptance
-// bar for PR 9 is p99(serial) / p99(mvcc) >= 5 at dbpedia@2000.
-func BenchmarkReadLatencyUnderWrites(b *testing.B) {
-	b.Run("serial-rwmutex", func(b *testing.B) { benchReadLatency(b, false) })
-	b.Run("mvcc", func(b *testing.B) { benchReadLatency(b, true) })
 }

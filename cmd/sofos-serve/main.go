@@ -4,17 +4,13 @@
 // and a result cache keyed on the catalog generation serves repeated
 // queries without re-execution.
 //
+// Every endpoint lives under /v1:
+//
 //	sofos-serve -dataset dbpedia -k 3                 # serve on :8080
-//	curl 'localhost:8080/query?q=SELECT+...'          # answer a query
-//	curl -X POST localhost:8080/update -d '{"insert": "<s> <p> <o> ."}'
-//	curl localhost:8080/views                         # list materializations
-//	curl localhost:8080/stats                         # serving health
-//
-// The API is versioned under /v1 (the unversioned paths above remain as
-// deprecated aliases):
-//
-//	curl 'localhost:8080/v1/query?q=SELECT+...'
+//	curl 'localhost:8080/v1/query?q=SELECT+...'       # answer a query
 //	curl -X POST localhost:8080/v1/update -d '{"insert": "<s> <p> <o> ."}'
+//	curl localhost:8080/v1/views                      # list materializations
+//	curl localhost:8080/v1/stats                      # serving health
 //
 // With -data-dir the server is durable: committed /v1/update batches are
 // written ahead to a log before they are acknowledged, checkpoints pair a

@@ -63,7 +63,7 @@ func TestEndToEnd(t *testing.T) {
 		OK   bool   `json:"ok"`
 		Role string `json:"role"`
 	}
-	if code := get("/healthz", &health); code != http.StatusOK || !health.OK || health.Role != "primary" {
+	if code := get("/v1/healthz", &health); code != http.StatusOK || !health.OK || health.Role != "primary" {
 		t.Fatalf("healthz = %+v (status %d)", health, code)
 	}
 
@@ -72,7 +72,7 @@ func TestEndToEnd(t *testing.T) {
 			ID string `json:"id"`
 		} `json:"materialized"`
 	}
-	if code := get("/views", &views); code != http.StatusOK {
+	if code := get("/v1/views", &views); code != http.StatusOK {
 		t.Fatalf("views status %d", code)
 	}
 	if len(views.Materialized) == 0 {
@@ -87,7 +87,7 @@ func TestEndToEnd(t *testing.T) {
 		Via    string     `json:"via"`
 		Cached bool       `json:"cached"`
 	}
-	if code := get("/query?q="+url.QueryEscape(q), &ans); code != http.StatusOK {
+	if code := get("/v1/query?q="+url.QueryEscape(q), &ans); code != http.StatusOK {
 		t.Fatalf("query status %d", code)
 	}
 	if len(ans.Rows) == 0 {
@@ -96,12 +96,12 @@ func TestEndToEnd(t *testing.T) {
 	if ans.Via == "base" {
 		t.Errorf("apex query fell back to base answering")
 	}
-	if code := get("/query?q="+url.QueryEscape(q), &ans); code != http.StatusOK || !ans.Cached {
+	if code := get("/v1/query?q="+url.QueryEscape(q), &ans); code != http.StatusOK || !ans.Cached {
 		t.Errorf("repeat query not cached (status %d, cached %v)", code, ans.Cached)
 	}
 
 	up := `{"insert": "<http://e2e.test/s> <http://e2e.test/p> <http://e2e.test/o> ."}`
-	resp, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader(up))
+	resp, err := http.Post(ts.URL+"/v1/update", "application/json", strings.NewReader(up))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestEndToEnd(t *testing.T) {
 		Queries int64 `json:"queries"`
 		Updates int64 `json:"updates"`
 	}
-	if code := get("/stats", &stats); code != http.StatusOK {
+	if code := get("/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
 	if stats.Queries != 2 || stats.Updates != 1 {
@@ -148,7 +148,7 @@ func TestDurableBootKillRestart(t *testing.T) {
 
 	post := func(body string) map[string]any {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/update", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestDurableBootKillRestart(t *testing.T) {
 	wantGen := last["generation"].(float64)
 
 	q := srv.System().Facet.View(0).AnalyticalQuery().String()
-	resp, err := http.Get(ts.URL + "/query?q=" + url.QueryEscape(q))
+	resp, err := http.Get(ts.URL + "/v1/query?q=" + url.QueryEscape(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDurableBootKillRestart(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	resp, err = http.Get(ts2.URL + "/stats")
+	resp, err = http.Get(ts2.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDurableBootKillRestart(t *testing.T) {
 	if st.Persist == nil || st.Persist.Recovery == nil || st.Persist.Recovery.ReplayedBatches != 2 {
 		t.Fatalf("recovery stats = %+v", st.Persist)
 	}
-	resp, err = http.Get(ts2.URL + "/query?q=" + url.QueryEscape(q))
+	resp, err = http.Get(ts2.URL + "/v1/query?q=" + url.QueryEscape(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestRecoveredBootCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	resp, err := http.Post(ts.URL+"/update", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/update", "application/json",
 		strings.NewReader(`{"insert": "<http://t.test/rb> <http://t.test/p> <http://t.test/o> ."}`))
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestRecoveredBootCheckpoints(t *testing.T) {
 	}
 	ts3 := httptest.NewServer(srv3.Handler())
 	defer ts3.Close()
-	r, err := http.Get(ts3.URL + "/stats")
+	r, err := http.Get(ts3.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

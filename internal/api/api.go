@@ -4,9 +4,8 @@
 // and client. The server (internal/server) encodes these types, the shared
 // Go client (internal/client) decodes them, so the two can never drift.
 //
-// Versioning: every endpoint lives under the /v1 route tree. The legacy
-// unversioned paths (/query, /update, ...) remain as thin aliases that serve
-// identical bodies plus a Deprecation header pointing at the successor.
+// Versioning: every endpoint lives under the /v1 route tree; there are no
+// unversioned paths.
 //
 // Provenance: every response carries an X-Sofos-Generation header — the
 // catalog generation the response was produced at. Clients remember the
@@ -27,7 +26,7 @@ import (
 // Prefix is the versioned route prefix every current endpoint lives under.
 const Prefix = "/v1"
 
-// Headers carrying generation provenance and deprecation notices.
+// Headers carrying generation provenance and trace identity.
 const (
 	// HeaderGeneration is set on every response: the catalog generation the
 	// response was produced at.
@@ -35,9 +34,6 @@ const (
 	// HeaderMinGeneration is set by clients: the highest generation the
 	// client has observed. A replica behind it waits or redirects.
 	HeaderMinGeneration = "X-Sofos-Min-Generation"
-	// HeaderDeprecation marks responses served via a legacy unversioned
-	// alias; the Link header names the /v1 successor.
-	HeaderDeprecation = "Deprecation"
 	// HeaderTraceID carries the per-request trace identifier. Clients may
 	// supply one (any non-empty token) to correlate traces across primary
 	// and replica; the server generates one otherwise and echoes it on the

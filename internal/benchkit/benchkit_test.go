@@ -46,6 +46,24 @@ func TestTimingAddAfterPercentile(t *testing.T) {
 	}
 }
 
+func TestTimingMinIsTrueMinimum(t *testing.T) {
+	var tm Timing
+	if tm.Min() != 0 {
+		t.Error("empty Min != 0")
+	}
+	// Add samples descending so the minimum is last; before sorting kicks in,
+	// a rank-based shortcut would be wrong for large n.
+	for i := 2_000_000; i > 0; i-- {
+		tm.Add(time.Duration(i))
+	}
+	if got := tm.Min(); got != 1 {
+		t.Errorf("Min = %d, want 1", got)
+	}
+	if got := tm.Max(); got != 2_000_000 {
+		t.Errorf("Max = %d, want 2000000", got)
+	}
+}
+
 func TestSpearmanPerfect(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	b := []float64{10, 20, 30, 40, 50}

@@ -3,9 +3,4 @@
 // Spearman rank correlation for cost-model fidelity, compact metric
 // formatting (FmtDuration/FmtBytes/FmtFloat), and plain-text/markdown
 // table rendering (Table) for the experiment reports.
-//
-// The JSON emitter (ParseGoBench and BenchReport.WriteJSON) converts `go
-// test -bench` output into the BENCH_pr.json artifact CI uploads per push,
-// so the repository accumulates one performance data point per commit;
-// cmd/benchjson is its command-line front end.
 package benchkit

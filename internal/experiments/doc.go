@@ -11,6 +11,6 @@
 // facet's system, and a seeded workload — and returns a benchkit.Table, so
 // the same code serves three consumers: cmd/sofos-bench renders the full
 // formatted report, bench_test.go wraps each experiment as a testing.B
-// benchmark for CI's per-commit artifact, and the CLI's compare/analyze
+// benchmark that CI runs once per push, and the CLI's compare/analyze
 // subcommands show single panels interactively.
 package experiments

@@ -587,14 +587,9 @@ func max(a, b int) int {
 	return b
 }
 
-// MeasureAll runs every experiment with default parameters, returning the
-// rendered tables in order. Used by cmd/sofos-bench.
-func MeasureAll(seed int64, workloadSize, k int, quick bool) ([]*benchkit.Table, error) {
-	return MeasureAllWithOptions(seed, workloadSize, k, quick, core.Options{})
-}
-
-// MeasureAllWithOptions is MeasureAll with explicit system options (worker
-// count), so cmd/sofos-bench can pin parallelism from the command line.
+// MeasureAllWithOptions runs every experiment (E1–E10) under the given
+// system options, returning the rendered tables in order. Used by
+// cmd/sofos-bench, which pins the worker count from the command line.
 func MeasureAllWithOptions(seed int64, workloadSize, k int, quick bool, opts core.Options) ([]*benchkit.Table, error) {
 	envs, err := defaultEnvs(seed, workloadSize, opts)
 	if err != nil {

@@ -71,25 +71,25 @@ func TestKillRestartServesCommittedState(t *testing.T) {
 	// Materialize a view (auto-checkpointed), then a mixed workload of
 	// eager and lazy acknowledged updates.
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != 200 {
 		t.Fatalf("materialize status %d", code)
 	}
 	var up api.UpdateResponse
-	if code := postJSON(t, ts.URL+"/update",
+	if code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Insert: obsTriples("kr1", 40), Maintain: "eager"}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/update",
+	if code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Insert: obsTriples("kr2", 7)}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/update",
+	if code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Delete: obsTriples("kr1", 40), Maintain: "eager"}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
 
 	var preKill api.StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &preKill); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/stats", &preKill); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	preAnswer := query(t, ts, countryQuery)
@@ -103,7 +103,7 @@ func TestKillRestartServesCommittedState(t *testing.T) {
 		t.Fatalf("replayed %d batches, want 3", rec.ReplayedBatches)
 	}
 	var postKill api.StatsResponse
-	if code := getJSON(t, ts2.URL+"/stats", &postKill); code != 200 {
+	if code := getJSON(t, ts2.URL+"/v1/stats", &postKill); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if postKill.Generation != preKill.Generation {
@@ -136,12 +136,12 @@ func TestTornAckWindow(t *testing.T) {
 	path := t.TempDir()
 	_, ts, _ := newDurableServer(t, path)
 	var up api.UpdateResponse
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("ta1", 9)}, &up); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("ta1", 9)}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
 	committedGen := up.Generation
 	committedRows := query(t, ts, countryQuery).Rows
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("ta2", 5)}, &up); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("ta2", 5)}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
 
@@ -168,7 +168,7 @@ func TestTornAckWindow(t *testing.T) {
 		t.Fatalf("recovery stats = %+v, want torn tail with 1 replayed batch", rec)
 	}
 	var st api.StatsResponse
-	if code := getJSON(t, ts2.URL+"/stats", &st); code != 200 {
+	if code := getJSON(t, ts2.URL+"/v1/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.Generation != committedGen {
@@ -183,14 +183,14 @@ func TestAdminCheckpoint(t *testing.T) {
 	path := t.TempDir()
 	_, ts, _ := newDurableServer(t, path)
 	var cp1, cp2 api.CheckpointResponse
-	if code := postJSON(t, ts.URL+"/admin/checkpoint", struct{}{}, &cp1); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/admin/checkpoint", struct{}{}, &cp1); code != 200 {
 		t.Fatalf("checkpoint status %d", code)
 	}
 	var up api.UpdateResponse
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("ck", 3)}, &up); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("ck", 3)}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/admin/checkpoint", struct{}{}, &cp2); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/admin/checkpoint", struct{}{}, &cp2); code != 200 {
 		t.Fatalf("checkpoint status %d", code)
 	}
 	if cp2.Manifest.Sequence != cp1.Manifest.Sequence+1 {
@@ -206,7 +206,7 @@ func TestAdminCheckpoint(t *testing.T) {
 		t.Fatalf("replayed %d batches after a fresh checkpoint", rec.ReplayedBatches)
 	}
 	var st api.StatsResponse
-	if code := getJSON(t, ts2.URL+"/stats", &st); code != 200 {
+	if code := getJSON(t, ts2.URL+"/v1/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.Generation != up.Generation {
@@ -217,7 +217,7 @@ func TestAdminCheckpoint(t *testing.T) {
 func TestAdminCheckpointMemoryOnly(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var e api.ErrorResponse
-	if code := postJSON(t, ts.URL+"/admin/checkpoint", struct{}{}, &e); code != 503 {
+	if code := postJSON(t, ts.URL+"/v1/admin/checkpoint", struct{}{}, &e); code != 503 {
 		t.Fatalf("memory-only checkpoint status %d (%+v)", code, e)
 	}
 }
@@ -229,12 +229,12 @@ func TestViewChangeCheckpointed(t *testing.T) {
 	path := t.TempDir()
 	_, ts, _ := newDurableServer(t, path)
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "lang+year"}, &act); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "lang+year"}, &act); code != 200 {
 		t.Fatalf("materialize status %d", code)
 	}
 	ts2, _ := recoverServer(t, path)
 	var vs api.ViewsResponse
-	if code := getJSON(t, ts2.URL+"/views", &vs); code != 200 {
+	if code := getJSON(t, ts2.URL+"/v1/views", &vs); code != 200 {
 		t.Fatalf("views status %d", code)
 	}
 	if len(vs.Materialized) != 1 || vs.Materialized[0].ID != "lang+year" {
@@ -258,11 +258,11 @@ func TestWALGapRefusesUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var e api.ErrorResponse
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("gap1", 4)}, &e); code != 500 {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("gap1", 4)}, &e); code != 500 {
 		t.Fatalf("append-failure update status %d (%+v)", code, e)
 	}
 	var st api.StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.Persist == nil || !st.Persist.WALGap {
@@ -270,10 +270,10 @@ func TestWALGapRefusesUpdates(t *testing.T) {
 	}
 	// The next batch must be refused up front — nothing applied.
 	pre := st.BaseTriples
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("gap2", 5)}, &e); code != 503 {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("gap2", 5)}, &e); code != 503 {
 		t.Fatalf("post-gap update status %d (%+v)", code, e)
 	}
-	if code := getJSON(t, ts.URL+"/stats", &st); code != 200 || st.BaseTriples != pre {
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != 200 || st.BaseTriples != pre {
 		t.Fatalf("refused update still applied: %d -> %d triples", pre, st.BaseTriples)
 	}
 }
@@ -318,7 +318,7 @@ func TestConcurrentCheckpointsSerialize(t *testing.T) {
 		t.Fatalf("replayed %d batches", rec.ReplayedBatches)
 	}
 	var st api.StatsResponse
-	if code := getJSON(t, ts2.URL+"/stats", &st); code != 200 {
+	if code := getJSON(t, ts2.URL+"/v1/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 }
@@ -331,19 +331,19 @@ func TestNoOpDeltaEagerRefreshSurvivesCrash(t *testing.T) {
 	path := t.TempDir()
 	_, ts, _ := newDurableServer(t, path)
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != 200 {
 		t.Fatalf("materialize status %d", code)
 	}
 	var up api.UpdateResponse
 	// Lazy batch: view goes stale.
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("ne1", 21)}, &up); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("ne1", 21)}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
 	if up.Stale == 0 {
 		t.Fatal("lazy update left no stale views; fixture changed?")
 	}
 	// Duplicate insert with eager maintenance: no-op delta, real refresh.
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("ne1", 21), Maintain: "eager"}, &up); code != 200 {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("ne1", 21), Maintain: "eager"}, &up); code != 200 {
 		t.Fatalf("no-op eager update status %d", code)
 	}
 	if up.Inserted != 0 || up.Refreshed == 0 || up.Stale != 0 {
@@ -351,7 +351,7 @@ func TestNoOpDeltaEagerRefreshSurvivesCrash(t *testing.T) {
 	}
 	ts2, _ := recoverServer(t, path)
 	var st api.StatsResponse
-	if code := getJSON(t, ts2.URL+"/stats", &st); code != 200 {
+	if code := getJSON(t, ts2.URL+"/v1/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.Generation != up.Generation {

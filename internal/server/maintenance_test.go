@@ -26,11 +26,11 @@ func insertNT(id string, pop int) string {
 func TestUpdateEagerMaintain(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("materialize status %d", code)
 	}
 	var up api.UpdateResponse
-	code := postJSON(t, ts.URL+"/update",
+	code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Insert: insertNT("obsEager", 1000), Maintain: "eager"}, &up)
 	if code != http.StatusOK {
 		t.Fatalf("eager update status %d", code)
@@ -51,7 +51,7 @@ func TestUpdateEagerMaintain(t *testing.T) {
 	}
 	// /stats reports the per-view maintenance bookkeeping.
 	var st api.StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.Maintenance != "self-maintainable-both" {
@@ -72,11 +72,11 @@ func TestUpdateEagerMaintain(t *testing.T) {
 func TestUpdateLazyLeavesStale(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("materialize status %d", code)
 	}
 	var up api.UpdateResponse
-	if code := postJSON(t, ts.URL+"/update",
+	if code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Insert: insertNT("obsLazy", 1), Maintain: "lazy"}, &up); code != http.StatusOK {
 		t.Fatalf("lazy update status %d", code)
 	}
@@ -88,7 +88,7 @@ func TestUpdateLazyLeavesStale(t *testing.T) {
 func TestUpdateBadMaintainMode(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var out api.ErrorResponse
-	code := postJSON(t, ts.URL+"/update",
+	code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Insert: insertNT("obsBad", 1), Maintain: "sometimes"}, &out)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad maintain mode status %d, want 400", code)
@@ -160,7 +160,7 @@ func TestServerCacheBytesWiredThrough(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheBytes: 1 << 20})
 	query(t, ts, apexQuery)
 	var st api.StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
 	if st.Cache.MaxBytes == 0 {

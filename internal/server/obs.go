@@ -258,8 +258,8 @@ func toWireSpans(spans []obs.Span) []api.TraceSpan {
 }
 
 // instrument wraps a handler with per-endpoint request accounting. The
-// endpoint label is the canonical /v1 path, shared by its deprecated alias —
-// URL cardinality never leaks into label space. No-op when obs is disabled.
+// endpoint label is the route path without its /v1 prefix — URL cardinality
+// never leaks into label space. No-op when obs is disabled.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	if s.obs == nil {
 		return h

@@ -118,7 +118,7 @@ func TestMetricsFamiliesAndOutcomes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("materialize returned status %d", code)
 	}
 
@@ -300,7 +300,7 @@ func TestObsOff(t *testing.T) {
 func TestHealthzObservability(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var h api.HealthResponse
-	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &h); code != http.StatusOK {
 		t.Fatalf("healthz returned status %d", code)
 	}
 	if h.CheckpointAgeS != -1 {
@@ -337,7 +337,7 @@ func TestDebugQueriesLimit(t *testing.T) {
 func TestMetricsDuringWriterStorm(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 8})
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("materialize returned status %d", code)
 	}
 

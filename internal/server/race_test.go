@@ -30,7 +30,7 @@ func TestServeWhileRefresh(t *testing.T) {
 	// refresh has real work: country answers countryQuery, and the apex
 	// roll-up path exercises re-aggregation.
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("materialize returned status %d", code)
 	}
 
@@ -75,7 +75,7 @@ func TestServeWhileRefresh(t *testing.T) {
 				if i%2 == 1 {
 					q = countryQuery
 				}
-				resp, err := client.Post(ts.URL+"/query", "application/json",
+				resp, err := client.Post(ts.URL+"/v1/query", "application/json",
 					jsonBody(api.QueryRequest{Query: q}))
 				if err != nil {
 					report(fmt.Errorf("reader %d: %v", r, err))
@@ -114,11 +114,11 @@ func TestServeWhileRefresh(t *testing.T) {
 	// Writer: insert a batch, then refresh, every round.
 	for i := 0; i < rounds; i++ {
 		var up api.UpdateResponse
-		if code := postJSON(t, ts.URL+"/update",
+		if code := postJSON(t, ts.URL+"/v1/update",
 			api.UpdateRequest{Insert: obsTriples(fmt.Sprintf("race%d", i), popPerRound)}, &up); code != http.StatusOK {
 			t.Fatalf("round %d: update status %d", i, code)
 		}
-		if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "refresh"}, &act); code != http.StatusOK {
+		if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "refresh"}, &act); code != http.StatusOK {
 			t.Fatalf("round %d: refresh status %d", i, code)
 		}
 	}
@@ -159,7 +159,7 @@ func TestMVCCDifferentialUnderEagerStorm(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 8})
 
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("materialize returned status %d", code)
 	}
 
@@ -208,7 +208,7 @@ func TestMVCCDifferentialUnderEagerStorm(t *testing.T) {
 				if i%2 == 1 {
 					q = countryQuery
 				}
-				resp, err := client.Post(ts.URL+"/query", "application/json",
+				resp, err := client.Post(ts.URL+"/v1/query", "application/json",
 					jsonBody(api.QueryRequest{Query: q}))
 				if err != nil {
 					report(fmt.Errorf("reader %d: %v", r, err))
@@ -265,7 +265,7 @@ func TestMVCCDifferentialUnderEagerStorm(t *testing.T) {
 			},
 			Maintain: "eager",
 		}
-		if code := postJSON(t, ts.URL+"/update", req, &up); code != http.StatusOK {
+		if code := postJSON(t, ts.URL+"/v1/update", req, &up); code != http.StatusOK {
 			t.Fatalf("round %d: update status %d", i, code)
 		}
 		if up.Statements != 2 || up.Inserted != 8 {

@@ -90,10 +90,10 @@ func TestReplicaServesIdenticalAnswers(t *testing.T) {
 
 	// Committed before the replica exists: must arrive via the WAL tail.
 	var up api.UpdateResponse
-	if code := postJSON(t, pts.URL+"/update", api.UpdateRequest{Insert: obsTriples("pre1", 11)}, &up); code != 200 {
+	if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("pre1", 11)}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
-	if code := postJSON(t, pts.URL+"/update", api.UpdateRequest{Insert: obsTriples("pre2", 13), Maintain: "eager"}, &up); code != 200 {
+	if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("pre2", 13), Maintain: "eager"}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
 
@@ -108,12 +108,12 @@ func TestReplicaServesIdenticalAnswers(t *testing.T) {
 		if i%2 == 0 {
 			maintain = "eager"
 		}
-		if code := postJSON(t, pts.URL+"/update",
+		if code := postJSON(t, pts.URL+"/v1/update",
 			api.UpdateRequest{Insert: obsTriples(fmt.Sprintf("live%d", i), 20+i), Maintain: maintain}, &up); code != 200 {
 			t.Fatalf("update status %d", code)
 		}
 	}
-	if code := postJSON(t, pts.URL+"/update", api.UpdateRequest{Delete: obsTriples("pre1", 11)}, &up); code != 200 {
+	if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Delete: obsTriples("pre1", 11)}, &up); code != 200 {
 		t.Fatalf("delete status %d", code)
 	}
 
@@ -122,14 +122,14 @@ func TestReplicaServesIdenticalAnswers(t *testing.T) {
 
 	// The replica advertises its role, generation, and lag.
 	var h api.HealthResponse
-	if code := getJSON(t, rts.URL+"/healthz", &h); code != 200 {
+	if code := getJSON(t, rts.URL+"/v1/healthz", &h); code != 200 {
 		t.Fatalf("healthz status %d", code)
 	}
 	if !h.OK || h.Role != RoleReplica || h.Generation != psrv.System().Generation() || h.ReplicaLag != 0 {
 		t.Fatalf("replica healthz = %+v", h)
 	}
 	var rst api.StatsResponse
-	if code := getJSON(t, rts.URL+"/stats", &rst); code != 200 {
+	if code := getJSON(t, rts.URL+"/v1/stats", &rst); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if rst.Role != RoleReplica || rst.Replication == nil || rst.Replication.AppliedRecords == 0 ||
@@ -139,7 +139,7 @@ func TestReplicaServesIdenticalAnswers(t *testing.T) {
 
 	// The primary's stats list the replica's progress report.
 	var pst api.StatsResponse
-	if code := getJSON(t, pts.URL+"/stats", &pst); code != 200 {
+	if code := getJSON(t, pts.URL+"/v1/stats", &pst); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if pst.Replication == nil || len(pst.Replication.Replicas) != 1 ||
@@ -179,7 +179,7 @@ func TestUpdateAckReplicas(t *testing.T) {
 	rsrv, _ := newReplicaServer(t, pts, Config{})
 
 	var up api.UpdateResponse
-	if code := postJSON(t, pts.URL+"/update",
+	if code := postJSON(t, pts.URL+"/v1/update",
 		api.UpdateRequest{Insert: obsTriples("acked", 9), Ack: "replicas:1"}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
@@ -200,7 +200,7 @@ func TestUpdateAckTimesOutWithoutReplicas(t *testing.T) {
 	before := srv.System().Generation()
 
 	var env api.ErrorResponse
-	code := postJSON(t, ts.URL+"/update",
+	code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Insert: obsTriples("orphan", 3), Ack: "replicas:1"}, &env)
 	if code != http.StatusGatewayTimeout || env.Error.Code != api.CodeReplicationTimeout {
 		t.Fatalf("status %d code %q, want 504 %q", code, env.Error.Code, api.CodeReplicationTimeout)
@@ -210,7 +210,7 @@ func TestUpdateAckTimesOutWithoutReplicas(t *testing.T) {
 	}
 
 	var bad api.ErrorResponse
-	if code := postJSON(t, ts.URL+"/update",
+	if code := postJSON(t, ts.URL+"/v1/update",
 		api.UpdateRequest{Insert: obsTriples("bad", 3), Ack: "replicas:0"}, &bad); code != http.StatusBadRequest {
 		t.Fatalf("ack=replicas:0 status %d, want 400", code)
 	}
@@ -251,7 +251,7 @@ func TestReplicaKillPoints(t *testing.T) {
 	// include "just before rotation" (2) and "just after" (3).
 	var up api.UpdateResponse
 	for i := 0; i < 2; i++ {
-		if code := postJSON(t, pts.URL+"/update", api.UpdateRequest{Insert: obsTriples(fmt.Sprintf("a%d", i), i+1)}, &up); code != 200 {
+		if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples(fmt.Sprintf("a%d", i), i+1)}, &up); code != 200 {
 			t.Fatalf("update status %d", code)
 		}
 	}
@@ -259,7 +259,7 @@ func TestReplicaKillPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if code := postJSON(t, pts.URL+"/update", api.UpdateRequest{Insert: obsTriples(fmt.Sprintf("b%d", i), i+10), Maintain: "eager"}, &up); code != 200 {
+		if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples(fmt.Sprintf("b%d", i), i+10), Maintain: "eager"}, &up); code != 200 {
 			t.Fatalf("update status %d", code)
 		}
 	}
@@ -330,7 +330,7 @@ func TestReplicaStreamVsCheckpointTruncation(t *testing.T) {
 	go func() {
 		var up api.UpdateResponse
 		for i := 0; i < 12; i++ {
-			if code := postJSON(t, pts.URL+"/update",
+			if code := postJSON(t, pts.URL+"/v1/update",
 				api.UpdateRequest{Insert: obsTriples(fmt.Sprintf("t%d", i), i+1)}, &up); code != 200 {
 				done <- fmt.Errorf("update %d status %d", i, code)
 				return
@@ -427,7 +427,7 @@ func TestReadYourWrites(t *testing.T) {
 func TestWALStreamEndpointErrors(t *testing.T) {
 	psrv, pts, _ := newDurableServer(t, t.TempDir())
 	var up api.UpdateResponse
-	if code := postJSON(t, pts.URL+"/update", api.UpdateRequest{Insert: obsTriples("s", 5)}, &up); code != 200 {
+	if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("s", 5)}, &up); code != 200 {
 		t.Fatalf("update status %d", code)
 	}
 	if _, err := psrv.Checkpoint(); err != nil {

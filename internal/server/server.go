@@ -3,10 +3,9 @@
 // loop — /v1/query answers analytical queries through the rewriter (so
 // materialized views are used transparently), /v1/update applies batched
 // inserts and deletes, /v1/views lists and manages materializations, and
-// /v1/stats reports serving and cache health. The legacy unversioned paths
-// remain as thin aliases that serve identical bodies plus a Deprecation
-// header naming the successor. Request and response bodies are the typed
-// structs of internal/api; every non-200 response is the uniform
+// /v1/stats reports serving and cache health; paths outside /v1 answer 404.
+// Request and response bodies are the typed structs of internal/api; every
+// non-200 response of a /v1 endpoint is the uniform
 // {"error":{"code","message"}} envelope, and every response carries an
 // X-Sofos-Generation header so clients can track the catalog generation they
 // have observed.
@@ -231,10 +230,7 @@ func New(sys *core.System, cfg Config) *Server {
 	if !cfg.ObsOff {
 		s.obs = newServerObs(s, cfg)
 	}
-	// The versioned route tree, with the legacy unversioned paths kept as
-	// thin deprecated aliases onto the same handlers. Both spellings share
-	// one instrumented handler, so the endpoint metric label is always the
-	// canonical path.
+	// The versioned route tree is the only one: any path outside it is 404.
 	for path, h := range map[string]http.HandlerFunc{
 		"/query":            s.handleQuery,
 		"/update":           s.handleUpdate,
@@ -242,31 +238,15 @@ func New(sys *core.System, cfg Config) *Server {
 		"/stats":            s.handleStats,
 		"/healthz":          s.handleHealthz,
 		"/admin/checkpoint": s.handleAdminCheckpoint,
+		"/wal":              s.handleWALStream,
+		"/checkpoint":       s.handleCheckpointArchive,
+		"/replica/ack":      s.handleReplicaAck,
+		"/metrics":          s.handleMetrics,
+		"/debug/queries":    s.handleDebugQueries,
 	} {
-		h = s.instrument(path, h)
-		s.mux.HandleFunc(api.Prefix+path, h)
-		s.mux.HandleFunc(path, deprecatedAlias(path, h))
+		s.mux.HandleFunc(api.Prefix+path, s.instrument(path, h))
 	}
-	// Replication and observability endpoints exist only under /v1 — they
-	// postdate the legacy surface.
-	s.mux.HandleFunc(api.Prefix+"/wal", s.instrument("/wal", s.handleWALStream))
-	s.mux.HandleFunc(api.Prefix+"/checkpoint", s.instrument("/checkpoint", s.handleCheckpointArchive))
-	s.mux.HandleFunc(api.Prefix+"/replica/ack", s.instrument("/replica/ack", s.handleReplicaAck))
-	s.mux.HandleFunc(api.Prefix+"/metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.HandleFunc(api.Prefix+"/debug/queries", s.instrument("/debug/queries", s.handleDebugQueries))
 	return s
-}
-
-// deprecatedAlias wraps a /v1 handler for its legacy unversioned path:
-// identical behavior plus headers telling the client where to migrate.
-func deprecatedAlias(path string, h http.HandlerFunc) http.HandlerFunc {
-	successor := api.Prefix + path
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.HeaderDeprecation, "true")
-		w.Header().Set("Link", link)
-		h(w, r)
-	}
 }
 
 // Handler returns the HTTP handler serving all endpoints. Every response is

@@ -132,7 +132,7 @@ func getJSON(t testing.TB, url string, out any) int {
 func query(t testing.TB, ts *httptest.Server, q string) api.QueryResponse {
 	t.Helper()
 	var out api.QueryResponse
-	if code := postJSON(t, ts.URL+"/query", api.QueryRequest{Query: q}, &out); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Query: q}, &out); code != http.StatusOK {
 		t.Fatalf("query returned status %d", code)
 	}
 	return out
@@ -184,7 +184,7 @@ func TestQueryGetAndPost(t *testing.T) {
 		t.Fatalf("expected 4 country rows, got %d", len(post.Rows))
 	}
 	var get api.QueryResponse
-	u := ts.URL + "/query?q=" + strings.ReplaceAll(strings.ReplaceAll(countryQuery, "\n", "%0A"), " ", "+")
+	u := ts.URL + "/v1/query?q=" + strings.ReplaceAll(strings.ReplaceAll(countryQuery, "\n", "%0A"), " ", "+")
 	if code := getJSON(t, u, &get); code != http.StatusOK {
 		t.Fatalf("GET query returned status %d", code)
 	}
@@ -200,22 +200,46 @@ func TestQueryGetAndPost(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var e api.ErrorResponse
-	if code := postJSON(t, ts.URL+"/query", api.QueryRequest{Query: "SELECT nonsense"}, &e); code != http.StatusBadRequest {
+	if code := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{Query: "SELECT nonsense"}, &e); code != http.StatusBadRequest {
 		t.Errorf("parse error: expected 400, got %d", code)
 	}
 	if e.Error.Message == "" || e.Error.Code == "" {
 		t.Error("parse error: expected an error message")
 	}
-	if code := postJSON(t, ts.URL+"/query", api.QueryRequest{}, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty query: expected 400, got %d", code)
 	}
-	resp, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader("{}"))
+	resp, err := http.Post(ts.URL+"/v1/update", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty update: expected 400, got %d", resp.StatusCode)
+	}
+}
+
+// TestUnversionedPathsAreNotFound pins /v1 as the only route tree: the
+// unversioned spellings of every endpoint answer 404, and a write sent to
+// one applies nothing.
+func TestUnversionedPathsAreNotFound(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	before := srv.System().Generation()
+	for _, path := range []string{"/query", "/update", "/views", "/stats", "/healthz", "/admin/checkpoint"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("unversioned", 1)}, nil); code != http.StatusNotFound {
+		t.Errorf("POST /update: status %d, want 404", code)
+	}
+	if got := srv.System().Generation(); got != before {
+		t.Errorf("generation %d after a 404 update, want %d", got, before)
 	}
 }
 
@@ -235,7 +259,7 @@ func TestCacheFreshnessAfterUpdate(t *testing.T) {
 	sum0 := numCell(t, first.Rows[0][0])
 
 	var up api.UpdateResponse
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("fresh1", 1000)}, &up); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("fresh1", 1000)}, &up); code != http.StatusOK {
 		t.Fatalf("update returned status %d", code)
 	}
 	if up.Inserted != 4 {
@@ -268,7 +292,7 @@ func TestCacheFreshnessAfterUpdate(t *testing.T) {
 func TestViewsLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("materialize returned status %d", code)
 	}
 	if len(act.Views) != 1 || act.Views[0] != "country" {
@@ -280,18 +304,18 @@ func TestViewsLifecycle(t *testing.T) {
 		t.Fatalf("expected the country view to answer, got %q (reason %q)", ans.Via, ans.Reason)
 	}
 
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: obsTriples("fresh2", 50)}, nil); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("fresh2", 50)}, nil); code != http.StatusOK {
 		t.Fatalf("update returned status %d", code)
 	}
 	var list api.ViewsResponse
-	if code := getJSON(t, ts.URL+"/views", &list); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/views", &list); code != http.StatusOK {
 		t.Fatalf("list returned status %d", code)
 	}
 	if len(list.Materialized) != 1 || !list.Materialized[0].Stale {
 		t.Fatalf("expected one stale view, got %+v", list.Materialized)
 	}
 
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "refresh"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "refresh"}, &act); code != http.StatusOK {
 		t.Fatalf("refresh returned status %d", code)
 	}
 	if act.Refreshed != 1 {
@@ -303,13 +327,13 @@ func TestViewsLifecycle(t *testing.T) {
 		t.Fatalf("expected the refreshed view to answer, got %q", ans.Via)
 	}
 
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "drop", View: "country"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "drop", View: "country"}, &act); code != http.StatusOK {
 		t.Fatalf("drop returned status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "drop", View: "country"}, nil); code != http.StatusNotFound {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "drop", View: "country"}, nil); code != http.StatusNotFound {
 		t.Fatalf("double drop: expected 404, got %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "reset"}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "reset"}, &act); code != http.StatusOK {
 		t.Fatalf("reset returned status %d", code)
 	}
 }
@@ -317,14 +341,14 @@ func TestViewsLifecycle(t *testing.T) {
 func TestMaterializeBySelection(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var act api.ViewsActionResponse
-	if code := postJSON(t, ts.URL+"/views", api.ViewsRequest{Action: "materialize", Model: "aggvalues", K: 2}, &act); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/views", api.ViewsRequest{Action: "materialize", Model: "aggvalues", K: 2}, &act); code != http.StatusOK {
 		t.Fatalf("materialize by model returned status %d", code)
 	}
 	if len(act.Views) == 0 {
 		t.Fatal("expected the selection to materialize at least one view")
 	}
 	var list api.ViewsResponse
-	getJSON(t, ts.URL+"/views", &list)
+	getJSON(t, ts.URL+"/v1/views", &list)
 	if len(list.Materialized) != len(act.Views) {
 		t.Fatalf("listed %d views, acted on %d", len(list.Materialized), len(act.Views))
 	}
@@ -335,7 +359,7 @@ func TestStatsEndpoint(t *testing.T) {
 	query(t, ts, apexQuery)
 	query(t, ts, apexQuery)
 	var st api.StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats returned status %d", code)
 	}
 	if st.Queries != 2 {
@@ -372,7 +396,7 @@ func TestStatsEndpoint(t *testing.T) {
 			st.BaseTriples, viewTriples, st.Amplification)
 	}
 	var h api.HealthResponse
-	if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK || !h.OK {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &h); code != http.StatusOK || !h.OK {
 		t.Errorf("healthz = %+v (status %d)", h, code)
 	}
 	if h.Role != RolePrimary || h.Generation != st.Generation {
@@ -385,11 +409,11 @@ func TestUpdateDelete(t *testing.T) {
 	before := numCell(t, query(t, ts, apexQuery).Rows[0][0])
 	block := obsTriples("fresh3", 77)
 	var up api.UpdateResponse
-	postJSON(t, ts.URL+"/update", api.UpdateRequest{Insert: block}, &up)
+	postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Insert: block}, &up)
 	if got := numCell(t, query(t, ts, apexQuery).Rows[0][0]); got != before+77 {
 		t.Fatalf("after insert sum = %v, want %v", got, before+77)
 	}
-	if code := postJSON(t, ts.URL+"/update", api.UpdateRequest{Delete: block}, &up); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{Delete: block}, &up); code != http.StatusOK {
 		t.Fatalf("delete returned status %d", code)
 	}
 	if up.Deleted != 4 {
@@ -411,7 +435,7 @@ func TestUpdateAtomicOnError(t *testing.T) {
 	triples0 := srv.System().Graph.Len()
 
 	var e api.ErrorResponse
-	code := postJSON(t, ts.URL+"/update", api.UpdateRequest{
+	code := postJSON(t, ts.URL+"/v1/update", api.UpdateRequest{
 		Insert: obsTriples("freshAtomic", 500),
 		Delete: "<http://ex.org/x> <http://ex.org/y> not-a-term",
 	}, &e)

@@ -94,3 +94,13 @@ func (c *idCounts) sortedIDs() []rdf.ID {
 	slices.Sort(ids)
 	return ids
 }
+
+// decOrDelete decrements a counter, deleting the key at zero so len() of the
+// counter map equals the number of distinct live components.
+func decOrDelete(m map[rdf.ID]int, k rdf.ID) {
+	if m[k] <= 1 {
+		delete(m, k)
+	} else {
+		m[k]--
+	}
+}

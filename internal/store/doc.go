@@ -36,6 +36,7 @@
 // commit time for incremental view maintenance; OverlayWith builds an
 // O(|overlay| + |Δ|) read-only union of the graph and extra triples —
 // sharing the immutable runs — which maintenance uses to evaluate
-// delete-side joins against the pre-update state. NestedMapGraph preserves the seed's
-// nested-map design as a differential-testing and benchmarking baseline.
+// delete-side joins against the pre-update state. The package's tests check
+// Graph against NestedMapGraph, a nested-map model defined in
+// reference_test.go.
 package store

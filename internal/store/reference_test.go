@@ -2,13 +2,11 @@ package store
 
 import "sofos/internal/rdf"
 
-// NestedMapGraph is the seed's original store design — three nested-map
-// indexes (map[ID]map[ID]map[ID]struct{}) for SPO, POS, and OSP — retained
-// as a reference implementation. It exists for two purposes: differential
-// tests assert that the columnar Graph produces byte-identical Match and
-// Estimate results, and the store microbenchmarks report the old-vs-new
-// representation speedup. It operates on encoded IDs only (no dictionary,
-// no locking) and must not be used outside tests and benchmarks.
+// NestedMapGraph is the trivially correct model the columnar Graph is tested
+// against: three nested-map indexes (map[ID]map[ID]map[ID]struct{}) for SPO,
+// POS, and OSP. TestGraphPropertyVsNestedMap and TestDifferentialBulkLoad
+// assert that Graph produces the same Match and Estimate results. It
+// operates on encoded IDs only (no dictionary, no locking).
 type NestedMapGraph struct {
 	spo nestedIndex
 	pos nestedIndex
@@ -107,18 +105,7 @@ func (g *NestedMapGraph) Remove(s, p, o rdf.ID) bool {
 	return true
 }
 
-// decOrDelete decrements a counter, deleting the key at zero so len() of the
-// counter maps equals the number of distinct live components.
-func decOrDelete(m map[rdf.ID]int, k rdf.ID) {
-	if m[k] <= 1 {
-		delete(m, k)
-	} else {
-		m[k]--
-	}
-}
-
-// Clone returns a deep copy — the per-triple re-insertion cost the columnar
-// Clone's memcpy path is benchmarked against.
+// Clone returns a deep copy.
 func (g *NestedMapGraph) Clone() *NestedMapGraph {
 	c := NewNestedMapGraph()
 	g.Match(rdf.NoID, rdf.NoID, rdf.NoID, func(s, p, o rdf.ID) bool {
