@@ -27,6 +27,7 @@ import (
 	"sofos/internal/persist"
 	"sofos/internal/selection"
 	"sofos/internal/store"
+	"sofos/internal/views"
 	"sofos/internal/workload"
 )
 
@@ -221,9 +222,10 @@ func cmdInspect(args []string, w io.Writer) error {
 		v, mat.Data.NumGroups(), mat.Triples, mat.Nodes(), v.Query())
 	header := append(append([]string{}, v.Dims()...), s.Facet.Agg.String())
 	t := benchkit.NewTable("contents (first groups)", header...)
-	for i, g := range mat.Data.Groups {
-		if i >= *limit {
-			break
+	shown := 0
+	mat.Data.Each(func(g views.Group) bool {
+		if shown >= *limit {
+			return false
 		}
 		row := make([]string, 0, len(header))
 		for _, kv := range g.Key {
@@ -231,7 +233,9 @@ func cmdInspect(args []string, w io.Writer) error {
 		}
 		row = append(row, g.Agg.String())
 		t.AddRow(row...)
-	}
+		shown++
+		return true
+	})
 	return t.Render(w)
 }
 

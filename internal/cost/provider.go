@@ -76,12 +76,13 @@ func NewProvider(g *store.Graph, l *facet.Lattice) (*Provider, error) {
 	for mask, d := range p.data {
 		st := views.ComputeStats(d)
 		var bytes int64
-		for _, grp := range d.Groups {
+		d.Each(func(grp views.Group) bool {
 			for _, kv := range grp.Key {
 				bytes += int64(len(kv.Term.Value) + 8)
 			}
 			bytes += int64(len(grp.Agg.Term.Value) + 24)
-		}
+			return true
+		})
 		p.stats[mask] = ViewStats{
 			Mask:        mask,
 			Groups:      st.Groups,

@@ -223,8 +223,10 @@ func TestSWDFShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rolled.NumGroups() != 1 || !rolled.Groups[0].Agg.Bound {
-		t.Errorf("SWDF apex roll-up = %+v", rolled.Groups)
+	var apex views.Group
+	rolled.Each(func(g views.Group) bool { apex = g; return false })
+	if rolled.NumGroups() != 1 || !apex.Agg.Bound {
+		t.Errorf("SWDF apex roll-up: %d groups, first %+v", rolled.NumGroups(), apex)
 	}
 }
 

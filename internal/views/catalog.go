@@ -64,13 +64,6 @@ type Materialized struct {
 	// used for staleness detection (see Catalog.Stale).
 	baseVersion int64
 
-	// keyIdx lazily indexes Data.Groups by binary group key for the
-	// incremental maintenance path. Records are replaced wholesale on
-	// refresh, so the index is built at most once per record; the Once makes
-	// concurrent read-side planners safe.
-	keyIdxOnce sync.Once
-	keyIdx     map[string]int
-
 	nodesOnce sync.Once
 	nodes     int
 }
@@ -81,19 +74,6 @@ type Materialized struct {
 func (m *Materialized) Nodes() int {
 	m.nodesOnce.Do(func() { m.nodes = ComputeStats(m.Data).Nodes })
 	return m.nodes
-}
-
-// groupIndex returns the record's binary-key → group-position index,
-// building it on first use.
-func (m *Materialized) groupIndex() map[string]int {
-	m.keyIdxOnce.Do(func() {
-		idx := make(map[string]int, len(m.Data.Groups))
-		for i := range m.Data.Groups {
-			idx[binaryGroupKey(m.Data.Groups[i].Key)] = i
-		}
-		m.keyIdx = idx
-	})
-	return m.keyIdx
 }
 
 // View is a convenience accessor.
@@ -404,10 +384,28 @@ func newGroupEncoder(v facet.View) *groupEncoder {
 // canonical key bytes — collisions would merge two groups' encodings, so the
 // hash is sized to make them negligible.
 func (e *groupEncoder) groupLabel(key []algebra.Value) string {
+	var kb []byte
+	for _, kv := range key {
+		kb = appendKeyValue(kb, kv)
+	}
 	h := fnv.New128a()
-	h.Write([]byte(binaryGroupKey(key)))
+	h.Write(kb)
 	var buf [16]byte
 	return "g_" + e.view.Facet.Name + "_" + e.view.ID() + "_" + hex.EncodeToString(h.Sum(buf[:0]))
+}
+
+// appendKeyValue appends a group-key value's canonical bytes to b: a key's
+// values in order are the input of its stable blank-node label, and the
+// identity RollUp groups by. Values that compareValues orders as equal
+// render identically.
+func appendKeyValue(b []byte, kv algebra.Value) []byte {
+	if !kv.Bound {
+		return append(b, 0xfe)
+	}
+	b = append(b, byte(kv.Term.Kind))
+	b = append(append(b, kv.Term.Value...), 0)
+	b = append(append(b, kv.Term.Datatype...), 0)
+	return append(append(b, kv.Term.Lang...), 0)
 }
 
 // encode renders one group's triples.
@@ -446,14 +444,19 @@ func (e *groupEncoder) encode(g Group) ([]rdf.Triple, error) {
 func Encode(data *Data) ([]rdf.Triple, error) {
 	e := newGroupEncoder(data.View)
 	var out []rdf.Triple
-	for i, g := range data.Groups {
-		ts, err := e.encode(g)
-		if err != nil {
-			return nil, fmt.Errorf("views: group %d: %w", i, err)
+	var err error
+	i := 0
+	data.Each(func(g Group) bool {
+		var ts []rdf.Triple
+		if ts, err = e.encode(g); err != nil {
+			err = fmt.Errorf("views: group %d: %w", i, err)
+			return false
 		}
 		out = append(out, ts...)
-	}
-	return out, nil
+		i++
+		return true
+	})
+	return out, err
 }
 
 // tripleBytes estimates the stored size of one encoded triple, the unit the

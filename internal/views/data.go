@@ -2,7 +2,6 @@ package views
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"sofos/internal/algebra"
@@ -34,15 +33,21 @@ type Group struct {
 const RowsAlias = "__rows"
 
 // Data is the computed content of one view, independent of its RDF encoding.
+// Its groups are kept in key order in a persistent table (see groupTable)
+// that an incremental refresh shares, chunk by chunk, with the record it
+// replaces, so Data must not change once its record is published.
 type Data struct {
 	View        facet.View
-	Groups      []Group
+	groups      groupTable
 	ComputeTime time.Duration
-	Source      string // "base" or "rollup:<parent view id>"
+	Source      string // "base", "rollup:<parent view id>" or "incremental"
 }
 
 // NumGroups is |Vi(G)|, the paper's "number of aggregated values" quantity.
-func (d *Data) NumGroups() int { return len(d.Groups) }
+func (d *Data) NumGroups() int { return d.groups.n }
+
+// Each calls fn on every group in key order until fn returns false.
+func (d *Data) Each(fn func(Group) bool) { d.groups.each(fn) }
 
 // Compute evaluates the view's defining query on the engine's graph, with a
 // hidden COUNT(*) companion column so every group carries its contribution
@@ -57,8 +62,8 @@ func Compute(eng *engine.Engine, v facet.View) (*Data, error) {
 		return nil, fmt.Errorf("views: computing %s: %w", v, err)
 	}
 	nd := len(v.Dims())
-	d := &Data{View: v, Source: "base"}
 	isAvg := v.Facet.Agg == sparql.AggAvg
+	groups := make([]Group, 0, len(res.Rows))
 	for _, row := range res.Rows {
 		g := Group{Key: append([]algebra.Value(nil), row[:nd]...), Agg: row[nd]}
 		if isAvg {
@@ -76,10 +81,9 @@ func Compute(eng *engine.Engine, v facet.View) (*Data, error) {
 				g.N = int64(n)
 			}
 		}
-		d.Groups = append(d.Groups, g)
+		groups = append(groups, g)
 	}
-	d.ComputeTime = time.Since(start)
-	return d, nil
+	return &Data{View: v, groups: newGroupTable(sortGroups(groups)), ComputeTime: time.Since(start), Source: "base"}, nil
 }
 
 // RollUp computes a coarser view from an already-computed finer one. The
@@ -116,26 +120,26 @@ func RollUp(parent *Data, target facet.View) (*Data, error) {
 		poisoned   bool
 	}
 	byKey := make(map[string]*acc)
-	var order []string
-	var kb strings.Builder
-	for _, g := range parent.Groups {
-		kb.Reset()
-		key := make([]algebra.Value, len(proj))
-		for i, j := range proj {
-			key[i] = g.Key[j]
-			kb.WriteString(key[i].String())
-			kb.WriteByte('\x00')
+	var order []*acc
+	var kb []byte
+	parent.Each(func(g Group) bool {
+		kb = kb[:0]
+		for _, j := range proj {
+			kb = appendKeyValue(kb, g.Key[j])
 		}
-		ks := kb.String()
-		a, ok := byKey[ks]
+		a, ok := byKey[string(kb)]
 		if !ok {
+			key := make([]algebra.Value, len(proj))
+			for i, j := range proj {
+				key[i] = g.Key[j]
+			}
 			a = &acc{key: key}
-			byKey[ks] = a
-			order = append(order, ks)
+			byKey[string(kb)] = a
+			order = append(order, a)
 		}
 		a.rows += g.N
 		if a.poisoned {
-			continue
+			return true
 		}
 		switch agg {
 		case sparql.AggAvg:
@@ -144,24 +148,24 @@ func RollUp(parent *Data, target facet.View) (*Data, error) {
 		default:
 			if !g.Agg.Bound {
 				a.poisoned = true
-				continue
+				return true
 			}
 			if !a.aggBound {
 				a.aggTerm = g.Agg.Term
 				a.aggBound = true
-				continue
+				return true
 			}
 			merged, err := algebra.MergeAggregates(agg, a.aggTerm, g.Agg.Term)
 			if err != nil {
 				a.poisoned = true
-				continue
+				return true
 			}
 			a.aggTerm = merged
 		}
-	}
-	out := &Data{View: target, Source: "rollup:" + parent.View.ID()}
-	for _, ks := range order {
-		a := byKey[ks]
+		return true
+	})
+	groups := make([]Group, 0, len(order))
+	for _, a := range order {
 		g := Group{Key: a.key, N: a.rows}
 		switch {
 		case a.poisoned:
@@ -174,10 +178,14 @@ func RollUp(parent *Data, target facet.View) (*Data, error) {
 		case a.aggBound:
 			g.Agg = algebra.Bind(a.aggTerm)
 		}
-		out.Groups = append(out.Groups, g)
+		groups = append(groups, g)
 	}
-	out.ComputeTime = time.Since(start)
-	return out, nil
+	return &Data{
+		View:        target,
+		groups:      newGroupTable(sortGroups(groups)),
+		ComputeTime: time.Since(start),
+		Source:      "rollup:" + parent.View.ID(),
+	}, nil
 }
 
 // Stats summarizes a view's size in the three quantities the paper's cost
@@ -192,12 +200,14 @@ type Stats struct {
 // a graph.
 func ComputeStats(d *Data) Stats {
 	isAvg := d.View.Facet.Agg == sparql.AggAvg
-	st := Stats{Groups: len(d.Groups)}
+	st := Stats{Groups: d.NumGroups()}
 	nodes := make(map[string]struct{})
 	nodes["iri:"+d.View.IRI()] = struct{}{}
-	for i, g := range d.Groups {
+	i := 0
+	d.Each(func(g Group) bool {
 		// One blank node per group.
 		nodes[fmt.Sprintf("b:%d", i)] = struct{}{}
+		i++
 		st.Triples++ // inView triple
 		for _, kv := range g.Key {
 			if kv.Bound {
@@ -214,7 +224,8 @@ func ComputeStats(d *Data) Stats {
 			nodes[algebra.FormatFloat(g.Sum).String()+"^s"] = struct{}{}
 			nodes[algebra.FormatFloat(g.Count).String()+"^c"] = struct{}{}
 		}
-	}
+		return true
+	})
 	st.Nodes = len(nodes)
 	return st
 }

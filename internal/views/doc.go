@@ -25,6 +25,10 @@
 // deaths decided by per-group contribution counts (Group.N) — falling back
 // to a full recompute exactly when a delete touches a MIN/MAX extremum or
 // the pattern/log is ineligible (see incremental.go and MaintenanceMode).
+// A view's groups are a persistent table sorted by key in fixed-size chunks
+// (grouptable.go): a refresh copies only the chunks its deltas touch and
+// shares the rest with the record it replaces, so its cost follows |ΔG|, not
+// the size of the view.
 // PlanRefresh/CommitRefresh split refresh into a read-only compute phase
 // and a short mutation phase so a serving layer can refresh concurrently
 // with query traffic. Generation counts every committed catalog mutation

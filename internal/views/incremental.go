@@ -2,6 +2,7 @@ package views
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -94,27 +95,6 @@ func (c *Catalog) MaintenanceMode() MaintenanceMode { return c.maintMode }
 // recompute-and-diff path; benchmarks use it as the ablation baseline.
 // Callers must not race it with refreshes.
 func (c *Catalog) SetIncrementalMaintenance(enabled bool) { c.noIncremental = !enabled }
-
-// binaryGroupKey renders a group key as canonical bytes: the map key the
-// incremental path indexes Data.Groups by, and the input of the stable
-// blank-node labels of the G+ encoding.
-func binaryGroupKey(key []algebra.Value) string {
-	var b strings.Builder
-	for _, kv := range key {
-		if !kv.Bound {
-			b.WriteByte(0xfe)
-			continue
-		}
-		b.WriteByte(byte(kv.Term.Kind))
-		b.WriteString(kv.Term.Value)
-		b.WriteByte(0)
-		b.WriteString(kv.Term.Datatype)
-		b.WriteByte(0)
-		b.WriteString(kv.Term.Lang)
-		b.WriteByte(0)
-	}
-	return b.String()
-}
 
 // --- delta log ---
 
@@ -412,11 +392,43 @@ func deltaSolutions(eng *engine.Engine, f *facet.Facet, dims []string, delta []r
 
 // --- group delta application ---
 
-// groupDelta accumulates one group's gained and lost measure values.
+// groupDelta accumulates one group's gained and lost measure values, one per
+// gained or lost solution.
 type groupDelta struct {
-	key        []algebra.Value
-	ins, del   []algebra.Value
-	insN, delN int
+	key      []algebra.Value
+	ins, del []algebra.Value
+}
+
+// groupDeltas folds the gained and lost solutions into one delta per group,
+// sorted by key — the order a groupTable update walks in. The sort is stable
+// over the inserts followed by the deletes, so each group sees its measure
+// values in solution order.
+func groupDeltas(insRows, delRows []deltaRow) []groupDelta {
+	type signedRow struct {
+		row    *deltaRow
+		insert bool
+	}
+	rows := make([]signedRow, 0, len(insRows)+len(delRows))
+	for i := range insRows {
+		rows = append(rows, signedRow{&insRows[i], true})
+	}
+	for i := range delRows {
+		rows = append(rows, signedRow{&delRows[i], false})
+	}
+	slices.SortStableFunc(rows, func(a, b signedRow) int { return compareKeys(a.row.dims, b.row.dims) })
+	var out []groupDelta
+	for _, r := range rows {
+		if n := len(out); n == 0 || compareKeys(out[n-1].key, r.row.dims) != 0 {
+			out = append(out, groupDelta{key: r.row.dims})
+		}
+		d := &out[len(out)-1]
+		if r.insert {
+			d.ins = append(d.ins, r.row.measure)
+		} else {
+			d.del = append(d.del, r.row.measure)
+		}
+	}
+	return out
 }
 
 // encodingDiff is the exact G+ mutation an incremental refresh commits.
@@ -434,7 +446,7 @@ type encodingDiff struct {
 // values, and AVG adjusts its stored (Sum, Count) companions — the exact
 // case MergeDelta's contract delegates to the companions.
 func applyDelta(agg sparql.AggKind, g Group, d *groupDelta, existing bool) (Group, bool) {
-	g.N += int64(d.insN - d.delN)
+	g.N += int64(len(d.ins) - len(d.del))
 	num := func(v algebra.Value) (float64, bool) {
 		if !v.Bound {
 			return 0, false
@@ -451,11 +463,11 @@ func applyDelta(agg sparql.AggKind, g Group, d *groupDelta, existing bool) (Grou
 		}
 		// Counts are integral, so MergeDelta's FormatFloat output is exactly
 		// the accumulator's NewInteger rendering.
-		cur, err := algebra.MergeDelta(agg, cur, rdf.NewInteger(int64(d.insN)), false)
+		cur, err := algebra.MergeDelta(agg, cur, rdf.NewInteger(int64(len(d.ins))), false)
 		if err != nil {
 			return g, false
 		}
-		cur, err = algebra.MergeDelta(agg, cur, rdf.NewInteger(int64(d.delN)), true)
+		cur, err = algebra.MergeDelta(agg, cur, rdf.NewInteger(int64(len(d.del))), true)
 		if err != nil {
 			return g, false
 		}
@@ -556,134 +568,64 @@ func applyDelta(agg sparql.AggKind, g Group, d *groupDelta, existing bool) (Grou
 	return g, true
 }
 
-// applyGroupDeltas applies the gained and lost solutions to a copy of the
-// stored view contents: births, in-place updates, and deaths, plus the exact
-// G+ encoding diff (content-keyed blank labels keep untouched groups'
-// triples in place). ok is false when any group needs a full recompute.
+// applyGroupDeltas applies the gained and lost solutions to the stored view
+// contents — births, updates and deaths — producing a successor table that
+// shares every chunk no delta touches, plus the exact G+ encoding diff
+// (content-keyed blank labels keep untouched groups' triples in place). ok
+// is false when any group needs a full recompute.
 func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaRow) (*Data, *encodingDiff, bool, error) {
-	old := mat.Data
 	agg := v.Facet.Agg
-	deltas := make(map[string]*groupDelta)
-	var order []string
-	collect := func(rows []deltaRow, insert bool) {
-		for _, r := range rows {
-			k := binaryGroupKey(r.dims)
-			d, ok := deltas[k]
-			if !ok {
-				d = &groupDelta{key: r.dims}
-				deltas[k] = d
-				order = append(order, k)
-			}
-			if insert {
-				d.ins = append(d.ins, r.measure)
-				d.insN++
-			} else {
-				d.del = append(d.del, r.measure)
-				d.delN++
-			}
-		}
-	}
-	collect(insRows, true)
-	collect(delRows, false)
-
-	// The record's cached binary-key index (built once per record, not per
-	// refresh) locates each delta's group.
-	idx := mat.groupIndex()
-	// One copy of the groups per refresh: room for every delta to be a birth,
-	// so the surviving and born groups below are assembled in place.
-	newGroups := make([]Group, len(old.Groups), len(old.Groups)+len(order))
-	copy(newGroups, old.Groups)
-	dead := make(map[int]bool)
-	encChanged := make(map[int]bool)
-	var born []Group
-	for _, k := range order {
-		d := deltas[k]
-		i, exists := idx[k]
-		if !exists {
-			if d.delN > 0 {
-				return nil, nil, false, nil // deleting from an unknown group: state and log disagree
-			}
-			g, ok := applyDelta(agg, Group{Key: d.key}, d, false)
-			if !ok {
-				return nil, nil, false, nil
-			}
-			if g.N > 0 {
-				born = append(born, g)
-			}
-			continue
-		}
-		g, ok := applyDelta(agg, newGroups[i], d, true)
-		if !ok || g.N < 0 {
-			return nil, nil, false, nil
-		}
-		if g.N == 0 {
-			dead[i] = true
-			continue
-		}
-		prev := newGroups[i]
-		if g.Agg != prev.Agg || g.Sum != prev.Sum || g.Count != prev.Count {
-			encChanged[i] = true
-		}
-		newGroups[i] = g
-	}
-
-	// Render the exact encoding diff: only changed, dead, and born groups.
 	enc := newGroupEncoder(v)
 	diff := &encodingDiff{}
-	for i := range newGroups {
+	var encErr error
+	encode := func(g Group) []rdf.Triple {
+		ts, err := enc.encode(g)
+		if err != nil && encErr == nil {
+			encErr = err
+		}
+		return ts
+	}
+	groups, ok := mat.Data.groups.update(groupDeltas(insRows, delRows), func(old *Group, d *groupDelta) (Group, bool, bool) {
+		if old == nil {
+			if len(d.del) > 0 {
+				return Group{}, false, false // deleting from an unknown group: state and log disagree
+			}
+			g, ok := applyDelta(agg, Group{Key: d.key}, d, false)
+			if ok && g.N > 0 {
+				diff.add = append(diff.add, encode(g)...)
+			}
+			return g, g.N > 0, ok
+		}
+		g, ok := applyDelta(agg, *old, d, true)
 		switch {
-		case dead[i]:
-			ts, err := enc.encode(old.Groups[i])
-			if err != nil {
-				return nil, nil, false, err
-			}
-			diff.remove = append(diff.remove, ts...)
-		case encChanged[i]:
-			oldTs, err := enc.encode(old.Groups[i])
-			if err != nil {
-				return nil, nil, false, err
-			}
-			newTs, err := enc.encode(newGroups[i])
-			if err != nil {
-				return nil, nil, false, err
-			}
-			oldSet := make(map[rdf.Triple]bool, len(oldTs))
-			for _, t := range oldTs {
-				oldSet[t] = true
-			}
+		case !ok || g.N < 0:
+			return g, false, false
+		case g.N == 0:
+			diff.remove = append(diff.remove, encode(*old)...)
+			return g, false, true
+		case g.Agg != old.Agg || g.Sum != old.Sum || g.Count != old.Count:
+			// Same key, same blank node: only the value triples differ.
+			oldTs, newTs := encode(*old), encode(g)
 			for _, t := range newTs {
-				if oldSet[t] {
-					delete(oldSet, t)
-				} else {
+				if !slices.Contains(oldTs, t) {
 					diff.add = append(diff.add, t)
 				}
 			}
 			for _, t := range oldTs {
-				if oldSet[t] {
+				if !slices.Contains(newTs, t) {
 					diff.remove = append(diff.remove, t)
 				}
 			}
 		}
+		return g, true, true
+	})
+	if encErr != nil {
+		return nil, nil, false, encErr
 	}
-	for _, g := range born {
-		ts, err := enc.encode(g)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		diff.add = append(diff.add, ts...)
+	if !ok {
+		return nil, nil, false, nil
 	}
-
-	final := newGroups
-	if len(dead) > 0 {
-		final = newGroups[:0]
-		for i, g := range newGroups {
-			if !dead[i] {
-				final = append(final, g)
-			}
-		}
-	}
-	final = append(final, born...)
-	return &Data{View: v, Groups: final, Source: "incremental"}, diff, true, nil
+	return &Data{View: v, groups: groups, Source: "incremental"}, diff, true, nil
 }
 
 // --- plan / commit ---

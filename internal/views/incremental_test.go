@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sofos/internal/facet"
@@ -25,24 +26,14 @@ func observation(id, country, lang string, year int, pop int64) []rdf.Triple {
 	}
 }
 
-// canonGroups canonicalizes view contents for bit-exact comparison: every
-// field of every group — key terms, the aggregate term including datatype,
-// the AVG (Sum, Count) companions, and the contribution count — keyed on the
-// binary group key so group order does not matter.
-func canonGroups(d *Data) map[string]Group {
-	out := make(map[string]Group, len(d.Groups))
-	for _, g := range d.Groups {
-		out[binaryGroupKey(g.Key)] = Group{Agg: g.Agg, Sum: g.Sum, Count: g.Count, N: g.N}
-	}
-	return out
-}
-
-// assertBitIdentical requires two view contents to agree exactly.
+// assertBitIdentical requires two view contents to agree exactly and in
+// order: every field of every group — key terms, the aggregate term including
+// datatype, the AVG (Sum, Count) companions, and the contribution count.
 func assertBitIdentical(t *testing.T, label string, inc, full *Data) {
 	t.Helper()
-	ci, cf := canonGroups(inc), canonGroups(full)
-	if !reflect.DeepEqual(ci, cf) {
-		t.Fatalf("%s: incremental groups != full groups\nincremental: %v\nfull:        %v", label, ci, cf)
+	gi, gf := groupsOf(inc), groupsOf(full)
+	if !reflect.DeepEqual(gi, gf) {
+		t.Fatalf("%s: incremental groups != full groups\nincremental: %v\nfull:        %v", label, gi, gf)
 	}
 }
 
@@ -203,7 +194,7 @@ func TestMinMaxExtremumDeleteFallsBack(t *testing.T) {
 		if tr.P.Value != "http://ex.org/pop" {
 			continue
 		}
-		for _, grp := range m.Data.Groups {
+		for _, grp := range groupsOf(m.Data) {
 			if grp.Agg.Bound && grp.Agg.Term == tr.O {
 				victim, found = tr, true
 			}
@@ -492,5 +483,62 @@ func TestIncrementalGroupLabelStability(t *testing.T) {
 	// Only the touched group's aggregate triple should differ.
 	if changed > 2 {
 		t.Errorf("%d encoding triples changed for a one-group delta", changed)
+	}
+}
+
+// TestIncrementalRefreshAllocBudget: a refresh that changes one group copies
+// the group-table chunk holding it, not the view, so what it allocates must
+// stay flat as the view grows tenfold.
+func TestIncrementalRefreshAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	perRefresh := func(groups int) uint64 {
+		const langs = 50
+		var triples []rdf.Triple
+		for i := 0; i < groups; i++ {
+			triples = append(triples, observation(fmt.Sprintf("o%d", i),
+				fmt.Sprintf("C%d", i/langs), fmt.Sprintf("L%d", i%langs), 2015, int64(i%97+1))...)
+		}
+		g := store.NewGraph()
+		if _, err := g.LoadTriples(triples); err != nil {
+			t.Fatal(err)
+		}
+		f := popFacet(t, "SUM")
+		c := NewCatalog(g, f)
+		v := f.View(facet.MaskFromBits(0, 1)) // per (country, lang)
+		m, err := c.Materialize(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Data.NumGroups() != groups {
+			t.Fatalf("materialized %d groups, want %d", m.Data.NumGroups(), groups)
+		}
+		const rounds = 20
+		var total uint64
+		var before, after runtime.MemStats
+		for r := 0; r < rounds; r++ {
+			i := r * groups / rounds // spread the touched groups over the table
+			obs := observation(fmt.Sprintf("x%d", r), fmt.Sprintf("C%d", i/langs), fmt.Sprintf("L%d", i%langs), 2015, 5)
+			if _, err := c.ApplyUpdate(obs, nil); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			m, err := c.Refresh(v)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Maint.LastPath != "incremental" {
+				t.Fatalf("refresh took path %q", m.Maint.LastPath)
+			}
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		return total / rounds
+	}
+	small, large := perRefresh(2000), perRefresh(20000)
+	t.Logf("bytes allocated per one-group refresh: %d at 2000 groups, %d at 20000", small, large)
+	if float64(large) > 1.5*float64(small) {
+		t.Errorf("one-group refresh allocates %d B at 20000 groups, over 1.5x the %d B at 2000", large, small)
 	}
 }

@@ -295,8 +295,8 @@ func TestRefreshEquivalenceProperty(t *testing.T) {
 
 // groupKeys canonicalizes group keys for set comparison.
 func groupKeys(d *Data) map[string]bool {
-	out := make(map[string]bool, len(d.Groups))
-	for _, g := range d.Groups {
+	out := make(map[string]bool, d.NumGroups())
+	for _, g := range groupsOf(d) {
 		k := ""
 		for _, kv := range g.Key {
 			k += kv.String() + "|"

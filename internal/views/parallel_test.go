@@ -46,7 +46,7 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 		for i, v := range vs {
 			want, _ := serial.Get(v.Mask)
 			got := mats[i]
-			if !reflect.DeepEqual(got.Data.Groups, want.Data.Groups) {
+			if !reflect.DeepEqual(groupsOf(got.Data), groupsOf(want.Data)) {
 				t.Errorf("workers=%d: view %s groups differ from serial", workers, v)
 			}
 			if v.Mask != f.FullMask() && got.Data.Source == "base" {
@@ -268,7 +268,7 @@ func TestRefreshAllParallelMatchesSerial(t *testing.T) {
 	for _, v := range latticeViews(f) {
 		gm, _ := got.Get(v.Mask)
 		wm, _ := want.Get(v.Mask)
-		if !reflect.DeepEqual(gm.Data.Groups, wm.Data.Groups) {
+		if !reflect.DeepEqual(groupsOf(gm.Data), groupsOf(wm.Data)) {
 			t.Errorf("view %s groups differ after parallel refresh", v)
 		}
 	}

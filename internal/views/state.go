@@ -33,12 +33,15 @@ import (
 //	    mask, baseVersion, triples (integrity check), elapsedNS
 //	    maint: lastPath, lastCostNS, deltaSize
 //	    data: source, computeTimeNS, groupCount
-//	      per group: keyLen, key values, agg value, sumBits, countBits, n
+//	      per group, in key order: keyLen, key values, agg value, sumBits,
+//	      countBits, n
 //
 // Values are a bound byte followed, when bound, by the term (kind byte plus
-// value/datatype/lang strings). The delta log is deliberately not persisted:
-// replayed WAL batches repopulate it, and a view stale across a restart
-// simply takes the full-recompute refresh path once.
+// value/datatype/lang strings). State written before groups were kept in key
+// order holds them in engine order; the reader sorts such a view once. The
+// delta log is deliberately not persisted: replayed WAL batches repopulate
+// it, and a view stale across a restart simply takes the full-recompute
+// refresh path once.
 const catalogStateMagic = "SOFOSCAT1"
 
 // stateStringLimit bounds any single decoded string; corrupt lengths must
@@ -201,8 +204,8 @@ func (c *Catalog) SaveState(out io.Writer) error {
 		w.uvarint(uint64(m.Maint.DeltaSize))
 		w.string(m.Data.Source)
 		w.varint(int64(m.Data.ComputeTime))
-		w.uvarint(uint64(len(m.Data.Groups)))
-		for _, g := range m.Data.Groups {
+		w.uvarint(uint64(m.Data.NumGroups()))
+		m.Data.Each(func(g Group) bool {
 			w.uvarint(uint64(len(g.Key)))
 			for _, kv := range g.Key {
 				w.value(kv)
@@ -211,7 +214,8 @@ func (c *Catalog) SaveState(out io.Writer) error {
 			w.float(g.Sum)
 			w.float(g.Count)
 			w.varint(g.N)
-		}
+			return true
+		})
 	}
 	if w.err != nil {
 		return fmt.Errorf("views: writing catalog state: %w", w.err)
@@ -338,14 +342,18 @@ func readMaterialized(r *stateReader, f *facet.Facet) (*Materialized, error) {
 	if capHint > 1<<20 {
 		capHint = 1 << 20
 	}
-	data.Groups = make([]Group, 0, capHint)
+	groups := make([]Group, 0, capHint)
 	for gi := uint64(0); gi < ngroups; gi++ {
 		g, err := readGroup(r, dims)
 		if err != nil {
 			return nil, fmt.Errorf("group %d: %w", gi, err)
 		}
-		data.Groups = append(data.Groups, g)
+		groups = append(groups, g)
 	}
+	if groups, err = restoreOrder(groups); err != nil {
+		return nil, err
+	}
+	data.groups = newGroupTable(groups)
 	m.Data = data
 	return m, nil
 }

@@ -2,7 +2,10 @@ package views
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"sofos/internal/engine"
@@ -90,7 +93,7 @@ func TestCatalogStateRoundTrip(t *testing.T) {
 				if got.Data.View.Mask != want.Data.View.Mask {
 					t.Fatalf("view %d mask %v, want %v", i, got.Data.View.Mask, want.Data.View.Mask)
 				}
-				if !reflect.DeepEqual(got.Data.Groups, want.Data.Groups) {
+				if !reflect.DeepEqual(groupsOf(got.Data), groupsOf(want.Data)) {
 					t.Fatalf("view %s groups differ after restore", want.Data.View)
 				}
 				if got.Triples != want.Triples || got.Nodes() != want.Nodes() || got.Bytes != want.Bytes {
@@ -150,27 +153,9 @@ func TestRestoredCatalogMaintains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !groupsEqual(mat.Data, fresh) {
+	if !reflect.DeepEqual(groupsOf(mat.Data), groupsOf(fresh)) {
 		t.Fatal("incrementally refreshed restored view diverges from recompute")
 	}
-}
-
-// groupsEqual compares two view contents as key→(agg, N) maps (order-free).
-func groupsEqual(a, b *Data) bool {
-	if len(a.Groups) != len(b.Groups) {
-		return false
-	}
-	am := make(map[string]Group, len(a.Groups))
-	for _, g := range a.Groups {
-		am[binaryGroupKey(g.Key)] = g
-	}
-	for _, g := range b.Groups {
-		o, ok := am[binaryGroupKey(g.Key)]
-		if !ok || o.Agg != g.Agg || o.N != g.N {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCatalogStateCorruption truncates and bit-flips a serialized state and
@@ -198,5 +183,63 @@ func TestCatalogStateCorruption(t *testing.T) {
 		// Flips may still decode to a structurally valid state; the contract
 		// is no panic and no silent crash, which the call itself verifies.
 		_, _ = RestoreCatalog(g.Clone(), f, engine.Options{}, bytes.NewReader(mut))
+	}
+}
+
+// TestCatalogStateGroupOrder: state written with groups in engine order (as
+// before views kept them sorted) restores to the sorted table, and state
+// holding two groups with one key — which would encode onto one blank node —
+// is rejected with the position of the repeat.
+func TestCatalogStateGroupOrder(t *testing.T) {
+	g := popGraph(t, 9, 4, 3, 2)
+	f := popFacet(t, "SUM")
+	c := NewCatalog(g, f)
+	full := f.View(f.FullMask())
+	m, err := c.Materialize(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := groupsOf(m.Data)
+	// saveAs writes the catalog's state with the view's groups stored in the
+	// given order, bypassing the table's sort.
+	saveAs := func(order []Group) *bytes.Buffer {
+		t.Helper()
+		c.mats[full.Mask] = &Materialized{
+			Data:        &Data{View: full, groups: newGroupTable(order), Source: m.Data.Source},
+			Triples:     m.Triples,
+			Maint:       m.Maint,
+			baseVersion: m.baseVersion,
+		}
+		var buf bytes.Buffer
+		if err := c.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+
+	reversed := slices.Clone(groups)
+	slices.Reverse(reversed)
+	restored, err := RestoreCatalog(g.Clone(), f, engine.Options{}, saveAs(reversed))
+	if err != nil {
+		t.Fatalf("engine-order state: %v", err)
+	}
+	rm, _ := restored.Get(full.Mask)
+	if !reflect.DeepEqual(groupsOf(rm.Data), groups) {
+		t.Fatal("engine-order state did not restore to the sorted groups")
+	}
+
+	for _, tc := range []struct {
+		name  string
+		order []Group
+		want  string
+	}{
+		{"adjacent", append(slices.Clone(groups[:2]), append([]Group{groups[1]}, groups[3:]...)...), "group 2 repeats the key of group 1"},
+		{"unsorted", append(append([]Group{groups[1], groups[0]}, groups[2:]...), groups[1]),
+			fmt.Sprintf("group %d repeats the key of group 0", len(groups))},
+	} {
+		_, err := RestoreCatalog(g.Clone(), f, engine.Options{}, saveAs(tc.order))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s duplicate: restore error = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

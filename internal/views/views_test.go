@@ -38,6 +38,9 @@ func popGraph(t testing.TB, seed int64, countries, langs, years int) *store.Grap
 	return g
 }
 
+// groupsOf lists a view's groups in table order.
+func groupsOf(d *Data) []Group { return tableGroups(&d.groups) }
+
 // popFacet builds the matching facet with the given aggregate.
 func popFacet(t testing.TB, agg string) *facet.Facet {
 	t.Helper()
@@ -69,7 +72,7 @@ func TestComputeTopView(t *testing.T) {
 	if d.Source != "base" {
 		t.Errorf("source = %q", d.Source)
 	}
-	for _, grp := range d.Groups {
+	for _, grp := range groupsOf(d) {
 		if len(grp.Key) != 3 || !grp.Agg.Bound {
 			t.Fatalf("malformed group %+v", grp)
 		}
@@ -93,8 +96,8 @@ SELECT (SUM(?pop) AS ?t) WHERE { ?o ex:country ?c . ?o ex:lang ?l . ?o ex:year ?
 	if err != nil {
 		t.Fatal(err)
 	}
-	if apex.Groups[0].Agg.Term.Value != res.Rows[0][0].Term.Value {
-		t.Errorf("apex = %s, direct = %s", apex.Groups[0].Agg.Term.Value, res.Rows[0][0].Term.Value)
+	if got := groupsOf(apex)[0].Agg.Term.Value; got != res.Rows[0][0].Term.Value {
+		t.Errorf("apex = %s, direct = %s", got, res.Rows[0][0].Term.Value)
 	}
 }
 
@@ -137,8 +140,8 @@ func TestRollUpEquivalence(t *testing.T) {
 func assertSameGroups(t *testing.T, v facet.View, a, b *Data) {
 	t.Helper()
 	canon := func(d *Data) map[string]string {
-		out := make(map[string]string, len(d.Groups))
-		for _, g := range d.Groups {
+		out := make(map[string]string, d.NumGroups())
+		for _, g := range groupsOf(d) {
 			var kb strings.Builder
 			for _, kv := range g.Key {
 				kb.WriteString(kv.String())
@@ -437,7 +440,7 @@ func TestMaterializeDataZeroStart(t *testing.T) {
 
 func TestEncodeMismatchedKey(t *testing.T) {
 	f := popFacet(t, "SUM")
-	d := &Data{View: f.View(facet.MaskFromBits(0, 1)), Groups: []Group{{}}}
+	d := &Data{View: f.View(facet.MaskFromBits(0, 1)), groups: newGroupTable([]Group{{}})}
 	if _, err := Encode(d); err == nil {
 		t.Error("mismatched key length accepted")
 	}
