@@ -403,16 +403,19 @@ func BenchmarkJoinOrderAblation(b *testing.B) {
 
 // --- Codec: block-compressed runs vs flat ---
 
-// codecGraph builds a dataset graph under one codec and compacts the overlay
+// codecGraph builds a dataset graph under one codec — the flat oracle is
+// rebuilt from the generated block graph's triples — and compacts the overlay
 // so the benchmarks run against pure immutable runs.
 func codecGraph(b *testing.B, dataset string, scale int, codec store.Codec) (*store.Graph, *facet.Facet) {
 	b.Helper()
-	prev := store.DefaultCodec()
-	store.SetDefaultCodec(codec)
-	defer store.SetDefaultCodec(prev)
 	g, f, err := datasets.BuildWithFacet(dataset, scale, 1)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if codec == store.CodecFlat {
+		if g, err = store.BuildFromWithCodec(codec, g.Triples()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	g.Compact()
 	return g, f
@@ -468,36 +471,34 @@ func BenchmarkScanCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoadCodec measures cold snapshot loads per codec — v1 flat
-// snapshots vs v2 block snapshots whose payloads are installed verbatim. The
-// snapshot_bytes metric reports the serialized size per codec.
+// BenchmarkSnapshotLoadCodec measures cold heap loads of the paged (v3)
+// snapshot of a block graph, whose payloads are installed verbatim. The
+// snapshot_bytes metric reports the serialized size.
 func BenchmarkSnapshotLoadCodec(b *testing.B) {
 	for _, ds := range []struct {
 		name  string
 		scale int
 	}{{"lubm", 100}, {"dbpedia", 2000}} {
-		for _, codec := range []store.Codec{store.CodecFlat, store.CodecBlock} {
-			b.Run(fmt.Sprintf("%s@%d/%s", ds.name, ds.scale, codec), func(b *testing.B) {
-				g, _ := codecGraph(b, ds.name, ds.scale, codec)
-				var buf bytes.Buffer
-				if err := g.Save(&buf); err != nil {
+		b.Run(fmt.Sprintf("%s@%d/block", ds.name, ds.scale), func(b *testing.B) {
+			g, _ := codecGraph(b, ds.name, ds.scale, store.CodecBlock)
+			var buf bytes.Buffer
+			if err := g.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				loaded, err := store.Load(bytes.NewReader(buf.Bytes()))
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					loaded, err := store.LoadWithCodec(bytes.NewReader(buf.Bytes()), codec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if loaded.Len() != g.Len() {
-						b.Fatalf("loaded %d triples, want %d", loaded.Len(), g.Len())
-					}
+				if loaded.Len() != g.Len() {
+					b.Fatalf("loaded %d triples, want %d", loaded.Len(), g.Len())
 				}
-				// After ResetTimer: it clears custom metrics on recent Go.
-				b.ReportMetric(float64(buf.Len()), "snapshot_bytes")
-			})
-		}
+			}
+			// After ResetTimer: it clears custom metrics on recent Go.
+			b.ReportMetric(float64(buf.Len()), "snapshot_bytes")
+		})
 	}
 }
 
@@ -523,7 +524,7 @@ func BenchmarkScanStorage(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, st := range []store.Storage{store.StorageHeap, store.StorageMmap} {
-		loaded, err := store.LoadFileWith(path, store.CodecBlock, st)
+		loaded, err := store.LoadFileWith(path, st)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -707,11 +708,9 @@ func BenchmarkRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer store.SetDefaultStorage(store.StorageHeap)
 	for _, st := range []store.Storage{store.StorageHeap, store.StorageMmap} {
 		for _, n := range []int{0, 16, 64} {
 			b.Run(fmt.Sprintf("%s/replay%d", st, n), func(b *testing.B) {
-				store.SetDefaultStorage(st)
 				path := b.TempDir()
 				benchDataDir(b, path, n)
 				dir, err := persist.Open(path)
@@ -721,7 +720,7 @@ func BenchmarkRecovery(b *testing.B) {
 				var loadUS int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sys, rec, err := core.Restore(dir, f, core.Options{Workers: 1})
+					sys, rec, err := core.Restore(dir, f, core.Options{Workers: 1, Storage: st})
 					if err != nil {
 						b.Fatal(err)
 					}

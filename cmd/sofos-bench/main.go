@@ -21,7 +21,6 @@ import (
 
 	"sofos/internal/core"
 	"sofos/internal/experiments"
-	"sofos/internal/store"
 )
 
 func main() {
@@ -40,21 +39,9 @@ func run(args []string, stdout io.Writer) error {
 	markdown := fs.Bool("markdown", false, "render tables as markdown")
 	out := fs.String("out", "", "also write the report to this file")
 	workers := fs.Int("workers", 0, "parallel execution workers per query (0 = all CPUs, 1 = serial)")
-	codecName := fs.String("codec", "block", "run storage codec: block (compressed) or flat")
-	storageName := fs.String("storage", "heap", "paged-snapshot load storage: heap or mmap (page-cache backed)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	codec, err := store.ParseCodec(*codecName)
-	if err != nil {
-		return err
-	}
-	st, err := store.ParseStorage(*storageName)
-	if err != nil {
-		return err
-	}
-	store.SetDefaultCodec(codec)
-	store.SetDefaultStorage(st)
 	start := time.Now()
 	tables, err := experiments.MeasureAllWithOptions(*seed, *workload, *k, *quick,
 		core.Options{Workers: *workers})

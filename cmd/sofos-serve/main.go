@@ -74,8 +74,7 @@ type config struct {
 	dataDir            string
 	walSync            string
 	checkpointInterval time.Duration
-	codec              string
-	storage            string
+	storage            store.Storage
 	replica            string
 	replicaID          string
 	ackTimeout         time.Duration
@@ -103,8 +102,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints); empty = memory-only")
 	fs.StringVar(&c.walSync, "wal-sync", "always", "WAL fsync policy: always (sync before every ack), interval (background sync), none")
 	fs.DurationVar(&c.checkpointInterval, "checkpoint-interval", 0, "write a checkpoint this often (0 = only at boot, on view changes, and via /admin/checkpoint)")
-	fs.StringVar(&c.codec, "codec", "block", "run storage codec: block (compressed) or flat")
-	fs.StringVar(&c.storage, "storage", "heap", "paged-snapshot load storage: heap or mmap (page-cache backed, serves graphs larger than RAM)")
+	storage := fs.String("storage", "heap", "snapshot load storage: heap or mmap (page-cache backed, serves graphs larger than RAM)")
 	fs.StringVar(&c.replica, "replica", "", "run as a read replica of the primary at this base URL (e.g. http://primary:8080); ignores -data-dir and dataset flags")
 	fs.StringVar(&c.replicaID, "replica-id", "", "replica identity in progress reports and the primary's /v1/stats (default replica-<pid>)")
 	fs.DurationVar(&c.ackTimeout, "ack-timeout", 0, `how long an update with "ack":"replicas:N" waits for N replica acknowledgements (0 = 10s)`)
@@ -122,17 +120,17 @@ func parseFlags(args []string) (*config, error) {
 	if c.replica != "" && c.dataDir != "" {
 		return nil, fmt.Errorf("-replica and -data-dir are mutually exclusive: replicas keep no durable state")
 	}
-	codec, err := store.ParseCodec(c.codec)
+	st, err := store.ParseStorage(*storage)
 	if err != nil {
 		return nil, err
 	}
-	st, err := store.ParseStorage(c.storage)
-	if err != nil {
-		return nil, err
-	}
-	store.SetDefaultCodec(codec)
-	store.SetDefaultStorage(st)
+	c.storage = st
 	return c, nil
+}
+
+// opts maps the flags to system options.
+func (c *config) opts() core.Options {
+	return core.Options{Workers: c.workers, Storage: c.storage}
 }
 
 // buildServer constructs the system and server for a config — separated
@@ -177,7 +175,7 @@ func buildServer(c *config) (*server.Server, error) {
 				return nil, err
 			}
 			var rec *core.RecoveryStats
-			sys, rec, err = core.Restore(dir, f, core.Options{Workers: c.workers})
+			sys, rec, err = core.Restore(dir, f, c.opts())
 			if err != nil {
 				return nil, err
 			}
@@ -243,7 +241,7 @@ func buildServer(c *config) (*server.Server, error) {
 // process lifetime context); a test can start it separately.
 func buildReplica(c *config) (*server.Server, error) {
 	opts := server.ReplicaOptions{Primary: c.replica, ID: c.replicaID}
-	sys, man, err := server.BootstrapReplica(context.Background(), opts, c.workers)
+	sys, man, err := server.BootstrapReplica(context.Background(), opts, c.opts())
 	if err != nil {
 		return nil, fmt.Errorf("bootstrapping from %s: %w", c.replica, err)
 	}
@@ -270,7 +268,7 @@ func buildFresh(c *config) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewWithOptions(g, f, core.Options{Workers: c.workers})
+	sys, err := core.NewWithOptions(g, f, c.opts())
 	if err != nil {
 		return nil, err
 	}

@@ -46,8 +46,6 @@ type commonFlags struct {
 	k       int
 	model   string
 	workers int
-	codec   string
-	storage string
 }
 
 func addCommon(fs *flag.FlagSet) *commonFlags {
@@ -58,26 +56,7 @@ func addCommon(fs *flag.FlagSet) *commonFlags {
 	fs.IntVar(&c.k, "k", 3, "view budget")
 	fs.StringVar(&c.model, "model", "aggvalues", "cost model: random, triples, aggvalues, nodes")
 	fs.IntVar(&c.workers, "workers", 0, "parallel execution workers per query (0 = all CPUs, 1 = serial)")
-	fs.StringVar(&c.codec, "codec", "block", "run storage codec: block (compressed) or flat")
-	fs.StringVar(&c.storage, "storage", "heap", "paged-snapshot load storage: heap or mmap (page-cache backed)")
 	return c
-}
-
-// applyCodec validates the -codec and -storage flags and installs them as the
-// process-wide defaults, so every graph the subcommand builds or loads uses
-// them.
-func (c *commonFlags) applyCodec() error {
-	codec, err := store.ParseCodec(c.codec)
-	if err != nil {
-		return err
-	}
-	st, err := store.ParseStorage(c.storage)
-	if err != nil {
-		return err
-	}
-	store.SetDefaultCodec(codec)
-	store.SetDefaultStorage(st)
-	return nil
 }
 
 // opts maps the flags to system options.
@@ -160,9 +139,6 @@ func cmdLattice(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
-		return err
-	}
 	s, err := buildSystem(c)
 	if err != nil {
 		return err
@@ -196,9 +172,6 @@ func cmdInspect(args []string, w io.Writer) error {
 	viewID := fs.String("view", "", "view id: dimension names joined by '+', or 'apex'")
 	limit := fs.Int("limit", 10, "max groups to print")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := c.applyCodec(); err != nil {
 		return err
 	}
 	s, err := buildSystem(c)
@@ -247,9 +220,6 @@ func cmdSelect(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
-		return err
-	}
 	s, err := buildSystem(c)
 	if err != nil {
 		return err
@@ -291,9 +261,6 @@ func cmdCompare(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
-		return err
-	}
 	env, err := experiments.NewEnvWithOptions(c.dataset, c.scale, c.seed, *wl, c.opts())
 	if err != nil {
 		return err
@@ -311,9 +278,6 @@ func cmdAnalyze(args []string, w io.Writer) error {
 	c := addCommon(fs)
 	wl := fs.Int("workload", 20, "workload size")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := c.applyCodec(); err != nil {
 		return err
 	}
 	env, err := experiments.NewEnvWithOptions(c.dataset, c.scale, c.seed, *wl, c.opts())
@@ -339,9 +303,6 @@ func cmdWorkload(args []string, w io.Writer) error {
 	filterProb := fs.Float64("filters", 0.25, "per-dimension FILTER probability")
 	out := fs.String("out", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := c.applyCodec(); err != nil {
 		return err
 	}
 	s, err := buildSystem(c)
@@ -381,9 +342,6 @@ func cmdReplay(args []string, w io.Writer) error {
 	serverURL := fs.String("server", "", "replay over HTTP against a sofos-serve base URL instead of in process (views and workers are the server's)")
 	rounds := fs.Int("rounds", 1, "with -server: replay the workload this many times (repeat rounds hit the result cache)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := c.applyCodec(); err != nil {
 		return err
 	}
 	if *file == "" {
@@ -460,9 +418,6 @@ func cmdQuery(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
-		return err
-	}
 	s, err := buildSystem(c)
 	if err != nil {
 		return err
@@ -520,10 +475,12 @@ func cmdSnapshot(args []string, w io.Writer) error {
 	c := addCommon(fs)
 	out := fs.String("out", "", "dump: data directory to write a checkpoint into")
 	in := fs.String("in", "", "restore: data directory to recover and describe")
+	storage := fs.String("storage", "heap", "restore: snapshot load storage, heap or mmap (page-cache backed)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := c.applyCodec(); err != nil {
+	st, err := store.ParseStorage(*storage)
+	if err != nil {
 		return err
 	}
 	switch {
@@ -532,7 +489,7 @@ func cmdSnapshot(args []string, w io.Writer) error {
 	case *out != "":
 		return snapshotDump(c, *out, w)
 	default:
-		return snapshotRestore(*in, c.workers, w)
+		return snapshotRestore(*in, core.Options{Workers: c.workers, Storage: st}, w)
 	}
 }
 
@@ -596,7 +553,7 @@ func snapshotDump(c *commonFlags, path string, w io.Writer) error {
 }
 
 // snapshotRestore recovers a data directory and prints its contents.
-func snapshotRestore(path string, workers int, w io.Writer) error {
+func snapshotRestore(path string, opts core.Options, w io.Writer) error {
 	dir, err := persist.Open(path)
 	if err != nil {
 		return err
@@ -616,7 +573,7 @@ func snapshotRestore(path string, workers int, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s, rec, err := core.Restore(dir, f, core.Options{Workers: workers})
+	s, rec, err := core.Restore(dir, f, opts)
 	if err != nil {
 		return err
 	}

@@ -295,7 +295,7 @@ type StatsResponse struct {
 	Queries         int64             `json:"queries"`
 	Updates         int64             `json:"updates"`
 	Cache           CacheStats        `json:"cache"`
-	Store           store.MemStats    `json:"store"`                 // resident bytes per index + active codec
+	Store           store.MemStats    `json:"store"`                 // resident bytes per index, storage backend
 	Persist         *PersistStats     `json:"persist,omitempty"`     // nil when memory-only
 	Replication     *ReplicationStats `json:"replication,omitempty"` // nil when standalone
 }

@@ -42,11 +42,11 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 
 	// Snapshot load: the base graph, with its saved version counter
 	// reinstated so WAL version intervals line up across the restart. Paged
-	// (v3) snapshots load in O(open) — directory validation only, no payload
+	// snapshots load in O(open) — directory validation only, no payload
 	// reads — and under mmap storage the run pages stay on disk until
-	// queries fault them in; v1/v2 snapshots stream-load as before.
+	// queries fault them in.
 	loadStart := time.Now()
-	g, err := store.LoadFile(cp.GraphPath())
+	g, err := store.LoadFileWith(cp.GraphPath(), opts.Storage)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading graph snapshot: %w", err)
 	}

@@ -308,9 +308,7 @@ func TestRestoreAfterCheckpointKillPoints(t *testing.T) {
 		}},
 	}
 
-	defer store.SetDefaultStorage(store.StorageHeap)
 	for _, st := range []store.Storage{store.StorageHeap, store.StorageMmap} {
-		store.SetDefaultStorage(st)
 		for _, ph := range phases {
 			t.Run(fmt.Sprintf("%s/%s", st, ph.name), func(t *testing.T) {
 				for _, debris := range []string{cp2name, cp2name + ".tmp", "CURRENT.tmp"} {
@@ -319,9 +317,12 @@ func TestRestoreAfterCheckpointKillPoints(t *testing.T) {
 					}
 				}
 				ph.build(t)
-				restored, rec, err := Restore(dir, mustFacet(t), Options{})
+				restored, rec, err := Restore(dir, mustFacet(t), Options{Storage: st})
 				if err != nil {
 					t.Fatalf("restore: %v", err)
+				}
+				if got := restored.Graph.Storage(); got != st {
+					t.Fatalf("restored graph storage = %s, want %s", got, st)
 				}
 				if rec.CheckpointSeq != 1 {
 					t.Fatalf("restored from checkpoint %d, want the previous one", rec.CheckpointSeq)
@@ -347,7 +348,7 @@ func TestRestoreAfterCheckpointKillPoints(t *testing.T) {
 			if err := os.Rename(filepath.Join(base, "CURRENT.tmp"), filepath.Join(base, "CURRENT")); err != nil {
 				t.Fatal(err)
 			}
-			restored, rec, err := Restore(dir, mustFacet(t), Options{})
+			restored, rec, err := Restore(dir, mustFacet(t), Options{Storage: st})
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}

@@ -70,11 +70,11 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	}
 	loadPair := func(path string) (heap, mm *store.Graph) {
 		t.Helper()
-		heap, err := store.LoadFileWith(path, store.CodecBlock, store.StorageHeap)
+		heap, err := store.LoadFileWith(path, store.StorageHeap)
 		if err != nil {
 			t.Fatalf("heap load: %v", err)
 		}
-		mm, err = store.LoadFileWith(path, store.CodecBlock, store.StorageMmap)
+		mm, err = store.LoadFileWith(path, store.StorageMmap)
 		if err != nil {
 			if strings.Contains(err.Error(), "not supported") {
 				t.Skipf("mmap storage unavailable: %v", err)

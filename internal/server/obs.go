@@ -135,7 +135,7 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	heapAlloc := reg.Gauge("sofos_heap_alloc_bytes", "Heap bytes in use (runtime.MemStats.HeapAlloc).")
 	storeMapped := reg.Gauge("sofos_store_mapped_bytes", "Index bytes backed by mmap'd snapshots rather than heap.")
 	storeIndex := reg.Gauge("sofos_store_index_bytes", "Heap-resident index bytes across permutations.")
-	storeBlocks := reg.Gauge("sofos_store_blocks", "Compressed blocks across permutation runs (0 for the flat codec).")
+	storeBlocks := reg.Gauge("sofos_store_blocks", "Compressed blocks across permutation runs.")
 	storeVerified := reg.Gauge("sofos_store_verified_blocks", "Blocks whose payload CRC has been checked; trails sofos_store_blocks while lazy mmap verification warms.")
 	reg.OnCollect(func() {
 		var ms runtime.MemStats

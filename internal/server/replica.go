@@ -151,7 +151,9 @@ func (r *replicaRuntime) statsNow(sys *core.System) *api.ReplicationStats {
 // and restore through the same loader a primary restart uses (manifest
 // validation and facet resolution included). The scratch directory is
 // removed once the system is in memory — replicas keep no durable state.
-func BootstrapReplica(ctx context.Context, opts ReplicaOptions, workers int) (*core.System, *persist.Manifest, error) {
+// sysOpts are the restored system's options; their Storage decides whether
+// the downloaded snapshot is read into the heap or mmap'd.
+func BootstrapReplica(ctx context.Context, opts ReplicaOptions, sysOpts core.Options) (*core.System, *persist.Manifest, error) {
 	opts = opts.withDefaults()
 	cl := client.New(opts.Primary, opts.Client)
 	body, err := cl.FetchCheckpoint(ctx)
@@ -172,7 +174,7 @@ func BootstrapReplica(ctx context.Context, opts ReplicaOptions, workers int) (*c
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, rec, err := core.Restore(dir, f, core.Options{Workers: workers})
+	sys, rec, err := core.Restore(dir, f, sysOpts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("restoring bootstrap checkpoint: %w", err)
 	}
@@ -305,9 +307,12 @@ func (s *Server) ackProgress(ctx context.Context) {
 // rebootstrap replaces the served system with a freshly bootstrapped one.
 // The chain reset is one atomic publish, so every query sees either the old
 // complete state or the new one; the result cache needs no flush because its
-// keys embed the generation, which only moved forward.
+// keys embed the generation, which only moved forward. The new system loads
+// its snapshot the way the current one was loaded.
 func (s *Server) rebootstrap(ctx context.Context) error {
-	sys, _, err := BootstrapReplica(ctx, s.repl.opts, s.system().Workers)
+	cur := s.system()
+	sys, _, err := BootstrapReplica(ctx, s.repl.opts,
+		core.Options{Workers: cur.Workers, Storage: cur.Graph.Storage()})
 	if err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@ import (
 	"sofos/internal/core"
 	"sofos/internal/facet"
 	"sofos/internal/persist"
+	"sofos/internal/store"
 )
 
 // fixtureResolver resolves any dataset name to the fixture facet — the
@@ -30,12 +31,18 @@ func fixtureResolver(t testing.TB) func(string) (*facet.Facet, error) {
 // replication loop.
 func newReplicaServer(t *testing.T, primary *httptest.Server, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	return newReplicaServerWith(t, primary, cfg, core.Options{Workers: 2})
+}
+
+// newReplicaServerWith is newReplicaServer with explicit system options.
+func newReplicaServerWith(t *testing.T, primary *httptest.Server, cfg Config, sysOpts core.Options) (*Server, *httptest.Server) {
+	t.Helper()
 	opts := &ReplicaOptions{
 		Primary: primary.URL,
 		ID:      "r-" + t.Name(),
 		Facet:   fixtureResolver(t),
 	}
-	sys, _, err := BootstrapReplica(context.Background(), *opts, 2)
+	sys, _, err := BootstrapReplica(context.Background(), *opts, sysOpts)
 	if err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
@@ -269,7 +276,7 @@ func TestReplicaKillPoints(t *testing.T) {
 	for k := 0; k <= 4; k++ {
 		t.Run(fmt.Sprintf("boundary%d", k), func(t *testing.T) {
 			opts := &ReplicaOptions{Primary: pts.URL, ID: fmt.Sprintf("kp-%d", k), Facet: resolver}
-			sys, _, err := BootstrapReplica(context.Background(), *opts, 2)
+			sys, _, err := BootstrapReplica(context.Background(), *opts, core.Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,6 +362,42 @@ func TestReplicaStreamVsCheckpointTruncation(t *testing.T) {
 	assertSameAnswers(t, pts, rts, countryQuery, apexQuery)
 }
 
+// TestReplicaKeepsStorageAcrossRebootstrap pins that the storage a replica
+// was booted with survives a re-bootstrap: both the first restore and the
+// forced second one load the primary's snapshot by mmap.
+func TestReplicaKeepsStorageAcrossRebootstrap(t *testing.T) {
+	psrv, pts, _ := newDurableServer(t, t.TempDir())
+	rsrv, rts := newReplicaServerWith(t, pts, Config{}, core.Options{Workers: 2, Storage: store.StorageMmap})
+	checkStorage := func(wantBootstraps int64) {
+		t.Helper()
+		var st api.StatsResponse
+		if code := getJSON(t, rts.URL+"/v1/stats", &st); code != 200 {
+			t.Fatalf("stats status %d", code)
+		}
+		if st.Store.Storage != "mmap" {
+			t.Fatalf("store.storage = %q after %d bootstraps, want mmap", st.Store.Storage, wantBootstraps)
+		}
+		if st.Replication == nil || st.Replication.Bootstraps != wantBootstraps {
+			t.Fatalf("replication stats = %+v, want %d bootstraps", st.Replication, wantBootstraps)
+		}
+	}
+	checkStorage(1)
+
+	var up api.UpdateResponse
+	if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("mm", 5)}, &up); code != 200 {
+		t.Fatalf("update status %d", code)
+	}
+	if _, err := psrv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rsrv.rebootstrap(context.Background()); err != nil {
+		t.Fatalf("rebootstrap: %v", err)
+	}
+	checkStorage(2)
+	waitConverged(t, psrv, rsrv, 10*time.Second)
+	assertSameAnswers(t, pts, rts, countryQuery, apexQuery)
+}
+
 // TestReadYourWrites pins the min-generation gate: a reader that inherited a
 // writer's generation floor never sees a replica answer older than its own
 // write — the replica waits briefly, then hands the read to the primary.
@@ -364,7 +407,7 @@ func TestReadYourWrites(t *testing.T) {
 	// Bootstrap a replica but never start its replication loop: it is
 	// frozen at the bootstrap checkpoint, permanently behind.
 	opts := &ReplicaOptions{Primary: pts.URL, ID: "ryw", Facet: fixtureResolver(t)}
-	sys, _, err := BootstrapReplica(context.Background(), *opts, 2)
+	sys, _, err := BootstrapReplica(context.Background(), *opts, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

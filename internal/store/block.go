@@ -678,73 +678,3 @@ func (r *blockRun) clone() run {
 	c.fenceInit()
 	return c
 }
-
-// validate re-decodes every block and checks the structural invariants a
-// snapshot-loaded run must satisfy: monotonic payload offsets, sane counts,
-// strictly increasing keys within and across blocks, fences that match the
-// decoded content, component IDs inside the dictionary, and a total matching
-// n. It returns the sum over triples of triple hashes (order-independent,
-// with components mapped back to SPO order through kind) so the caller can
-// cross-check that the three permutations hold the same triple set, and
-// invokes each for every decoded key in SPO component order when non-nil.
-func (r *blockRun) validate(kind permKind, maxID rdf.ID, each func(s, p, o rdf.ID)) (uint64, error) {
-	var sum uint64
-	total := 0
-	a := searchArenas.Get().(*spanArena)
-	defer searchArenas.Put(a)
-	var prevLast rdf.EncodedTriple
-	for bi := range r.meta {
-		m := &r.meta[bi]
-		if m.count == 0 || m.count > maxBlockCount {
-			return 0, fmt.Errorf("block %d: invalid count %d", bi, m.count)
-		}
-		if m.start != total {
-			return 0, fmt.Errorf("block %d: start %d, want %d", bi, m.start, total)
-		}
-		if bi > 0 && int(m.off) < int(r.meta[bi-1].off) {
-			return 0, fmt.Errorf("block %d: payload offset regresses", bi)
-		}
-		a.grow(int(m.count))
-		if err := r.decodeBlock(bi, a.c0, a.c1, a.c2); err != nil {
-			return 0, err
-		}
-		prev := prevLast
-		for i := 0; i < int(m.count); i++ {
-			k := a.key(i)
-			if (bi > 0 || i > 0) && cmpKeys(prev, k) >= 0 {
-				return 0, fmt.Errorf("block %d: keys not strictly increasing at entry %d", bi, i)
-			}
-			prev = k
-			s, p, o := kind.spo(k)
-			if s == rdf.NoID || s > maxID || p == rdf.NoID || p > maxID || o == rdf.NoID || o > maxID {
-				return 0, fmt.Errorf("block %d: component id out of dictionary range at entry %d", bi, i)
-			}
-			sum += tripleHash(s, p, o)
-			if each != nil {
-				each(s, p, o)
-			}
-		}
-		if a.key(0) != m.min || a.key(int(m.count)-1) != m.max {
-			return 0, fmt.Errorf("block %d: fence does not match decoded keys", bi)
-		}
-		prevLast = m.max
-		total += int(m.count)
-	}
-	if total != r.n {
-		return 0, fmt.Errorf("block run: %d keys decoded, header says %d", total, r.n)
-	}
-	return sum, nil
-}
-
-// tripleHash mixes one triple into a 64-bit value; summed over a run it forms
-// an order-independent set digest used to cross-check permutations.
-func tripleHash(s, p, o rdf.ID) uint64 {
-	x := uint64(s)<<40 ^ uint64(p)<<20 ^ uint64(o)
-	// splitmix64 finalizer.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -106,33 +104,6 @@ func TestBlockRunAgainstFlat(t *testing.T) {
 	}
 }
 
-// blockSnapshotBytes serializes a block-codec graph of n base triples with a
-// live overlay, so the byte stream exercises every v2 section. Sizes below
-// blockSize keep the exhaustive sweeps fast; multi-block layouts are covered
-// by the strided pass and the cross-codec round-trip tests.
-func blockSnapshotBytes(t testing.TB, n int) []byte {
-	t.Helper()
-	rng := rand.New(rand.NewSource(99))
-	g := NewGraphWithCodec(CodecBlock)
-	keys := sortedRandomKeys(rng, n)
-	for i := range keys {
-		g.MustAdd(tr(
-			"s"+itoa(int(keys[i][0])), "p"+itoa(int(keys[i][1])), "o"+itoa(int(keys[i][2]))))
-	}
-	for i := 0; i < len(keys)/5; i++ {
-		g.Remove(tr("s"+itoa(int(keys[i*3][0])), "p"+itoa(int(keys[i*3][1])), "o"+itoa(int(keys[i*3][2]))))
-		g.MustAdd(tr("extra"+itoa(i), "pextra", "oextra"))
-	}
-	var buf bytes.Buffer
-	if err := g.saveV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf.Bytes()[:8]) != snapshotMagicV2 {
-		t.Fatalf("expected a v2 snapshot, got magic %q", buf.Bytes()[:8])
-	}
-	return buf.Bytes()
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -145,67 +116,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
-}
-
-// TestBlockLoadTruncationEveryPrefix feeds LoadWithCodec every prefix of a
-// valid v2 snapshot under both target codecs: all but the full input must
-// return an error — never panic, never a silently short graph.
-func TestBlockLoadTruncationEveryPrefix(t *testing.T) {
-	full := blockSnapshotBytes(t, 120)
-	for _, codec := range []Codec{CodecBlock, CodecFlat} {
-		for cut := 0; cut < len(full); cut++ {
-			if _, err := LoadWithCodec(bytes.NewReader(full[:cut]), codec); err == nil {
-				t.Fatalf("codec %v: truncation at %d/%d loaded successfully", codec, cut, len(full))
-			}
-		}
-		if _, err := LoadWithCodec(bytes.NewReader(full), codec); err != nil {
-			t.Fatalf("codec %v: full snapshot failed: %v", codec, err)
-		}
-	}
-}
-
-// TestBlockLoadTruncationMultiBlock repeats the truncation check at a stride
-// over a snapshot whose runs span multiple blocks, so cuts land inside every
-// structural region of a multi-block run section too.
-func TestBlockLoadTruncationMultiBlock(t *testing.T) {
-	full := blockSnapshotBytes(t, 3*blockSize/2)
-	for cut := 0; cut < len(full); cut += 23 {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d/%d loaded successfully", cut, len(full))
-		}
-	}
-	if _, err := Load(bytes.NewReader(full)); err != nil {
-		t.Fatalf("full snapshot failed: %v", err)
-	}
-}
-
-// TestBlockLoadBitFlips flips bits across a v2 snapshot: every outcome must
-// be an error or a fully consistent graph, never a panic and never decoded
-// garbage — scans, Len, and the per-component statistics must all agree.
-func TestBlockLoadBitFlips(t *testing.T) {
-	full := blockSnapshotBytes(t, 120)
-	step := 1
-	if testing.Short() {
-		step = 7
-	}
-	for off := 0; off < len(full); off += step {
-		for _, bit := range []byte{0x01, 0x80} {
-			mut := append([]byte(nil), full...)
-			mut[off] ^= bit
-			g, err := Load(bytes.NewReader(mut))
-			if err != nil {
-				continue
-			}
-			n := 0
-			it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-			for it.Next() {
-				n++
-			}
-			if n != g.Len() {
-				t.Fatalf("flip at %d/%#x: Len()=%d but scan found %d", off, bit, g.Len(), n)
-			}
-		}
-	}
 }
 
 // FuzzBlockDecode hammers the raw in-block decoder with arbitrary payload
@@ -242,84 +152,6 @@ func FuzzBlockDecode(f *testing.F) {
 			t.Fatal("decode did not start at the fence min key")
 		}
 	})
-}
-
-// FuzzSnapshotLoadV2 mirrors FuzzSnapshotLoad for the v2 block format: every
-// mutated input either loads into a consistent graph (under both target
-// codecs) or errors — no panics, no runaway allocations.
-func FuzzSnapshotLoadV2(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(snapshotMagicV2))
-	f.Add(blockSnapshotBytes(f, 120))
-	var empty bytes.Buffer
-	if err := NewGraphWithCodec(CodecBlock).saveV2(&empty); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range []Codec{CodecBlock, CodecFlat} {
-			g, err := LoadWithCodec(bytes.NewReader(data), codec)
-			if err != nil {
-				continue
-			}
-			n := 0
-			it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-			for it.Next() {
-				n++
-			}
-			if n != g.Len() {
-				t.Fatalf("codec %v: loaded graph inconsistent: Len()=%d, scan=%d", codec, g.Len(), n)
-			}
-		}
-	})
-}
-
-// TestLoadHugeBlockCounts feeds v2 headers whose counts demand absurd
-// allocations; they must fail on the reads, not by exhausting memory.
-func TestLoadHugeBlockCounts(t *testing.T) {
-	var buf [binary.MaxVarintLen64]byte
-	uv := func(b *bytes.Buffer, v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
-	header := func() *bytes.Buffer {
-		var b bytes.Buffer
-		b.WriteString(snapshotMagicV2)
-		b.WriteByte(1)
-		uv(&b, blockSize)
-		uv(&b, 1)                        // one term
-		b.Write([]byte{0, 1, 'x', 0, 0}) // IRI "x"
-		uv(&b, 0)                        // no overlay adds
-		uv(&b, 0)                        // no overlay dels
-		return &b
-	}
-	// Huge key count for the SPO run.
-	b := header()
-	uv(b, 1<<50)
-	uv(b, 1)
-	if _, err := Load(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("huge key count accepted")
-	}
-	// Huge per-block count.
-	b = header()
-	uv(b, 1<<20)
-	uv(b, 1)
-	uv(b, 1<<32) // block count field
-	if _, err := Load(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("huge block count accepted")
-	}
-	// Huge payload length.
-	b = header()
-	uv(b, 2)
-	uv(b, 1)
-	uv(b, 2) // two keys in the block
-	uv(b, 1) // min
-	uv(b, 1)
-	uv(b, 1)
-	uv(b, 2) // max
-	uv(b, 2)
-	uv(b, 2)
-	uv(b, 1<<40) // payload length
-	if _, err := Load(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("huge payload length accepted")
-	}
 }
 
 // TestIteratorRemainingLazyDeletions is the regression test for the eager

@@ -7,7 +7,9 @@
 // answered by one contiguous range of the runs merged with one contiguous
 // range of the overlay. This is the layout
 // of native RDF stores such as RDF-3X/HDT and is what the paper assumes of
-// "any RDF triple store with SPARQL query processing".
+// "any RDF triple store with SPARQL query processing". The runs are
+// block-compressed (block.go); a fixed-width flat layout exists only as the
+// oracle differential tests compare against (NewGraphWithCodec).
 //
 // Concurrency: a Graph is safe for concurrent readers, with writes
 // serialized by an internal mutex. Reads are snapshot-isolated per scan —
@@ -28,8 +30,9 @@
 // Fork, the MVCC successor, which share runs, overlay and base
 // component counts by reference and copy only the count adjustments since
 // the last compaction; exact pattern-cardinality Estimate for the
-// planner, per-predicate statistics (Stats), a binary snapshot format
-// (Save/Load), and Version — a mutation counter view catalogs compare to
+// planner, per-predicate statistics (Stats), one binary snapshot format —
+// the paged v3 layout, loaded onto the heap (Load, LoadFile) or mmap'd
+// (LoadFileWith) — and Version — a mutation counter view catalogs compare to
 // detect staleness. Apply commits a whole insert+delete batch under one
 // lock and returns its effective Delta (the triples actually added and
 // removed, tagged with the version interval) so writers capture ΔG at

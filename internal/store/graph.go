@@ -30,7 +30,8 @@ type Graph struct {
 	mu   sync.RWMutex
 	dict *rdf.Dict
 
-	// codec encodes the immutable runs; see Codec for the public selection.
+	// codec encodes the immutable runs: block, or flat for the test oracle
+	// (see Codec).
 	codec runCodec
 
 	// runs are the immutable sorted columnar runs, one per permutation, each
@@ -91,10 +92,9 @@ func (g *Graph) SetVersion(v int64) {
 	g.mu.Unlock()
 }
 
-// NewGraph returns an empty graph with a fresh dictionary, using the
-// process-wide default run codec (see SetDefaultCodec).
+// NewGraph returns an empty block-coded graph with a fresh dictionary.
 func NewGraph() *Graph {
-	return &Graph{dict: rdf.NewDict(), codec: DefaultCodec().runCodec()}
+	return &Graph{dict: rdf.NewDict(), codec: blockCodec{}}
 }
 
 // BuildFrom constructs a compacted graph directly from a triple slice — the

@@ -24,7 +24,9 @@ import (
 //	codec (1 byte, 1 = block)
 //	blockSize
 //	pageSize                       (power of two in [minPageSize, maxPageSize])
-//	termCount + terms              (as v1/v2)
+//	termCount, per term: kind (1 byte), value, datatype, lang
+//	                               (length-prefixed strings; IDs are 1-based
+//	                               in this order)
 //	addCount,  per add: s, p, o    (delta-overlay inserts, SPO-sorted)
 //	delCount,  per del: s, p, o    (delta-overlay tombstones, SPO-sorted)
 //	3 × count section: n, per entry: id, count   (countS, countP, countO —
@@ -53,13 +55,10 @@ const (
 // SavePaged writes the graph as a paged (v3) snapshot with an explicit page
 // size; Save uses defaultPageSize. Small page sizes keep exhaustive
 // corruption sweeps fast in tests; every page must still fit the largest
-// block payload. Only block-codec graphs have a paged form.
+// block payload. Only block-coded graphs have a paged form.
 func (g *Graph) SavePaged(w io.Writer, pageSize int) error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if g.codec.name() != "block" {
-		return fmt.Errorf("store: paged snapshots require the block codec")
-	}
 	return g.savePagedLocked(w, pageSize)
 }
 
@@ -102,7 +101,7 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 			lay.pages++
 		}
 	}
-	w := &snapshotWriter{bw: bufio.NewWriterSize(out, 1<<16), track: true}
+	w := &snapshotWriter{bw: bufio.NewWriterSize(out, 1<<16)}
 	if err := w.writeString(snapshotMagicV3); err != nil {
 		return fmt.Errorf("store: writing snapshot header: %w", err)
 	}
@@ -233,7 +232,7 @@ func writeIDCounts(w *snapshotWriter, c *idCounts) error {
 
 // readIDCounts reads one count section, validating strictly increasing IDs in
 // dictionary range and positive counts, returning the map and the total.
-func readIDCounts(r byteScanner, section string, maxID rdf.ID) (map[rdf.ID]int, int64, error) {
+func readIDCounts(r *bytes.Reader, section string, maxID rdf.ID) (map[rdf.ID]int, int64, error) {
 	cnt, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: reading %s count: %w", section, err)
@@ -267,9 +266,9 @@ func readIDCounts(r byteScanner, section string, maxID rdf.ID) (map[rdf.ID]int, 
 }
 
 // readFenceKey reads one directory fence key, validating every component is a
-// dictionary ID. v2 defers this to full decode validation; v3 must check at
-// the directory because payloads are not read at load.
-func readFenceKey(r byteScanner, maxID rdf.ID) (rdf.EncodedTriple, error) {
+// dictionary ID: payloads are not read at load, so the directory is where
+// the check happens.
+func readFenceKey(r *bytes.Reader, maxID rdf.ID) (rdf.EncodedTriple, error) {
 	var t rdf.EncodedTriple
 	for c := 0; c < 3; c++ {
 		v, err := binary.ReadUvarint(r)
@@ -288,7 +287,7 @@ func readFenceKey(r byteScanner, maxID rdf.ID) (rdf.EncodedTriple, error) {
 // data region is attached by the caller. It enforces the canonical greedy
 // page packing, so every structurally distinct directory byte matters — any
 // deviation is corrupt.
-func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, error) {
+func readPagedRun(r *bytes.Reader, pageSize int, maxID rdf.ID) (*blockRun, int, error) {
 	keyCount, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("reading key count: %w", err)
@@ -415,43 +414,28 @@ func readPagedRun(r byteScanner, pageSize int, maxID rdf.ID) (*blockRun, int, er
 	return br, int(pageCount), nil
 }
 
-// LoadFile loads a snapshot file into a fresh graph using the process-wide
-// default codec and storage. v3 (paged) snapshots load in O(open): the
-// directory is validated but no payload page is read — under mmap storage the
-// pages fault in on first use; under heap storage the file is read into
-// memory and every block checksum is verified up front. v1/v2 snapshots
-// stream-load on the heap under either storage setting.
+// LoadFile loads a snapshot file onto the heap; LoadFileWith can mmap it.
 func LoadFile(path string) (*Graph, error) {
-	return LoadFileWith(path, DefaultCodec(), DefaultStorage())
+	return LoadFileWith(path, StorageHeap)
 }
 
-// LoadFileWith is LoadFile with an explicit target codec and storage. Mmap
-// storage applies only to the (v3, block-codec) combination; a flat-codec
-// target decodes every payload onto the heap regardless.
-func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
+// LoadFileWith loads a snapshot file with an explicit storage, in O(open):
+// the directory is validated but no payload page is read — under mmap
+// storage the pages fault in on first use; under heap storage the file is
+// read into memory and every block checksum is verified up front.
+func LoadFileWith(path string, st Storage) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("store: reading snapshot header: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("store: seeking snapshot: %w", err)
-	}
-	if string(magic[:]) != snapshotMagicV3 {
-		// v1/v2 predate paging: stream-load them on the heap.
-		return LoadWithCodec(f, c)
-	}
 	var g *Graph
-	if st == StorageMmap && c == CodecBlock {
+	if st == StorageMmap {
 		data, err := mmapFile(f)
 		if err != nil {
 			return nil, err
 		}
-		if g, err = loadPagedBytes(data, c, StorageMmap); err != nil {
+		if g, err = loadPagedBytes(data, StorageMmap); err != nil {
 			munmapFile(data)
 			return nil, err
 		}
@@ -460,7 +444,7 @@ func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: reading snapshot: %w", err)
 		}
-		if g, err = loadPagedBytes(full, c, StorageHeap); err != nil {
+		if g, err = loadPagedBytes(full, StorageHeap); err != nil {
 			return nil, err
 		}
 	}
@@ -473,15 +457,11 @@ func LoadFileWith(path string, c Codec, st Storage) (*Graph, error) {
 // loadPagedBytes builds a graph over a complete v3 snapshot image. st labels
 // how the image is resident (and decides lazy vs eager payload checksums);
 // the image itself was supplied by the caller.
-func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
+func loadPagedBytes(full []byte, st Storage) (*Graph, error) {
 	r := bytes.NewReader(full)
 	pos := func() int { return len(full) - r.Len() }
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("store: reading snapshot header: %w", err)
-	}
-	if string(magic[:]) != snapshotMagicV3 {
-		return nil, fmt.Errorf("store: bad snapshot magic %q", magic[:])
+	if err := checkMagic(r); err != nil {
+		return nil, err
 	}
 	codecByte, err := r.ReadByte()
 	if err != nil {
@@ -505,13 +485,15 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 	if pageSz64 < minPageSize || pageSz64 > maxPageSize || pageSz64&(pageSz64-1) != 0 {
 		return nil, fmt.Errorf("store: invalid snapshot page size %d", pageSz64)
 	}
-	g := NewGraphWithCodec(c)
+	g := NewGraph()
 	ids, termCount, err := readTerms(r, g)
 	if err != nil {
 		return nil, err
 	}
-	// As in v2: payloads reference dictionary IDs directly, so the snapshot's
-	// ID space must survive interning unchanged.
+	// Block payloads reference dictionary IDs directly, so the snapshot's ID
+	// space must survive interning unchanged. A fresh dict interns distinct
+	// terms densely in order, so a non-identity remap means duplicate terms —
+	// corrupt input.
 	for i, id := range ids {
 		if uint64(id) != uint64(i) {
 			return nil, fmt.Errorf("store: snapshot terms are not unique (term %d)", i)
@@ -578,42 +560,12 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 				}
 			}
 		}
+		g.runs[k] = br
 	}
-	if c == CodecFlat {
-		// Flat target: decode everything (validating as v2 does, including
-		// the cross-permutation set digest) and discard the paged form.
-		var sums [numPerms]uint64
-		for k := permKind(0); k < numPerms; k++ {
-			br := runs[k]
-			capHint := br.n
-			if capHint > 1<<20 {
-				capHint = 1 << 20
-			}
-			flatKeys := make([]rdf.EncodedTriple, 0, capHint)
-			kk := k
-			sum, err := br.validate(k, maxID, func(s, p, o rdf.ID) {
-				flatKeys = append(flatKeys, kk.key(s, p, o))
-			})
-			if err != nil {
-				return nil, fmt.Errorf("store: %s run: %w", permName(k), err)
-			}
-			sums[k] = sum
-			g.runs[k] = flatRun(flatKeys)
-		}
-		if sums[permPOS] != sums[permSPO] || sums[permOSP] != sums[permSPO] {
-			return nil, fmt.Errorf("store: permutation runs disagree on content")
-		}
+	if st == StorageMmap {
+		g.pages = &mmapPages{data: full, n: totalPages, psz: pageSz}
 	} else {
-		for k := permKind(0); k < numPerms; k++ {
-			g.runs[k] = runs[k]
-		}
-		ps := pageStore(nil)
-		if st == StorageMmap {
-			ps = &mmapPages{data: full, n: totalPages, psz: pageSz}
-		} else {
-			ps = &heapPages{buf: full, n: totalPages, psz: pageSz}
-		}
-		g.pages = ps
+		g.pages = &heapPages{buf: full, n: totalPages, psz: pageSz}
 	}
 	// Install the delta overlay. Tombstones must reference run triples and
 	// inserts must be new, or scans would double-count; each check decodes at
@@ -638,7 +590,7 @@ func loadPagedBytes(full []byte, c Codec, st Storage) (*Graph, error) {
 		g.counts[i] = newIDCounts(counts[i])
 	}
 	g.storage = st
-	g.version = int64(g.n) // mirror the v1/v2 paths
+	g.version = int64(g.n) // as if LoadEncoded had counted each triple
 	return g, nil
 }
 

@@ -12,12 +12,12 @@ import (
 	"sofos/internal/rdf"
 )
 
-// pagedTestGraph builds a block-codec graph of about n triples with a live
-// overlay (inserts and tombstones), so a paged snapshot of it exercises every
-// v3 section.
+// pagedTestGraph builds a graph of about n triples with a live overlay
+// (inserts and tombstones), so a paged snapshot of it exercises every v3
+// section.
 func pagedTestGraph(t testing.TB, n int) *Graph {
 	t.Helper()
-	g := NewGraphWithCodec(CodecBlock)
+	g := NewGraph()
 	base := randomGraph(rand.New(rand.NewSource(7)), n).Triples()
 	if _, err := g.LoadTriples(base); err != nil {
 		t.Fatal(err)
@@ -70,49 +70,38 @@ func scanOutcome(g *Graph) (n int, corrupt string) {
 	return n, ""
 }
 
-// TestPagedRoundTripStorages loads one paged snapshot under every
-// storage × codec combination and checks the content is bit-identical to the
-// source graph, and that the storage accounting (mapped bytes, page counts)
-// tells the truth.
+// TestPagedRoundTripStorages loads one paged snapshot under both storages
+// and checks the content is bit-identical to the source graph, and that the
+// storage accounting (mapped bytes, page counts) tells the truth.
 func TestPagedRoundTripStorages(t *testing.T) {
 	g := pagedTestGraph(t, 400)
 	want := g.SortedTriples()
 	for _, pageSize := range []int{4096, defaultPageSize} {
 		path := writeSnapshotFile(t, pagedBytes(t, g, pageSize))
 		for _, st := range []Storage{StorageHeap, StorageMmap} {
-			for _, codec := range []Codec{CodecBlock, CodecFlat} {
-				loaded, err := LoadFileWith(path, codec, st)
-				if err != nil {
-					t.Fatalf("page %d, %v/%v: %v", pageSize, st, codec, err)
+			loaded, err := LoadFileWith(path, st)
+			if err != nil {
+				t.Fatalf("page %d, %v: %v", pageSize, st, err)
+			}
+			got := loaded.SortedTriples()
+			if len(got) != len(want) {
+				t.Fatalf("page %d, %v: %d triples, want %d", pageSize, st, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("page %d, %v: triple %d = %v, want %v", pageSize, st, i, got[i], want[i])
 				}
-				got := loaded.SortedTriples()
-				if len(got) != len(want) {
-					t.Fatalf("page %d, %v/%v: %d triples, want %d", pageSize, st, codec, len(got), len(want))
+			}
+			ms := loaded.MemStats()
+			if st == StorageMmap {
+				if ms.Storage != "mmap" || ms.MappedBytes == 0 || ms.Pages == 0 || ms.PageSize != pageSize {
+					t.Fatalf("page %d mmap stats wrong: %+v", pageSize, ms)
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("page %d, %v/%v: triple %d = %v, want %v", pageSize, st, codec, i, got[i], want[i])
-					}
+				if ms.SPO.Mapped == 0 {
+					t.Fatalf("page %d mmap: SPO reports no mapped payload: %+v", pageSize, ms.SPO)
 				}
-				ms := loaded.MemStats()
-				switch {
-				case codec == CodecFlat:
-					// Flat targets decode to heap slices regardless of storage.
-					if ms.MappedBytes != 0 {
-						t.Fatalf("page %d, %v/flat: mapped %d bytes", pageSize, st, ms.MappedBytes)
-					}
-				case st == StorageMmap:
-					if ms.Storage != "mmap" || ms.MappedBytes == 0 || ms.Pages == 0 || ms.PageSize != pageSize {
-						t.Fatalf("page %d mmap stats wrong: %+v", pageSize, ms)
-					}
-					if ms.SPO.Mapped == 0 {
-						t.Fatalf("page %d mmap: SPO reports no mapped payload: %+v", pageSize, ms.SPO)
-					}
-				default:
-					if ms.Storage != "heap" || ms.MappedBytes != 0 || ms.Pages == 0 {
-						t.Fatalf("page %d heap stats wrong: %+v", pageSize, ms)
-					}
-				}
+			} else if ms.Storage != "heap" || ms.MappedBytes != 0 || ms.Pages == 0 {
+				t.Fatalf("page %d heap stats wrong: %+v", pageSize, ms)
 			}
 		}
 	}
@@ -132,7 +121,7 @@ func TestPagedLoadSkipsPayloadReads(t *testing.T) {
 
 	// Locate the page region from a clean load's own accounting, then corrupt
 	// the very first payload byte — block 0 of the SPO run.
-	clean, err := LoadFileWith(writeSnapshotFile(t, data), CodecBlock, StorageHeap)
+	clean, err := LoadFileWith(writeSnapshotFile(t, data), StorageHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +130,7 @@ func TestPagedLoadSkipsPayloadReads(t *testing.T) {
 	mut[regionStart] ^= 0x40
 	path := writeSnapshotFile(t, mut)
 
-	loaded, err := LoadFileWith(path, CodecBlock, StorageMmap)
+	loaded, err := LoadFileWith(path, StorageMmap)
 	if err != nil {
 		t.Fatalf("mmap load read payload bytes at boot (failed with %v); recovery is not O(open)", err)
 	}
@@ -149,9 +138,34 @@ func TestPagedLoadSkipsPayloadReads(t *testing.T) {
 		t.Fatal("scan over the corrupted block did not trip the lazy CRC")
 	}
 
-	if _, err := LoadFileWith(path, CodecBlock, StorageHeap); err == nil {
+	if _, err := LoadFileWith(path, StorageHeap); err == nil {
 		t.Fatal("heap load accepted a corrupt payload page; eager CRC verification is gone")
 	}
+}
+
+// mustTruncate loads every stride-th prefix of a snapshot through the byte
+// loader and fails if any but the full input loads.
+func mustTruncate(t *testing.T, full []byte, stride int) {
+	t.Helper()
+	for cut := 0; cut < len(full); cut += stride {
+		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("truncation at %d/%d loaded successfully", cut, len(full))
+		}
+	}
+	if _, err := Load(bytes.NewReader(full)); err != nil {
+		t.Fatalf("full snapshot failed: %v", err)
+	}
+}
+
+// TestBlockLoadTruncationMultiBlock cuts, at a stride, a v3 snapshot of a
+// graph whose runs span two blocks, so cuts land inside multi-block run
+// sections too.
+func TestBlockLoadTruncationMultiBlock(t *testing.T) {
+	multi := pagedTestGraph(t, 3*blockSize/2)
+	if nb := multi.runs[permSPO].numBlocks(); nb < 2 {
+		t.Fatalf("multi-block graph has %d SPO blocks, want at least 2", nb)
+	}
+	mustTruncate(t, pagedBytes(t, multi, 4096), 23)
 }
 
 // TestPagedTruncationEveryPrefix feeds every prefix of a v3 snapshot through
@@ -159,16 +173,7 @@ func TestPagedLoadSkipsPayloadReads(t *testing.T) {
 // storages: nothing but the full input may load.
 func TestPagedTruncationEveryPrefix(t *testing.T) {
 	full := pagedBytes(t, pagedTestGraph(t, 120), minPageSize)
-	for _, codec := range []Codec{CodecBlock, CodecFlat} {
-		for cut := 0; cut < len(full); cut++ {
-			if _, err := LoadWithCodec(bytes.NewReader(full[:cut]), codec); err == nil {
-				t.Fatalf("codec %v: truncation at %d/%d loaded successfully", codec, cut, len(full))
-			}
-		}
-		if _, err := LoadWithCodec(bytes.NewReader(full), codec); err != nil {
-			t.Fatalf("codec %v: full snapshot failed: %v", codec, err)
-		}
-	}
+	mustTruncate(t, full, 1)
 	dir := t.TempDir()
 	for cut := 0; cut < len(full); cut += 13 {
 		path := filepath.Join(dir, "cut.snap")
@@ -176,7 +181,7 @@ func TestPagedTruncationEveryPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, st := range []Storage{StorageHeap, StorageMmap} {
-			if _, err := LoadFileWith(path, CodecBlock, st); err == nil {
+			if _, err := LoadFileWith(path, st); err == nil {
 				t.Fatalf("%v: truncated file (%d/%d bytes) loaded successfully", st, cut, len(full))
 			}
 		}
@@ -203,7 +208,7 @@ func TestPagedBitFlipsBothStorages(t *testing.T) {
 			if err := os.WriteFile(path, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			g, err := LoadFileWith(path, CodecBlock, StorageHeap)
+			g, err := LoadFileWith(path, StorageHeap)
 			if err == nil {
 				if n, corrupt := scanOutcome(g); corrupt != "" {
 					t.Fatalf("flip at %d/%#x: heap load accepted bytes that scan as corrupt: %s", off, bit, corrupt)
@@ -211,7 +216,7 @@ func TestPagedBitFlipsBothStorages(t *testing.T) {
 					t.Fatalf("flip at %d/%#x: heap Len()=%d but scan found %d", off, bit, g.Len(), n)
 				}
 			}
-			g, err = LoadFileWith(path, CodecBlock, StorageMmap)
+			g, err = LoadFileWith(path, StorageMmap)
 			if err != nil {
 				continue
 			}
@@ -297,51 +302,6 @@ func TestPagedHugeCounts(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotsLoadUnderBothStorages pins backward compatibility: v1
-// (flat) and v2 (block) snapshot files must keep loading whatever the
-// -storage setting, falling back to heap residency.
-func TestLegacySnapshotsLoadUnderBothStorages(t *testing.T) {
-	g := pagedTestGraph(t, 150)
-	want := g.SortedTriples()
-
-	var v2 bytes.Buffer
-	if err := g.saveV2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	fg := NewGraphWithCodec(CodecFlat)
-	if _, err := fg.LoadTriples(want); err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := fg.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"v1", v1.Bytes()}, {"v2", v2.Bytes()}} {
-		path := writeSnapshotFile(t, tc.data)
-		for _, st := range []Storage{StorageHeap, StorageMmap} {
-			loaded, err := LoadFileWith(path, CodecBlock, st)
-			if err != nil {
-				t.Fatalf("%s under %v: %v", tc.name, st, err)
-			}
-			got := loaded.SortedTriples()
-			if len(got) != len(want) {
-				t.Fatalf("%s under %v: %d triples, want %d", tc.name, st, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s under %v: triple %d differs", tc.name, st, i)
-				}
-			}
-			if ms := loaded.MemStats(); ms.MappedBytes != 0 {
-				t.Fatalf("%s under %v: legacy snapshot reports %d mapped bytes", tc.name, st, ms.MappedBytes)
-			}
-		}
-	}
-}
-
 // TestPagedSourceTracking pins the hard-link contract: a graph loaded from a
 // paged file advertises it as a linkable source exactly until the first
 // mutation, and re-adopting after a fresh snapshot restores it. Compaction
@@ -349,7 +309,7 @@ func TestLegacySnapshotsLoadUnderBothStorages(t *testing.T) {
 func TestPagedSourceTracking(t *testing.T) {
 	g := pagedTestGraph(t, 100)
 	path := writeSnapshotFile(t, pagedBytes(t, g, minPageSize))
-	loaded, err := LoadFileWith(path, CodecBlock, StorageHeap)
+	loaded, err := LoadFileWith(path, StorageHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +346,7 @@ func TestPagedSourceTracking(t *testing.T) {
 func TestCloneSharesMappedRuns(t *testing.T) {
 	g := pagedTestGraph(t, 200)
 	path := writeSnapshotFile(t, pagedBytes(t, g, 4096))
-	loaded, err := LoadFileWith(path, CodecBlock, StorageMmap)
+	loaded, err := LoadFileWith(path, StorageMmap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,33 +367,30 @@ func TestCloneSharesMappedRuns(t *testing.T) {
 	}
 }
 
-// FuzzPagedSnapshotLoad hammers the v3 loader with mutated paged snapshots
-// under both target codecs: every input either loads into a consistent graph
-// or errors — no panics (heap loads verify payloads eagerly), no runaway
-// allocations.
+// FuzzPagedSnapshotLoad hammers the v3 loader with mutated paged snapshots:
+// every input either loads into a consistent graph or errors — no panics
+// (heap loads verify payloads eagerly), no runaway allocations.
 func FuzzPagedSnapshotLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagicV3))
 	f.Add(pagedBytes(f, pagedTestGraph(f, 60), minPageSize))
 	var empty bytes.Buffer
-	if err := NewGraphWithCodec(CodecBlock).SavePaged(&empty, minPageSize); err != nil {
+	if err := NewGraph().SavePaged(&empty, minPageSize); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range []Codec{CodecBlock, CodecFlat} {
-			g, err := LoadWithCodec(bytes.NewReader(data), codec)
-			if err != nil {
-				continue
-			}
-			n := 0
-			it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-			for it.Next() {
-				n++
-			}
-			if n != g.Len() {
-				t.Fatalf("codec %v: loaded graph inconsistent: Len()=%d, scan=%d", codec, g.Len(), n)
-			}
+		g, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := 0
+		it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
+		for it.Next() {
+			n++
+		}
+		if n != g.Len() {
+			t.Fatalf("loaded graph inconsistent: Len()=%d, scan=%d", g.Len(), n)
 		}
 	})
 }

@@ -136,8 +136,8 @@ func (a *spanArena) reset() { a.idx, a.n = 0, 0 }
 const spanChunk = blockSize
 
 // flatCodec is the original fixed-width representation: 12 bytes per key,
-// binary-searchable in place. It remains selectable as the differential-test
-// oracle and the zero-decode baseline.
+// binary-searchable in place. Only NewGraphWithCodec reaches it: it is the
+// differential-test oracle and the zero-decode baseline.
 type flatCodec struct{}
 
 func (flatCodec) name() string { return "flat" }

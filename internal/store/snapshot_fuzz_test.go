@@ -15,7 +15,7 @@ import (
 // covered by the round-trip and differential tests.
 func snapshotBytes(t testing.TB) []byte {
 	t.Helper()
-	g := NewGraphWithCodec(CodecBlock)
+	g := NewGraph()
 	base := randomGraph(rand.New(rand.NewSource(99)), 40).Triples()
 	if _, err := g.LoadTriples(base); err != nil {
 		t.Fatal(err)
@@ -75,22 +75,29 @@ func TestLoadBitFlips(t *testing.T) {
 // they must fail on the reads, not by exhausting memory.
 func TestLoadHugeCounts(t *testing.T) {
 	var buf [binary.MaxVarintLen64]byte
-	for _, count := range []uint64{1 << 40, 1<<64 - 1} {
+	uv := func(b *bytes.Buffer, v uint64) { b.Write(buf[:binary.PutUvarint(buf[:], v)]) }
+	header := func() *bytes.Buffer {
 		var b bytes.Buffer
-		b.WriteString(snapshotMagic)
-		b.Write(buf[:binary.PutUvarint(buf[:], count)]) // termCount
+		b.WriteString(snapshotMagicV3)
+		b.WriteByte(1) // block codec
+		uv(&b, blockSize)
+		uv(&b, minPageSize)
+		return &b
+	}
+	for _, count := range []uint64{1 << 40, 1<<64 - 1} {
+		b := header()
+		uv(b, count) // termCount
 		if _, err := Load(bytes.NewReader(b.Bytes())); err == nil {
 			t.Fatalf("termCount %d accepted", count)
 		}
 	}
-	// Same for the triple count, after one valid term.
-	var b bytes.Buffer
-	b.WriteString(snapshotMagic)
-	b.WriteByte(1)                                      // one term
-	b.Write([]byte{0, 1, 'x', 0, 0})                    // IRI "x"
-	b.Write(buf[:binary.PutUvarint(buf[:], (1<<64)-1)]) // tripleCount
+	// Same for the overlay count, after one valid term.
+	b := header()
+	uv(b, 1)                         // one term
+	b.Write([]byte{0, 1, 'x', 0, 0}) // IRI "x"
+	uv(b, 1<<64-1)                   // overlay-add count
 	if _, err := Load(bytes.NewReader(b.Bytes())); err == nil {
-		t.Fatal("huge tripleCount accepted")
+		t.Fatal("huge overlay count accepted")
 	}
 }
 
@@ -99,10 +106,10 @@ func TestLoadHugeCounts(t *testing.T) {
 // returns an error — no panics, no runaway allocations.
 func FuzzSnapshotLoad(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(snapshotMagic))
+	f.Add([]byte(snapshotMagicV3))
 	f.Add(snapshotBytes(f))
 	var empty bytes.Buffer
-	if err := NewGraphWithCodec(CodecBlock).SavePaged(&empty, minPageSize); err != nil {
+	if err := NewGraph().SavePaged(&empty, minPageSize); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())

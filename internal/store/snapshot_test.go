@@ -85,8 +85,8 @@ func TestLoadErrors(t *testing.T) {
 	}{
 		{"empty", ""},
 		{"bad magic", "NOTSOFOS"},
-		{"truncated after magic", "SOFOSGR1"},
-		{"truncated terms", "SOFOSGR1\x05"},
+		{"truncated after magic", "SOFOSGR3"},
+		{"truncated terms", "SOFOSGR3\x01\x80\x08\x80\x04\x05"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,22 +97,34 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsBadTermReferences(t *testing.T) {
-	// Craft a snapshot with 1 term but a triple referencing term 9.
-	var buf bytes.Buffer
-	buf.WriteString("SOFOSGR1")
-	buf.WriteByte(1) // term count = 1
-	buf.WriteByte(0) // kind IRI
-	buf.WriteByte(1) // value len 1
-	buf.WriteByte('x')
-	buf.WriteByte(0) // datatype ""
-	buf.WriteByte(0) // lang ""
-	buf.WriteByte(1) // triple count 1
-	buf.WriteByte(9) // s = 9 (invalid)
-	buf.WriteByte(1)
-	buf.WriteByte(1)
-	if _, err := Load(&buf); err == nil {
-		t.Error("out-of-range term reference accepted")
+// TestLoadRejectsRetiredFormats pins that v1 and v2 snapshots, which no
+// longer load, fail with an error naming the format and the way out — from a
+// stream and from a file under both storages.
+func TestLoadRejectsRetiredFormats(t *testing.T) {
+	for _, tc := range []struct{ magic, version string }{
+		{retiredMagicV1, "v1"},
+		{retiredMagicV2, "v2"},
+	} {
+		// A plausible body after the magic: one IRI term, then counts.
+		data := tc.magic + "\x01\x00\x01x\x00\x00\x00"
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s %s snapshot loaded", how, tc.version)
+			}
+			for _, want := range []string{tc.version, tc.magic, "retired", "regenerate"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s %s: error %q does not mention %q", how, tc.version, err, want)
+				}
+			}
+		}
+		_, err := Load(strings.NewReader(data))
+		check("Load", err)
+		path := writeSnapshotFile(t, []byte(data))
+		for _, st := range []Storage{StorageHeap, StorageMmap} {
+			_, err := LoadFileWith(path, st)
+			check("LoadFileWith "+st.String(), err)
+		}
 	}
 }
 

@@ -166,6 +166,14 @@ type MemStats struct {
 	TotalBytes  int64         `json:"total_bytes"`  // IndexBytes + DictBytes
 }
 
+// Storage reports how the graph's runs are resident: mmap when it was loaded
+// from a snapshot with StorageMmap, heap otherwise.
+func (g *Graph) Storage() Storage {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.storage
+}
+
 // MemStats measures the graph's current resident storage footprint.
 func (g *Graph) MemStats() MemStats {
 	g.mu.RLock()

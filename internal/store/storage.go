@@ -40,18 +40,6 @@ func ParseStorage(s string) (Storage, error) {
 	}
 }
 
-// defaultStorage is the process-wide storage for snapshot loads without an
-// explicit choice (Load, LoadFile). Binaries set it once at startup from the
-// -storage flag; it is atomic so tests can flip it safely around parallel
-// subtests.
-var defaultStorage atomic.Uint32 // holds a Storage
-
-// SetDefaultStorage sets the process-wide default snapshot storage.
-func SetDefaultStorage(s Storage) { defaultStorage.Store(uint32(s)) }
-
-// DefaultStorage returns the process-wide default snapshot storage.
-func DefaultStorage() Storage { return Storage(defaultStorage.Load()) }
-
 // pageStore owns the byte region backing a paged snapshot: the full file
 // image (header, directory, and page-aligned payload pages). Runs slice
 // their payload regions out of it without copying; the store only exists so
