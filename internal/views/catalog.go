@@ -47,6 +47,8 @@ type Maintenance struct {
 	// (recompute + encoding diff).
 	LastPath string
 	// LastCost is the duration of the last refresh (zero until one runs).
+	// Views refreshed incrementally together share one delta join per
+	// staleness window, so each one's LastCost includes the whole join.
 	LastCost time.Duration
 	// DeltaSize is |ΔG| replayed by the last incremental refresh.
 	DeltaSize int

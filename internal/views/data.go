@@ -129,7 +129,10 @@ func RollUp(parent *Data, target facet.View) (*Data, error) {
 		}
 		a, ok := byKey[string(kb)]
 		if !ok {
-			key := make([]algebra.Value, len(proj))
+			var key []algebra.Value // an apex key stays nil, as Compute leaves it
+			if len(proj) > 0 {
+				key = make([]algebra.Value, len(proj))
+			}
 			for i, j := range proj {
 				key[i] = g.Key[j]
 			}

@@ -20,9 +20,12 @@
 // Graph.Version). Refresh brings a view up to date by the cheapest sound
 // path: for self-maintainable facets (COUNT/SUM, AVG via the stored
 // (Sum, Count) companions, MIN/MAX under insertion) whose staleness window
-// the delta log covers, it evaluates the defining query on the delta only
-// and applies per-group deltas in place — O(|ΔG|), with group births and
-// deaths decided by per-group contribution counts (Group.N) — falling back
+// the delta log covers, it evaluates the facet pattern on the delta only
+// (once per staleness window for all views stale since the same version,
+// seeds split across the workers), projects the solutions onto each view's
+// dimensions and applies per-group deltas in place — O(|ΔG|), with group
+// births and deaths decided by per-group contribution counts (Group.N) —
+// falling back
 // to a full recompute exactly when a delete touches a MIN/MAX extremum or
 // the pattern/log is ineligible (see incremental.go and MaintenanceMode).
 // A view's groups are a persistent table sorted by key in fixed-size chunks

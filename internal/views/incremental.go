@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"sofos/internal/algebra"
@@ -17,17 +18,22 @@ import (
 // Incremental delta maintenance: the O(|ΔG|) refresh path.
 //
 // A committed update batch's effective delta (store.Delta, captured by
-// Graph.Apply) is retained in a per-catalog log. When a stale view refreshes,
-// instead of re-evaluating its defining query over the whole base graph, the
-// catalog evaluates the query *on the delta only* — the classic delta-join:
-// every (delta triple, triple pattern) pair that unifies seeds the remaining
-// pattern, substituted, against the graph, so the work is proportional to the
-// data incident to ΔG, never to |G|. The gained and lost solutions become
-// per-group deltas applied in place to the stored Data: COUNT/SUM adjust
-// directly, AVG adjusts through its stored (Sum, Count) companions, MIN/MAX
-// merge insert-side candidates and fall back to a full recompute exactly when
-// a delete touches a group's stored extremum. Per-group contribution counts
-// (Group.N) decide group births and deaths.
+// Graph.Apply) is retained in a per-catalog log. When stale views refresh,
+// instead of re-evaluating their defining queries over the whole base graph,
+// the catalog evaluates the facet pattern *on the delta only* — the classic
+// delta-join: every (delta triple, triple pattern) pair that unifies seeds
+// the remaining pattern, substituted, against the graph, so the work is
+// proportional to the data incident to ΔG, never to |G|. All views of the
+// facet share that pattern and differ only in their group key, so the join
+// runs once per staleness window (deltaJoin, seeds split across the
+// workers), keyed on every facet dimension, and each view stale since that
+// version projects the rows onto its own dimensions (project). The gained
+// and lost solutions become per-group deltas applied in place to each
+// view's stored Data: COUNT/SUM adjust directly, AVG adjusts through its
+// stored (Sum, Count) companions, MIN/MAX merge insert-side candidates and
+// fall back to a full recompute exactly when a delete touches a group's
+// stored extremum. Per-group contribution counts (Group.N) decide group
+// births and deaths.
 //
 // Insert-side solutions are those of G_new that use at least one inserted
 // triple, evaluated directly against the current base graph. Delete-side
@@ -209,12 +215,13 @@ func (l *deltaLog) since(from, to int64) (ins, del []rdf.Triple, ok bool) {
 
 // --- delta-join evaluation ---
 
-// deltaRow is one solution of the view's defining pattern gained or lost by
-// the replayed delta, projected to what maintenance needs: the group key in
-// view order, the measure value, and the grounded pattern triples (for the
-// delete-side G_old membership filter). key is the canonical full variable
-// binding the seeded enumeration dedupes on — one solution may be discovered
-// from several delta seeds.
+// deltaRow is one solution of the facet pattern gained or lost by the
+// replayed delta, projected to what maintenance needs: the group key over
+// the facet's dimensions (a view's key is a projection of it, see project),
+// the measure value, and the grounded pattern triples (for the delete-side
+// G_old membership filter). key is the canonical full variable binding the
+// seeded enumeration dedupes on — one solution may be discovered from
+// several delta seeds.
 type deltaRow struct {
 	key     string
 	dims    []algebra.Value
@@ -223,8 +230,13 @@ type deltaRow struct {
 }
 
 // unify matches a delta triple against one triple pattern, returning the
-// variable bindings (consistent across repeated variables) or false.
+// variable bindings (consistent across repeated variables) or false. The
+// pattern's constants are checked first, so the common miss — a delta triple
+// with another predicate — allocates nothing.
 func unify(tp sparql.TriplePattern, t rdf.Triple) (map[string]rdf.Term, bool) {
+	if (!tp.S.IsVar && tp.S.Term != t.S) || (!tp.P.IsVar && tp.P.Term != t.P) || (!tp.O.IsVar && tp.O.Term != t.O) {
+		return nil, false
+	}
 	theta := make(map[string]rdf.Term, 3)
 	bind := func(pt sparql.PatternTerm, term rdf.Term) bool {
 		if !pt.IsVar {
@@ -345,12 +357,54 @@ func groundTriple(tp sparql.TriplePattern, b map[string]rdf.Term) rdf.Triple {
 	return rdf.Triple{S: g(tp.S), P: g(tp.P), O: g(tp.O)}
 }
 
-// deltaSolutions enumerates the solutions of the view's defining pattern
-// that use at least one delta triple, deduplicated on the full binding: for
-// every (delta triple, pattern) pair that unifies, the substituted remainder
-// runs against eng's graph. Cost is proportional to the data incident to the
-// delta, never to |G|.
-func deltaSolutions(eng *engine.Engine, f *facet.Facet, dims []string, delta []rdf.Triple) ([]deltaRow, error) {
+// deltaSolutions enumerates the solutions of the facet pattern that use at
+// least one delta triple, deduplicated on the full binding, with dims keyed
+// on every facet dimension: for every (delta triple, pattern) pair that
+// unifies, the substituted remainder runs against eng's graph. Cost is
+// proportional to the data incident to the delta, never to |G|.
+//
+// The delta is cut into up to workers contiguous chunks enumerated
+// concurrently, each serially with its own dedup, and the chunks are merged
+// in chunk order keeping each solution's first occurrence. That is exactly
+// the serial row sequence at any worker count, which keeps SUM/AVG float
+// accumulation order and MIN/MAX tie handling — and so the view contents —
+// independent of the split. eng must be safe for concurrent Execute.
+func deltaSolutions(eng *engine.Engine, f *facet.Facet, delta []rdf.Triple, workers int) ([]deltaRow, error) {
+	n := min(workers, len(delta))
+	if n <= 1 {
+		return seededRows(eng, f, delta)
+	}
+	chunks := make([][]deltaRow, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chunks[w], errs[w] = seededRows(eng, f, delta[w*len(delta)/n:(w+1)*len(delta)/n])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	seen := make(map[string]bool)
+	var out []deltaRow
+	for _, rows := range chunks {
+		for _, r := range rows {
+			if !seen[r.key] {
+				seen[r.key] = true
+				out = append(out, r)
+			}
+		}
+	}
+	return out, nil
+}
+
+// seededRows is deltaSolutions' serial enumeration of one delta chunk.
+func seededRows(eng *engine.Engine, f *facet.Facet, delta []rdf.Triple) ([]deltaRow, error) {
 	pats := f.Pattern.Triples
 	allVars := f.Pattern.Vars()
 	dedup := make(map[string]bool)
@@ -372,7 +426,7 @@ func deltaSolutions(eng *engine.Engine, f *facet.Facet, dims []string, delta []r
 				}
 				dedup[key] = true
 				r := deltaRow{key: key}
-				for _, d := range dims {
+				for _, d := range f.Dims {
 					r.dims = append(r.dims, algebra.Bind(b[d]))
 				}
 				if f.Measure != "" {
@@ -590,7 +644,9 @@ func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaR
 			if len(d.del) > 0 {
 				return Group{}, false, false // deleting from an unknown group: state and log disagree
 			}
-			g, ok := applyDelta(agg, Group{Key: d.key}, d, false)
+			// A born group owns its key: a projected key shares its backing
+			// array with the rest of the window's rows (see project).
+			g, ok := applyDelta(agg, Group{Key: slices.Clone(d.key)}, d, false)
 			if ok && g.N > 0 {
 				diff.add = append(diff.add, encode(g)...)
 			}
@@ -640,37 +696,46 @@ type incrementalPlan struct {
 	toVersion int64         // base version the contents reflect
 }
 
-// planIncremental attempts the delta-application path for one stale view.
-// It returns nil (with no error) when the view is ineligible — recompute-only
-// facet, incremental maintenance disabled, the delta log does not cover the
-// view's staleness window — or when application hit a fallback condition
-// (MIN/MAX extremum delete, poisoned group, non-numeric measure). The caller
-// then recomputes in full. Read-only: callers must not run catalog mutations
-// concurrently.
-func (c *Catalog) planIncremental(v facet.View, mat *Materialized, eng *engine.Engine) (*incrementalPlan, error) {
-	if c.noIncremental || c.maintMode == MaintainRecompute || mat == nil {
+// windowJoin is the facet pattern evaluated once on one staleness window's
+// net ΔG: the solutions it gains and loses, keyed on every facet dimension.
+// Every view stale since the same base version refreshes from it by
+// projection, so a refresh of k views pays for one delta join, not k.
+type windowJoin struct {
+	ins, del  []deltaRow
+	size      int   // |ΔG| replayed
+	toVersion int64 // base version the window ends at
+}
+
+// deltaJoin evaluates the facet pattern on the net ΔG between base version
+// from and the present, splitting the delta's seeds across up to workers
+// goroutines (see deltaSolutions). It returns nil (with no error) when the
+// window cannot be replayed — recompute-only facet, incremental maintenance
+// disabled, or a delta log that does not cover the window — and the caller
+// then recomputes in full. Read-only: callers must not run catalog
+// mutations concurrently.
+func (c *Catalog) deltaJoin(from int64, workers int) (*windowJoin, error) {
+	if c.noIncremental || c.maintMode == MaintainRecompute {
 		return nil, nil
 	}
 	to := c.base.Version()
-	ins, del, ok := c.log.since(mat.baseVersion, to)
+	ins, del, ok := c.log.since(from, to)
 	if !ok {
 		return nil, nil
 	}
-	dims := v.Dims()
-	insRows, err := deltaSolutions(eng, c.facet, dims, ins)
+	// Seeded joins are selective, so each chunk's queries run serially on
+	// one engine the chunks share.
+	opts := engine.Options{Workers: 1, NaiveOrder: c.engOpts.NaiveOrder}
+	insRows, err := deltaSolutions(engine.NewWithOptions(c.base, opts), c.facet, ins, workers)
 	if err != nil {
-		return nil, fmt.Errorf("views: delta-evaluating %s (inserts): %w", v, err)
+		return nil, fmt.Errorf("views: delta-evaluating facet %s (inserts): %w", c.facet.Name, err)
 	}
 	var delRows []deltaRow
 	if len(del) > 0 {
 		// Delete-side solutions held in G_old: enumerate over G ∪ Δ⁻ and keep
-		// groundings that avoid Δ⁺. Seeded joins are selective, so the overlay
-		// engine runs serially.
-		overlay := c.base.OverlayWith(del)
-		oeng := engine.NewWithOptions(overlay, engine.Options{Workers: 1, NaiveOrder: c.engOpts.NaiveOrder})
-		delRows, err = deltaSolutions(oeng, c.facet, dims, del)
+		// groundings that avoid Δ⁺.
+		delRows, err = deltaSolutions(engine.NewWithOptions(c.base.OverlayWith(del), opts), c.facet, del, workers)
 		if err != nil {
-			return nil, fmt.Errorf("views: delta-evaluating %s (deletes): %w", v, err)
+			return nil, fmt.Errorf("views: delta-evaluating facet %s (deletes): %w", c.facet.Name, err)
 		}
 		if len(ins) > 0 {
 			insSet := make(map[rdf.Triple]bool, len(ins))
@@ -693,6 +758,51 @@ func (c *Catalog) planIncremental(v facet.View, mat *Materialized, eng *engine.E
 			delRows = kept
 		}
 	}
+	return &windowJoin{ins: insRows, del: delRows, size: len(ins) + len(del), toVersion: to}, nil
+}
+
+// project re-keys a window's rows onto the view's dimensions. A view keeps a
+// subset of the facet's dimensions in facet order, so its key is the row key
+// with the dropped positions left out; the finest view uses the rows as they
+// are. The keys share one backing array, each capacity-clipped; a group born
+// from one copies it (applyGroupDeltas), so the array dies with the refresh.
+func project(rows []deltaRow, v facet.View) []deltaRow {
+	if v.Mask == v.Facet.FullMask() {
+		return rows
+	}
+	var idx []int
+	for i := range v.Facet.Dims {
+		if v.Mask&(1<<i) != 0 {
+			idx = append(idx, i)
+		}
+	}
+	n := len(idx)
+	var keys []algebra.Value // stays nil for the apex, whose key Compute leaves nil
+	if n > 0 {
+		keys = make([]algebra.Value, len(rows)*n)
+	}
+	out := make([]deltaRow, len(rows))
+	for i, r := range rows {
+		k := keys[i*n : (i+1)*n : (i+1)*n]
+		for j, d := range idx {
+			k[j] = r.dims[d]
+		}
+		out[i] = deltaRow{dims: k, measure: r.measure}
+	}
+	return out
+}
+
+// planIncremental applies one window's join to a stale view: the rows are
+// projected onto the view's key and folded into its stored groups. It
+// returns nil (with no error) when there is no join for the view's window or
+// application hit a fallback condition (MIN/MAX extremum delete, poisoned
+// group, non-numeric measure); the caller then recomputes in full. Views of
+// one window may run it concurrently: it only reads the join and the record.
+func planIncremental(v facet.View, mat *Materialized, j *windowJoin) (*incrementalPlan, error) {
+	if j == nil {
+		return nil, nil
+	}
+	insRows, delRows := project(j.ins, v), project(j.del, v)
 	data, diff, ok, err := applyGroupDeltas(v, mat, insRows, delRows)
 	if err != nil {
 		return nil, err
@@ -704,8 +814,8 @@ func (c *Catalog) planIncremental(v facet.View, mat *Materialized, eng *engine.E
 		oldMat:    mat,
 		data:      data,
 		diff:      diff,
-		deltaSize: len(ins) + len(del),
-		toVersion: to,
+		deltaSize: j.size,
+		toVersion: j.toVersion,
 	}, nil
 }
 

@@ -127,7 +127,11 @@ func (c *Catalog) Refresh(v facet.View) (*Materialized, error) {
 		return mat, nil
 	}
 	start := time.Now()
-	inc, err := c.planIncremental(v, mat, c.baseEng)
+	j, err := c.deltaJoin(mat.baseVersion, 1)
+	if err != nil {
+		return nil, err
+	}
+	inc, err := planIncremental(v, mat, j)
 	if err != nil {
 		return nil, err
 	}

@@ -262,7 +262,9 @@ func (c *Catalog) CommitMaterialize(p *MaterializePlan) ([]*Materialized, error)
 }
 
 // refreshOp is one view's planned refresh: either a delta application
-// (inc != nil) or a full recompute (full != nil).
+// (inc != nil) or a full recompute (full != nil). start anchors the record's
+// cost: the start of PlanRefresh for a delta application, so the shared
+// delta join is part of it, and the view's own compute start otherwise.
 type refreshOp struct {
 	inc   *incrementalPlan
 	full  *Data
@@ -297,12 +299,15 @@ func (p *RefreshPlan) Incremental() int {
 }
 
 // PlanRefresh prepares every stale view's refresh on up to workers
-// goroutines without mutating the catalog: views whose staleness window the
+// goroutines without mutating the catalog. Views whose staleness window the
 // delta log covers (and whose facet is self-maintainable) get an O(|ΔG|)
-// incremental plan, the rest are recomputed from the base graph. It returns
-// nil when nothing is stale. The caller must not run catalog mutations
-// concurrently with planning (the compute pool reads the materialization
-// map, the delta log, and the base graph).
+// incremental plan: the facet pattern is evaluated on ΔG once per distinct
+// window, its seeds split across the workers, before the wave, and each
+// view then only projects the shared rows and updates its group table. The
+// rest are recomputed from the base graph. It returns nil when nothing is
+// stale. The caller must not run catalog mutations concurrently with
+// planning (the compute pool reads the materialization map, the delta log,
+// and the base graph).
 func (c *Catalog) PlanRefresh(workers int) (*RefreshPlan, error) {
 	if workers < 1 {
 		workers = 1
@@ -311,13 +316,24 @@ func (c *Catalog) PlanRefresh(workers int) (*RefreshPlan, error) {
 	if len(stale) == 0 {
 		return nil, nil
 	}
+	start := time.Now()
 	mats := make([]*Materialized, len(stale))
+	joins := make(map[int64]*windowJoin)
 	for i, v := range stale {
 		mats[i] = c.mats[v.Mask]
+		from := mats[i].baseVersion
+		if _, done := joins[from]; done {
+			continue
+		}
+		j, err := c.deltaJoin(from, workers)
+		if err != nil {
+			return nil, err
+		}
+		joins[from] = j
 	}
 	incs := make([]*incrementalPlan, len(stale))
 	results := c.computeWave(stale, workers, func(eng *engine.Engine, i int, v facet.View) (*Data, error) {
-		inc, err := c.planIncremental(v, mats[i], eng)
+		inc, err := planIncremental(v, mats[i], joins[mats[i].baseVersion])
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +348,11 @@ func (c *Catalog) PlanRefresh(workers int) (*RefreshPlan, error) {
 		if results[i].err != nil {
 			return nil, fmt.Errorf("views: recomputing %s: %w", v, results[i].err)
 		}
-		plan.ops[i] = refreshOp{inc: incs[i], full: results[i].data, start: results[i].start}
+		op := refreshOp{inc: incs[i], full: results[i].data, start: results[i].start}
+		if op.inc != nil {
+			op.start = start
+		}
+		plan.ops[i] = op
 	}
 	return plan, nil
 }

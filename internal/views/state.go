@@ -368,7 +368,9 @@ func readGroup(r *stateReader, dims int) (Group, error) {
 	if keyLen != uint64(dims) {
 		return g, fmt.Errorf("key has %d values for %d dims", keyLen, dims)
 	}
-	g.Key = make([]algebra.Value, dims)
+	if dims > 0 { // an apex key stays nil, as Compute leaves it
+		g.Key = make([]algebra.Value, dims)
+	}
 	for i := range g.Key {
 		if g.Key[i], err = r.value(); err != nil {
 			return g, fmt.Errorf("key value %d: %w", i, err)
