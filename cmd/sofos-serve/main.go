@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -187,12 +188,14 @@ func buildServer(c *config) (*server.Server, error) {
 			// before its initial checkpoint, with nothing ever acknowledged.
 			// Any record without a checkpoint means committed data with no
 			// snapshot to replay it onto: refuse rather than guess.
-			stats, err := persist.ReplayWAL(dir.WALDir(), 0, func(uint64, *persist.Record) error { return nil })
-			if err != nil {
+			cur := persist.OpenWALCursor(dir.WALDir(), 0, 0)
+			_, _, err := cur.Next()
+			cur.Close()
+			switch {
+			case err == nil || errors.Is(err, persist.ErrWALGap):
+				return nil, fmt.Errorf("data dir %s has wal records but no checkpoint; cannot recover", c.dataDir)
+			case !errors.Is(err, persist.ErrWALNoMore):
 				return nil, fmt.Errorf("data dir %s has no checkpoint and a damaged wal: %w", c.dataDir, err)
-			}
-			if stats.Records > 0 {
-				return nil, fmt.Errorf("data dir %s has %d wal records but no checkpoint; cannot recover", c.dataDir, stats.Records)
 			}
 		}
 		dur.Log, err = persist.OpenLog(dir.WALDir(), policy)

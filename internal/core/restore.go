@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -82,14 +83,25 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 	}
 
 	// WAL replay: re-apply every batch past the checkpoint through the same
-	// catalog path a live /update takes, maintenance included.
-	replay, err := persist.ReplayWAL(dir.WALDir(), cp.Manifest.WALSeq, func(seq uint64, rec *persist.Record) error {
-		return ReplayRecord(sys, rec, stats)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: replaying wal: %w", err)
+	// catalog path a live /update takes, maintenance included. The cursor
+	// starts at the checkpoint's segment and version, so it passes over the
+	// batches the snapshot already holds and checks the version chain.
+	cur := persist.OpenWALCursor(dir.WALDir(), cp.Manifest.WALSeq, cp.Manifest.GraphVersion)
+	defer cur.Close()
+	for {
+		rec, _, err := cur.Next()
+		if errors.Is(err, persist.ErrWALNoMore) {
+			break
+		}
+		if err == nil {
+			err = ReplayRecord(sys, rec, stats)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: replaying wal: %w", err)
+		}
 	}
-	stats.TornTail = replay.TornTail
+	stats.SkippedBatches = cur.Skipped()
+	stats.TornTail = cur.Torn()
 	stats.Generation = sys.Generation()
 	stats.GraphVersion = g.Version()
 	stats.Elapsed = time.Since(start)

@@ -20,12 +20,15 @@
 //     WAL and truncates segments it made redundant, bounding both recovery
 //     time and disk use.
 //
-//   - Replay (ReplayWAL + core.Restore): recovery loads the newest
+//   - Reading (WALCursor in stream.go + core.Restore): one cursor reads the
+//     log for recovery, the no-checkpoint boot probe and replication, under
+//     one end-of-log rule — damage ends the log when no later segment holds
+//     a record, and is corruption otherwise. Recovery loads the newest
 //     checkpoint, restores the graph's version counter and the catalog's
-//     generation, then replays the WAL suffix through the catalog's
-//     incremental O(|ΔG|) maintenance path. A torn final record — the
-//     signature of a crash mid-append — is dropped cleanly: it was never
-//     acknowledged.
+//     generation, then drains a cursor opened at the checkpoint's segment
+//     and version through the catalog's incremental O(|ΔG|) maintenance
+//     path. A torn final record — the signature of a crash mid-append — is
+//     dropped cleanly: it was never acknowledged.
 //
 // The same on-disk format serves offline tooling: `sofos snapshot` dumps and
 // restores data directories the server can boot from.

@@ -83,18 +83,33 @@ func appendAll(t *testing.T, dir string, policy SyncPolicy, recs []*Record) {
 	}
 }
 
-// replayAll collects every record from a replay.
-func replayAll(t *testing.T, dir string, fromSeq uint64) ([]*Record, *ReplayStats) {
-	t.Helper()
+// readAll drains a cursor the way recovery does — until ErrWALNoMore —
+// returning the records it delivered, the cursor (for Torn and Skipped), and
+// the first other error.
+func readAll(dir string, fromSeq uint64, fromVersion int64) ([]*Record, *WALCursor, error) {
+	c := OpenWALCursor(dir, fromSeq, fromVersion)
+	defer c.Close()
 	var got []*Record
-	stats, err := ReplayWAL(dir, fromSeq, func(_ uint64, r *Record) error {
-		got = append(got, r)
-		return nil
-	})
+	for {
+		rec, _, err := c.Next()
+		if errors.Is(err, ErrWALNoMore) {
+			return got, c, nil
+		}
+		if err != nil {
+			return got, c, err
+		}
+		got = append(got, rec)
+	}
+}
+
+// replayAll is readAll failing the test on any error.
+func replayAll(t *testing.T, dir string, fromSeq uint64, fromVersion int64) ([]*Record, *WALCursor) {
+	t.Helper()
+	got, c, err := readAll(dir, fromSeq, fromVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, stats
+	return got, c
 }
 
 func TestWALAppendReplay(t *testing.T) {
@@ -103,12 +118,12 @@ func TestWALAppendReplay(t *testing.T) {
 			dir := t.TempDir()
 			want := []*Record{testRecord(0), testRecord(1), testRecord(2)}
 			appendAll(t, dir, policy, want)
-			got, stats := replayAll(t, dir, 0)
+			got, c := replayAll(t, dir, 0, 0)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("replay mismatch:\n got %d records\nwant %d", len(got), len(want))
 			}
-			if stats.TornTail || stats.Records != len(want) {
-				t.Fatalf("stats = %+v", stats)
+			if c.Torn() || c.Skipped() != 0 {
+				t.Fatalf("torn %v, skipped %d", c.Torn(), c.Skipped())
 			}
 		})
 	}
@@ -125,7 +140,7 @@ func TestWALNewSegmentPerOpen(t *testing.T) {
 	if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 2 {
 		t.Fatalf("segments = %v", seqs)
 	}
-	got, _ := replayAll(t, dir, 0)
+	got, _ := replayAll(t, dir, 0, 0)
 	if len(got) != 2 {
 		t.Fatalf("replayed %d records across segments", len(got))
 	}
@@ -151,11 +166,14 @@ func TestWALRotateAndTruncate(t *testing.T) {
 	if err := l.Append(testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Replay from the rotation point sees only the later record.
+	// Replay from the rotation point sees only the later record. The reader
+	// checks the version chain, so it resumes at the version the first
+	// record ended at — where a checkpoint taken at the rotation would be.
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := replayAll(t, dir, seq)
+	resume := testRecord(0).ToVersion
+	got, _ := replayAll(t, dir, seq, resume)
 	if len(got) != 1 || got[0].Generation != testRecord(1).Generation {
 		t.Fatalf("suffix replay got %d records", len(got))
 	}
@@ -172,7 +190,7 @@ func TestWALRotateAndTruncate(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("removed %d segments", removed)
 	}
-	got, _ = replayAll(t, dir, 0)
+	got, _ = replayAll(t, dir, 0, resume)
 	if len(got) != 1 {
 		t.Fatalf("post-truncate replay got %d records", len(got))
 	}
@@ -199,11 +217,7 @@ func TestWALTornTailEveryPrefix(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cutDir, segmentName(1)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var got []*Record
-		stats, err := ReplayWAL(cutDir, 0, func(_ uint64, r *Record) error {
-			got = append(got, r)
-			return nil
-		})
+		got, c, err := readAll(cutDir, 0, 0)
 		if err != nil {
 			t.Fatalf("cut at %d: replay error %v (torn tails must recover cleanly)", cut, err)
 		}
@@ -215,7 +229,7 @@ func TestWALTornTailEveryPrefix(t *testing.T) {
 				t.Fatalf("cut at %d: record %d torn or corrupt", cut, i)
 			}
 		}
-		if len(got) < len(want) && !stats.TornTail && cut < len(full) {
+		if len(got) < len(want) && !c.Torn() && cut < len(full) {
 			// Fewer records than appended must be explained by a detected
 			// tear, except at exact record boundaries.
 			if !atRecordBoundary(t, full, cut) {
@@ -233,8 +247,8 @@ func atRecordBoundary(t *testing.T, full []byte, off int) bool {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), full[:off], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ReplayWAL(dir, 0, func(uint64, *Record) error { return nil })
-	return err == nil && !stats.TornTail
+	_, c, err := readAll(dir, 0, 0)
+	return err == nil && !c.Torn()
 }
 
 // TestWALBitFlips flips each byte of a one-segment log and asserts replay
@@ -255,11 +269,7 @@ func TestWALBitFlips(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(flipDir, segmentName(1)), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var got []*Record
-		_, _ = ReplayWAL(flipDir, 0, func(_ uint64, r *Record) error {
-			got = append(got, r)
-			return nil
-		})
+		got, _, _ := readAll(flipDir, 0, 0)
 		// Whatever was yielded must be a prefix of the truth: CRC-guarded
 		// records cannot be silently altered. (A flip inside record i stops
 		// replay before it; a flip in the varint length can at worst hide
@@ -286,8 +296,7 @@ func TestWALCorruptMidLogFails(t *testing.T) {
 	if err := os.WriteFile(p, raw[:len(raw)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReplayWAL(dir, 0, func(uint64, *Record) error { return nil })
-	if err == nil {
+	if _, _, err := readAll(dir, 0, 0); err == nil {
 		t.Fatal("mid-log corruption replayed without error")
 	}
 }
@@ -470,9 +479,9 @@ func TestWALTornTailWithEmptyLaterSegments(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(3)), []byte(walMagic[:4]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, stats := replayAll(t, dir, 0)
-	if len(got) != 1 || !stats.TornTail {
-		t.Fatalf("replayed %d records, stats %+v; want 1 record with a torn tail", len(got), stats)
+	got, c := replayAll(t, dir, 0, 0)
+	if len(got) != 1 || !c.Torn() {
+		t.Fatalf("replayed %d records, torn %v; want 1 record with a torn tail", len(got), c.Torn())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -34,11 +33,11 @@ import (
 //	  CRC32-IEEE of the payload (4 bytes little-endian)
 //	  payload (see Record encoding in record.go)
 //
-// A torn tail — a record cut short by a crash mid-append — terminates replay
-// of the final segment cleanly: the batch it belonged to was never
-// acknowledged, so dropping it recovers exactly the committed state. The same
-// damage in any non-final segment is real corruption (acknowledged batches
-// follow it) and fails recovery loudly instead of silently losing them.
+// This file is the write side. Every reader — recovery, the boot probe,
+// replication — goes through WALCursor (stream.go), which owns the one
+// end-of-log rule: a torn tail, the record a crash cut mid-append, ends the
+// log cleanly because its batch was never acknowledged; the same damage with
+// a record after it is corruption and fails loudly.
 const walMagic = "SOFOSWAL1"
 
 // maxRecordBytes bounds a single record; corrupt lengths must fail fast, not
@@ -415,139 +414,4 @@ func (l *Log) Close() error {
 		<-l.syncDone
 	}
 	return err
-}
-
-// ReplayStats summarizes one WAL replay pass.
-type ReplayStats struct {
-	Segments int   // segments visited
-	Records  int   // records decoded and yielded
-	Bytes    int64 // record bytes decoded
-	// TornTail reports that the final segment ended in a cut-short or
-	// corrupt record — the expected signature of a crash mid-append. The
-	// batch it belonged to was never acknowledged, so replay stopped cleanly
-	// at the last committed record.
-	TornTail bool
-}
-
-// ReplayWAL streams every record in dir's segments with sequence ≥ fromSeq,
-// in order, to yield. Decode damage in the final segment stops replay cleanly
-// (see ReplayStats.TornTail); damage in any earlier segment is an error,
-// because acknowledged records follow it. A yield error aborts the replay.
-func ReplayWAL(dir string, fromSeq uint64, yield func(seq uint64, rec *Record) error) (*ReplayStats, error) {
-	seqs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	stats := &ReplayStats{}
-	for i, seq := range seqs {
-		if seq < fromSeq {
-			continue
-		}
-		stats.Segments++
-		err := replaySegment(dir, seq, stats, yield)
-		if err != nil {
-			var tear *tornRecordError
-			if errors.As(err, &tear) {
-				// A tear is the log's tail — and recoverable — as long as no
-				// acknowledged record follows it. Later segments may exist
-				// with zero records (a boot opened a fresh segment, then died
-				// before appending); those do not promote the tear to
-				// corruption.
-				if !segmentsHaveRecords(dir, seqs[i+1:]) {
-					stats.TornTail = true
-					return stats, nil
-				}
-				return stats, fmt.Errorf("persist: wal segment %d is corrupt mid-log (%v) but later segments hold acknowledged batches", seq, tear.cause)
-			}
-			return stats, err
-		}
-	}
-	return stats, nil
-}
-
-// segmentsHaveRecords reports whether any of the segments holds at least one
-// decodable record. Damage inside them is irrelevant here: the caller only
-// needs to know if an acknowledged batch exists past an earlier tear.
-func segmentsHaveRecords(dir string, seqs []uint64) bool {
-	for _, seq := range seqs {
-		found := false
-		probe := &ReplayStats{}
-		err := replaySegment(dir, seq, probe, func(uint64, *Record) error {
-			found = true
-			return errStopProbe
-		})
-		if found || (err != nil && errors.Is(err, errStopProbe)) {
-			return true
-		}
-	}
-	return false
-}
-
-// errStopProbe short-circuits segmentsHaveRecords at the first record.
-var errStopProbe = errors.New("persist: stop probe")
-
-// tornRecordError marks decode damage that is recoverable when at the very
-// tail of the log.
-type tornRecordError struct{ cause error }
-
-func (e *tornRecordError) Error() string { return fmt.Sprintf("torn wal record: %v", e.cause) }
-
-// replaySegment decodes one segment. Header damage is treated like a torn
-// record (a crash can land between segment creation and header flush only for
-// the final segment; anywhere else it is promoted to corruption by the
-// caller).
-func replaySegment(dir string, seq uint64, stats *ReplayStats, yield func(uint64, *Record) error) error {
-	f, err := os.Open(filepath.Join(dir, segmentName(seq)))
-	if err != nil {
-		return fmt.Errorf("persist: opening wal segment %d: %w", seq, err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return &tornRecordError{cause: fmt.Errorf("segment header: %w", err)}
-	}
-	if string(magic) != walMagic {
-		return &tornRecordError{cause: fmt.Errorf("bad segment magic %q", magic)}
-	}
-	headerSeq, err := binary.ReadUvarint(br)
-	if err != nil {
-		return &tornRecordError{cause: fmt.Errorf("segment header seq: %w", err)}
-	}
-	if headerSeq != seq {
-		return &tornRecordError{cause: fmt.Errorf("segment header seq %d does not match filename seq %d", headerSeq, seq)}
-	}
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return nil // clean segment end
-		}
-		if err != nil {
-			return &tornRecordError{cause: fmt.Errorf("record length: %w", err)}
-		}
-		if n > maxRecordBytes {
-			return &tornRecordError{cause: fmt.Errorf("record length %d exceeds limit", n)}
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(br, crc[:]); err != nil {
-			return &tornRecordError{cause: fmt.Errorf("record checksum: %w", err)}
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return &tornRecordError{cause: fmt.Errorf("record payload: %w", err)}
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crc[:]) {
-			return &tornRecordError{cause: errors.New("record checksum mismatch")}
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			// The checksum matched, so this is a format problem, not tearing.
-			return fmt.Errorf("persist: wal segment %d: %w", seq, err)
-		}
-		stats.Records++
-		stats.Bytes += int64(n)
-		if err := yield(seq, rec); err != nil {
-			return err
-		}
-	}
 }

@@ -191,11 +191,16 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	// version has been truncated from the log, so a caller behind it can
 	// never chain — tell it to re-bootstrap instead of letting the cursor
 	// discover the gap record by record.
-	if m := s.lastCheckpoint.Load(); m != nil && from < m.GraphVersion {
-		httpError(w, http.StatusGone, api.CodeWALTruncated,
-			"the log no longer holds versions %d..%d; re-bootstrap from /v1/checkpoint",
-			from, m.GraphVersion)
-		return
+	var fromSeq uint64
+	if m := s.lastCheckpoint.Load(); m != nil {
+		if from < m.GraphVersion {
+			httpError(w, http.StatusGone, api.CodeWALTruncated,
+				"the log no longer holds versions %d..%d; re-bootstrap from /v1/checkpoint",
+				from, m.GraphVersion)
+			return
+		}
+		// Older segments hold only batches inside that checkpoint.
+		fromSeq = m.WALSeq
 	}
 	// A caller ahead of the primary has state this log never produced
 	// (a stale primary URL, a wiped data dir): it must also re-bootstrap.
@@ -205,7 +210,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cur := persist.OpenWALCursor(s.dur.Dir.WALDir(), from)
+	cur := persist.OpenWALCursor(s.dur.Dir.WALDir(), fromSeq, from)
 	defer cur.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
