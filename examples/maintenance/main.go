@@ -51,10 +51,8 @@ func main() {
 		{S: res("obsEo"), P: dbp("year"), O: rdf.NewYear(2019)},
 		{S: res("obsEo"), P: dbp("population"), O: rdf.NewInteger(2_000_000)},
 	}
-	for _, tr := range newTriples {
-		if _, err := system.Catalog.Insert(tr); err != nil {
-			log.Fatal(err)
-		}
+	if _, err := system.Catalog.ApplyUpdate(newTriples, nil); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("\ninserted %d triples; stale views: %v\n", len(newTriples), viewIDs(system))
 
@@ -66,8 +64,9 @@ func main() {
 	fmt.Printf("languages via STALE view:  %d  <- the hazard the demo warns about\n",
 		len(ans.Result.Rows))
 
-	// Refresh applies the encoding diff, not a full rebuild.
-	n, err := system.Catalog.RefreshAll()
+	// The refresh replays the batch's delta onto the stored groups, not a
+	// full rebuild.
+	n, err := system.Catalog.RefreshAllParallel(system.Workers)
 	if err != nil {
 		log.Fatal(err)
 	}

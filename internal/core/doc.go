@@ -19,9 +19,8 @@
 //
 // The usual lifecycle is New (or NewWithOptions to pin the worker count),
 // SelectViews with a chosen cost model, Materialize, then Answer /
-// RunWorkload; Refresh brings stale views up to date after Insert/Delete
-// mutations through the catalog. Generation, GraphVersion, and ViewSetHash
-// expose the version counters a serving layer (internal/server) needs to
-// key result caches and detect staleness without reaching into the
-// catalog's internals.
+// RunWorkload; Refresh brings stale views up to date after ApplyUpdate
+// batches. Generation, GraphVersion, and ViewSetHash expose the version
+// counters a serving layer (internal/server) needs to key result caches and
+// detect staleness without reaching into the catalog's internals.
 package core

@@ -152,10 +152,8 @@ func TestIntegrationMaintenanceEndToEnd(t *testing.T) {
 		{S: res("obsX"), P: dbp("year"), O: rdf.NewYear(2019)},
 		{S: res("obsX"), P: dbp("population"), O: rdf.NewInteger(1000)},
 	}
-	for _, tr := range newTriples {
-		if _, err := s.Catalog.Insert(tr); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.ApplyUpdate(newTriples, nil); err != nil {
+		t.Fatal(err)
 	}
 	if len(s.Catalog.StaleViews()) != 1 {
 		t.Fatalf("stale views = %v", s.Catalog.StaleViews())
@@ -177,7 +175,7 @@ func TestIntegrationMaintenanceEndToEnd(t *testing.T) {
 	}
 
 	// Refresh and re-answer: the new language appears and matches base.
-	if _, err := s.Catalog.RefreshAll(); err != nil {
+	if _, err := s.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	after, err := s.Answer(q)

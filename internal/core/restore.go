@@ -120,12 +120,9 @@ func ReplayRecord(sys *System, rec *persist.Record, stats *RecoveryStats) error 
 		stats = &RecoveryStats{}
 	}
 	g := sys.Graph
-	if rec.ToVersion <= g.Version() {
-		// The checkpoint already contains this batch (it landed before the
-		// WAL rotated, or an older segment survived truncation).
-		stats.SkippedBatches++
-		return nil
-	}
+	// Both callers open their cursor past the version they hold, so a record
+	// that does not start exactly there — one the graph already covers
+	// included — means the log and the state diverged.
 	if rec.FromVersion != g.Version() {
 		return fmt.Errorf("wal gap: record spans versions %d→%d but the graph is at %d",
 			rec.FromVersion, rec.ToVersion, g.Version())

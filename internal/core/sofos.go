@@ -167,12 +167,18 @@ func (s *System) SelectViewsByMemory(m cost.Model, budgetBytes int64) (*selectio
 	})
 }
 
-// Materialize materializes every view of a selection into the view graph V,
-// computing independent views on the system's worker pool. After the last
-// view's encoding is merged it compacts V's delta overlay, so the online
-// module's queries run against pure sorted permutation runs.
+// Materialize materializes every view of a selection into the view graph V:
+// PlanMaterialize computes independent views on the system's worker pool
+// (covered views roll up from the batch's finer ones), CommitMaterialize
+// encodes them, and the records it committed are returned. V's delta overlay
+// is then compacted, so the online module's queries run against pure sorted
+// permutation runs.
 func (s *System) Materialize(sel *selection.Selection) ([]*views.Materialized, error) {
-	out, err := s.Catalog.MaterializeAll(sel.Views, s.Workers)
+	plan, err := s.Catalog.PlanMaterialize(sel.Views, s.Workers)
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.Catalog.CommitMaterialize(plan)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"sofos/internal/cost"
 	"sofos/internal/datasets"
+	"sofos/internal/persist"
 	"sofos/internal/workload"
 )
 
@@ -366,8 +367,8 @@ func TestSystemRefresh(t *testing.T) {
 	}
 	// Mutate the base through the catalog, then refresh the stale views.
 	ts := s.Graph.SortedTriples()
-	if !s.Catalog.Delete(ts[0]) {
-		t.Fatal("delete failed")
+	if d, err := s.ApplyUpdate(nil, ts[:1]); err != nil || len(d.Deleted) != 1 {
+		t.Fatalf("delete = %+v, %v", d, err)
 	}
 	n, err := s.Refresh()
 	if err != nil {
@@ -378,5 +379,36 @@ func TestSystemRefresh(t *testing.T) {
 	}
 	if len(s.Catalog.StaleViews()) != 0 {
 		t.Error("stale views remain after Refresh")
+	}
+}
+
+// TestReplayRecordAtOrBelowVersionIsGap: recovery and a replica both read
+// the log from past the version they hold, so replaying a record the graph
+// already covers means divergence: it fails with the version-gap error and
+// leaves the generation and version where they were.
+func TestReplayRecordAtOrBelowVersionIsGap(t *testing.T) {
+	s := sys(t)
+	var recs []*persist.Record
+	for i, tag := range []string{"first", "second"} {
+		d, err := s.ApplyUpdate(obsBatch(tag, int64(i+1)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, &persist.Record{
+			FromVersion: d.FromVersion, ToVersion: d.ToVersion,
+			Generation: s.Generation(), Inserts: d.Inserted,
+		})
+	}
+	gen, ver := s.Generation(), s.GraphVersion()
+	for _, rec := range recs { // ToVersion below, then equal to, the graph's
+		stats := &RecoveryStats{}
+		err := ReplayRecord(s, rec, stats)
+		if err == nil || !strings.Contains(err.Error(), "wal gap") {
+			t.Fatalf("replaying %d→%d at version %d: err = %v, want a wal gap", rec.FromVersion, rec.ToVersion, ver, err)
+		}
+		if s.Generation() != gen || s.GraphVersion() != ver || *stats != (RecoveryStats{}) {
+			t.Fatalf("failed replay moved state: generation %d→%d, version %d→%d, stats %+v",
+				gen, s.Generation(), ver, s.GraphVersion(), stats)
+		}
 	}
 }

@@ -172,7 +172,7 @@ func forgeGroup(t *testing.T, c *views.Catalog, v facet.View) {
 	if _, err := c.ApplyUpdate(forged, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RefreshAll(); err != nil {
+	if _, err := c.RefreshAllParallel(1); err != nil {
 		t.Fatal(err)
 	}
 }

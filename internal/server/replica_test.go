@@ -362,6 +362,45 @@ func TestReplicaStreamVsCheckpointTruncation(t *testing.T) {
 	assertSameAnswers(t, pts, rts, countryQuery, apexQuery)
 }
 
+// TestWALStreamGapAfterUnreadRecordTruncated: a stream idle at the end of
+// segment S sees a checkpoint rotate to S+1, an update land its record in
+// S+1, and a second checkpoint rotate to S+2 and truncate S+1. The cursor
+// then steps onto the empty S+2 with the update's record gone; the stream
+// must end with a gap so the replica re-bootstraps, instead of idling at
+// the old version until the primary writes again.
+func TestWALStreamGapAfterUnreadRecordTruncated(t *testing.T) {
+	psrv, pts, dur := newDurableServer(t, t.TempDir())
+	cp := psrv.lastCheckpoint.Load()
+	cur := persist.OpenWALCursor(dur.Dir.WALDir(), cp.WALSeq, cp.GraphVersion)
+	defer cur.Close()
+	idle := func(step string) {
+		t.Helper()
+		if _, _, err := psrv.nextWALRecord(cur); !errors.Is(err, persist.ErrWALNoMore) {
+			t.Fatalf("%s: stream step = %v, want idle", step, err)
+		}
+	}
+	idle("at the boot checkpoint")
+	if _, err := psrv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A checkpoint at the stream's own version truncated nothing it needs.
+	idle("after a checkpoint at the stream's own version")
+	// Steps 2-4 with no poll between them.
+	if _, err := psrv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var up api.UpdateResponse
+	if code := postJSON(t, pts.URL+"/v1/update", api.UpdateRequest{Insert: obsTriples("gap", 3)}, &up); code != 200 {
+		t.Fatalf("update status %d", code)
+	}
+	if _, err := psrv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := psrv.nextWALRecord(cur); !errors.Is(err, persist.ErrWALGap) {
+		t.Fatalf("stream step after its unread record was truncated = %v, want a wal gap", err)
+	}
+}
+
 // TestReplicaKeepsStorageAcrossRebootstrap pins that the storage a replica
 // was booted with survives a re-bootstrap: both the first restore and the
 // forced second one load the primary's snapshot by mmap.

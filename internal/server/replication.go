@@ -235,7 +235,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	}
 	lastBeat := time.Now()
 	for {
-		rec, seq, err := cur.Next()
+		rec, seq, err := s.nextWALRecord(cur)
 		switch {
 		case err == nil:
 			if enc.Encode(api.WALEvent{Seq: seq, Record: rec.Encode()}) != nil {
@@ -255,7 +255,7 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 				lastBeat = time.Now()
 			}
 		case errors.Is(err, persist.ErrWALGap):
-			// A checkpoint truncated segments under the cursor mid-stream.
+			// A checkpoint truncated records the cursor had not read yet.
 			_ = enc.Encode(api.WALEvent{Error: &api.Error{Code: api.CodeWALGap, Message: err.Error()}})
 			flush()
 			return
@@ -266,6 +266,24 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// nextWALRecord is one step of the replication stream: the cursor's next
+// record, ErrWALNoMore while it is idle at the head of the log, or an error
+// that ends the stream. A checkpoint rotates the log — flushing every record
+// at or below its version — before it is published, so a cursor that goes
+// idle below the version of a checkpoint published before the read can only
+// have stepped over segments that checkpoint truncated: the records it
+// needs are gone, and it reports ErrWALGap instead of waiting for a write
+// that may never come.
+func (s *Server) nextWALRecord(cur *persist.WALCursor) (*persist.Record, uint64, error) {
+	cp := s.lastCheckpoint.Load()
+	rec, seq, err := cur.Next()
+	if errors.Is(err, persist.ErrWALNoMore) && cp != nil && cur.Version() < cp.GraphVersion {
+		return nil, 0, fmt.Errorf("%w: the stream is idle at version %d but checkpoint %d holds version %d and truncated the records between",
+			persist.ErrWALGap, cur.Version(), cp.Sequence, cp.GraphVersion)
+	}
+	return rec, seq, err
 }
 
 // handleCheckpointArchive streams the newest checkpoint as a tar archive —

@@ -178,9 +178,9 @@ func (c *Catalog) Fork() *Catalog {
 func (c *Catalog) Facet() *facet.Facet { return c.facet }
 
 // Generation returns the catalog mutation counter. It increases on every
-// committed change that can alter a query answer — Insert, Delete,
-// Materialize, Drop, Reset, Refresh — and never repeats within one catalog's
-// lifetime, so (query, generation) identifies a unique answer.
+// committed change that can alter a query answer — ApplyUpdate,
+// CommitMaterialize, CommitRefresh, Drop, Reset — and never repeats within
+// one catalog's lifetime, so (query, generation) identifies a unique answer.
 func (c *Catalog) Generation() int64 { return c.generation.Load() }
 
 // bump records one committed mutation.
@@ -255,68 +255,48 @@ func (c *Catalog) MaterializedViews() []facet.View {
 	return out
 }
 
-// bestSource picks the cheapest way to compute v: the materialized strict
+// bestSource picks the cheapest way to compute v: among the materialized
+// views and a batch's planned ones (nil entries are skipped), the strict
 // ancestor with the fewest groups (roll-up), or nil to compute from base.
-func (c *Catalog) bestSource(v facet.View) *Materialized {
+func (c *Catalog) bestSource(v facet.View, planned []*Materialized) *Materialized {
 	var best *Materialized
-	for _, m := range c.mats {
-		if m.Data.View.Mask == v.Mask || !m.Data.View.Covers(v) {
-			continue
+	consider := func(m *Materialized) {
+		if m == nil || m.Data.View.Mask == v.Mask || !m.Data.View.Covers(v) {
+			return
 		}
 		if best == nil || m.Data.NumGroups() < best.Data.NumGroups() {
 			best = m
 		}
 	}
+	for _, m := range c.mats {
+		consider(m)
+	}
+	for _, m := range planned {
+		consider(m)
+	}
 	return best
 }
 
 // Materialize computes the view (rolling up from a materialized ancestor
-// when possible) and encodes it into G+. Re-materializing an existing view
-// is a no-op returning the existing record.
+// when possible) and encodes it into V: PlanMaterialize and
+// CommitMaterialize for one view. Re-materializing an existing view is a
+// no-op returning the existing record.
 func (c *Catalog) Materialize(v facet.View) (*Materialized, error) {
-	if v.Facet != c.facet {
-		return nil, fmt.Errorf("views: view %s belongs to a different facet", v)
-	}
-	if m, ok := c.mats[v.Mask]; ok {
-		return m, nil
-	}
-	start := time.Now()
-	baseVersion := c.base.Version()
-	var data *Data
-	var err error
-	if src := c.bestSource(v); src != nil {
-		data, err = RollUp(src.Data, v)
-		// The roll-up reflects the ancestor's base version; if the ancestor
-		// is stale, the new view is born stale too.
-		baseVersion = src.baseVersion
-	} else {
-		data, err = Compute(c.baseEng, v)
-	}
+	plan, err := c.PlanMaterialize([]facet.View{v}, 1)
 	if err != nil {
 		return nil, err
 	}
-	return c.materializeData(data, start, baseVersion)
-}
-
-// MaterializeData encodes precomputed view data into G+. The start time, if
-// non-zero, anchors the Elapsed measurement (otherwise only encoding time is
-// counted). The data is assumed to reflect the current base graph; callers
-// that computed it against an earlier version (plan/commit pipelines,
-// roll-ups from possibly-stale ancestors) go through materializeData with an
-// explicit version instead.
-func (c *Catalog) MaterializeData(data *Data, start time.Time) (*Materialized, error) {
-	return c.materializeData(data, start, c.base.Version())
-}
-
-// materializeData is MaterializeData with an explicit base graph version to
-// record for staleness tracking: the version the contents were computed
-// against, which lags c.base.Version() when the base advanced after the
-// compute phase (see CommitMaterialize) or when the data rolled up from a
-// stale ancestor.
-func (c *Catalog) materializeData(data *Data, start time.Time, baseVersion int64) (*Materialized, error) {
-	if start.IsZero() {
-		start = time.Now()
+	if _, err := c.CommitMaterialize(plan); err != nil {
+		return nil, err
 	}
+	return c.mats[v.Mask], nil
+}
+
+// materializeData encodes computed view contents into V and records them.
+// baseVersion is the base graph version the contents reflect, which lags
+// c.base.Version() when the base advanced after the compute phase (see
+// CommitMaterialize) or when the data rolled up from a stale ancestor.
+func (c *Catalog) materializeData(data *Data, start time.Time, baseVersion int64) (*Materialized, error) {
 	if m, ok := c.mats[data.View.Mask]; ok {
 		return m, nil
 	}

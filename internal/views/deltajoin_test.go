@@ -35,10 +35,11 @@ func TestUnifyMissAllocatesNothing(t *testing.T) {
 // TestSharedWindowRefreshMatchesFull is the differential test of the shared
 // delta join: one catalog holds the finest view, a mid-lattice view and the
 // apex, and refreshes them together through RefreshAllParallel, against a
-// twin forced down the full recompute path. Some rounds refresh one view
-// alone, so the next plan holds two staleness windows; for MIN/MAX a first
-// round deletes a value that is a finest-view group's extremum but not the
-// apex's, so one view falls back while its window-mates stay incremental.
+// twin forced down the full recompute path. Some rounds rebuild the finest
+// view alone, so the next plan holds two staleness windows; for MIN/MAX a
+// first round deletes a value that is a finest-view group's extremum but
+// not the apex's, so one view falls back while its window-mates stay
+// incremental.
 // After every round the groups and V must be bit-identical.
 func TestSharedWindowRefreshMatchesFull(t *testing.T) {
 	for _, agg := range []string{"SUM", "COUNT", "MIN", "MAX", "AVG"} {
@@ -60,9 +61,7 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 	finest, mid, apex := f.View(f.FullMask()), f.View(facet.MaskFromBits(0, 1)), f.View(0)
 	vs := []facet.View{finest, mid, apex}
 	for _, c := range []*Catalog{ci, cf} {
-		if _, err := c.MaterializeAll(vs, workers); err != nil {
-			t.Fatal(err)
-		}
+		materializeBatch(t, c, vs, workers)
 	}
 	apply := func(round int, ins, del []rdf.Triple) {
 		t.Helper()
@@ -157,11 +156,13 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 		}
 		apply(round, ins, del)
 		if round%3 == 1 {
-			// Refresh one view alone: the next plan spans two windows.
-			v := vs[rng.Intn(len(vs))]
+			// Rebuild the finest view alone: it has no materialized ancestor,
+			// so it computes fresh from G while mid and apex stay stale, and
+			// the next plan spans two windows.
 			for _, c := range []*Catalog{ci, cf} {
-				if _, err := c.Refresh(v); err != nil {
-					t.Fatalf("round %d: refreshing %s: %v", round, v, err)
+				c.Drop(finest)
+				if _, err := c.Materialize(finest); err != nil {
+					t.Fatalf("round %d: rebuilding %s: %v", round, finest, err)
 				}
 			}
 			check(round)
@@ -253,9 +254,7 @@ func TestSharedDeltaJoinAllocBudget(t *testing.T) {
 	f := popFacet(t, "SUM")
 	perPlan := func(vs []facet.View) uint64 {
 		c := NewCatalog(popGraph(t, 71, 6, 4, 3), f)
-		if _, err := c.MaterializeAll(vs, 1); err != nil {
-			t.Fatal(err)
-		}
+		materializeBatch(t, c, vs, 1)
 		const rounds = 10
 		var total uint64
 		var before, after runtime.MemStats

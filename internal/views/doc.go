@@ -8,17 +8,21 @@
 // The Catalog is the package's center: it owns V (every materialized view's
 // encoding and nothing else), tracks which views of a facet are
 // materialized, and routes each materialization through the cheapest
-// source (base computation or ancestor roll-up). Batch operations
-// (MaterializeAll, RefreshAllParallel) compute independent views on a
-// bounded worker pool in cover-order waves and serialize only the V
-// encoding step. Rewritten queries read V alone; base answers read G alone.
+// source (base computation or ancestor roll-up). Every change to V is a
+// read-only plan and a serial commit: PlanMaterialize computes a batch's
+// views on a bounded worker pool in cover-order waves (a view a finer batch
+// member covers rolls up from that member's planned contents) and
+// CommitMaterialize encodes them; PlanRefresh/CommitRefresh do the same for
+// stale views. Materialize(v) and RefreshAllParallel only compose a plan
+// with its commit. Rewritten queries read V alone; base answers read G
+// alone.
 //
-// Maintenance: ApplyUpdate (and the Insert/Delete shorthands) mutates G
-// only, captures the batch's effective delta (store.Delta)
-// into a per-catalog log, turning materialized views stale (the memoized
-// Stale/StaleViews compare each record's base version against
-// Graph.Version). Refresh brings a view up to date by the cheapest sound
-// path: for self-maintainable facets (COUNT/SUM, AVG via the stored
+// Maintenance: ApplyUpdate, the only way to update, mutates G only,
+// captures the batch's effective delta (store.Delta) into a per-catalog
+// log, turning materialized views stale (the memoized Stale/StaleViews
+// compare each record's base version against Graph.Version). A refresh
+// brings each view up to date by the cheapest sound path: for
+// self-maintainable facets (COUNT/SUM, AVG via the stored
 // (Sum, Count) companions, MIN/MAX under insertion) whose staleness window
 // the delta log covers, it evaluates the facet pattern on the delta only
 // (once per staleness window for all views stale since the same version,
@@ -32,8 +36,8 @@
 // (grouptable.go): a refresh copies only the chunks its deltas touch and
 // shares the rest with the record it replaces, so its cost follows |ΔG|, not
 // the size of the view.
-// PlanRefresh/CommitRefresh split refresh into a read-only compute phase
-// and a short mutation phase so a serving layer can refresh concurrently
-// with query traffic. Generation counts every committed catalog mutation
+// Because planning only reads, a serving layer plans against a published
+// snapshot while queries flow and serializes just the short commit.
+// Generation counts every committed catalog mutation
 // and, with ViewSetHash, gives caches an exact invalidation key.
 package views

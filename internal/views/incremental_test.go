@@ -104,14 +104,8 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 				if di.Len() != df.Len() {
 					t.Fatalf("round %d: catalogs saw different deltas (%d vs %d)", round, di.Len(), df.Len())
 				}
-				mi, err := ci.Refresh(v)
-				if err != nil {
-					t.Fatalf("round %d: incremental refresh: %v", round, err)
-				}
-				mf, err := cf.Refresh(v)
-				if err != nil {
-					t.Fatalf("round %d: full refresh: %v", round, err)
-				}
+				mi := refreshView(t, ci, v)
+				mf := refreshView(t, cf, v)
 				if mf.Maint.LastPath == "incremental" {
 					t.Fatalf("round %d: disabled catalog took the incremental path", round)
 				}
@@ -158,10 +152,7 @@ func TestIncrementalRefreshRecordsPath(t *testing.T) {
 	if _, err := c.ApplyUpdate(observation("obsN", "C9", "L0", 2015, 5), nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err = c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m = refreshView(t, c, v)
 	if m.Maint.LastPath != "incremental" {
 		t.Fatalf("LastPath = %q, want incremental", m.Maint.LastPath)
 	}
@@ -206,10 +197,7 @@ func TestMinMaxExtremumDeleteFallsBack(t *testing.T) {
 	if _, err := c.ApplyUpdate(nil, []rdf.Triple{victim}); err != nil {
 		t.Fatal(err)
 	}
-	m, err = c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m = refreshView(t, c, v)
 	if m.Maint.LastPath != "full" {
 		t.Fatalf("extremum delete took path %q, want full", m.Maint.LastPath)
 	}
@@ -238,10 +226,7 @@ func TestMinMaxNonExtremumDeleteStaysIncremental(t *testing.T) {
 	if _, err := c.ApplyUpdate(nil, big); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := refreshView(t, c, v)
 	if m.Maint.LastPath != "incremental" {
 		t.Fatalf("non-extremum delete took path %q, want incremental", m.Maint.LastPath)
 	}
@@ -299,10 +284,7 @@ func TestDeltaLogGapForcesFullRefresh(t *testing.T) {
 	if !c.Stale(v.Mask) {
 		t.Fatal("view not stale after direct base mutation")
 	}
-	m, err := c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := refreshView(t, c, v)
 	if m.Maint.LastPath != "full" {
 		t.Fatalf("refresh over a log gap took path %q, want full", m.Maint.LastPath)
 	}
@@ -334,10 +316,7 @@ func TestApplyUpdateSameBatchCancels(t *testing.T) {
 	if !c.Stale(v.Mask) {
 		t.Fatal("view should be version-stale after the cancelling batch")
 	}
-	m, err := c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := refreshView(t, c, v)
 	if m.Maint.LastPath != "incremental" || m.Maint.DeltaSize != 0 {
 		t.Fatalf("cancelling batch refresh = %+v, want zero-delta incremental", m.Maint)
 	}
@@ -423,15 +402,13 @@ func TestStaleMemo(t *testing.T) {
 	if len(c.StaleViews()) != 0 || c.Stale(v.Mask) {
 		t.Fatal("fresh view reported stale")
 	}
-	if _, err := c.Insert(observation("obsM", "C0", "L0", 2015, 9)[0]); err != nil {
+	if _, err := c.ApplyUpdate(observation("obsM", "C0", "L0", 2015, 9)[:1], nil); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Stale(v.Mask) || len(c.StaleViews()) != 1 {
 		t.Fatal("catalog insert did not invalidate the memo")
 	}
-	if _, err := c.Refresh(v); err != nil {
-		t.Fatal(err)
-	}
+	refreshView(t, c, v)
 	if c.Stale(v.Mask) || len(c.StaleViews()) != 0 {
 		t.Fatal("refresh did not invalidate the memo")
 	}
@@ -462,10 +439,7 @@ func TestIncrementalGroupLabelStability(t *testing.T) {
 	if _, err := c.ApplyUpdate(observation("obsOne", "C0", "L1", 2015, 13), nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err = c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m = refreshView(t, c, v)
 	after, err := Encode(m.Data)
 	if err != nil {
 		t.Fatal(err)
@@ -524,11 +498,12 @@ func TestIncrementalRefreshAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&before)
-			m, err := c.Refresh(v)
+			_, err := c.RefreshAllParallel(1)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
+			m, _ := c.Get(v.Mask)
 			if m.Maint.LastPath != "incremental" {
 				t.Fatalf("refresh took path %q", m.Maint.LastPath)
 			}

@@ -54,22 +54,6 @@ func (c *Catalog) minBaseVersion() int64 {
 	return min
 }
 
-// Insert adds a triple to the base graph; materialized views become stale
-// (see Stale) and the insertion joins the maintenance delta log.
-func (c *Catalog) Insert(t rdf.Triple) (bool, error) {
-	d, err := c.ApplyUpdate([]rdf.Triple{t}, nil)
-	if err != nil {
-		return false, err
-	}
-	return len(d.Inserted) == 1, nil
-}
-
-// Delete removes a triple from the base graph.
-func (c *Catalog) Delete(t rdf.Triple) bool {
-	d, err := c.ApplyUpdate(nil, []rdf.Triple{t})
-	return err == nil && len(d.Deleted) == 1
-}
-
 // staleState memoizes the stale-view scan for one catalog state, keyed on
 // (generation, base version): /stats and refresh planning no longer rescan
 // every materialized view — each scan re-reading the base version under its
@@ -112,49 +96,9 @@ func (c *Catalog) StaleViews() []facet.View {
 	return c.staleNow().views
 }
 
-// Refresh brings a stale view up to date. When the facet is
-// self-maintainable and the delta log covers the view's staleness window, it
-// replays the missed ΔG directly onto the stored groups (O(|ΔG|)); otherwise
-// it recomputes from the current base graph and applies the encoding diff to
-// V. Refreshing a fresh view is a no-op. The path taken is recorded in the
-// record's Maint field.
-func (c *Catalog) Refresh(v facet.View) (*Materialized, error) {
-	mat, ok := c.mats[v.Mask]
-	if !ok {
-		return nil, fmt.Errorf("views: view %s is not materialized", v)
-	}
-	if !c.Stale(v.Mask) {
-		return mat, nil
-	}
-	start := time.Now()
-	j, err := c.deltaJoin(mat.baseVersion, 1)
-	if err != nil {
-		return nil, err
-	}
-	inc, err := planIncremental(v, mat, j)
-	if err != nil {
-		return nil, err
-	}
-	if inc != nil {
-		if m, ok, err := c.commitIncremental(v, inc, start); err != nil {
-			return nil, err
-		} else if ok {
-			return m, nil
-		}
-	}
-	baseVersion := c.base.Version()
-	fresh, err := Compute(c.baseEng, v)
-	if err != nil {
-		return nil, fmt.Errorf("views: recomputing %s: %w", v, err)
-	}
-	return c.applyRefresh(v, fresh, start, baseVersion)
-}
-
-// applyRefresh swaps freshly computed view contents in for the current
-// materialization, applying the encoding diff to V — the full-recompute
-// refresh path. The compute phase is separated out so
-// PlanRefresh/CommitRefresh can recompute many views concurrently (or off
-// the write path entirely) and serialize only this mutation step.
+// applyRefresh is CommitRefresh's full-recompute step: it swaps freshly
+// computed view contents in for the current materialization, applying the
+// encoding diff to V.
 // baseVersion is the base graph's version the fresh contents were computed
 // against; recording it (rather than the commit-time version) keeps a view
 // correctly marked stale when the base advanced mid-refresh.
@@ -218,7 +162,3 @@ func (c *Catalog) applyRefresh(v facet.View, fresh *Data, start time.Time, baseV
 	c.bump()
 	return updated, nil
 }
-
-// RefreshAll refreshes every stale view serially, returning how many were
-// refreshed. See RefreshAllParallel for the multi-worker variant.
-func (c *Catalog) RefreshAll() (int, error) { return c.RefreshAllParallel(1) }

@@ -32,31 +32,31 @@ func TestApplyUpdateLeavesViewGraphUntouched(t *testing.T) {
 		P: rdf.NewIRI("http://ex.org/country"),
 		O: rdf.NewLiteral("CX"),
 	}
-	added, err := c.Insert(tr)
-	if err != nil || !added {
-		t.Fatalf("Insert = %v, %v", added, err)
+	d, err := c.ApplyUpdate([]rdf.Triple{tr}, nil)
+	if err != nil || len(d.Inserted) != 1 {
+		t.Fatalf("insert = %+v, %v", d, err)
 	}
 	if !c.Base().Contains(tr) || vg.Contains(tr) {
 		t.Error("insert must land in G and only in G")
 	}
-	unchanged("Insert")
+	unchanged("insert")
 	// Duplicate insert is a no-op.
-	added, err = c.Insert(tr)
-	if err != nil || added {
-		t.Errorf("duplicate Insert = %v, %v", added, err)
+	d, err = c.ApplyUpdate([]rdf.Triple{tr}, nil)
+	if err != nil || len(d.Inserted) != 0 {
+		t.Errorf("duplicate insert = %+v, %v", d, err)
 	}
-	if !c.Delete(tr) {
-		t.Fatal("Delete = false")
+	if d, err = c.ApplyUpdate(nil, []rdf.Triple{tr}); err != nil || len(d.Deleted) != 1 {
+		t.Fatalf("delete = %+v, %v", d, err)
 	}
 	if c.Base().Contains(tr) {
 		t.Error("delete not applied to G")
 	}
-	unchanged("Delete")
-	if c.Delete(tr) {
-		t.Error("second Delete = true")
+	unchanged("delete")
+	if d, err = c.ApplyUpdate(nil, []rdf.Triple{tr}); err != nil || len(d.Deleted) != 0 {
+		t.Errorf("second delete = %+v, %v", d, err)
 	}
 	// Invalid triples are rejected.
-	if _, err := c.Insert(rdf.Triple{S: rdf.NewLiteral("x"), P: tr.P, O: tr.O}); err == nil {
+	if _, err := c.ApplyUpdate([]rdf.Triple{{S: rdf.NewLiteral("x"), P: tr.P, O: tr.O}}, nil); err == nil {
 		t.Error("invalid triple accepted")
 	}
 }
@@ -64,18 +64,23 @@ func TestApplyUpdateLeavesViewGraphUntouched(t *testing.T) {
 // addObservation inserts a full observation (4 triples) through the catalog.
 func addObservation(t *testing.T, c *Catalog, id, country, lang string, year int, pop int64) {
 	t.Helper()
-	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
-	obs := ex(id)
-	for _, tr := range []rdf.Triple{
-		{S: obs, P: ex("country"), O: rdf.NewLiteral(country)},
-		{S: obs, P: ex("lang"), O: rdf.NewLiteral(lang)},
-		{S: obs, P: ex("year"), O: rdf.NewYear(year)},
-		{S: obs, P: ex("pop"), O: rdf.NewInteger(pop)},
-	} {
-		if _, err := c.Insert(tr); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.ApplyUpdate(observation(id, country, lang, year, pop), nil); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// refreshView refreshes every stale view through the one refresh path,
+// RefreshAllParallel, and returns v's record.
+func refreshView(t *testing.T, c *Catalog, v facet.View) *Materialized {
+	t.Helper()
+	if _, err := c.RefreshAllParallel(1); err != nil {
+		t.Fatalf("refreshing %s: %v", v, err)
+	}
+	m, ok := c.Get(v.Mask)
+	if !ok {
+		t.Fatalf("%s is not materialized", v)
+	}
+	return m
 }
 
 func TestStalenessLifecycle(t *testing.T) {
@@ -100,9 +105,7 @@ func TestStalenessLifecycle(t *testing.T) {
 	if len(stale) != 1 || stale[0].Mask != v.Mask {
 		t.Errorf("StaleViews = %v", stale)
 	}
-	if _, err := c.Refresh(v); err != nil {
-		t.Fatal(err)
-	}
+	refreshView(t, c, v)
 	if c.Stale(v.Mask) {
 		t.Error("view stale after refresh")
 	}
@@ -120,10 +123,7 @@ func TestRefreshProducesCorrectAnswers(t *testing.T) {
 	addObservation(t, c, "obsA", "CNEW", "L0", 2016, 1234)
 	addObservation(t, c, "obsB", "C0", "L1", 2016, 777)
 
-	refreshed, err := c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refreshed := refreshView(t, c, v)
 	// The refreshed contents must equal a from-scratch computation.
 	direct, err := Compute(c.BaseEngine(), v)
 	if err != nil {
@@ -170,15 +170,10 @@ func TestRefreshHandlesDeletes(t *testing.T) {
 	if len(toDelete) == 0 {
 		t.Fatal("no observation found")
 	}
-	for _, tr := range toDelete {
-		if !c.Delete(tr) {
-			t.Fatalf("Delete(%s) = false", tr)
-		}
+	if d, err := c.ApplyUpdate(nil, toDelete); err != nil || len(d.Deleted) != len(toDelete) {
+		t.Fatalf("delete = %+v, %v", d, err)
 	}
-	refreshed, err := c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refreshed := refreshView(t, c, v)
 	direct, err := Compute(c.BaseEngine(), v)
 	if err != nil {
 		t.Fatal(err)
@@ -199,26 +194,49 @@ func TestRefreshAll(t *testing.T) {
 	if got := len(c.StaleViews()); got != 3 {
 		t.Fatalf("stale views = %d", got)
 	}
-	n, err := c.RefreshAll()
+	n, err := c.RefreshAllParallel(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 || len(c.StaleViews()) != 0 {
-		t.Errorf("RefreshAll refreshed %d, stale after = %d", n, len(c.StaleViews()))
+		t.Errorf("RefreshAllParallel refreshed %d, stale after = %d", n, len(c.StaleViews()))
 	}
 	// Second call is a no-op.
-	n, err = c.RefreshAll()
+	n, err = c.RefreshAllParallel(1)
 	if err != nil || n != 0 {
-		t.Errorf("second RefreshAll = %d, %v", n, err)
+		t.Errorf("second RefreshAllParallel = %d, %v", n, err)
 	}
 }
 
-func TestRefreshUnmaterializedFails(t *testing.T) {
-	g := popGraph(t, 26, 2, 2, 1)
-	f := popFacet(t, "SUM")
-	c := NewCatalog(g, f)
-	if _, err := c.Refresh(f.View(0)); err == nil {
-		t.Error("refresh of unmaterialized view accepted")
+// TestCommitRefreshSkipsDroppedView: a view dropped between PlanRefresh and
+// CommitRefresh is skipped on both the incremental and the full path, never
+// refreshed back into V.
+func TestCommitRefreshSkipsDroppedView(t *testing.T) {
+	for _, incremental := range []bool{true, false} {
+		g := popGraph(t, 26, 2, 2, 1)
+		f := popFacet(t, "SUM")
+		c := NewCatalog(g, f)
+		c.SetIncrementalMaintenance(incremental)
+		v := f.View(0)
+		if _, err := c.Materialize(v); err != nil {
+			t.Fatal(err)
+		}
+		addObservation(t, c, "obsD", "C0", "L0", 2015, 5)
+		wantInc := 0
+		if incremental {
+			wantInc = 1
+		}
+		plan, err := c.PlanRefresh(1)
+		if err != nil || plan == nil || plan.Incremental() != wantInc {
+			t.Fatalf("incremental=%v: plan = %+v, %v", incremental, plan, err)
+		}
+		c.Drop(v)
+		if n, err := c.CommitRefresh(plan); err != nil || n != 0 {
+			t.Fatalf("incremental=%v: commit refreshed %d, %v; want 0", incremental, n, err)
+		}
+		if c.Has(v.Mask) || c.ViewGraph().Len() != 0 {
+			t.Errorf("incremental=%v: dropped view came back", incremental)
+		}
 	}
 }
 
@@ -231,10 +249,7 @@ func TestRefreshFreshViewNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := c.Refresh(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := refreshView(t, c, v)
 	if m1 != m2 {
 		t.Error("refresh of fresh view rebuilt it")
 	}
@@ -267,12 +282,11 @@ func TestRefreshEquivalenceProperty(t *testing.T) {
 				// Random delete of one existing triple group.
 				all := c.Base().Triples()
 				if len(all) > 0 {
-					c.Delete(all[rng.Intn(len(all))])
+					if _, err := c.ApplyUpdate(nil, []rdf.Triple{all[rng.Intn(len(all))]}); err != nil {
+						t.Fatal(err)
+					}
 				}
-				refreshed, err := c.Refresh(v)
-				if err != nil {
-					t.Fatal(err)
-				}
+				refreshed := refreshView(t, c, v)
 				direct, err := Compute(c.BaseEngine(), v)
 				if err != nil {
 					t.Fatal(err)

@@ -9,53 +9,12 @@ import (
 	"sofos/internal/facet"
 )
 
-// Parallel offline-module operations. View contents are computed read-only —
-// either against the base graph (the store supports lock-free snapshot
-// scans) or by rolling up an already-materialized ancestor's immutable Data —
-// so independent lattice views can be computed concurrently with zero
-// coordination. Only the encoding into V mutates the view graph, and
-// that stays serial, batched between waves.
-
-// MaterializeAll materializes every listed view, computing independent view
-// contents on a bounded pool of up to workers goroutines. The batch is
-// processed in waves: a view that a finer batch member covers waits for that
-// ancestor's wave, so the cheap roll-up path of Materialize is preserved
-// (e.g. the full view computes first, its children then roll up from it in
-// parallel). Records are returned in input order; already-materialized views
-// return their existing records, and duplicates resolve to one record.
-func (c *Catalog) MaterializeAll(vs []facet.View, workers int) ([]*Materialized, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	var pending []facet.View
-	seen := make(map[facet.Mask]bool, len(vs))
-	for _, v := range vs {
-		if v.Facet != c.facet {
-			return nil, fmt.Errorf("views: view %s belongs to a different facet", v)
-		}
-		if seen[v.Mask] || c.Has(v.Mask) {
-			continue
-		}
-		seen[v.Mask] = true
-		pending = append(pending, v)
-	}
-	for len(pending) > 0 {
-		wave, rest := nextWave(pending)
-		if err := c.materializeWave(wave, workers); err != nil {
-			return nil, err
-		}
-		pending = rest
-	}
-	out := make([]*Materialized, len(vs))
-	for i, v := range vs {
-		m, ok := c.mats[v.Mask]
-		if !ok {
-			return nil, fmt.Errorf("views: %s missing after batch materialization", v)
-		}
-		out[i] = m
-	}
-	return out, nil
-}
+// Parallel offline-module operations. Every materialization and refresh is
+// a plan and a commit: planning computes view contents read-only — against
+// the base graph (the store supports lock-free snapshot scans) or by
+// rolling up an ancestor's immutable Data — on a bounded worker pool, and
+// committing encodes them into V serially. Materialize, RefreshAllParallel
+// and core.System only compose the two.
 
 // nextWave splits pending views into those computable now (not covered by a
 // finer pending view) and the rest, preserving input order. Covers is a
@@ -131,128 +90,95 @@ func (c *Catalog) computeWave(vs []facet.View, workers int,
 	return results
 }
 
-// resolveSources picks each view's roll-up source exactly once, returning
-// the per-mask sources and the base graph version each view's contents will
-// reflect: the source's baseVersion for roll-ups (they differ from the
-// current version only when the source is stale), the current version for
-// base computations. bestSource breaks NumGroups ties by map iteration
-// order, so the caller must reuse this single resolution for both the
-// compute and the version record — resolving twice could roll up from one
-// ancestor while recording another's version.
-func (c *Catalog) resolveSources(vs []facet.View) (map[facet.Mask]*Materialized, []int64) {
-	baseVersion := c.base.Version()
-	srcs := make(map[facet.Mask]*Materialized, len(vs))
-	versions := make([]int64, len(vs))
-	for i, v := range vs {
-		versions[i] = baseVersion
-		if src := c.bestSource(v); src != nil {
-			srcs[v.Mask] = src
-			versions[i] = src.baseVersion
-		}
-	}
-	return srcs, versions
-}
-
-// materializeWave computes one wave's view contents in parallel, then
-// encodes them into G+ serially in wave order.
-func (c *Catalog) materializeWave(wave []facet.View, workers int) error {
-	// Wave members never cover each other, so committing earlier members in
-	// the loop below cannot change a later member's resolved source. The
-	// srcs map is read-only inside the pool, so sharing it needs no locking.
-	srcs, versions := c.resolveSources(wave)
-	results := c.computeWave(wave, workers, func(eng *engine.Engine, _ int, v facet.View) (*Data, error) {
-		if src := srcs[v.Mask]; src != nil {
-			return RollUp(src.Data, v)
-		}
-		return Compute(eng, v)
-	})
-	for i := range wave {
-		if results[i].err != nil {
-			return results[i].err
-		}
-		if _, err := c.materializeData(results[i].data, results[i].start, versions[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MaterializePlan holds computed view contents ready to be encoded into
-// G+. Like RefreshPlan, producing it only reads the catalog; committing it
-// is the sole mutation.
+// MaterializePlan holds computed view contents ready to be encoded into V.
+// Like RefreshPlan, producing it only reads the catalog; committing it is
+// the sole mutation.
 type MaterializePlan struct {
-	views  []facet.View
-	data   []*Data
+	// recs carry, per view in input order, the planned Data and the base
+	// graph version it reflects: the plan-time base version, or — when
+	// rolled up — the source's baseVersion. Recording it (rather than the
+	// commit-time version) keeps a view correctly marked stale when the base
+	// advances between planning and commit.
+	recs   []*Materialized
 	starts []time.Time
-	// versions records, per view, the base graph version its contents
-	// reflect: the plan-time base version, or — when rolled up from a
-	// materialized ancestor — that ancestor's baseVersion. Recording it
-	// (rather than the commit-time version) keeps a view correctly marked
-	// stale when the base advances between planning and commit.
-	versions []int64
 }
-
-// Len returns the number of views the plan materializes.
-func (p *MaterializePlan) Len() int { return len(p.views) }
 
 // PlanMaterialize computes contents for every listed view not already
 // materialized, on up to workers goroutines, without mutating the catalog.
-// Each view computes from its cheapest committed source — a materialized
-// ancestor roll-up or the base graph; unlike MaterializeAll it does not
-// roll up from batch siblings, since nothing is encoded until commit.
-// Returns nil when every listed view is already materialized. The caller
-// must not run catalog mutations concurrently with planning.
+// The batch is planned in cover-order waves: a view that a finer batch
+// member covers waits for that member's wave, so the full view computes
+// first and its children then roll up from its planned Data in parallel.
+// Each view computes from its cheapest source — the committed or planned
+// ancestor with the fewest groups, else the base graph. Returns nil when
+// every listed view is already materialized; duplicates plan once. The
+// caller must not run catalog mutations concurrently with planning.
 func (c *Catalog) PlanMaterialize(vs []facet.View, workers int) (*MaterializePlan, error) {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	var pending []facet.View
-	seen := make(map[facet.Mask]bool, len(vs))
+	idx := make(map[facet.Mask]int, len(vs))
 	for _, v := range vs {
 		if v.Facet != c.facet {
 			return nil, fmt.Errorf("views: view %s belongs to a different facet", v)
 		}
-		if seen[v.Mask] || c.Has(v.Mask) {
+		if _, dup := idx[v.Mask]; dup || c.Has(v.Mask) {
 			continue
 		}
-		seen[v.Mask] = true
+		idx[v.Mask] = len(pending)
 		pending = append(pending, v)
 	}
 	if len(pending) == 0 {
 		return nil, nil
 	}
-	plan := &MaterializePlan{views: pending}
-	srcs, versions := c.resolveSources(pending)
-	plan.versions = versions
-	results := c.computeWave(pending, workers, func(eng *engine.Engine, _ int, v facet.View) (*Data, error) {
-		if src := srcs[v.Mask]; src != nil {
-			return RollUp(src.Data, v)
+	baseVersion := c.base.Version()
+	plan := &MaterializePlan{
+		recs:   make([]*Materialized, len(pending)),
+		starts: make([]time.Time, len(pending)),
+	}
+	for rest := pending; len(rest) > 0; {
+		var wave []facet.View
+		wave, rest = nextWave(rest)
+		// Wave members never cover each other, so every source is committed
+		// or planned in an earlier wave. Each is resolved once: bestSource
+		// breaks NumGroups ties by map order, and the roll-up and the
+		// recorded version must come from the same ancestor.
+		srcs := make([]*Materialized, len(wave))
+		for i, v := range wave {
+			srcs[i] = c.bestSource(v, plan.recs)
 		}
-		return Compute(eng, v)
-	})
-	for i, v := range pending {
-		if results[i].err != nil {
-			return nil, fmt.Errorf("views: computing %s: %w", v, results[i].err)
+		results := c.computeWave(wave, workers, func(eng *engine.Engine, i int, v facet.View) (*Data, error) {
+			if srcs[i] != nil {
+				return RollUp(srcs[i].Data, v)
+			}
+			return Compute(eng, v)
+		})
+		for i, v := range wave {
+			if results[i].err != nil {
+				return nil, fmt.Errorf("views: computing %s: %w", v, results[i].err)
+			}
+			rec := &Materialized{Data: results[i].data, baseVersion: baseVersion}
+			if srcs[i] != nil {
+				rec.baseVersion = srcs[i].baseVersion
+			}
+			plan.recs[idx[v.Mask]], plan.starts[idx[v.Mask]] = rec, results[i].start
 		}
-		plan.data = append(plan.data, results[i].data)
-		plan.starts = append(plan.starts, results[i].start)
 	}
 	return plan, nil
 }
 
-// CommitMaterialize encodes planned contents into G+ serially, returning
+// CommitMaterialize encodes planned contents into V serially, returning
 // the records in plan order. Committing a nil plan is a no-op. A view
 // materialized since planning keeps its existing record (materializeData
-// is idempotent per mask). Each record carries the plan-time base version,
-// so a base-graph write that landed between planning and commit leaves the
-// new views marked stale rather than serving pre-write contents as fresh.
+// is idempotent per mask). Each record carries the version its contents
+// reflect, so a base-graph write that landed between planning and commit
+// leaves the new views marked stale rather than serving pre-write contents
+// as fresh.
 func (c *Catalog) CommitMaterialize(p *MaterializePlan) ([]*Materialized, error) {
 	if p == nil {
 		return nil, nil
 	}
-	out := make([]*Materialized, 0, len(p.views))
-	for i := range p.views {
-		m, err := c.materializeData(p.data[i], p.starts[i], p.versions[i])
+	out := make([]*Materialized, 0, len(p.recs))
+	for i, rec := range p.recs {
+		m, err := c.materializeData(rec.Data, p.starts[i], rec.baseVersion)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sofos/internal/facet"
-	"sofos/internal/rdf"
 	"sofos/internal/store"
 )
 
@@ -20,9 +19,24 @@ func latticeViews(f *facet.Facet) []facet.View {
 	return out
 }
 
-// TestMaterializeAllMatchesSerial materializes the whole lattice via the
-// parallel batch path and via serial Materialize calls, asserting identical
-// view contents, G+ triples, and roll-up sourcing for the children.
+// materializeBatch plans vs on up to workers goroutines and commits the
+// plan, returning the committed records.
+func materializeBatch(t *testing.T, c *Catalog, vs []facet.View, workers int) []*Materialized {
+	t.Helper()
+	plan, err := c.PlanMaterialize(vs, workers)
+	if err != nil {
+		t.Fatalf("planning: %v", err)
+	}
+	mats, err := c.CommitMaterialize(plan)
+	if err != nil {
+		t.Fatalf("committing: %v", err)
+	}
+	return mats
+}
+
+// TestMaterializeAllMatchesSerial materializes the whole lattice as one
+// plan+commit batch and via serial Materialize calls, asserting identical
+// view contents, V triples, and roll-up sourcing for the children.
 func TestMaterializeAllMatchesSerial(t *testing.T) {
 	g := popGraph(t, 3, 5, 4, 3)
 	f := popFacet(t, "AVG") // AVG exercises the (Sum, Count) roll-up state
@@ -34,18 +48,18 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		par := NewCatalog(g.Clone(), f)
-		mats, err := par.MaterializeAll(vs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		mats := materializeBatch(t, par, vs, workers)
 		if len(mats) != len(vs) {
 			t.Fatalf("workers=%d: %d records for %d views", workers, len(mats), len(vs))
 		}
 		for i, v := range vs {
 			want, _ := serial.Get(v.Mask)
 			got := mats[i]
+			if got.View().Mask != v.Mask {
+				t.Fatalf("workers=%d: record %d is %s, want %s (input order)", workers, i, got.View(), v)
+			}
 			if !reflect.DeepEqual(groupsOf(got.Data), groupsOf(want.Data)) {
 				t.Errorf("workers=%d: view %s groups differ from serial", workers, v)
 			}
@@ -53,30 +67,89 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 				t.Errorf("workers=%d: view %s computed from base, expected roll-up", workers, v)
 			}
 		}
-		if par.ViewGraph().Len() != serial.ViewGraph().Len() {
-			t.Errorf("workers=%d: |V| = %d, serial %d",
+		if !reflect.DeepEqual(par.ViewGraph().SortedTriples(), serial.ViewGraph().SortedTriples()) {
+			t.Errorf("workers=%d: V differs from serial (%d vs %d triples)",
 				workers, par.ViewGraph().Len(), serial.ViewGraph().Len())
 		}
 	}
 }
 
+// TestPlanMaterializeRollsUpFromBatchParent: on an empty catalog, a child
+// listed before the parent that covers it still waits for the parent's wave
+// and rolls up from its planned contents instead of scanning G.
+func TestPlanMaterializeRollsUpFromBatchParent(t *testing.T) {
+	g := popGraph(t, 2, 4, 3, 2)
+	f := popFacet(t, "SUM")
+	c := NewCatalog(g, f)
+	parent, child := f.View(facet.MaskFromBits(0, 1)), f.View(facet.MaskFromBits(0))
+	mats := materializeBatch(t, c, []facet.View{child, parent}, 2)
+	if len(mats) != 2 || mats[0].View().Mask != child.Mask || mats[1].View().Mask != parent.Mask {
+		t.Fatalf("records = %v, want child then parent", mats)
+	}
+	if got, want := mats[0].Data.Source, "rollup:"+parent.ID(); got != want {
+		t.Errorf("child source = %q, want %q", got, want)
+	}
+	if mats[1].Data.Source != "base" {
+		t.Errorf("parent source = %q, want base", mats[1].Data.Source)
+	}
+	if c.Stale(child.Mask) || c.Stale(parent.Mask) {
+		t.Error("a batch with no intervening write committed stale views")
+	}
+	direct, err := Compute(c.BaseEngine(), child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameGroups(t, child, direct, mats[0].Data)
+}
+
 // TestMaterializeAllDuplicatesAndExisting covers dedup and already-present
-// views in one batch.
+// views on the plan/commit path: a batch plans each missing view once,
+// skips materialized ones (a plan of only those is nil), and a view
+// materialized between planning and commit keeps its record.
 func TestMaterializeAllDuplicatesAndExisting(t *testing.T) {
 	g := popGraph(t, 4, 4, 3, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
 	top := f.View(f.FullMask())
-	if _, err := c.Materialize(top); err != nil {
-		t.Fatal(err)
-	}
-	child := f.View(facet.MaskFromBits(0))
-	mats, err := c.MaterializeAll([]facet.View{top, child, child, top}, 4)
+	topRec, err := c.Materialize(top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mats) != 4 || mats[0] != mats[3] || mats[1] != mats[2] {
-		t.Errorf("batch records not shared across duplicates")
+	child := f.View(facet.MaskFromBits(0))
+	mats := materializeBatch(t, c, []facet.View{top, child, child, top}, 4)
+	if len(mats) != 1 || mats[0].View().Mask != child.Mask {
+		t.Fatalf("batch committed %v, want the child once", mats)
+	}
+	if m, _ := c.Get(child.Mask); m != mats[0] {
+		t.Error("committed record is not the catalog's")
+	}
+	if m, _ := c.Get(top.Mask); m != topRec {
+		t.Error("already-materialized view got a new record")
+	}
+	if plan, err := c.PlanMaterialize([]facet.View{top, child, top}, 4); err != nil || plan != nil {
+		t.Errorf("plan of materialized views = %v, %v; want nil", plan, err)
+	}
+	if again, err := c.Materialize(child); err != nil || again != mats[0] {
+		t.Errorf("re-materializing returned %p, %v; want the existing record", again, err)
+	}
+
+	// Planned, then materialized by another path before the commit.
+	mid := f.View(facet.MaskFromBits(0, 1))
+	plan, err := c.PlanMaterialize([]facet.View{mid}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Materialize(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vLen := c.ViewGraph().Len()
+	late, err := c.CommitMaterialize(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(late) != 1 || late[0] != first || c.ViewGraph().Len() != vLen {
+		t.Errorf("late commit replaced the record or re-encoded it (|V| %d -> %d)", vLen, c.ViewGraph().Len())
 	}
 }
 
@@ -103,9 +176,7 @@ func TestCommitMaterializeAfterWriteMarksStale(t *testing.T) {
 		t.Fatal("view committed from a pre-write plan is marked fresh")
 	}
 	// Refresh converges it to the post-write base.
-	if _, err := c.Refresh(v); err != nil {
-		t.Fatal(err)
-	}
+	refreshView(t, c, v)
 	if c.Stale(v.Mask) {
 		t.Error("view still stale after refresh")
 	}
@@ -187,16 +258,14 @@ func TestMaterializeTieBreakConsistency(t *testing.T) {
 				}
 			}
 		}
-		for _, v := range []facet.View{a, b} {
-			if _, err := c.Materialize(v); err != nil {
-				t.Fatal(err)
-			}
+		// b is materialized first; a write to an existing group stales it
+		// without changing its group count, and a — which b does not cover —
+		// then computes fresh from G: a fresh/stale pair tied on NumGroups.
+		if _, err := c.Materialize(b); err != nil {
+			t.Fatal(err)
 		}
-		// A write to an existing group stales both ancestors without changing
-		// their group counts; refreshing only one leaves a fresh/stale pair
-		// still tied on NumGroups.
 		addObservation(t, c, fmt.Sprintf("tiefresh%d", round), "C0", "L0", 2015, 1000)
-		if _, err := c.Refresh(a); err != nil {
+		if _, err := c.Materialize(a); err != nil {
 			t.Fatal(err)
 		}
 		ma, _ := c.Get(a.Mask)
@@ -231,30 +300,17 @@ func TestRefreshAllParallelMatchesSerial(t *testing.T) {
 	f := popFacet(t, "SUM")
 	build := func() *Catalog {
 		c := NewCatalog(popGraph(t, 5, 4, 3, 2), f)
-		if _, err := c.MaterializeAll(latticeViews(f), 2); err != nil {
-			t.Fatal(err)
-		}
+		materializeBatch(t, c, latticeViews(f), 2)
 		return c
 	}
 	mutate := func(c *Catalog) {
-		ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 		for i := 0; i < 5; i++ {
-			obs := ex(fmt.Sprintf("fresh%d", i))
-			for _, tr := range []rdf.Triple{
-				{S: obs, P: ex("country"), O: rdf.NewLiteral("C99")},
-				{S: obs, P: ex("lang"), O: rdf.NewLiteral("L99")},
-				{S: obs, P: ex("year"), O: rdf.NewYear(2030)},
-				{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(100 + i))},
-			} {
-				if _, err := c.Insert(tr); err != nil {
-					t.Fatal(err)
-				}
-			}
+			addObservation(t, c, fmt.Sprintf("fresh%d", i), "C99", "L99", 2030, int64(100+i))
 		}
 	}
 	want := build()
 	mutate(want)
-	if n, err := want.RefreshAll(); err != nil || n == 0 {
+	if n, err := want.RefreshAllParallel(1); err != nil || n == 0 {
 		t.Fatalf("serial refresh: n=%d err=%v", n, err)
 	}
 	got := build()

@@ -68,7 +68,7 @@ func TestCatalogStateRoundTrip(t *testing.T) {
 			if _, err := c.ApplyUpdate(obs("st_a", 41), nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.RefreshAll(); err != nil {
+			if _, err := c.RefreshAllParallel(1); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.ApplyUpdate(obs("st_b", 7), nil); err != nil {
@@ -141,10 +141,7 @@ func TestRestoredCatalogMaintains(t *testing.T) {
 	if _, err := restored.ApplyUpdate(ins, nil); err != nil {
 		t.Fatal(err)
 	}
-	mat, err := restored.Refresh(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := refreshView(t, restored, full)
 	if mat.Maint.LastPath != "incremental" {
 		t.Fatalf("refresh path after restore = %q, want incremental", mat.Maint.LastPath)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"sofos/internal/engine"
 	"sofos/internal/facet"
@@ -418,23 +417,6 @@ func TestCatalogRejectsForeignView(t *testing.T) {
 	c := NewCatalog(g, f)
 	if _, err := c.Materialize(other.View(0)); err == nil {
 		t.Error("foreign facet view accepted")
-	}
-}
-
-func TestMaterializeDataZeroStart(t *testing.T) {
-	g := popGraph(t, 13, 2, 2, 1)
-	f := popFacet(t, "SUM")
-	c := NewCatalog(g, f)
-	d, err := Compute(c.BaseEngine(), f.View(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.MaterializeData(d, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Elapsed < 0 {
-		t.Error("negative elapsed")
 	}
 }
 
