@@ -63,7 +63,7 @@ SELECT ?name ?lang ?year (SUM(?pop) AS ?total) WHERE {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("materialized %s: %d groups, %d extra triples in G+\n\n",
+	fmt.Printf("materialized %s: a table of %d groups, whose encoding adds %d triples to G+\n\n",
 		langView.ID(), mat.Data.NumGroups(), mat.Triples)
 
 	// 4. Example 1.1: "what is the total French-speaking population?"
@@ -82,7 +82,7 @@ SELECT (SUM(?pop) AS ?total) WHERE {
 	fmt.Printf("French-speaking population: %s (answered via %s in %s)\n",
 		ans.Result.Rows[0][0], ans.ViaLabel(), ans.Elapsed)
 	if ans.Rewritten != nil {
-		fmt.Printf("\nthe query was rewritten to read the view encoding:\n%s\n", ans.Rewritten)
+		fmt.Printf("\nthe query was rewritten to this star join over the view encoding in G+,\nanswered from the view's group table:\n%s\n", ans.Rewritten)
 	}
 
 	// 5. The same query without views, for comparison.

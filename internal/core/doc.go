@@ -9,11 +9,12 @@
 //
 //   - the view lattice V(F) (facet.Lattice) — every granularity the facet
 //     can be aggregated at;
-//   - the catalog (views.Catalog) — the view graph V holding the encodings
-//     of the currently materialized views (the expanded graph G+ is the
-//     logical union G ∪ V), plus maintenance state;
+//   - the catalog (views.Catalog) — the group tables of the currently
+//     materialized views (the paper's expanded graph G+ is the logical union
+//     G ∪ V, with the view graph V built from the tables on demand), plus
+//     maintenance state;
 //   - the rewriter (rewrite.Rewriter) — the online module answering queries
-//     from the best usable view, falling back to G;
+//     from the best usable view's group table, falling back to G;
 //   - the cost-model suite (cost.Model) and the greedy selectors
 //     (selection.Greedy / GreedyMemory) of the offline module.
 //

@@ -55,8 +55,8 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 	stats.SnapshotLoad = time.Since(loadStart)
 	stats.RestoredTriples = g.Len()
 
-	// Catalog state: materialized views come back as stored groups re-encoded
-	// into G+, not as recomputations of their defining queries.
+	// Catalog state: materialized views come back as their stored group
+	// tables, not as recomputations of their defining queries.
 	cr, err := cp.OpenCatalog()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: opening catalog state: %w", err)

@@ -167,23 +167,16 @@ func (s *System) SelectViewsByMemory(m cost.Model, budgetBytes int64) (*selectio
 	})
 }
 
-// Materialize materializes every view of a selection into the view graph V:
-// PlanMaterialize computes independent views on the system's worker pool
-// (covered views roll up from the batch's finer ones), CommitMaterialize
-// encodes them, and the records it committed are returned. V's delta overlay
-// is then compacted, so the online module's queries run against pure sorted
-// permutation runs.
+// Materialize materializes every view of a selection: PlanMaterialize
+// computes independent views on the system's worker pool (covered views roll
+// up from the batch's finer ones), CommitMaterialize records their group
+// tables, and the records it committed are returned.
 func (s *System) Materialize(sel *selection.Selection) ([]*views.Materialized, error) {
 	plan, err := s.Catalog.PlanMaterialize(sel.Views, s.Workers)
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.Catalog.CommitMaterialize(plan)
-	if err != nil {
-		return nil, err
-	}
-	s.Catalog.ViewGraph().Compact()
-	return out, nil
+	return s.Catalog.CommitMaterialize(plan)
 }
 
 // ApplyUpdate commits one batched update (inserts first, then deletes) to
@@ -201,7 +194,7 @@ func (s *System) Refresh() (int, error) {
 	return s.Catalog.RefreshAllParallel(s.Workers)
 }
 
-// Reset drops all materialized views, emptying V so that G+ equals G.
+// Reset drops all materialized views, so that G+ equals G.
 func (s *System) Reset() { s.Catalog.Reset() }
 
 // Answer answers one analytical query through the online module.

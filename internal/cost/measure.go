@@ -15,7 +15,12 @@ import (
 // MeasureViewTimes measures, for each sampled view, the average wall-clock
 // time to answer probe queries when (only) that view is materialized. These
 // ground-truth times train the learned model and anchor the cost-fidelity
-// experiment (E5): they are what every cost model is trying to predict.
+// experiments (E5, E6, E8): they are what every cost model is trying to
+// predict.
+//
+// The times are the paper's star join over the view's encoding in V
+// (rewrite.AnswerStarJoin), not the serving path, which reads the group
+// table; V is built before the clock starts.
 //
 // Probes are roll-up queries over random dimension subsets of the view, so
 // every probe is answerable by the view under test.
@@ -31,12 +36,13 @@ func MeasureViewTimes(base *store.Graph, l *facet.Lattice, sample []facet.View, 
 		if _, err := catalog.Materialize(v); err != nil {
 			return nil, fmt.Errorf("cost: materializing probe view %s: %w", v, err)
 		}
+		catalog.ExpandedEngine() // build V before any probe is timed
 		var total time.Duration
 		n := 0
 		for p := 0; p < probesPerView; p++ {
 			sub := randomSubmask(rng, v.Mask)
 			q := l.Facet.View(sub).AnalyticalQuery()
-			ans, err := rw.Answer(q)
+			ans, err := rw.AnswerStarJoin(q)
 			if err != nil {
 				return nil, fmt.Errorf("cost: probing %s: %w", v, err)
 			}

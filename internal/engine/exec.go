@@ -566,16 +566,26 @@ func (e *Engine) finish(rows []binding, p *Plan, stats *ExecStats) (*Result, err
 		}
 	}
 
+	if err := ApplyModifiers(res, q); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// ApplyModifiers applies q's solution modifiers that follow grouping and
+// HAVING — DISTINCT, ORDER BY, then OFFSET/LIMIT — to res's rows, whose
+// columns are q's projection. A rewritten answer finishes through it too.
+func ApplyModifiers(res *Result, q *sparql.Query) error {
 	if q.Distinct {
 		res.Rows = dedupRows(res.Rows)
 	}
 	if len(q.OrderBy) > 0 {
 		if err := orderRows(res, q); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	applyLimitOffset(res, q)
-	return res, nil
+	return nil
 }
 
 // aggSlotStar and aggSlotNone are sentinel aggregate input slots for

@@ -2,13 +2,15 @@
 // the SOFOS paper): given an analytical query Q targeting a facet F, it
 // identifies the best materialized view that can answer Q, translates Q into
 // a query Q' over the view's blank-node encoding in the view graph V (the
-// expanded graph G+ is G ∪ V, and Q' reads only V), re-aggregates the
-// precomputed values to Q's granularity, and falls back to the base graph G
-// when no view is usable.
+// paper's expanded graph G+ is G ∪ V), re-aggregates the precomputed values
+// to Q's granularity, and falls back to the base graph G when no view is
+// usable. Answers are evaluated on the chosen view's group table, mirroring
+// Q' step by step; AnswerStarJoin runs Q' over a V built on demand.
 package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -145,15 +147,11 @@ func samePattern(q, f *sparql.GroupPattern) bool {
 	return true
 }
 
-// ChooseView returns the best materialized view able to answer a query
+// chooseView returns the best materialized view able to answer a query
 // needing the given dimensions: the usable view with the fewest groups
-// (the "smallest possible view" rule of §3). ok is false when none usable.
-func (r *Rewriter) ChooseView(required facet.Mask) (*views.Materialized, bool) {
-	return r.chooseView(required, obs.SpanHandle{})
-}
-
-// chooseView is ChooseView recording every candidate considered — and why
-// the losers lost — as attributes on the given span.
+// (the "smallest possible view" rule of §3), recording every candidate
+// considered — and why the losers lost — as attributes on the given span.
+// ok is false when none is usable.
 func (r *Rewriter) chooseView(required facet.Mask, sp obs.SpanHandle) (*views.Materialized, bool) {
 	var best *views.Materialized
 	for _, m := range r.catalog.Materialized() {
@@ -176,7 +174,18 @@ func (r *Rewriter) chooseView(required facet.Mask, sp obs.SpanHandle) (*views.Ma
 // Answer answers q, preferring materialized views, with the catalog's
 // default engine options.
 func (r *Rewriter) Answer(q *sparql.Query) (*Answer, error) {
-	return r.answer(q, r.catalog.BaseEngine(), r.catalog.ExpandedEngine(), obs.SpanHandle{})
+	return r.answer(q, r.catalog.BaseEngine(), r.evaluate, obs.SpanHandle{})
+}
+
+// AnswerStarJoin is Answer the paper's way: a view-answered query runs its
+// translation Q' (Answer.Rewritten) as a star join over the view graph V,
+// built on first use (views.Catalog.ExpandedEngine). Its answers equal
+// Answer's; it is the tests' oracle and what cost.MeasureViewTimes times.
+func (r *Rewriter) AnswerStarJoin(q *sparql.Query) (*Answer, error) {
+	starJoin := func(_, rq *sparql.Query, _ analysis, _ *views.Materialized, _ obs.SpanHandle) (*engine.Result, error) {
+		return r.catalog.ExpandedEngine().Execute(rq)
+	}
+	return r.answer(q, r.catalog.BaseEngine(), starJoin, obs.SpanHandle{})
 }
 
 // AnswerWith is Answer with an explicit worker bound, so a serving layer
@@ -188,15 +197,16 @@ func (r *Rewriter) AnswerWith(q *sparql.Query, opts engine.Options) (*Answer, er
 	merged := r.catalog.EngineOptions()
 	merged.Workers = opts.Workers
 	merged.Span = opts.Span
-	return r.answer(q,
-		engine.NewWithOptions(r.catalog.Base(), merged),
-		engine.NewWithOptions(r.catalog.ViewGraph(), merged),
-		opts.Span)
+	return r.answer(q, engine.NewWithOptions(r.catalog.Base(), merged), r.evaluate, opts.Span)
 }
 
-// answer runs the rewriting pipeline against the given base/expanded engines,
-// recording the rewrite decision on sp (zero handle = tracing off).
-func (r *Rewriter) answer(q *sparql.Query, baseEng, expEng *engine.Engine, sp obs.SpanHandle) (*Answer, error) {
+// evalFunc computes the rows of rq, the translation of q over mat's groups.
+type evalFunc func(q, rq *sparql.Query, an analysis, mat *views.Materialized, sp obs.SpanHandle) (*engine.Result, error)
+
+// answer runs the rewriting pipeline, evaluating view-answered queries with
+// eval and the rest on baseEng, and recording the rewrite decision on sp
+// (zero handle = tracing off).
+func (r *Rewriter) answer(q *sparql.Query, baseEng *engine.Engine, eval evalFunc, sp obs.SpanHandle) (*Answer, error) {
 	start := time.Now()
 	anSp := sp.Child("rewrite.analyze")
 	an := r.analyze(q)
@@ -227,7 +237,7 @@ func (r *Rewriter) answer(q *sparql.Query, baseEng, expEng *engine.Engine, sp ob
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: translating %s: %w", mat.View(), err)
 	}
-	res, err := expEng.Execute(rq)
+	res, err := eval(q, rq, an, mat, sp)
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: executing rewritten query: %w", err)
 	}
@@ -270,6 +280,174 @@ func CacheKey(q *sparql.Query) string {
 	return c.String()
 }
 
+// evaluate answers the translated query rq from mat's group table, each
+// step mirroring the star join over the view's encoding: (1) a group with
+// an unbound required dimension has no sofos:d_x triple and is dropped, (2)
+// so is one with an unbound aggregate, except in AVG facets, which always
+// encode Sum and Count; (3) FILTERs run on the key values and each VALUES
+// seed row a group matches counts once (valuesCount); (4) kept groups
+// re-aggregate with rq's accumulators, fed the values the encoding renders
+// (AVG sums Sum and Count for postProcess to divide); (5) with no GROUP BY
+// and no kept group, one row of empty accumulators remains (SUM gives 0).
+// Stats.IntermediateRows is the number of groups visited.
+func (r *Rewriter) evaluate(q, rq *sparql.Query, an analysis, mat *views.Materialized, sp obs.SpanHandle) (*engine.Result, error) {
+	evSp := sp.Child("rewrite.evaluate_table")
+	defer evSp.End()
+	start := time.Now()
+	f := r.catalog.Facet()
+	pos := make(map[string]int, len(f.Dims)) // facet dim -> index in the view's key
+	for i, d := range mat.View().Dims() {
+		pos[d] = i
+	}
+	var required []int
+	for i, d := range f.Dims {
+		if (an.groupMask|an.filterMask)&(1<<i) != 0 {
+			required = append(required, pos[d])
+		}
+	}
+	matches := valuesCount(q.Where.Values, pos, r.catalog.Base().Dict())
+	isAvg := f.Agg == sparql.AggAvg
+	// The view's groups project onto distinct keys exactly when the query
+	// groups by all of the view's dimensions, so no index is needed then.
+	unique := mat.View().Mask == an.groupMask
+
+	type outGroup struct {
+		row  []algebra.Value       // rq's projection, grouped columns set
+		accs []algebra.Accumulator // per column, nil for grouped ones
+	}
+	newGroup := func(key []algebra.Value) *outGroup {
+		og := &outGroup{row: make([]algebra.Value, len(rq.Select)), accs: make([]algebra.Accumulator, len(rq.Select))}
+		for i, si := range rq.Select {
+			if si.Agg == sparql.AggNone {
+				og.row[i] = key[pos[si.Var]]
+			} else {
+				og.accs[i] = algebra.NewAccumulator(si)
+			}
+		}
+		return og
+	}
+	var out []*outGroup
+	index := make(map[string]*outGroup)
+	var g views.Group
+	resolve := func(name string) algebra.Value { return g.Key[pos[name]] } // filters name view dims only
+	input := func(name string) algebra.Value {
+		switch name {
+		case SumVar:
+			return algebra.Bind(algebra.FormatFloat(g.Sum))
+		case CountVar:
+			return algebra.Bind(algebra.FormatFloat(g.Count))
+		}
+		return g.Agg
+	}
+	visited := 0
+	var kb []byte
+	mat.Data.Each(func(grp views.Group) bool {
+		visited++
+		g = grp
+		for _, p := range required {
+			if !g.Key[p].Bound {
+				return true
+			}
+		}
+		if !isAvg && !g.Agg.Bound {
+			return true
+		}
+		for _, fe := range q.Where.Filters {
+			if !algebra.EvalBool(fe, resolve) {
+				return true
+			}
+		}
+		n := matches(g.Key)
+		if n == 0 {
+			return true
+		}
+		var og *outGroup
+		if !unique {
+			kb = kb[:0]
+			for _, v := range rq.GroupBy {
+				kb = appendTerm(kb, g.Key[pos[v]].Term)
+			}
+			og = index[string(kb)]
+		}
+		if og == nil {
+			og = newGroup(g.Key)
+			if !unique {
+				index[string(kb)] = og
+			}
+			out = append(out, og)
+		}
+		for i, acc := range og.accs {
+			if acc != nil {
+				v := input(rq.Select[i].AggVar)
+				for range n {
+					acc.Add(v)
+				}
+			}
+		}
+		return true
+	})
+	if len(out) == 0 && len(rq.GroupBy) == 0 {
+		out = append(out, newGroup(nil)) // every column is an aggregate
+	}
+
+	res := &engine.Result{Vars: make([]string, len(rq.Select))}
+	for i, si := range rq.Select {
+		res.Vars[i] = si.Var
+	}
+	for _, og := range out {
+		for i, acc := range og.accs {
+			if acc != nil {
+				og.row[i] = acc.Result()
+			}
+		}
+		res.Rows = append(res.Rows, og.row)
+	}
+	res.Stats = engine.ExecStats{IntermediateRows: int64(visited), ResultRows: len(res.Rows), Elapsed: time.Since(start)}
+	evSp.AttrInt("groups_visited", int64(visited))
+	return res, nil
+}
+
+// appendTerm appends a term's identity — kind, value, datatype and language
+// tag — to b, the grouping key evaluate indexes re-aggregated groups by.
+func appendTerm(b []byte, t rdf.Term) []byte {
+	b = append(b, byte(t.Kind))
+	b = append(append(b, t.Value...), 0)
+	b = append(append(b, t.Datatype...), 0)
+	return append(append(b, t.Lang...), 0)
+}
+
+// valuesCount returns how many VALUES seed rows a group with a given key
+// joins with. The engine seeds a join with the cross product of the VALUES
+// clauses, dropping terms its graph lacks, and a later clause on a variable
+// overwrites an earlier one's binding. So a group matches, per variable, the
+// occurrences of its key value in the variable's last clause, times the size
+// of every clause that one overwrote.
+func valuesCount(clauses []sparql.InlineData, pos map[string]int, dict *rdf.Dict) func([]algebra.Value) int {
+	factor := 1
+	last := make(map[int]map[rdf.Term]int) // key index -> term occurrences
+	for i, d := range clauses {
+		count, n := make(map[rdf.Term]int), 0
+		for _, t := range d.Terms {
+			if _, ok := dict.Lookup(t); ok {
+				count[t]++
+				n++
+			}
+		}
+		if slices.ContainsFunc(clauses[i+1:], func(o sparql.InlineData) bool { return o.Var == d.Var }) {
+			factor *= n
+		} else {
+			last[pos[d.Var]] = count
+		}
+	}
+	return func(key []algebra.Value) int {
+		n := factor
+		for p, count := range last {
+			n *= count[key[p].Term]
+		}
+		return n
+	}
+}
+
 // translate builds the rewritten query over the view encoding:
 //
 //	SELECT Xq (reagg(?__v) AS ?alias) WHERE {
@@ -280,7 +458,8 @@ func CacheKey(q *sparql.Query) string {
 //	} GROUP BY Xq
 //
 // HAVING, ORDER BY, DISTINCT and LIMIT/OFFSET are applied by postProcess so
-// AVG recombination happens first.
+// AVG recombination happens first. Answer evaluates Q' on the view's group
+// table (evaluate); AnswerStarJoin runs it over V.
 func (r *Rewriter) translate(q *sparql.Query, an analysis, mat *views.Materialized) (*sparql.Query, error) {
 	f := r.catalog.Facet()
 	v := mat.View()
@@ -357,8 +536,8 @@ func iri(s string) sparql.PatternTerm {
 }
 
 // postProcess finalizes the rewritten result: recombines AVG from (sum,
-// count) columns, then applies the original query's HAVING, DISTINCT,
-// ORDER BY, and LIMIT/OFFSET.
+// count) columns, then applies the original query's HAVING and its
+// DISTINCT, ORDER BY and LIMIT/OFFSET (engine.ApplyModifiers).
 func postProcess(q *sparql.Query, an analysis, res *engine.Result) (*engine.Result, error) {
 	out := &engine.Result{Vars: make([]string, len(q.Select)), Stats: res.Stats}
 	for i, si := range q.Select {
@@ -406,76 +585,9 @@ func postProcess(q *sparql.Query, an analysis, res *engine.Result) (*engine.Resu
 		}
 		out.Rows = append(out.Rows, orow)
 	}
-	if q.Distinct {
-		out.Rows = dedup(out.Rows)
-	}
-	if len(q.OrderBy) > 0 {
-		if err := sortRows(out, q.OrderBy); err != nil {
-			return nil, err
-		}
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(out.Rows) {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(out.Rows) {
-		out.Rows = out.Rows[:q.Limit]
+	if err := engine.ApplyModifiers(out, q); err != nil {
+		return nil, err
 	}
 	out.Stats.ResultRows = len(out.Rows)
 	return out, nil
-}
-
-// dedup removes duplicate rows preserving order.
-func dedup(rows [][]algebra.Value) [][]algebra.Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, row := range rows {
-		key := ""
-		for _, v := range row {
-			key += v.String() + "\x00"
-		}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// sortRows orders rows per the ORDER BY conditions.
-func sortRows(res *engine.Result, conds []sparql.OrderCond) error {
-	idx := make(map[string]int, len(res.Vars))
-	for i, v := range res.Vars {
-		idx[v] = i
-	}
-	cols := make([]struct {
-		col  int
-		desc bool
-	}, len(conds))
-	for i, oc := range conds {
-		c, ok := idx[oc.Var]
-		if !ok {
-			return fmt.Errorf("rewrite: ORDER BY variable ?%s not projected", oc.Var)
-		}
-		cols[i] = struct {
-			col  int
-			desc bool
-		}{c, oc.Desc}
-	}
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		for _, c := range cols {
-			cmp := algebra.SortCompare(res.Rows[i][c.col], res.Rows[j][c.col])
-			if cmp != 0 {
-				if c.desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return nil
 }

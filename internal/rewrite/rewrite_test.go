@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"sofos/internal/engine"
 	"sofos/internal/facet"
+	"sofos/internal/obs"
 	"sofos/internal/rdf"
 	"sofos/internal/sparql"
 	"sofos/internal/store"
@@ -98,57 +100,106 @@ func TestAnswerFallsBackWithoutViews(t *testing.T) {
 }
 
 // TestViewAnswersEqualBaseAnswers is the central correctness property of
-// the whole system: for every aggregate kind, every query granularity, and
-// every materialized view choice, the view-based answer equals the base
-// answer — also after an update whose base triples forge a group of a
-// materialized view in the sofos: vocabulary, which must stay base data.
+// the whole system: for every aggregate kind, every materialized view, every
+// query granularity it covers and every filter set on its dimensions, the
+// answer served from the view's group table equals the paper's star join
+// over V exactly, and both equal the base answer — also after an update
+// whose base triples forge a group of the view in the sofos: vocabulary,
+// which must stay base data.
 func TestViewAnswersEqualBaseAnswers(t *testing.T) {
+	filters := []string{"", `?year >= 2016`, `?lang = "L1"`, `?country = "C2" && ?year = 2015`, `?year > 3000`}
 	for _, agg := range []string{"SUM", "COUNT", "AVG", "MIN", "MAX"} {
 		t.Run(agg, func(t *testing.T) {
 			for _, forged := range []bool{false, true} {
 				_, f, c := fixture(t, agg)
-				// Materialize the full view and one mid view.
-				if _, err := c.Materialize(f.View(f.FullMask())); err != nil {
-					t.Fatal(err)
-				}
-				mid := f.View(facet.MaskFromBits(0, 1))
-				if _, err := c.Materialize(mid); err != nil {
-					t.Fatal(err)
-				}
-				if forged {
-					forgeGroup(t, c, mid)
-				}
 				r := New(c)
-				baseEng := c.BaseEngine()
-				queries := [][]string{
-					{"country", "lang", "year"},
-					{"country", "lang"},
-					{"country"},
-					{"lang"},
-					{"year"},
-					{},
-				}
-				for _, dims := range queries {
-					q := facetQuery(t, agg, dims, "")
-					ans, err := r.Answer(q)
-					if err != nil {
-						t.Fatalf("Answer(%v): %v", dims, err)
-					}
-					if !ans.UsedView() {
-						t.Fatalf("dims %v not answered from a view: %s", dims, ans.Reason)
-					}
-					base, err := baseEng.Execute(q)
-					if err != nil {
+				for vm := facet.Mask(0); vm <= f.FullMask(); vm++ {
+					v := f.View(vm)
+					c.Reset()
+					if _, err := c.Materialize(v); err != nil {
 						t.Fatal(err)
 					}
-					if !sameRows(ans.Result.Sorted(), base.Sorted(), agg == "AVG") {
-						t.Errorf("forged=%v dims %v via %s:\nview: %v\nbase: %v",
-							forged, dims, ans.ViaLabel(), ans.Result.Sorted(), base.Sorted())
+					if forged {
+						forgeGroup(t, c, v)
+					}
+					for sub := facet.Mask(0); sub <= vm; sub++ {
+						if !sub.Subset(vm) {
+							continue
+						}
+						for _, filter := range filters {
+							q := facetQuery(t, agg, f.View(sub).Dims(), filter)
+							if !queryDims(t, f, q).Subset(vm) {
+								continue
+							}
+							label := fmt.Sprintf("forged=%v view %s dims %v filter %q", forged, v, f.View(sub).Dims(), filter)
+							table := answerBothWays(t, r, q, label)
+							base, err := c.BaseEngine().Execute(q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !sameRows(table.Result.Sorted(), base.Sorted(), agg == "AVG") {
+								t.Errorf("%s:\nview: %v\nbase: %v", label, table.Result.Sorted(), base.Sorted())
+							}
+						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// queryDims is the set of facet dimensions q groups or filters by.
+func queryDims(t *testing.T, f *facet.Facet, q *sparql.Query) facet.Mask {
+	t.Helper()
+	var m facet.Mask
+	for _, v := range q.GroupBy {
+		m |= 1 << f.DimIndex(v)
+	}
+	for _, fe := range q.Where.Filters {
+		for _, v := range sparql.ExprVars(fe) {
+			m |= 1 << f.DimIndex(v)
+		}
+	}
+	return m
+}
+
+// answerBothWays answers q from the group table and by the star join over
+// V, requires both to come from a view and to agree exactly — same view,
+// outcome and translated query, and the same rows in the same order — and
+// returns the table answer.
+func answerBothWays(t *testing.T, r *Rewriter, q *sparql.Query, label string) *Answer {
+	t.Helper()
+	table, err := r.Answer(q)
+	if err != nil {
+		t.Fatalf("%s: Answer: %v", label, err)
+	}
+	star, err := r.AnswerStarJoin(q)
+	if err != nil {
+		t.Fatalf("%s: AnswerStarJoin: %v", label, err)
+	}
+	if !table.UsedView() || !star.UsedView() {
+		t.Fatalf("%s: not answered from a view: %q / %q", label, table.Reason, star.Reason)
+	}
+	if table.Via != star.Via || table.Outcome != star.Outcome || table.Rewritten.String() != star.Rewritten.String() {
+		t.Errorf("%s: table via %s (%s), star join via %s (%s)", label, table.ViaLabel(), table.Outcome, star.ViaLabel(), star.Outcome)
+	}
+	if len(q.OrderBy) > 0 {
+		if got, want := rowStrings(table.Result), rowStrings(star.Result); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ordered rows differ\ntable:     %v\nstar join: %v", label, got, want)
+		}
+	} else if got, want := table.Result.Sorted(), star.Result.Sorted(); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s:\ntable:     %v\nstar join: %v", label, got, want)
+	}
+	return table
+}
+
+// rowStrings renders a result's rows in order.
+func rowStrings(res *engine.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = fmt.Sprint(row)
+	}
+	return out
 }
 
 // forgeGroup commits, as an ordinary base update, triples that spell a new
@@ -279,18 +330,18 @@ func TestChooseViewPrefersSmallest(t *testing.T) {
 			small.Data.NumGroups(), full.Data.NumGroups())
 	}
 	r := New(c)
-	got, ok := r.ChooseView(facet.MaskFromBits(1))
+	got, ok := r.chooseView(facet.MaskFromBits(1), obs.SpanHandle{})
 	if !ok || got.View().Mask != facet.MaskFromBits(1) {
 		t.Errorf("ChooseView = %v, want the lang view", got.View())
 	}
 	// A query needing country can only use the full view.
-	got, ok = r.ChooseView(facet.MaskFromBits(0))
+	got, ok = r.chooseView(facet.MaskFromBits(0), obs.SpanHandle{})
 	if !ok || got.View().Mask != f.FullMask() {
 		t.Errorf("ChooseView(country) = %v", got.View())
 	}
 	// Nothing covers an impossible requirement when catalog lacks it.
 	c.Drop(f.View(f.FullMask()))
-	if _, ok := r.ChooseView(facet.MaskFromBits(0)); ok {
+	if _, ok := r.chooseView(facet.MaskFromBits(0), obs.SpanHandle{}); ok {
 		t.Error("ChooseView found a view it should not")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,9 +18,6 @@ import (
 	"sofos/internal/sparql"
 	"sofos/internal/store"
 )
-
-// algebraFormat renders a float as its canonical numeric literal.
-func algebraFormat(f float64) rdf.Term { return algebra.FormatFloat(f) }
 
 // SOFOS vocabulary for the G+ encoding of materialized views.
 const (
@@ -44,7 +42,7 @@ type Maintenance struct {
 	Mode string
 	// LastPath is how the record was last produced: "initial" (first
 	// materialization), "incremental" (delta application), or "full"
-	// (recompute + encoding diff).
+	// (recompute).
 	LastPath string
 	// LastCost is the duration of the last refresh (zero until one runs).
 	// Views refreshed incrementally together share one delta join per
@@ -54,12 +52,13 @@ type Maintenance struct {
 	DeltaSize int
 }
 
-// Materialized records one view materialized into the view graph V.
+// Materialized records one materialized view: its group table and the size
+// of its encoding in the paper's G+ model.
 type Materialized struct {
 	Data    *Data
-	Triples int           // triples of the view's encoding in V
+	Triples int           // triples of the view's encoding (see Encode)
 	Bytes   int64         // estimated encoding bytes
-	Elapsed time.Duration // total materialization time (compute + encode)
+	Elapsed time.Duration // total materialization time
 	Maint   Maintenance   // maintenance mode and last-refresh bookkeeping
 
 	// baseVersion is the base graph's version at (re)materialization time,
@@ -86,17 +85,22 @@ func (m *Materialized) View() facet.View { return m.Data.View }
 // (current graph version minus BaseVersion) in stats and metrics.
 func (m *Materialized) BaseVersion() int64 { return m.baseVersion }
 
-// Catalog manages the expanded graph G+ for one facet as the logical union of
-// the base graph G and the view graph V, which holds only the materialized
-// views' encodings. It implements the offline module's materialization half.
+// Catalog manages the materialized views of one facet over the base graph
+// G. Each view is a group table (Materialized.Data); the paper's expanded
+// graph G+ = G ∪ V is a logical model whose view graph V is derived from the
+// tables on demand (ViewGraph) and never maintained. It implements the
+// offline module's materialization half.
 type Catalog struct {
 	facet   *facet.Facet
 	base    *store.Graph
-	vg      *store.Graph // V: the view encodings only
 	baseEng *engine.Engine
-	expEng  *engine.Engine // over V
 	engOpts engine.Options // options the engines were built with
 	mats    map[facet.Mask]*Materialized
+
+	// memoV is the last view graph ViewGraph built, valid while the
+	// committed records it was built from are still the catalog's.
+	memoMu sync.Mutex
+	memoV  *viewGraph
 
 	// generation counts committed catalog mutations: base-graph inserts and
 	// deletes, materializations, drops, resets, and refreshes. Two reads that
@@ -124,7 +128,7 @@ type Catalog struct {
 	staleMemo atomic.Pointer[staleState]
 }
 
-// NewCatalog returns a catalog over base with an empty view graph V: G+ = G.
+// NewCatalog returns a catalog over base with no views: G+ = G.
 func NewCatalog(base *store.Graph, f *facet.Facet) *Catalog {
 	return NewCatalogWithOptions(base, f, engine.Options{})
 }
@@ -133,13 +137,10 @@ func NewCatalog(base *store.Graph, f *facet.Facet) *Catalog {
 // caller can bound (or disable) parallel query execution on both the base
 // and view-graph engines.
 func NewCatalogWithOptions(base *store.Graph, f *facet.Facet, opts engine.Options) *Catalog {
-	vg := store.NewGraph()
 	return &Catalog{
 		facet:     f,
 		base:      base,
-		vg:        vg,
 		baseEng:   engine.NewWithOptions(base, opts),
-		expEng:    engine.NewWithOptions(vg, opts),
 		engOpts:   opts,
 		mats:      make(map[facet.Mask]*Materialized),
 		maintMode: maintenanceMode(f),
@@ -147,8 +148,8 @@ func NewCatalogWithOptions(base *store.Graph, f *facet.Facet, opts engine.Option
 }
 
 // Fork returns a writable copy-on-write successor of the catalog for MVCC
-// commit chains: G and V are forked (immutable runs and dictionaries
-// shared, delta overlays copied), the materialization records are carried by
+// commit chains: G is forked (immutable runs and dictionary shared, delta
+// overlay copied), the materialization records are carried by
 // pointer — they are immutable once committed and replaced wholesale on
 // refresh, which also preserves the pointer-identity stale-plan check in
 // CommitRefresh across the fork — and the delta log is copied so the fork's
@@ -156,13 +157,10 @@ func NewCatalogWithOptions(base *store.Graph, f *facet.Facet, opts engine.Option
 // frozen once published; all further mutation happens on the fork.
 func (c *Catalog) Fork() *Catalog {
 	nb := c.base.Fork()
-	nv := c.vg.Fork()
 	nc := &Catalog{
 		facet:         c.facet,
 		base:          nb,
-		vg:            nv,
 		baseEng:       engine.NewWithOptions(nb, c.engOpts),
-		expEng:        engine.NewWithOptions(nv, c.engOpts),
 		engOpts:       c.engOpts,
 		mats:          make(map[facet.Mask]*Materialized, len(c.mats)),
 		log:           c.log.fork(),
@@ -211,15 +209,53 @@ func (c *Catalog) EngineOptions() engine.Options { return c.engOpts }
 // Base returns the original graph G.
 func (c *Catalog) Base() *store.Graph { return c.base }
 
+// viewGraph is V built from a set of committed records, with its engine.
+type viewGraph struct {
+	mats []*Materialized // the records V encodes, in mask order
+	g    *store.Graph
+	eng  *engine.Engine
+}
+
 // ViewGraph returns the view graph V: the encodings of the materialized
-// views and nothing else. G+ is the logical union of Base and ViewGraph.
-func (c *Catalog) ViewGraph() *store.Graph { return c.vg }
+// views and nothing else, so that G+ is the logical union of Base and
+// ViewGraph. V is derived state: no answer, refresh or restore reads it. It
+// is built from Encode of the committed records on first use and memoized
+// until a commit replaces a record. Callers must not mutate it, nor race it
+// with catalog mutations.
+func (c *Catalog) ViewGraph() *store.Graph { return c.viewGraph().g }
+
+// ExpandedEngine returns an engine over the on-demand view graph V, the
+// graph the paper's rewritten star-join queries read (see ViewGraph).
+func (c *Catalog) ExpandedEngine() *engine.Engine { return c.viewGraph().eng }
+
+// viewGraph returns the memoized V, rebuilding it when the records moved.
+// Committed records always match their view's arity and encode to valid
+// triples, so a build error is a broken invariant.
+func (c *Catalog) viewGraph() *viewGraph {
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	mats := c.Materialized()
+	if m := c.memoV; m != nil && slices.Equal(m.mats, mats) {
+		return m
+	}
+	var triples []rdf.Triple
+	for _, m := range mats {
+		ts, err := Encode(m.Data)
+		if err != nil {
+			panic(err)
+		}
+		triples = append(triples, ts...)
+	}
+	g, err := store.BuildFrom(triples)
+	if err != nil {
+		panic(fmt.Errorf("views: building V: %w", err))
+	}
+	c.memoV = &viewGraph{mats: mats, g: g, eng: engine.NewWithOptions(g, c.engOpts)}
+	return c.memoV
+}
 
 // BaseEngine returns an engine over G.
 func (c *Catalog) BaseEngine() *engine.Engine { return c.baseEng }
-
-// ExpandedEngine returns the engine over V, which rewritten queries read.
-func (c *Catalog) ExpandedEngine() *engine.Engine { return c.expEng }
 
 // Has reports whether the view is materialized.
 func (c *Catalog) Has(m facet.Mask) bool {
@@ -278,7 +314,7 @@ func (c *Catalog) bestSource(v facet.View, planned []*Materialized) *Materialize
 }
 
 // Materialize computes the view (rolling up from a materialized ancestor
-// when possible) and encodes it into V: PlanMaterialize and
+// when possible) and records its group table: PlanMaterialize and
 // CommitMaterialize for one view. Re-materializing an existing view is a
 // no-op returning the existing record.
 func (c *Catalog) Materialize(v facet.View) (*Materialized, error) {
@@ -292,30 +328,18 @@ func (c *Catalog) Materialize(v facet.View) (*Materialized, error) {
 	return c.mats[v.Mask], nil
 }
 
-// materializeData encodes computed view contents into V and records them.
-// baseVersion is the base graph version the contents reflect, which lags
-// c.base.Version() when the base advanced after the compute phase (see
-// CommitMaterialize) or when the data rolled up from a stale ancestor.
-func (c *Catalog) materializeData(data *Data, start time.Time, baseVersion int64) (*Materialized, error) {
+// materializeData records computed view contents. baseVersion is the base
+// graph version the contents reflect, which lags c.base.Version() when the
+// base advanced after the compute phase (see CommitMaterialize) or when the
+// data rolled up from a stale ancestor.
+func (c *Catalog) materializeData(data *Data, start time.Time, baseVersion int64) *Materialized {
 	if m, ok := c.mats[data.View.Mask]; ok {
-		return m, nil
+		return m
 	}
-	triples, err := Encode(data)
-	if err != nil {
-		return nil, err
-	}
-	var bytes int64
-	for _, t := range triples {
-		bytes += tripleBytes(t)
-	}
-	// Bulk-load the encoding into V in one batch: a single lock acquisition
-	// and sorted-run merge instead of per-triple index maintenance.
-	if _, err := c.vg.LoadTriples(triples); err != nil {
-		return nil, fmt.Errorf("views: encoding %s: %w", data.View, err)
-	}
+	triples, bytes := encodingSize(data)
 	m := &Materialized{
 		Data:        data,
-		Triples:     len(triples),
+		Triples:     triples,
 		Bytes:       bytes,
 		Elapsed:     time.Since(start),
 		Maint:       Maintenance{Mode: c.maintMode.String(), LastPath: "initial"},
@@ -323,12 +347,12 @@ func (c *Catalog) materializeData(data *Data, start time.Time, baseVersion int64
 	}
 	c.mats[data.View.Mask] = m
 	c.bump()
-	return m, nil
+	return m
 }
 
 // groupEncoder renders groups of one view as their G+ encoding, with the
-// per-view constant terms resolved once. Both the full Encode pass and the
-// incremental path's per-group diffs go through it, so the two cannot drift.
+// per-view constant terms resolved once. Encode renders through it and the
+// catalog's size accounting counts through it, so the two cannot drift.
 type groupEncoder struct {
 	view    facet.View
 	dims    []string
@@ -339,6 +363,9 @@ type groupEncoder struct {
 	sumP    rdf.Term
 	countP  rdf.Term
 	isAvg   bool
+	// anyLabel is one group's blank node; every label of the view has its
+	// length, which is all the byte accounting reads of a subject.
+	anyLabel rdf.Term
 }
 
 func newGroupEncoder(v facet.View) *groupEncoder {
@@ -355,16 +382,15 @@ func newGroupEncoder(v facet.View) *groupEncoder {
 	for _, d := range e.dims {
 		e.dimPs = append(e.dimPs, rdf.NewIRI(DimPredicate(d)))
 	}
+	e.anyLabel = rdf.NewBlank(e.groupLabel(nil))
 	return e
 }
 
-// groupLabel derives the group's blank-node label from its key content:
-// refreshes that keep a group's key keep its blank node, so an encoding diff
-// touches only the groups whose values actually changed. (The seed's
-// positional labels relabeled every group after a deleted one, producing
-// O(|V|) churn for a one-group change.) The label is a 128-bit FNV of the
-// canonical key bytes — collisions would merge two groups' encodings, so the
-// hash is sized to make them negligible.
+// groupLabel derives the group's blank-node label from its key content, so
+// a group keeps its blank node across refreshes while its key survives and
+// V built at any point encodes it the same way. The label is a 128-bit FNV
+// of the canonical key bytes — collisions would merge two groups'
+// encodings, so the hash is sized to make them negligible.
 func (e *groupEncoder) groupLabel(key []algebra.Value) string {
 	var kb []byte
 	for _, kv := range key {
@@ -408,10 +434,32 @@ func (e *groupEncoder) encode(g Group) ([]rdf.Triple, error) {
 		out = append(out, rdf.Triple{S: b, P: e.aggP, O: g.Agg.Term})
 	}
 	if e.isAvg {
-		out = append(out, rdf.Triple{S: b, P: e.sumP, O: algebraFormat(g.Sum)})
-		out = append(out, rdf.Triple{S: b, P: e.countP, O: algebraFormat(g.Count)})
+		out = append(out, rdf.Triple{S: b, P: e.sumP, O: algebra.FormatFloat(g.Sum)})
+		out = append(out, rdf.Triple{S: b, P: e.countP, O: algebra.FormatFloat(g.Count)})
 	}
 	return out, nil
+}
+
+// size counts the triples encode renders for g and their bytes under
+// tripleBytes, without building them.
+func (e *groupEncoder) size(g Group) (int, int64) {
+	triple := func(p, o rdf.Term) int64 { return tripleBytes(rdf.Triple{S: e.anyLabel, P: p, O: o}) }
+	n, bytes := 1, triple(e.inView, e.viewIRI)
+	for j, kv := range g.Key {
+		if kv.Bound {
+			n++
+			bytes += triple(e.dimPs[j], kv.Term)
+		}
+	}
+	if g.Agg.Bound {
+		n++
+		bytes += triple(e.aggP, g.Agg.Term)
+	}
+	if e.isAvg {
+		n += 2
+		bytes += triple(e.sumP, algebra.FormatFloat(g.Sum)) + triple(e.countP, algebra.FormatFloat(g.Count))
+	}
+	return n, bytes
 }
 
 // Encode renders view data as the blank-node RDF encoding added to G+:
@@ -447,40 +495,34 @@ func tripleBytes(t rdf.Triple) int64 {
 	return int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + len(t.O.Datatype) + 12)
 }
 
-// Drop removes a materialized view's triples from V, reporting whether the
-// view was present. The tombstones are merged out immediately: a dropped
-// view can leave a large sub-threshold delta overlay that every subsequent
-// scan and estimate would otherwise have to filter through.
-func (c *Catalog) Drop(v facet.View) bool {
-	if !c.drop(v) {
-		return false
-	}
-	c.vg.Compact()
-	return true
+// encodingSize counts the triples Encode renders for data and their bytes
+// under tripleBytes, without building them.
+func encodingSize(data *Data) (triples int, bytes int64) {
+	e := newGroupEncoder(data.View)
+	data.Each(func(g Group) bool {
+		n, b := e.size(g)
+		triples += n
+		bytes += b
+		return true
+	})
+	return triples, bytes
 }
 
-// drop removes the view's triples without compacting, so multi-view drops
-// can batch one compaction at the end.
-func (c *Catalog) drop(v facet.View) bool {
-	m, ok := c.mats[v.Mask]
-	if !ok {
+// Drop removes a materialized view, reporting whether it was present.
+func (c *Catalog) Drop(v facet.View) bool {
+	if _, ok := c.mats[v.Mask]; !ok {
 		return false
-	}
-	if triples, err := Encode(m.Data); err == nil {
-		c.vg.RemoveTriples(triples)
 	}
 	delete(c.mats, v.Mask)
 	c.bump()
 	return true
 }
 
-// Reset drops every materialized view, emptying V so that G+ equals G, with
-// a single run compaction at the end.
+// Reset drops every materialized view, so that G+ equals G.
 func (c *Catalog) Reset() {
 	for _, m := range c.Materialized() {
-		c.drop(m.Data.View)
+		c.Drop(m.Data.View)
 	}
-	c.vg.Compact()
 }
 
 // StorageAmplification is |G+| / |G| = (|G| + |V|) / |G| in triples, the
@@ -489,8 +531,15 @@ func (c *Catalog) StorageAmplification() float64 {
 	if c.base.Len() == 0 {
 		return 1
 	}
-	return float64(c.base.Len()+c.vg.Len()) / float64(c.base.Len())
+	return float64(c.base.Len()+c.AddedTriples()) / float64(c.base.Len())
 }
 
-// AddedTriples is |V|, the total number of materialized view triples.
-func (c *Catalog) AddedTriples() int { return c.vg.Len() }
+// AddedTriples is |V|, the total number of materialized view triples: the
+// sum of the records' encoding sizes, so V need not exist to be counted.
+func (c *Catalog) AddedTriples() int {
+	n := 0
+	for _, m := range c.mats {
+		n += m.Triples
+	}
+	return n
+}

@@ -204,31 +204,24 @@ type Stats struct {
 func ComputeStats(d *Data) Stats {
 	isAvg := d.View.Facet.Agg == sparql.AggAvg
 	st := Stats{Groups: d.NumGroups()}
+	st.Triples, _ = encodingSize(d)
 	nodes := make(map[string]struct{})
 	nodes["iri:"+d.View.IRI()] = struct{}{}
-	i := 0
 	d.Each(func(g Group) bool {
-		// One blank node per group.
-		nodes[fmt.Sprintf("b:%d", i)] = struct{}{}
-		i++
-		st.Triples++ // inView triple
 		for _, kv := range g.Key {
 			if kv.Bound {
-				st.Triples++
 				nodes[kv.String()] = struct{}{}
 			}
 		}
 		if g.Agg.Bound {
-			st.Triples++
 			nodes[g.Agg.String()] = struct{}{}
 		}
 		if isAvg {
-			st.Triples += 2
 			nodes[algebra.FormatFloat(g.Sum).String()+"^s"] = struct{}{}
 			nodes[algebra.FormatFloat(g.Count).String()+"^c"] = struct{}{}
 		}
 		return true
 	})
-	st.Nodes = len(nodes)
+	st.Nodes = len(nodes) + st.Groups // plus one blank node per group
 	return st
 }

@@ -1,21 +1,25 @@
 // Package views implements view computation and materialization (§3.1 of
 // the SOFOS paper). A view's contents are computed either directly from the
-// base graph G or by rolling up an already-materialized finer view; they
-// are then encoded back into RDF as blank nodes carrying the aggregation
-// values — a generalization of the MARVEL encoding — into a view graph V.
-// The expanded graph G+ is the logical union G ∪ V; G is never copied.
+// base graph G or by rolling up an already-materialized finer view, and kept
+// as a persistent group table. The paper encodes each view back into RDF as
+// blank nodes carrying the aggregation values — a generalization of the
+// MARVEL encoding — in a view graph V, with the expanded graph G+ = G ∪ V.
+// Here G+ is the logical model: Encode renders that encoding, the catalog
+// counts its size (Materialized.Triples, AddedTriples) by Encode's rule, and
+// V itself is built from the tables only when asked for (ViewGraph,
+// ExpandedEngine: the paper-fidelity star join, its tests and export). No
+// answer, refresh or restore reads or writes V; G is never copied.
 //
-// The Catalog is the package's center: it owns V (every materialized view's
-// encoding and nothing else), tracks which views of a facet are
-// materialized, and routes each materialization through the cheapest
-// source (base computation or ancestor roll-up). Every change to V is a
-// read-only plan and a serial commit: PlanMaterialize computes a batch's
-// views on a bounded worker pool in cover-order waves (a view a finer batch
-// member covers rolls up from that member's planned contents) and
-// CommitMaterialize encodes them; PlanRefresh/CommitRefresh do the same for
-// stale views. Materialize(v) and RefreshAllParallel only compose a plan
-// with its commit. Rewritten queries read V alone; base answers read G
-// alone.
+// The Catalog is the package's center: it tracks which views of a facet are
+// materialized, holds each one's record, and routes each materialization
+// through the cheapest source (base computation or ancestor roll-up). Every
+// change to the records is a read-only plan and a serial commit:
+// PlanMaterialize computes a batch's views on a bounded worker pool in
+// cover-order waves (a view a finer batch member covers rolls up from that
+// member's planned contents) and CommitMaterialize records them;
+// PlanRefresh/CommitRefresh do the same for stale views. Materialize(v) and
+// RefreshAllParallel only compose a plan with its commit. View answers read
+// the group tables (package rewrite); base answers read G alone.
 //
 // Maintenance: ApplyUpdate, the only way to update, mutates G only,
 // captures the batch's effective delta (store.Delta) into a per-catalog

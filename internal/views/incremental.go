@@ -98,7 +98,7 @@ func (c *Catalog) MaintenanceMode() MaintenanceMode { return c.maintMode }
 
 // SetIncrementalMaintenance enables or disables the incremental refresh
 // path (enabled by default). Disabling forces every refresh down the full
-// recompute-and-diff path; benchmarks use it as the ablation baseline.
+// recompute path; benchmarks use it as the ablation baseline.
 // Callers must not race it with refreshes.
 func (c *Catalog) SetIncrementalMaintenance(enabled bool) { c.noIncremental = !enabled }
 
@@ -485,11 +485,6 @@ func groupDeltas(insRows, delRows []deltaRow) []groupDelta {
 	return out
 }
 
-// encodingDiff is the exact G+ mutation an incremental refresh commits.
-type encodingDiff struct {
-	add, remove []rdf.Triple
-}
-
 // applyDelta folds one group's delta into its stored aggregate state,
 // reporting false when exact application is impossible (poisoned group,
 // non-numeric measure, MIN/MAX extremum deletion, ambiguous MIN/MAX tie) —
@@ -624,20 +619,16 @@ func applyDelta(agg sparql.AggKind, g Group, d *groupDelta, existing bool) (Grou
 
 // applyGroupDeltas applies the gained and lost solutions to the stored view
 // contents — births, updates and deaths — producing a successor table that
-// shares every chunk no delta touches, plus the exact G+ encoding diff
-// (content-keyed blank labels keep untouched groups' triples in place). ok
-// is false when any group needs a full recompute.
-func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaRow) (*Data, *encodingDiff, bool, error) {
+// shares every chunk no delta touches, plus the change in the encoding's
+// triple and byte counts (see groupEncoder.size), counted per changed group.
+// ok is false when any group needs a full recompute.
+func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaRow) (data *Data, triples int, bytes int64, ok bool) {
 	agg := v.Facet.Agg
 	enc := newGroupEncoder(v)
-	diff := &encodingDiff{}
-	var encErr error
-	encode := func(g Group) []rdf.Triple {
-		ts, err := enc.encode(g)
-		if err != nil && encErr == nil {
-			encErr = err
-		}
-		return ts
+	count := func(g Group, sign int) {
+		n, b := enc.size(g)
+		triples += sign * n
+		bytes += int64(sign) * b
 	}
 	groups, ok := mat.Data.groups.update(groupDeltas(insRows, delRows), func(old *Group, d *groupDelta) (Group, bool, bool) {
 		if old == nil {
@@ -648,7 +639,7 @@ func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaR
 			// array with the rest of the window's rows (see project).
 			g, ok := applyDelta(agg, Group{Key: slices.Clone(d.key)}, d, false)
 			if ok && g.N > 0 {
-				diff.add = append(diff.add, encode(g)...)
+				count(g, 1)
 			}
 			return g, g.N > 0, ok
 		}
@@ -657,31 +648,18 @@ func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaR
 		case !ok || g.N < 0:
 			return g, false, false
 		case g.N == 0:
-			diff.remove = append(diff.remove, encode(*old)...)
+			count(*old, -1)
 			return g, false, true
 		case g.Agg != old.Agg || g.Sum != old.Sum || g.Count != old.Count:
-			// Same key, same blank node: only the value triples differ.
-			oldTs, newTs := encode(*old), encode(g)
-			for _, t := range newTs {
-				if !slices.Contains(oldTs, t) {
-					diff.add = append(diff.add, t)
-				}
-			}
-			for _, t := range oldTs {
-				if !slices.Contains(newTs, t) {
-					diff.remove = append(diff.remove, t)
-				}
-			}
+			count(*old, -1)
+			count(g, 1)
 		}
 		return g, true, true
 	})
-	if encErr != nil {
-		return nil, nil, false, encErr
-	}
 	if !ok {
-		return nil, nil, false, nil
+		return nil, 0, 0, false
 	}
-	return &Data{View: v, groups: groups, Source: "incremental"}, diff, true, nil
+	return &Data{View: v, groups: groups, Source: "incremental"}, triples, bytes, true
 }
 
 // --- plan / commit ---
@@ -691,7 +669,8 @@ func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaR
 type incrementalPlan struct {
 	oldMat    *Materialized // the record the deltas were computed against
 	data      *Data         // refreshed contents
-	diff      *encodingDiff // exact G+ mutation
+	triples   int           // change in the encoding's triple count
+	bytes     int64         // change in the encoding's byte count
 	deltaSize int           // |ΔG| replayed
 	toVersion int64         // base version the contents reflect
 }
@@ -794,57 +773,42 @@ func project(rows []deltaRow, v facet.View) []deltaRow {
 
 // planIncremental applies one window's join to a stale view: the rows are
 // projected onto the view's key and folded into its stored groups. It
-// returns nil (with no error) when there is no join for the view's window or
-// application hit a fallback condition (MIN/MAX extremum delete, poisoned
-// group, non-numeric measure); the caller then recomputes in full. Views of
-// one window may run it concurrently: it only reads the join and the record.
-func planIncremental(v facet.View, mat *Materialized, j *windowJoin) (*incrementalPlan, error) {
+// returns nil when there is no join for the view's window or application
+// hit a fallback condition (MIN/MAX extremum delete, poisoned group,
+// non-numeric measure); the caller then recomputes in full. Views of one
+// window may run it concurrently: it only reads the join and the record.
+func planIncremental(v facet.View, mat *Materialized, j *windowJoin) *incrementalPlan {
 	if j == nil {
-		return nil, nil
+		return nil
 	}
-	insRows, delRows := project(j.ins, v), project(j.del, v)
-	data, diff, ok, err := applyGroupDeltas(v, mat, insRows, delRows)
-	if err != nil {
-		return nil, err
-	}
+	data, triples, bytes, ok := applyGroupDeltas(v, mat, project(j.ins, v), project(j.del, v))
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	return &incrementalPlan{
 		oldMat:    mat,
 		data:      data,
-		diff:      diff,
+		triples:   triples,
+		bytes:     bytes,
 		deltaSize: j.size,
 		toVersion: j.toVersion,
-	}, nil
+	}
 }
 
-// commitIncremental applies a planned delta refresh to V and swaps the new
-// record in. It reports false (committing nothing) when the view's record
-// changed since planning — the view stays stale and the next refresh cycle
-// picks it up — so a stale plan can never clobber newer state.
-func (c *Catalog) commitIncremental(v facet.View, p *incrementalPlan, start time.Time) (*Materialized, bool, error) {
+// commitIncremental swaps a planned delta refresh's record in. It reports
+// false (committing nothing) when the view's record changed since planning
+// — the view stays stale and the next refresh cycle picks it up — so a
+// stale plan can never clobber newer state.
+func (c *Catalog) commitIncremental(v facet.View, p *incrementalPlan, start time.Time) bool {
 	mat, ok := c.mats[v.Mask]
 	if !ok || mat != p.oldMat {
-		return nil, false, nil
-	}
-	// Small diffs go through the graph's delta overlay (Apply), not the
-	// bulk-merge LoadTriples path: the whole point is to avoid O(|V|) work.
-	if _, err := c.vg.Apply(p.diff.add, p.diff.remove); err != nil {
-		return nil, false, fmt.Errorf("views: applying incremental refresh of %s: %w", v, err)
-	}
-	bytes := mat.Bytes
-	for _, t := range p.diff.add {
-		bytes += tripleBytes(t)
-	}
-	for _, t := range p.diff.remove {
-		bytes -= tripleBytes(t)
+		return false
 	}
 	p.data.ComputeTime = time.Since(start)
-	updated := &Materialized{
+	c.mats[v.Mask] = &Materialized{
 		Data:    p.data,
-		Triples: mat.Triples + len(p.diff.add) - len(p.diff.remove),
-		Bytes:   bytes,
+		Triples: mat.Triples + p.triples,
+		Bytes:   mat.Bytes + p.bytes,
 		Elapsed: time.Since(start),
 		Maint: Maintenance{
 			Mode:      c.maintMode.String(),
@@ -854,7 +818,6 @@ func (c *Catalog) commitIncremental(v facet.View, p *incrementalPlan, start time
 		},
 		baseVersion: p.toVersion,
 	}
-	c.mats[v.Mask] = updated
 	c.bump()
-	return updated, true, nil
+	return true
 }

@@ -14,11 +14,12 @@ import (
 // retains the effective delta of every committed update batch (the delta
 // log of incremental.go), and refreshes stale views either by replaying the
 // missed deltas in O(|ΔG|) — the self-maintainable path — or by recomputing
-// from the base graph and applying the minimal encoding diff to V.
+// their group tables from the base graph.
 
 // ApplyUpdate commits one batched update — inserts first, then deletes — to
-// the base graph G only: V is untouched, so base triples (even ones spelled
-// in the sofos: vocabulary) can never reach a view-answered query.
+// the base graph G only: the group tables are untouched, so base triples
+// (even ones spelled in the sofos: vocabulary) can never reach a
+// view-answered query.
 // Materialized views turn stale, and the batch's effective delta ΔG is
 // captured into the maintenance log so the next refresh can apply it without
 // a full scan. Inserts are validated up front; an error means nothing was
@@ -97,58 +98,16 @@ func (c *Catalog) StaleViews() []facet.View {
 }
 
 // applyRefresh is CommitRefresh's full-recompute step: it swaps freshly
-// computed view contents in for the current materialization, applying the
-// encoding diff to V.
-// baseVersion is the base graph's version the fresh contents were computed
-// against; recording it (rather than the commit-time version) keeps a view
-// correctly marked stale when the base advanced mid-refresh.
-func (c *Catalog) applyRefresh(v facet.View, fresh *Data, start time.Time, baseVersion int64) (*Materialized, error) {
-	mat, ok := c.mats[v.Mask]
-	if !ok {
-		return nil, fmt.Errorf("views: view %s is not materialized", v)
-	}
-	oldTriples, err := Encode(mat.Data)
-	if err != nil {
-		return nil, err
-	}
-	newTriples, err := Encode(fresh)
-	if err != nil {
-		return nil, err
-	}
-	// Diff by triple value: group blank labels are content-keyed, so only
-	// groups whose key or value actually changed contribute to the diff.
-	oldSet := make(map[rdf.Triple]struct{}, len(oldTriples))
-	for _, t := range oldTriples {
-		oldSet[t] = struct{}{}
-	}
-	var toAdd []rdf.Triple
-	var bytes int64
-	for _, t := range newTriples {
-		if _, ok := oldSet[t]; ok {
-			delete(oldSet, t) // kept in place; whatever remains is removed
-		} else {
-			toAdd = append(toAdd, t)
-		}
-		bytes += tripleBytes(t)
-	}
-	// Apply the diff to V as two batches so the sorted runs merge once per
-	// direction instead of once per triple.
-	if _, err := c.vg.LoadTriples(toAdd); err != nil {
-		return nil, fmt.Errorf("views: refreshing %s: %w", v, err)
-	}
-	toRemove := make([]rdf.Triple, 0, len(oldSet))
-	for t := range oldSet {
-		toRemove = append(toRemove, t)
-	}
-	if len(toRemove) > 0 {
-		c.vg.RemoveTriples(toRemove)
-		// Merge the tombstones out so subsequent scans pay no delta filter
-		// (same reasoning as Catalog.Drop).
-		c.vg.Compact()
-	}
-	updated := &Materialized{
+// computed view contents in for the current materialization of v, which the
+// caller has checked is present. baseVersion is the base graph's version
+// the fresh contents were computed against; recording it (rather than the
+// commit-time version) keeps a view correctly marked stale when the base
+// advanced mid-refresh.
+func (c *Catalog) applyRefresh(v facet.View, fresh *Data, start time.Time, baseVersion int64) {
+	triples, bytes := encodingSize(fresh)
+	c.mats[v.Mask] = &Materialized{
 		Data:    fresh,
-		Triples: len(newTriples),
+		Triples: triples,
 		Bytes:   bytes,
 		Elapsed: time.Since(start),
 		Maint: Maintenance{
@@ -158,7 +117,5 @@ func (c *Catalog) applyRefresh(v facet.View, fresh *Data, start time.Time, baseV
 		},
 		baseVersion: baseVersion,
 	}
-	c.mats[v.Mask] = updated
 	c.bump()
-	return updated, nil
 }

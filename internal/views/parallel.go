@@ -13,7 +13,7 @@ import (
 // a plan and a commit: planning computes view contents read-only — against
 // the base graph (the store supports lock-free snapshot scans) or by
 // rolling up an ancestor's immutable Data — on a bounded worker pool, and
-// committing encodes them into V serially. Materialize, RefreshAllParallel
+// committing swaps the records in serially. Materialize, RefreshAllParallel
 // and core.System only compose the two.
 
 // nextWave splits pending views into those computable now (not covered by a
@@ -90,7 +90,7 @@ func (c *Catalog) computeWave(vs []facet.View, workers int,
 	return results
 }
 
-// MaterializePlan holds computed view contents ready to be encoded into V.
+// MaterializePlan holds computed view contents ready to be committed.
 // Like RefreshPlan, producing it only reads the catalog; committing it is
 // the sole mutation.
 type MaterializePlan struct {
@@ -165,8 +165,8 @@ func (c *Catalog) PlanMaterialize(vs []facet.View, workers int) (*MaterializePla
 	return plan, nil
 }
 
-// CommitMaterialize encodes planned contents into V serially, returning
-// the records in plan order. Committing a nil plan is a no-op. A view
+// CommitMaterialize records planned contents serially, returning the
+// records in plan order. Committing a nil plan is a no-op. A view
 // materialized since planning keeps its existing record (materializeData
 // is idempotent per mask). Each record carries the version its contents
 // reflect, so a base-graph write that landed between planning and commit
@@ -178,11 +178,7 @@ func (c *Catalog) CommitMaterialize(p *MaterializePlan) ([]*Materialized, error)
 	}
 	out := make([]*Materialized, 0, len(p.recs))
 	for i, rec := range p.recs {
-		m, err := c.materializeData(rec.Data, p.starts[i], rec.baseVersion)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
+		out = append(out, c.materializeData(rec.Data, p.starts[i], rec.baseVersion))
 	}
 	return out, nil
 }
@@ -259,12 +255,7 @@ func (c *Catalog) PlanRefresh(workers int) (*RefreshPlan, error) {
 	}
 	incs := make([]*incrementalPlan, len(stale))
 	results := c.computeWave(stale, workers, func(eng *engine.Engine, i int, v facet.View) (*Data, error) {
-		inc, err := planIncremental(v, mats[i], joins[mats[i].baseVersion])
-		if err != nil {
-			return nil, err
-		}
-		if inc != nil {
-			incs[i] = inc
+		if incs[i] = planIncremental(v, mats[i], joins[mats[i].baseVersion]); incs[i] != nil {
 			return nil, nil
 		}
 		return Compute(eng, v)
@@ -283,8 +274,8 @@ func (c *Catalog) PlanRefresh(workers int) (*RefreshPlan, error) {
 	return plan, nil
 }
 
-// CommitRefresh applies a plan serially — incremental group deltas or full
-// encoding diffs — returning how many views were refreshed. Committing a
+// CommitRefresh applies a plan serially — incrementally updated or freshly
+// recomputed group tables — returning how many views were refreshed. Committing a
 // nil plan is a no-op. A view dropped since planning is skipped; a view
 // whose record changed since an incremental plan was made is skipped too
 // (it stays stale for the next cycle), since its deltas were computed
@@ -297,11 +288,7 @@ func (c *Catalog) CommitRefresh(p *RefreshPlan) (int, error) {
 	for i, v := range p.views {
 		op := p.ops[i]
 		if op.inc != nil {
-			_, ok, err := c.commitIncremental(v, op.inc, op.start)
-			if err != nil {
-				return n, err
-			}
-			if ok {
+			if c.commitIncremental(v, op.inc, op.start) {
 				n++
 			}
 			continue
@@ -309,9 +296,7 @@ func (c *Catalog) CommitRefresh(p *RefreshPlan) (int, error) {
 		if !c.Has(v.Mask) {
 			continue
 		}
-		if _, err := c.applyRefresh(v, op.full, op.start, p.baseVersion); err != nil {
-			return n, err
-		}
+		c.applyRefresh(v, op.full, op.start, p.baseVersion)
 		n++
 	}
 	c.log.prune(c.minBaseVersion())
@@ -319,7 +304,7 @@ func (c *Catalog) CommitRefresh(p *RefreshPlan) (int, error) {
 }
 
 // RefreshAllParallel refreshes every stale view, recomputing their contents
-// on up to workers goroutines and applying the encoding diffs to G+ serially.
+// on up to workers goroutines and committing the new records serially.
 // It returns how many views were refreshed.
 func (c *Catalog) RefreshAllParallel(workers int) (int, error) {
 	plan, err := c.PlanRefresh(workers)

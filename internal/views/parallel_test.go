@@ -149,7 +149,7 @@ func TestMaterializeAllDuplicatesAndExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(late) != 1 || late[0] != first || c.ViewGraph().Len() != vLen {
-		t.Errorf("late commit replaced the record or re-encoded it (|V| %d -> %d)", vLen, c.ViewGraph().Len())
+		t.Errorf("late commit replaced the record or added to V (|V| %d -> %d)", vLen, c.ViewGraph().Len())
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 // materialized, their computed groups, or their staleness bookkeeping —
 // without those a restart would re-run selection and re-materialize every
 // view from scratch. SaveState captures exactly that catalog state in a
-// versioned binary format; RestoreCatalog rebuilds a warm catalog from it,
-// re-encoding the stored groups into V (content-keyed blank labels make the
-// encoding bit-identical to the pre-crash one).
+// versioned binary format; RestoreCatalog rebuilds a warm catalog from it
+// by reinstating the stored group tables (V, derived on demand from the
+// tables, is bit-identical to the pre-crash one: blank labels are
+// content-keyed).
 //
 // Layout (integers varint/uvarint, strings length-prefixed):
 //
@@ -225,11 +226,11 @@ func (c *Catalog) SaveState(out io.Writer) error {
 
 // RestoreCatalog rebuilds a warm catalog from saved state: the base graph
 // (already snapshot-loaded, with its version restored), the facet, and the
-// state written by SaveState. Every persisted view's groups are re-encoded
-// into a fresh V — bit-identical to the pre-checkpoint encoding, since group
-// blank labels are content-keyed — and its staleness bookkeeping (baseVersion,
-// maintenance record) is reinstated, so no view is rematerialized from its
-// defining query. Corrupt input returns an error, never panics.
+// state written by SaveState. Every persisted view's group table and
+// staleness bookkeeping (baseVersion, maintenance record) is reinstated, so
+// no view is rematerialized from its defining query; the recorded triple
+// count is checked against the encoding's counting rule. Corrupt input
+// returns an error, never panics.
 func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in io.Reader) (*Catalog, error) {
 	r := &stateReader{br: bufio.NewReaderSize(in, 1<<16)}
 	magic := make([]byte, len(catalogStateMagic))
@@ -261,26 +262,15 @@ func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in i
 		if _, dup := c.mats[mask]; dup {
 			return nil, fmt.Errorf("views: duplicate view %s in state", m.Data.View)
 		}
-		triples, err := Encode(m.Data)
-		if err != nil {
-			return nil, fmt.Errorf("views: re-encoding %s: %w", m.Data.View, err)
-		}
-		if len(triples) != m.Triples {
-			return nil, fmt.Errorf("views: %s re-encodes to %d triples, state recorded %d",
-				m.Data.View, len(triples), m.Triples)
-		}
-		if _, err := c.vg.LoadTriples(triples); err != nil {
-			return nil, fmt.Errorf("views: loading %s into V: %w", m.Data.View, err)
-		}
-		var bytes int64
-		for _, t := range triples {
-			bytes += tripleBytes(t)
+		triples, bytes := encodingSize(m.Data)
+		if triples != m.Triples {
+			return nil, fmt.Errorf("views: %s encodes to %d triples, state recorded %d",
+				m.Data.View, triples, m.Triples)
 		}
 		m.Bytes = bytes
 		m.Maint.Mode = c.maintMode.String()
 		c.mats[mask] = m
 	}
-	c.vg.Compact()
 	c.generation.Store(gen)
 	return c, nil
 }

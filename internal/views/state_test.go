@@ -110,8 +110,8 @@ func TestCatalogStateRoundTrip(t *testing.T) {
 					t.Fatalf("view %s staleness flipped across restore", want.Data.View)
 				}
 			}
-			// The view graph V must be bit-identical: content-keyed blank
-			// labels make the re-encoding deterministic.
+			// The on-demand view graph V must be bit-identical:
+			// content-keyed blank labels make the encoding deterministic.
 			if !reflect.DeepEqual(restored.ViewGraph().SortedTriples(), c.ViewGraph().SortedTriples()) {
 				t.Fatal("V differs after restore")
 			}

@@ -272,9 +272,8 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
 	baseLen := g.Len()
-	vg := c.ViewGraph()
-	if vg.Len() != 0 || c.AddedTriples() != 0 {
-		t.Fatalf("view graph V has %d triples before any materialization", vg.Len())
+	if n := c.ViewGraph().Len(); n != 0 || c.AddedTriples() != 0 {
+		t.Fatalf("view graph V has %d triples before any materialization", n)
 	}
 	v := f.View(facet.MaskFromBits(0, 1))
 	m, err := c.Materialize(v)
@@ -284,8 +283,8 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if m.Triples == 0 || m.Nodes() == 0 || m.Bytes == 0 {
 		t.Errorf("materialized stats = %+v", m)
 	}
-	if vg.Len() != m.Triples || c.AddedTriples() != m.Triples {
-		t.Errorf("|V| = %d, AddedTriples = %d, want %d", vg.Len(), c.AddedTriples(), m.Triples)
+	if n := c.ViewGraph().Len(); n != m.Triples || c.AddedTriples() != m.Triples {
+		t.Errorf("|V| = %d, AddedTriples = %d, want %d", n, c.AddedTriples(), m.Triples)
 	}
 	if want := float64(baseLen+m.Triples) / float64(baseLen); c.StorageAmplification() != want {
 		t.Errorf("amplification = %f, want (|G|+|V|)/|G| = %f", c.StorageAmplification(), want)
@@ -304,7 +303,7 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if err != nil || m2 != m {
 		t.Errorf("re-materialize = %v, %v", m2, err)
 	}
-	if vg.Len() != m.Triples {
+	if c.ViewGraph().Len() != m.Triples {
 		t.Error("re-materialize duplicated triples")
 	}
 	// A second view adds its own encoding: AddedTriples = |V| = Σ m.Triples.
@@ -312,8 +311,8 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := m.Triples + m3.Triples; vg.Len() != sum || c.AddedTriples() != sum {
-		t.Errorf("|V| = %d, AddedTriples = %d, want Σ Triples = %d", vg.Len(), c.AddedTriples(), sum)
+	if sum, n := m.Triples+m3.Triples, c.ViewGraph().Len(); n != sum || c.AddedTriples() != sum {
+		t.Errorf("|V| = %d, AddedTriples = %d, want Σ Triples = %d", n, c.AddedTriples(), sum)
 	}
 	// Drop empties V again.
 	if !c.Drop(v) {
@@ -325,8 +324,8 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if !c.Drop(m3.View()) {
 		t.Fatal("Drop of the second view = false")
 	}
-	if vg.Len() != 0 || g.Len() != baseLen {
-		t.Errorf("after drop |V| = %d, |G| = %d; want 0, %d", vg.Len(), g.Len(), baseLen)
+	if n := c.ViewGraph().Len(); n != 0 || g.Len() != baseLen {
+		t.Errorf("after drop |V| = %d, |G| = %d; want 0, %d", n, g.Len(), baseLen)
 	}
 	if c.StorageAmplification() != 1.0 {
 		t.Errorf("amplification after drop = %f", c.StorageAmplification())
@@ -336,8 +335,96 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Reset()
-	if vg.Len() != 0 || c.AddedTriples() != 0 {
-		t.Errorf("after Reset |V| = %d, want 0", vg.Len())
+	if n := c.ViewGraph().Len(); n != 0 || c.AddedTriples() != 0 {
+		t.Errorf("after Reset |V| = %d, want 0", n)
+	}
+}
+
+// TestEncodingCountsFollowEncode pins the catalog's size accounting, which
+// never builds V, to Encode's own counting rule after every operation that
+// changes a record: each record's Triples is the length of its encoding and
+// its Bytes the encoding's Σ tripleBytes, AddedTriples is Σ Triples and the
+// size of the on-demand V, and the amplification is (|G| + |V|) / |G|. A
+// non-numeric measure gives the SUM and AVG views a group without a
+// sofos:agg triple.
+func TestEncodingCountsFollowEncode(t *testing.T) {
+	for _, agg := range []string{"SUM", "AVG", "MIN"} {
+		t.Run(agg, func(t *testing.T) {
+			g := popGraph(t, 31, 5, 3, 2)
+			nan := observation("obsNaN", "CNaN", "L0", 2015, 0)
+			nan[3].O = rdf.NewLiteral("n/a")
+			for _, tr := range nan {
+				g.MustAdd(tr)
+			}
+			f := popFacet(t, agg)
+			c := NewCatalog(g, f)
+			check := func(step string, c *Catalog) {
+				t.Helper()
+				total := 0
+				for _, m := range c.Materialized() {
+					ts, err := Encode(m.Data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var bytes int64
+					for _, tr := range ts {
+						bytes += tripleBytes(tr)
+					}
+					if m.Triples != len(ts) || m.Bytes != bytes {
+						t.Errorf("%s: %s records %d triples / %d bytes, Encode gives %d / %d",
+							step, m.View(), m.Triples, m.Bytes, len(ts), bytes)
+					}
+					total += m.Triples
+				}
+				if c.AddedTriples() != total || c.ViewGraph().Len() != total {
+					t.Errorf("%s: AddedTriples %d, |V| %d, want Σ Triples %d", step, c.AddedTriples(), c.ViewGraph().Len(), total)
+				}
+				if want := float64(c.Base().Len()+total) / float64(c.Base().Len()); c.StorageAmplification() != want {
+					t.Errorf("%s: amplification %f, want %f", step, c.StorageAmplification(), want)
+				}
+			}
+			full, mid := f.View(f.FullMask()), f.View(facet.MaskFromBits(0, 1))
+			for _, v := range []facet.View{full, mid, f.View(0)} {
+				if _, err := c.Materialize(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("materialize", c)
+
+			// A birth (new country), a value change (a second observation in
+			// an existing group) and a death (the only observation of its
+			// finest group).
+			addObservation(t, c, "obsBorn", "CNEW", "L1", 2016, 41)
+			addObservation(t, c, "obsMore", "C1", "L0", 2015, 7)
+			if _, err := c.ApplyUpdate(nil, observation("obs_1_1_1", "C1", "L1", 2016, 0)[:3]); err != nil {
+				t.Fatal(err)
+			}
+			if m := refreshView(t, c, full); agg != "MIN" && m.Maint.LastPath != "incremental" {
+				t.Fatalf("refresh took the %s path, want incremental", m.Maint.LastPath)
+			}
+			check("incremental refresh", c)
+
+			c.SetIncrementalMaintenance(false)
+			addObservation(t, c, "obsFull", "C2", "L2", 2016, 99)
+			if m := refreshView(t, c, full); m.Maint.LastPath != "full" {
+				t.Fatalf("refresh took the %s path, want full", m.Maint.LastPath)
+			}
+			check("full refresh", c)
+
+			restored := saveRestore(t, c)
+			check("restore", restored)
+			for _, m := range c.Materialized() {
+				r, _ := restored.Get(m.View().Mask)
+				if r.Triples != m.Triples || r.Bytes != m.Bytes {
+					t.Errorf("restored %s: %d triples / %d bytes, want %d / %d", m.View(), r.Triples, r.Bytes, m.Triples, m.Bytes)
+				}
+			}
+
+			c.Drop(mid)
+			check("drop", c)
+			c.Reset()
+			check("reset", c)
+		})
 	}
 }
 
