@@ -57,6 +57,7 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 
 	// Catalog state: materialized views come back as their stored group
 	// tables, not as recomputations of their defining queries.
+	catalogStart := time.Now()
 	cr, err := cp.OpenCatalog()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: opening catalog state: %w", err)
@@ -68,6 +69,7 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 		return nil, nil, fmt.Errorf("core: restoring catalog state: %w", err)
 	}
 	stats.RestoredViews = len(catalog.Materialized())
+	stats.CatalogRestore = time.Since(catalogStart)
 
 	l, err := facet.NewLattice(f)
 	if err != nil {
@@ -86,6 +88,7 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 	// catalog path a live /update takes, maintenance included. The cursor
 	// starts at the checkpoint's segment and version, so it passes over the
 	// batches the snapshot already holds and checks the version chain.
+	replayStart := time.Now()
 	cur := persist.OpenWALCursor(dir.WALDir(), cp.Manifest.WALSeq, cp.Manifest.GraphVersion)
 	defer cur.Close()
 	for {
@@ -100,12 +103,15 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 			return nil, nil, fmt.Errorf("core: replaying wal: %w", err)
 		}
 	}
+	stats.Replay = time.Since(replayStart)
 	stats.SkippedBatches = cur.Skipped()
 	stats.TornTail = cur.Torn()
 	stats.Generation = sys.Generation()
 	stats.GraphVersion = g.Version()
 	stats.Elapsed = time.Since(start)
 	stats.SnapshotLoadUS = stats.SnapshotLoad.Microseconds()
+	stats.CatalogRestoreUS = stats.CatalogRestore.Microseconds()
+	stats.ReplayUS = stats.Replay.Microseconds()
 	stats.ElapsedUS = stats.Elapsed.Microseconds()
 	return sys, stats, nil
 }

@@ -162,6 +162,14 @@ func TestRestoreCheckpointPlusReplay(t *testing.T) {
 	if rec.EagerRefreshes != 2 {
 		t.Fatalf("replayed %d eager refreshes, want 2", rec.EagerRefreshes)
 	}
+	// Each phase is timed on its own, and the phases never overlap.
+	if rec.SnapshotLoadUS <= 0 || rec.CatalogRestoreUS <= 0 || rec.ReplayUS <= 0 {
+		t.Fatalf("recovery phases not all timed: load %d us, catalog %d us, replay %d us",
+			rec.SnapshotLoadUS, rec.CatalogRestoreUS, rec.ReplayUS)
+	}
+	if sum := rec.SnapshotLoadUS + rec.CatalogRestoreUS + rec.ReplayUS; sum > rec.ElapsedUS {
+		t.Fatalf("recovery phases sum to %d us, more than the %d us elapsed", sum, rec.ElapsedUS)
+	}
 
 	// Exact state equivalence: generation, graph version, contents, views.
 	if got, want := restored.Generation(), live.Generation(); got != want {

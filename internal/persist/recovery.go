@@ -27,14 +27,18 @@ type RecoveryStats struct {
 	TornTail             bool `json:"torn_tail"` // final record cut by the crash; never acknowledged
 
 	// Final state and cost.
-	Generation   int64         `json:"generation"`
-	GraphVersion int64         `json:"graph_version"`
-	SnapshotLoad time.Duration `json:"-"`
-	Elapsed      time.Duration `json:"-"`
+	Generation     int64         `json:"generation"`
+	GraphVersion   int64         `json:"graph_version"`
+	SnapshotLoad   time.Duration `json:"-"`
+	CatalogRestore time.Duration `json:"-"`
+	Replay         time.Duration `json:"-"`
+	Elapsed        time.Duration `json:"-"` // ≥ the three phases above together
 
 	// Microsecond mirrors for JSON consumers.
-	SnapshotLoadUS int64 `json:"snapshot_load_us"`
-	ElapsedUS      int64 `json:"elapsed_us"`
+	SnapshotLoadUS   int64 `json:"snapshot_load_us"`
+	CatalogRestoreUS int64 `json:"catalog_restore_us"`
+	ReplayUS         int64 `json:"replay_us"`
+	ElapsedUS        int64 `json:"elapsed_us"`
 }
 
 // LogRecovery writes a one-line replay summary to the structured logger —
@@ -50,5 +54,7 @@ func (r *RecoveryStats) LogRecovery() {
 		"wal_skipped", r.SkippedBatches,
 		"torn_tail", r.TornTail,
 		"elapsed", r.Elapsed.Round(time.Millisecond),
-		"snapshot_load", r.SnapshotLoad.Round(time.Millisecond))
+		"snapshot_load", r.SnapshotLoad.Round(time.Millisecond),
+		"catalog_restore", r.CatalogRestore.Round(time.Millisecond),
+		"replay", r.Replay.Round(time.Millisecond))
 }

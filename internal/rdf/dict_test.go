@@ -1,7 +1,10 @@
 package rdf
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -162,4 +165,218 @@ func randString(rng *rand.Rand) string {
 		b[i] = alpha[rng.Intn(len(alpha))]
 	}
 	return string(b)
+}
+
+// dictModel is the trivially correct dictionary the base+tail Dict is
+// checked against: a map and the terms in first-intern order.
+type dictModel struct {
+	ids   map[Term]ID
+	terms []Term
+}
+
+func (m *dictModel) intern(t Term) ID {
+	if id, ok := m.ids[t]; ok {
+		return id
+	}
+	m.terms = append(m.terms, t)
+	m.ids[t] = ID(len(m.terms))
+	return ID(len(m.terms))
+}
+
+// anyTerm draws IRIs, blank nodes, typed and language-tagged literals, with
+// empty strings wherever a term allows them.
+func anyTerm(rng *rand.Rand) Term {
+	s := randString(rng)
+	switch rng.Intn(5) {
+	case 0:
+		return NewIRI(s)
+	case 1:
+		return NewBlank(s)
+	case 2:
+		return NewTypedLiteral(s, []string{"", XSDInteger, XSDGYear}[rng.Intn(3)])
+	case 3:
+		return NewLangLiteral(s, []string{"", "en", "fr-CA"}[rng.Intn(3)])
+	default:
+		return NewLiteral(s)
+	}
+}
+
+// openedDict interns terms into a fresh Dict and opens its serialized form,
+// so every one of them lands in the base.
+func openedDict(t testing.TB, terms []Term) *Dict {
+	t.Helper()
+	fresh := NewDict()
+	for _, term := range terms {
+		fresh.Intern(term)
+	}
+	var buf bytes.Buffer
+	if _, err := fresh.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, n, err := OpenDict(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != buf.Len() {
+		t.Fatalf("OpenDict consumed %d of %d bytes", n, buf.Len())
+	}
+	return d
+}
+
+// checkAgainstModel compares every ID, term and the EachTerm order of d with
+// the model.
+func checkAgainstModel(t *testing.T, d *Dict, m *dictModel) {
+	t.Helper()
+	if d.Len() != len(m.terms) {
+		t.Fatalf("Len = %d, model has %d", d.Len(), len(m.terms))
+	}
+	for i, want := range m.terms {
+		id := ID(i + 1)
+		if got := d.Term(id); got != want {
+			t.Fatalf("Term(%d) = %#v, want %#v", id, got, want)
+		}
+		if got, ok := d.Lookup(want); !ok || got != id {
+			t.Fatalf("Lookup(%#v) = %d,%v, want %d", want, got, ok, id)
+		}
+	}
+	next := ID(1)
+	d.EachTerm(func(id ID, term Term) bool {
+		if id != next || term != m.terms[id-1] {
+			t.Fatalf("EachTerm gave (%d, %#v) at position %d", id, term, next)
+		}
+		next++
+		return true
+	})
+	if int(next) != len(m.terms)+1 {
+		t.Fatalf("EachTerm visited %d terms, want %d", next-1, len(m.terms))
+	}
+}
+
+// TestDictBaseTailDifferential checks a Dict opened from its serialized form
+// and then grown by Intern against the map model: IDs, terms, absent
+// lookups, EachTerm order, re-serialization and Clone independence.
+func TestDictBaseTailDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := &dictModel{ids: make(map[Term]ID)}
+		var drawn []Term
+		for i := 0; i < 300; i++ {
+			term := anyTerm(rng)
+			drawn = append(drawn, term)
+			m.intern(term)
+		}
+		d := openedDict(t, drawn)
+		checkAgainstModel(t, d, m)
+
+		// Interning after open: repeats resolve to base IDs, new terms
+		// extend the tail with the next dense IDs.
+		for i := 0; i < 300; i++ {
+			term := anyTerm(rng)
+			if got, want := d.Intern(term), m.intern(term); got != want {
+				t.Fatalf("seed %d: Intern(%#v) = %d, model %d", seed, term, got, want)
+			}
+		}
+		checkAgainstModel(t, d, m)
+		for i := 0; i < 100; i++ {
+			absent := NewIRI("absent:" + randString(rng))
+			if _, ok := m.ids[absent]; ok {
+				continue
+			}
+			if id, ok := d.Lookup(absent); ok {
+				t.Fatalf("seed %d: Lookup of absent %#v = %d", seed, absent, id)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("seed %d: Term past the tail did not panic", seed)
+				}
+			}()
+			d.Term(ID(d.Len() + 1))
+		}()
+
+		// Base and tail serialize back to a dictionary that opens equal.
+		checkAgainstModel(t, openedDict(t, m.terms), m)
+
+		// A clone shares the base but never the tail growth, either way.
+		c := d.Clone()
+		before := d.Len()
+		cloneTerm, origTerm := NewIRI("clone-only"), NewIRI("original-only")
+		c.Intern(cloneTerm)
+		d.Intern(origTerm)
+		if d.Len() != before+1 || c.Len() != before+1 {
+			t.Fatalf("seed %d: Len after cross interns = %d/%d, want %d", seed, d.Len(), c.Len(), before+1)
+		}
+		if _, ok := d.Lookup(cloneTerm); ok {
+			t.Fatalf("seed %d: clone's intern leaked into the original", seed)
+		}
+		if _, ok := c.Lookup(origTerm); ok {
+			t.Fatalf("seed %d: original's intern leaked into the clone", seed)
+		}
+		m.intern(origTerm)
+		checkAgainstModel(t, d, m)
+	}
+}
+
+// TestDictConcurrentBaseAndTail resolves base IDs and looks up terms from
+// several goroutines while others intern: run under -race, base reads take
+// no lock and must not race with tail growth.
+func TestDictConcurrentBaseAndTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var base []Term
+	for i := 0; i < 500; i++ {
+		base = append(base, anyTerm(rng))
+	}
+	d := openedDict(t, base)
+	n := d.Len()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				id := ID(1 + (i*7+w)%n)
+				if got, ok := d.Lookup(d.Term(id)); !ok || got != id {
+					t.Errorf("base id %d round-tripped to %d,%v", id, got, ok)
+					return
+				}
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				term := NewLiteral(fmt.Sprintf("tail-%d", i%50))
+				id := d.Intern(term)
+				if int(id) <= n || d.Term(id) != term {
+					t.Errorf("tail intern of %#v gave id %d", term, id)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if d.Len() != n+50 {
+		t.Fatalf("Len = %d, want %d base + 50 tail", d.Len(), n)
+	}
+}
+
+// TestDictBaseBudget pins the point of the base: resolving a base ID and
+// looking up a base term allocate nothing.
+func TestDictBaseBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var terms []Term
+	for i := 0; i < 200; i++ {
+		terms = append(terms, anyTerm(rng))
+	}
+	d := openedDict(t, terms)
+	id := ID(d.Len() / 2)
+	term := d.Term(id)
+	var sink Term
+	if allocs := testing.AllocsPerRun(100, func() { sink = d.Term(id) }); allocs != 0 {
+		t.Errorf("Term on a base id: %.1f allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.Lookup(term) }); allocs != 0 {
+		t.Errorf("Lookup of a base term: %.1f allocs, want 0", allocs)
+	}
+	_ = sink
 }

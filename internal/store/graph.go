@@ -371,10 +371,10 @@ func (g *Graph) SortedTriples() []rdf.Triple {
 // Clone returns an independent copy of the graph, including its dictionary.
 // Everything immutable is shared by reference — the columnar runs, the sorted
 // overlay slices and the base count maps are all replaced wholesale, never
-// mutated in place — so cloning is O(dictionary), not O(data). That matters
-// for mmap-backed graphs, where deep-copying the runs would pull the whole
-// file resident; experiments and tests clone a graph to mutate the copy
-// without disturbing the original.
+// mutated in place — and so is the dictionary's loaded base, so cloning is
+// O(dictionary tail), not O(data). That matters for mmap-backed graphs, where
+// deep-copying the runs would pull the whole file resident; experiments and
+// tests clone a graph to mutate the copy without disturbing the original.
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

@@ -26,7 +26,8 @@ import (
 //	pageSize                       (power of two in [minPageSize, maxPageSize])
 //	termCount, per term: kind (1 byte), value, datatype, lang
 //	                               (length-prefixed strings; IDs are 1-based
-//	                               in this order)
+//	                               in this order — rdf.Dict's serialized
+//	                               form, see below)
 //	addCount,  per add: s, p, o    (delta-overlay inserts, SPO-sorted)
 //	delCount,  per del: s, p, o    (delta-overlay tombstones, SPO-sorted)
 //	3 × count section: n, per entry: id, count   (countS, countP, countO —
@@ -46,6 +47,13 @@ import (
 // pages: per-block CRCs verify lazily on first decode under mmap, eagerly
 // under heap storage (where the bytes were just read anyway). That is what
 // makes recovery O(open + WAL suffix) — see core.Restore.
+//
+// The terms section is opened in place, not re-interned: rdf.OpenDict makes
+// one validating pass over its bytes (kinds, canonical and bounded lengths,
+// no duplicate term), copies them into the dictionary's arena and indexes
+// them, so snapshot IDs are the dictionary's IDs. Saving writes that arena
+// back verbatim, then the terms interned since; the section's bytes are the
+// same as when every term was interned one by one.
 const (
 	defaultPageSize = 64 << 10
 	minPageSize     = 512
@@ -101,7 +109,7 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 			lay.pages++
 		}
 	}
-	w := &snapshotWriter{bw: bufio.NewWriterSize(out, 1<<16)}
+	w := newSnapshotWriter(out)
 	if err := w.writeString(snapshotMagicV3); err != nil {
 		return fmt.Errorf("store: writing snapshot header: %w", err)
 	}
@@ -162,6 +170,9 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 			}
 		}
 	}
+	if err := w.flush(); err != nil {
+		return fmt.Errorf("store: writing directory: %w", err)
+	}
 	binary.LittleEndian.PutUint32(crcb[:], w.crc)
 	if err := w.writeRaw(crcb[:]); err != nil {
 		return fmt.Errorf("store: writing directory checksum: %w", err)
@@ -191,6 +202,9 @@ func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
 				return fmt.Errorf("store: writing page fill: %w", err)
 			}
 		}
+	}
+	if err := w.flush(); err != nil {
+		return err
 	}
 	return w.bw.Flush()
 }
@@ -485,21 +499,12 @@ func loadPagedBytes(full []byte, st Storage) (*Graph, error) {
 	if pageSz64 < minPageSize || pageSz64 > maxPageSize || pageSz64&(pageSz64-1) != 0 {
 		return nil, fmt.Errorf("store: invalid snapshot page size %d", pageSz64)
 	}
-	g := NewGraph()
-	ids, termCount, err := readTerms(r, g)
+	dict, err := readTerms(r, full)
 	if err != nil {
 		return nil, err
 	}
-	// Block payloads reference dictionary IDs directly, so the snapshot's ID
-	// space must survive interning unchanged. A fresh dict interns distinct
-	// terms densely in order, so a non-identity remap means duplicate terms —
-	// corrupt input.
-	for i, id := range ids {
-		if uint64(id) != uint64(i) {
-			return nil, fmt.Errorf("store: snapshot terms are not unique (term %d)", i)
-		}
-	}
-	maxID := rdf.ID(termCount)
+	g := &Graph{dict: dict, codec: blockCodec{}}
+	maxID := rdf.ID(dict.Len())
 	adds, err := readOverlaySection(r, "overlay-add", maxID)
 	if err != nil {
 		return nil, err

@@ -30,21 +30,78 @@ const (
 )
 
 // snapshotWriter bundles the varint helpers the snapshot sections share.
-// Every write also advances off and folds into crc, which the writer uses for
-// page alignment and the directory checksum.
+// Every write advances off, which the writer uses for page alignment. Small
+// writes collect in pend and fold into crc, the directory checksum, one chunk
+// at a time when pend flushes; flush before reading crc.
 type snapshotWriter struct {
 	bw   *bufio.Writer
+	pend []byte
 	buf  [binary.MaxVarintLen64]byte
-	sbuf []byte
 	off  int64
 	crc  uint32
 }
 
-func (w *snapshotWriter) writeRaw(p []byte) error {
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	w.off += int64(len(p))
-	_, err := w.bw.Write(p)
+// pendSize bounds snapshotWriter.pend.
+const pendSize = 32 << 10
+
+func newSnapshotWriter(out io.Writer) *snapshotWriter {
+	return &snapshotWriter{bw: bufio.NewWriterSize(out, 1<<16), pend: make([]byte, 0, pendSize)}
+}
+
+// flush folds the pending bytes into crc and hands them to the buffered
+// writer.
+func (w *snapshotWriter) flush() error {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.pend)
+	_, err := w.bw.Write(w.pend)
+	w.pend = w.pend[:0]
 	return err
+}
+
+func (w *snapshotWriter) writeRaw(p []byte) error {
+	w.off += int64(len(p))
+	if len(w.pend)+len(p) > pendSize {
+		if err := w.flush(); err != nil {
+			return err
+		}
+		if len(p) > pendSize {
+			w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
+			_, err := w.bw.Write(p)
+			return err
+		}
+	}
+	w.pend = append(w.pend, p...)
+	return nil
+}
+
+func (w *snapshotWriter) writeString(s string) error {
+	for len(s) > 0 {
+		if len(w.pend) == pendSize {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+		n := min(pendSize-len(w.pend), len(s))
+		w.pend = append(w.pend, s[:n]...)
+		w.off += int64(n)
+		s = s[n:]
+	}
+	return nil
+}
+
+// Write and WriteString let a section serializer outside the package, such
+// as rdf.Dict.WriteTo, write through the checksum.
+func (w *snapshotWriter) Write(p []byte) (int, error) {
+	if err := w.writeRaw(p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (w *snapshotWriter) WriteString(s string) (int, error) {
+	if err := w.writeString(s); err != nil {
+		return 0, err
+	}
+	return len(s), nil
 }
 
 func (w *snapshotWriter) writeByte(b byte) error {
@@ -52,21 +109,9 @@ func (w *snapshotWriter) writeByte(b byte) error {
 	return w.writeRaw(w.buf[:1])
 }
 
-func (w *snapshotWriter) writeString(s string) error {
-	w.sbuf = append(w.sbuf[:0], s...)
-	return w.writeRaw(w.sbuf)
-}
-
 func (w *snapshotWriter) uvarint(v uint64) error {
 	n := binary.PutUvarint(w.buf[:], v)
 	return w.writeRaw(w.buf[:n])
-}
-
-func (w *snapshotWriter) str(s string) error {
-	if err := w.uvarint(uint64(len(s))); err != nil {
-		return err
-	}
-	return w.writeString(s)
 }
 
 func (w *snapshotWriter) key(t rdf.EncodedTriple) error {
@@ -78,27 +123,11 @@ func (w *snapshotWriter) key(t rdf.EncodedTriple) error {
 	return nil
 }
 
-// writeTerms writes the dictionary section.
+// writeTerms writes the dictionary section: rdf.Dict's serialized form, the
+// loaded base verbatim and then the terms interned since.
 func (g *Graph) writeTerms(w *snapshotWriter) error {
-	if err := w.uvarint(uint64(g.dict.Len())); err != nil {
-		return fmt.Errorf("store: writing term count: %w", err)
-	}
-	var werr error
-	g.dict.EachTerm(func(_ rdf.ID, t rdf.Term) bool {
-		if err := w.writeByte(byte(t.Kind)); err != nil {
-			werr = err
-			return false
-		}
-		for _, s := range []string{t.Value, t.Datatype, t.Lang} {
-			if err := w.str(s); err != nil {
-				werr = err
-				return false
-			}
-		}
-		return true
-	})
-	if werr != nil {
-		return fmt.Errorf("store: writing terms: %w", werr)
+	if _, err := g.dict.WriteTo(w); err != nil {
+		return fmt.Errorf("store: writing terms: %w", err)
 	}
 	return nil
 }
@@ -172,60 +201,18 @@ func checkMagic(r *bytes.Reader) error {
 	}
 }
 
-// readSnapshotString reads one length-prefixed string with a clamped limit.
-func readSnapshotString(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+// readTerms opens the dictionary section in place at the reader's position
+// (rdf.OpenDict validates it, duplicates included) and advances past it.
+// Snapshot IDs are the dictionary's IDs, so payloads need no remapping.
+func readTerms(r *bytes.Reader, full []byte) (*rdf.Dict, error) {
+	d, n, err := rdf.OpenDict(full[len(full)-r.Len():])
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("store: reading terms: %w", err)
 	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("store: string length %d exceeds limit", n)
+	if _, err := r.Seek(int64(n), io.SeekCurrent); err != nil {
+		return nil, fmt.Errorf("store: reading terms: %w", err)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// readTerms reads the dictionary section into the graph's dict, returning
-// the snapshot-ID -> fresh-dict-ID remap table (index 0 unused) and the term
-// count.
-func readTerms(r *bytes.Reader, g *Graph) ([]rdf.ID, uint64, error) {
-	termCount, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading term count: %w", err)
-	}
-	// Grown by append with a clamped initial capacity: the count is untrusted
-	// input, and a corrupt value must fail on the reads below, not demand an
-	// unbounded up-front allocation.
-	idCap := termCount + 1
-	if idCap > 1<<20 || idCap == 0 { // == 0: termCount wrapped around
-		idCap = 1 << 20
-	}
-	ids := make([]rdf.ID, 1, idCap)
-	for i := uint64(1); i <= termCount; i++ {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: reading term %d: %w", i, err)
-		}
-		if kind > byte(rdf.KindLiteral) {
-			return nil, 0, fmt.Errorf("store: invalid term kind %d", kind)
-		}
-		var t rdf.Term
-		t.Kind = rdf.TermKind(kind)
-		if t.Value, err = readSnapshotString(r); err != nil {
-			return nil, 0, fmt.Errorf("store: reading term %d value: %w", i, err)
-		}
-		if t.Datatype, err = readSnapshotString(r); err != nil {
-			return nil, 0, fmt.Errorf("store: reading term %d datatype: %w", i, err)
-		}
-		if t.Lang, err = readSnapshotString(r); err != nil {
-			return nil, 0, fmt.Errorf("store: reading term %d lang: %w", i, err)
-		}
-		ids = append(ids, g.dict.Intern(t))
-	}
-	return ids, termCount, nil
+	return d, nil
 }
 
 // readOverlaySection reads one SPO-sorted delta-overlay section, validating

@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sofos/internal/rdf"
@@ -127,4 +129,133 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("loaded graph inconsistent: Len()=%d, scan=%d", g.Len(), n)
 		}
 	})
+}
+
+// termRecords returns the start offset of every record in a snapshot's terms
+// section, plus the section's end.
+func termRecords(t *testing.T, full []byte) []int {
+	t.Helper()
+	pos := len(snapshotMagicV3) + 1 // magic, codec
+	for i := 0; i < 2; i++ {        // block size, page size
+		_, k := binary.Uvarint(full[pos:])
+		pos += k
+	}
+	count, k := binary.Uvarint(full[pos:])
+	pos += k
+	starts := []int{pos}
+	for i := uint64(0); i < count; i++ {
+		pos++ // kind
+		for f := 0; f < 3; f++ {
+			n, k := binary.Uvarint(full[pos:])
+			pos += k + int(n)
+		}
+		starts = append(starts, pos)
+	}
+	return starts
+}
+
+// dirChecksumAt returns the offset of a snapshot's directory checksum: the
+// first position whose next four bytes are the CRC of everything before it.
+func dirChecksumAt(t *testing.T, full []byte) int {
+	t.Helper()
+	var crc uint32
+	for off := 0; off+4 <= len(full); off++ {
+		if binary.LittleEndian.Uint32(full[off:]) == crc {
+			return off
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, full[off:off+1])
+	}
+	t.Fatal("no directory checksum found")
+	return 0
+}
+
+// TestLoadRejectsBadTermsSection hand-edits the terms section and re-stamps
+// the directory checksum, so each load fails on the dictionary check alone.
+func TestLoadRejectsBadTermsSection(t *testing.T) {
+	full := snapshotBytes(t)
+	recs := termRecords(t, full)
+	dirEnd := dirChecksumAt(t, full)
+	// splice replaces full[at:at+n] with repl and re-stamps the checksum at
+	// its shifted offset.
+	splice := func(at, n int, repl []byte) []byte {
+		out := append(append(append([]byte(nil), full[:at]...), repl...), full[at+n:]...)
+		end := dirEnd + len(repl) - n
+		binary.LittleEndian.PutUint32(out[end:], crc32.ChecksumIEEE(out[:end]))
+		return out
+	}
+	// Two records of equal length, so a duplicate needs no shift.
+	dupSrc, dupDst := -1, -1
+	for i := 0; i+1 < len(recs)-1 && dupDst < 0; i++ {
+		for j := i + 1; j+1 < len(recs); j++ {
+			if recs[i+1]-recs[i] == recs[j+1]-recs[j] {
+				dupSrc, dupDst = i, j
+				break
+			}
+		}
+	}
+	if dupDst < 0 {
+		t.Fatal("fixture has no two term records of equal length")
+	}
+	valueLen := recs[0] + 1 // the first record's value length, one byte
+	if full[valueLen] >= 0x80 {
+		t.Fatal("fixture's first value length is not a one-byte varint")
+	}
+	var overLimit [binary.MaxVarintLen64]byte
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"duplicate term", "not unique", splice(recs[dupDst], recs[dupDst+1]-recs[dupDst], full[recs[dupSrc]:recs[dupSrc+1]])},
+		{"kind above literal", "invalid kind", splice(recs[0], 1, []byte{byte(rdf.KindLiteral) + 1})},
+		{"string over the limit", "exceeds limit", splice(valueLen, 1, overLimit[:binary.PutUvarint(overLimit[:], 1<<24+1)])},
+		{"overlong length varint", "non-canonical", splice(valueLen, 1, []byte{full[valueLen] | 0x80, 0})},
+	} {
+		_, err := Load(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The untouched snapshot, re-stamped the same way, still loads.
+	if _, err := Load(bytes.NewReader(splice(0, 0, nil))); err != nil {
+		t.Fatalf("re-stamped original failed: %v", err)
+	}
+}
+
+// TestSnapshotReopenedDictionaryRoundTrip saves, loads (the dictionary comes
+// back as an opened base), interns new terms into the tail and saves again:
+// the bytes must equal a fresh build of the same history.
+func TestSnapshotReopenedDictionaryRoundTrip(t *testing.T) {
+	base := randomGraph(rand.New(rand.NewSource(21)), 60).Triples()
+	extra := []rdf.Triple{
+		{S: iri("new-s"), P: iri("p"), O: rdf.NewLangLiteral("neu", "de")},
+		{S: rdf.NewBlank("nb"), P: iri("new-p"), O: rdf.NewTypedLiteral("", rdf.XSDString)},
+		{S: base[0].S, P: base[1].P, O: iri("new-o")},
+	}
+	build := func() *Graph {
+		g := NewGraph()
+		if _, err := g.LoadTriples(base); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	save := func(g *Graph) []byte {
+		var buf bytes.Buffer
+		if err := g.SavePaged(&buf, minPageSize); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fresh := build()
+	reopened, err := Load(bytes.NewReader(save(build())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{fresh, reopened} {
+		for _, tr := range extra {
+			g.MustAdd(tr)
+		}
+	}
+	if want, got := save(fresh), save(reopened); !bytes.Equal(got, want) {
+		t.Fatalf("re-saved reopened graph differs from a fresh build (%d vs %d bytes)", len(got), len(want))
+	}
 }
