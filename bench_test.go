@@ -2,7 +2,7 @@
 // in the bench/ module: one benchmark per paper experiment (E1–E10, covering
 // every panel of the paper's Figure 3 and the demo scenario of §4), the
 // delta-overlay cost curve, the roll-up and join-order ablations, the codec
-// and storage axes, WAL append, recovery, and the observability overhead.
+// axis, WAL append, recovery, and the observability overhead.
 // Layers that bench/ already times (store build and scans, engine execution,
 // materialization, selection, refresh, snapshots, serving) are measured
 // there, against a real sofos-serve, with a noise floor.
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sofos/internal/core"
@@ -502,60 +500,6 @@ func BenchmarkSnapshotLoadCodec(b *testing.B) {
 	}
 }
 
-// --- Storage: heap-resident vs mmap-backed paged snapshots ---
-
-// BenchmarkScanStorage sweeps the two storage backends over the same paged
-// (v3) dbpedia@2000 snapshot: a cold full-graph scan through the vectorized
-// NextSpan path, which under mmap faults every page in from the OS page
-// cache and verifies block CRCs lazily on first touch. The resident_bytes vs
-// mapped_bytes metrics report where the run payloads live — the
-// larger-than-RAM headline: mmap keeps them out of the Go heap entirely.
-func BenchmarkScanStorage(b *testing.B) {
-	g, _ := codecGraph(b, "dbpedia", 2000, store.CodecBlock)
-	path := filepath.Join(b.TempDir(), "graph.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := g.Save(f); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	for _, st := range []store.Storage{store.StorageHeap, store.StorageMmap} {
-		loaded, err := store.LoadFileWith(path, st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ms := loaded.MemStats()
-		if st == store.StorageMmap && ms.MappedBytes == 0 {
-			b.Fatal("mmap load left no mapped bytes")
-		}
-		b.Run(fmt.Sprintf("scan/dbpedia@2000/%s", st), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				it := loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-				n := 0
-				for {
-					s, _, _ := it.NextSpan()
-					if len(s) == 0 {
-						break
-					}
-					n += len(s)
-				}
-				if n != loaded.Len() {
-					b.Fatalf("scanned %d, want %d", n, loaded.Len())
-				}
-			}
-			// After ResetTimer: it clears custom metrics on recent Go.
-			b.ReportMetric(float64(ms.IndexBytes), "resident_bytes")
-			b.ReportMetric(float64(ms.MappedBytes), "mapped_bytes")
-		})
-	}
-}
-
 // BenchmarkWorkloadGeneration measures query generation throughput.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	g, f, err := datasets.BuildWithFacet("swdf", 4, 1)
@@ -696,41 +640,37 @@ func benchDataDir(b *testing.B, path string, n int) {
 	}
 }
 
-// BenchmarkRecovery measures crash recovery at dbpedia@40 along two axes:
-// the WAL suffix length (checkpoint alone versus checkpoint plus an N-batch
-// replay through the incremental maintenance path — the gap is the per-batch
-// replay cost, O(|ΔG|) not O(|G|)) and the snapshot storage backend (heap
-// materializes and CRC-verifies every run page at load; mmap maps the paged
-// v3 snapshot and validates directories only, so its load is O(open)). The
-// snapshot_load_us metric isolates the snapshot-load share of recovery.
+// BenchmarkRecovery measures crash recovery at dbpedia@40 along the WAL
+// suffix length: checkpoint alone versus checkpoint plus an N-batch replay
+// through the incremental maintenance path — the gap is the per-batch replay
+// cost, O(|ΔG|) not O(|G|). The snapshot_load_us metric isolates the
+// snapshot-load share of recovery.
 func BenchmarkRecovery(b *testing.B) {
 	_, f, err := datasets.BuildWithFacet("dbpedia", 40, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, st := range []store.Storage{store.StorageHeap, store.StorageMmap} {
-		for _, n := range []int{0, 16, 64} {
-			b.Run(fmt.Sprintf("%s/replay%d", st, n), func(b *testing.B) {
-				path := b.TempDir()
-				benchDataDir(b, path, n)
-				dir, err := persist.Open(path)
+	for _, n := range []int{0, 16, 64} {
+		b.Run(fmt.Sprintf("replay%d", n), func(b *testing.B) {
+			path := b.TempDir()
+			benchDataDir(b, path, n)
+			dir, err := persist.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var loadUS int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys, rec, err := core.Restore(dir, f, core.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				var loadUS int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys, rec, err := core.Restore(dir, f, core.Options{Workers: 1, Storage: st})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rec.ReplayedBatches != n || sys.Graph.Len() == 0 {
-						b.Fatalf("replayed %d batches, want %d", rec.ReplayedBatches, n)
-					}
-					loadUS = rec.SnapshotLoadUS
+				if rec.ReplayedBatches != n || sys.Graph.Len() == 0 {
+					b.Fatalf("replayed %d batches, want %d", rec.ReplayedBatches, n)
 				}
-				b.ReportMetric(float64(loadUS), "snapshot_load_us")
-			})
-		}
+				loadUS = rec.SnapshotLoadUS
+			}
+			b.ReportMetric(float64(loadUS), "snapshot_load_us")
+		})
 	}
 }

@@ -50,7 +50,6 @@ import (
 	"sofos/internal/datasets"
 	"sofos/internal/persist"
 	"sofos/internal/server"
-	"sofos/internal/store"
 )
 
 func main() {
@@ -75,7 +74,6 @@ type config struct {
 	dataDir            string
 	walSync            string
 	checkpointInterval time.Duration
-	storage            store.Storage
 	replica            string
 	replicaID          string
 	ackTimeout         time.Duration
@@ -103,7 +101,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints); empty = memory-only")
 	fs.StringVar(&c.walSync, "wal-sync", "always", "WAL fsync policy: always (sync before every ack), interval (background sync), none")
 	fs.DurationVar(&c.checkpointInterval, "checkpoint-interval", 0, "write a checkpoint this often (0 = only at boot, on view changes, and via /admin/checkpoint)")
-	storage := fs.String("storage", "heap", "snapshot load storage: heap or mmap (page-cache backed, serves graphs larger than RAM)")
 	fs.StringVar(&c.replica, "replica", "", "run as a read replica of the primary at this base URL (e.g. http://primary:8080); ignores -data-dir and dataset flags")
 	fs.StringVar(&c.replicaID, "replica-id", "", "replica identity in progress reports and the primary's /v1/stats (default replica-<pid>)")
 	fs.DurationVar(&c.ackTimeout, "ack-timeout", 0, `how long an update with "ack":"replicas:N" waits for N replica acknowledgements (0 = 10s)`)
@@ -121,17 +118,12 @@ func parseFlags(args []string) (*config, error) {
 	if c.replica != "" && c.dataDir != "" {
 		return nil, fmt.Errorf("-replica and -data-dir are mutually exclusive: replicas keep no durable state")
 	}
-	st, err := store.ParseStorage(*storage)
-	if err != nil {
-		return nil, err
-	}
-	c.storage = st
 	return c, nil
 }
 
 // opts maps the flags to system options.
 func (c *config) opts() core.Options {
-	return core.Options{Workers: c.workers, Storage: c.storage}
+	return core.Options{Workers: c.workers}
 }
 
 // buildServer constructs the system and server for a config — separated

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sofos/internal/persist"
-	"sofos/internal/store"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -26,10 +25,7 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-scale", "banana"}); err == nil {
 		t.Error("bad flag value accepted")
 	}
-	if c, err := parseFlags([]string{"-storage", "mmap"}); err != nil || c.storage != store.StorageMmap {
-		t.Errorf("-storage mmap: config %+v, err %v", c, err)
-	}
-	for _, args := range [][]string{{"-storage", "disk"}, {"-codec", "block"}} {
+	for _, args := range [][]string{{"-storage", "mmap"}, {"-codec", "block"}} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("%v accepted", args)
 		}

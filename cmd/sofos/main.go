@@ -26,7 +26,6 @@ import (
 	"sofos/internal/facet"
 	"sofos/internal/persist"
 	"sofos/internal/selection"
-	"sofos/internal/store"
 	"sofos/internal/views"
 	"sofos/internal/workload"
 )
@@ -475,12 +474,7 @@ func cmdSnapshot(args []string, w io.Writer) error {
 	c := addCommon(fs)
 	out := fs.String("out", "", "dump: data directory to write a checkpoint into")
 	in := fs.String("in", "", "restore: data directory to recover and describe")
-	storage := fs.String("storage", "heap", "restore: snapshot load storage, heap or mmap (page-cache backed)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	st, err := store.ParseStorage(*storage)
-	if err != nil {
 		return err
 	}
 	switch {
@@ -489,7 +483,7 @@ func cmdSnapshot(args []string, w io.Writer) error {
 	case *out != "":
 		return snapshotDump(c, *out, w)
 	default:
-		return snapshotRestore(*in, core.Options{Workers: c.workers, Storage: st}, w)
+		return snapshotRestore(*in, c.opts(), w)
 	}
 }
 

@@ -166,11 +166,8 @@ func TestSnapshotFlagValidation(t *testing.T) {
 	if err := run([]string{"snapshot", "-in", t.TempDir()}, &b); err == nil {
 		t.Error("restore from an empty dir accepted")
 	}
-	if err := run([]string{"snapshot", "-in", t.TempDir(), "-storage", "disk"}, &b); err == nil {
-		t.Error("unknown -storage accepted")
-	}
-	if err := run([]string{"lattice", "-storage", "mmap"}, &b); err == nil {
-		t.Error("-storage accepted outside snapshot")
+	if err := run([]string{"snapshot", "-in", t.TempDir(), "-storage", "mmap"}, &b); err == nil {
+		t.Error("-storage accepted")
 	}
 }
 

@@ -42,12 +42,11 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 	}
 
 	// Snapshot load: the base graph, with its saved version counter
-	// reinstated so WAL version intervals line up across the restart. Paged
-	// snapshots load in O(open) — directory validation only, no payload
-	// reads — and under mmap storage the run pages stay on disk until
-	// queries fault them in.
+	// reinstated so WAL version intervals line up across the restart. The
+	// snapshot is mapped on unix: its pages are read once to check their
+	// CRCs, then served from the OS page cache, never copied onto the heap.
 	loadStart := time.Now()
-	g, err := store.LoadFileWith(cp.GraphPath(), opts.Storage)
+	g, err := store.LoadFile(cp.GraphPath())
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading graph snapshot: %w", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"sofos/internal/persist"
 	"sofos/internal/rdf"
 	"sofos/internal/sparql"
-	"sofos/internal/store"
 )
 
 const dbp = "http://dbpedia.org/property/"
@@ -218,10 +217,10 @@ func mustFacet(t *testing.T) *facet.Facet {
 
 // TestRestoreAfterCheckpointKillPoints drives a full Restore — snapshot load,
 // catalog rebuild, WAL replay — over every crash phase of a second checkpoint
-// write, for both storage backends. Whatever instant the fake kill lands on
-// (torn graph stream, hard-linked graph with a torn catalog, a complete but
-// unpublished directory, a torn CURRENT.tmp, and finally the repointed
-// CURRENT), the restored system must answer exactly like the live one: the
+// write. Whatever instant the fake kill lands on (torn graph stream,
+// hard-linked graph with a torn catalog, a complete but unpublished
+// directory, a torn CURRENT.tmp, and finally the repointed CURRENT), the
+// restored system must answer exactly like the live one: the
 // checkpoint write is invisible until its single commit point and lossless
 // after it. The byte-granular sweep of the same write lives in
 // internal/persist; this test checks the phase boundaries end to end.
@@ -316,63 +315,58 @@ func TestRestoreAfterCheckpointKillPoints(t *testing.T) {
 		}},
 	}
 
-	for _, st := range []store.Storage{store.StorageHeap, store.StorageMmap} {
-		for _, ph := range phases {
-			t.Run(fmt.Sprintf("%s/%s", st, ph.name), func(t *testing.T) {
-				for _, debris := range []string{cp2name, cp2name + ".tmp", "CURRENT.tmp"} {
-					if err := os.RemoveAll(filepath.Join(base, debris)); err != nil {
-						t.Fatal(err)
-					}
+	// Restore maps the checkpoint's snapshot, so each phase is named for the
+	// storage it asserts.
+	for _, ph := range phases {
+		t.Run("mmap/"+ph.name, func(t *testing.T) {
+			for _, debris := range []string{cp2name, cp2name + ".tmp", "CURRENT.tmp"} {
+				if err := os.RemoveAll(filepath.Join(base, debris)); err != nil {
+					t.Fatal(err)
 				}
-				ph.build(t)
-				restored, rec, err := Restore(dir, mustFacet(t), Options{Storage: st})
-				if err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				if got := restored.Graph.Storage(); got != st {
-					t.Fatalf("restored graph storage = %s, want %s", got, st)
-				}
-				if rec.CheckpointSeq != 1 {
-					t.Fatalf("restored from checkpoint %d, want the previous one", rec.CheckpointSeq)
-				}
-				if rec.ReplayedBatches != 2 {
-					t.Fatalf("replayed %d batches, want 2", rec.ReplayedBatches)
-				}
-				if restored.Generation() != live.Generation() {
-					t.Fatalf("generation = %d, want %d", restored.Generation(), live.Generation())
-				}
-				if got := mustAnswer(t, restored, restoreQuery); !reflect.DeepEqual(got, want) {
-					t.Fatalf("answers differ after crash-phase restore:\n got %v\nwant %v", got, want)
-				}
-			})
-		}
-		// Past the commit point: CURRENT names checkpoint 2, replay skips the
-		// batches the snapshot already contains, the answers do not move.
-		t.Run(fmt.Sprintf("%s/CURRENT repointed", st), func(t *testing.T) {
-			writeCp2(filepath.Join(base, cp2name), complete)
-			if err := os.WriteFile(filepath.Join(base, "CURRENT.tmp"), []byte(cp2name+"\n"), 0o644); err != nil {
-				t.Fatal(err)
 			}
-			if err := os.Rename(filepath.Join(base, "CURRENT.tmp"), filepath.Join(base, "CURRENT")); err != nil {
-				t.Fatal(err)
-			}
-			restored, rec, err := Restore(dir, mustFacet(t), Options{Storage: st})
+			ph.build(t)
+			restored, rec, err := Restore(dir, mustFacet(t), Options{})
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			if rec.CheckpointSeq != 2 || rec.ReplayedBatches != 0 {
-				t.Fatalf("recovery = %+v, want checkpoint 2 with nothing to replay", rec)
+			if got := restored.Graph.MemStats().Storage; got != "mmap" {
+				t.Fatalf("restored graph storage = %s, want mmap", got)
+			}
+			if rec.CheckpointSeq != 1 {
+				t.Fatalf("restored from checkpoint %d, want the previous one", rec.CheckpointSeq)
+			}
+			if rec.ReplayedBatches != 2 {
+				t.Fatalf("replayed %d batches, want 2", rec.ReplayedBatches)
+			}
+			if restored.Generation() != live.Generation() {
+				t.Fatalf("generation = %d, want %d", restored.Generation(), live.Generation())
 			}
 			if got := mustAnswer(t, restored, restoreQuery); !reflect.DeepEqual(got, want) {
-				t.Fatalf("answers differ after committed checkpoint:\n got %v\nwant %v", got, want)
-			}
-			// Reset to checkpoint 1 for the next storage backend's sweep.
-			if err := os.WriteFile(filepath.Join(base, "CURRENT"),
-				[]byte(fmt.Sprintf("checkpoint-%016x\n", 1)), 0o644); err != nil {
-				t.Fatal(err)
+				t.Fatalf("answers differ after crash-phase restore:\n got %v\nwant %v", got, want)
 			}
 		})
 	}
+	// Past the commit point: CURRENT names checkpoint 2, replay skips the
+	// batches the snapshot already contains, the answers do not move.
+	t.Run("mmap/CURRENT repointed", func(t *testing.T) {
+		writeCp2(filepath.Join(base, cp2name), complete)
+		if err := os.WriteFile(filepath.Join(base, "CURRENT.tmp"), []byte(cp2name+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(filepath.Join(base, "CURRENT.tmp"), filepath.Join(base, "CURRENT")); err != nil {
+			t.Fatal(err)
+		}
+		restored, rec, err := Restore(dir, mustFacet(t), Options{})
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if rec.CheckpointSeq != 2 || rec.ReplayedBatches != 0 {
+			t.Fatalf("recovery = %+v, want checkpoint 2 with nothing to replay", rec)
+		}
+		if got := mustAnswer(t, restored, restoreQuery); !reflect.DeepEqual(got, want) {
+			t.Fatalf("answers differ after committed checkpoint:\n got %v\nwant %v", got, want)
+		}
+	})
 }
 
 func TestRestoreTornTailLandsOnCommittedState(t *testing.T) {

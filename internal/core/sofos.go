@@ -25,9 +25,6 @@ type Options struct {
 	// goroutines used for batch view materialization and refresh. 0 means one
 	// worker per logical CPU; 1 forces serial execution throughout.
 	Workers int
-	// Storage is how Restore makes the checkpoint's snapshot pages resident:
-	// read into the heap (the zero value) or mmap'd from the file.
-	Storage store.Storage
 }
 
 // System is one SOFOS instance: a knowledge graph G, an analytical facet F,

@@ -7,21 +7,20 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"sofos/internal/rdf"
 	"sofos/internal/store"
 )
 
-// TestEngineDifferentialHeapVsMmap loads the same paged (v3) snapshot twice —
-// once with heap storage (the oracle, every page resident and CRC-verified
-// eagerly) and once with mmap storage (pages faulted in lazily from the OS
-// page cache) — and requires bit-identical answers for random BGP queries and
-// a battery of aggregates across every lifecycle stage: the initial load, a
+// TestEngineDifferentialHeapVsMmap opens the same paged (v3) snapshot through
+// both entry points — store.Load from a reader (the oracle, every page a heap
+// copy) and store.LoadFile (the file mapped, pages served from the OS page
+// cache) — and requires bit-identical answers for random BGP queries and a
+// battery of aggregates across every lifecycle stage: the initial load, a
 // live delta overlay, a checkpoint + reopen, and a final compaction. The
 // re-saved snapshots themselves must also be byte-identical, so the two
-// storage backends cannot drift even in what they persist.
+// entry points cannot drift even in what they persist.
 func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
@@ -70,16 +69,15 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	}
 	loadPair := func(path string) (heap, mm *store.Graph) {
 		t.Helper()
-		heap, err := store.LoadFileWith(path, store.StorageHeap)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("heap load: %v", err)
+			t.Fatalf("read snapshot: %v", err)
 		}
-		mm, err = store.LoadFileWith(path, store.StorageMmap)
-		if err != nil {
-			if strings.Contains(err.Error(), "not supported") {
-				t.Skipf("mmap storage unavailable: %v", err)
-			}
-			t.Fatalf("mmap load: %v", err)
+		if heap, err = store.Load(bytes.NewReader(data)); err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		if mm, err = store.LoadFile(path); err != nil {
+			t.Fatalf("LoadFile: %v", err)
 		}
 		if got := mm.MemStats(); got.Storage != "mmap" || got.MappedBytes == 0 {
 			t.Fatalf("mmap graph stats = %+v, want storage=mmap with mapped bytes", got)

@@ -136,7 +136,6 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	storeMapped := reg.Gauge("sofos_store_mapped_bytes", "Index bytes backed by mmap'd snapshots rather than heap.")
 	storeIndex := reg.Gauge("sofos_store_index_bytes", "Heap-resident index bytes across permutations.")
 	storeBlocks := reg.Gauge("sofos_store_blocks", "Compressed blocks across permutation runs.")
-	storeVerified := reg.Gauge("sofos_store_verified_blocks", "Blocks whose payload CRC has been checked; trails sofos_store_blocks while lazy mmap verification warms.")
 	reg.OnCollect(func() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -148,7 +147,6 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 		storeMapped.Set(float64(gm.MappedBytes))
 		storeIndex.Set(float64(gm.IndexBytes))
 		storeBlocks.Set(float64(gm.SPO.Blocks + gm.POS.Blocks + gm.OSP.Blocks))
-		storeVerified.Set(float64(gm.SPO.Verified + gm.POS.Verified + gm.OSP.Verified))
 
 		// Per-view gauges against the same pinned snapshot. Cardinality is
 		// bounded by the materialized set (a handful of views), and series

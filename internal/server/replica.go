@@ -151,8 +151,7 @@ func (r *replicaRuntime) statsNow(sys *core.System) *api.ReplicationStats {
 // and restore through the same loader a primary restart uses (manifest
 // validation and facet resolution included). The scratch directory is
 // removed once the system is in memory — replicas keep no durable state.
-// sysOpts are the restored system's options; their Storage decides whether
-// the downloaded snapshot is read into the heap or mmap'd.
+// sysOpts are the restored system's options.
 func BootstrapReplica(ctx context.Context, opts ReplicaOptions, sysOpts core.Options) (*core.System, *persist.Manifest, error) {
 	opts = opts.withDefaults()
 	cl := client.New(opts.Primary, opts.Client)
@@ -307,12 +306,10 @@ func (s *Server) ackProgress(ctx context.Context) {
 // rebootstrap replaces the served system with a freshly bootstrapped one.
 // The chain reset is one atomic publish, so every query sees either the old
 // complete state or the new one; the result cache needs no flush because its
-// keys embed the generation, which only moved forward. The new system loads
-// its snapshot the way the current one was loaded.
+// keys embed the generation, which only moved forward. The new system keeps
+// the current one's worker count.
 func (s *Server) rebootstrap(ctx context.Context) error {
-	cur := s.system()
-	sys, _, err := BootstrapReplica(ctx, s.repl.opts,
-		core.Options{Workers: cur.Workers, Storage: cur.Graph.Storage()})
+	sys, _, err := BootstrapReplica(ctx, s.repl.opts, core.Options{Workers: s.system().Workers})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"sofos/internal/core"
 	"sofos/internal/facet"
 	"sofos/internal/persist"
-	"sofos/internal/store"
 )
 
 // fixtureResolver resolves any dataset name to the fixture facet — the
@@ -31,18 +30,12 @@ func fixtureResolver(t testing.TB) func(string) (*facet.Facet, error) {
 // replication loop.
 func newReplicaServer(t *testing.T, primary *httptest.Server, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	return newReplicaServerWith(t, primary, cfg, core.Options{Workers: 2})
-}
-
-// newReplicaServerWith is newReplicaServer with explicit system options.
-func newReplicaServerWith(t *testing.T, primary *httptest.Server, cfg Config, sysOpts core.Options) (*Server, *httptest.Server) {
-	t.Helper()
 	opts := &ReplicaOptions{
 		Primary: primary.URL,
 		ID:      "r-" + t.Name(),
 		Facet:   fixtureResolver(t),
 	}
-	sys, _, err := BootstrapReplica(context.Background(), *opts, sysOpts)
+	sys, _, err := BootstrapReplica(context.Background(), *opts, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
@@ -401,12 +394,12 @@ func TestWALStreamGapAfterUnreadRecordTruncated(t *testing.T) {
 	}
 }
 
-// TestReplicaKeepsStorageAcrossRebootstrap pins that the storage a replica
-// was booted with survives a re-bootstrap: both the first restore and the
-// forced second one load the primary's snapshot by mmap.
+// TestReplicaKeepsStorageAcrossRebootstrap pins that a replica serves a
+// mapped snapshot after a re-bootstrap as after its first one: both restores
+// load the primary's snapshot by mmap.
 func TestReplicaKeepsStorageAcrossRebootstrap(t *testing.T) {
 	psrv, pts, _ := newDurableServer(t, t.TempDir())
-	rsrv, rts := newReplicaServerWith(t, pts, Config{}, core.Options{Workers: 2, Storage: store.StorageMmap})
+	rsrv, rts := newReplicaServer(t, pts, Config{})
 	checkStorage := func(wantBootstraps int64) {
 		t.Helper()
 		var st api.StatsResponse

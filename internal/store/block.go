@@ -3,11 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"sofos/internal/rdf"
 )
@@ -63,14 +60,6 @@ type blockRun struct {
 	max0 []rdf.ID
 	data []byte
 	n    int // total keys
-
-	// crcs, when non-nil, holds each block's payload CRC32 from a paged
-	// snapshot directory, checked lazily on a block's first decode; verified
-	// is the matching atomic "already checked" bitset. Lazy checking is what
-	// lets an mmap-backed load finish without touching payload pages — the
-	// first read of a corrupted block then fails loudly (see checkCRC).
-	crcs     []uint32
-	verified []uint32
 
 	// mapped marks data as a view into an mmap'd file region rather than the
 	// Go heap, so memory accounting reports it as mapped, not resident.
@@ -174,30 +163,6 @@ func (r *blockRun) payloadEnd(bi int) int {
 	return int(m.off) + int(m.plen)
 }
 
-// checkCRC verifies block bi's payload against its snapshot CRC the first
-// time the block is decoded. The bitset is updated with a CAS loop so
-// concurrent readers verify at most a handful of times and never block.
-func (r *blockRun) checkCRC(bi int) error {
-	if r.crcs == nil {
-		return nil
-	}
-	w := &r.verified[bi>>5]
-	bit := uint32(1) << (bi & 31)
-	if atomic.LoadUint32(w)&bit != 0 {
-		return nil
-	}
-	m := &r.meta[bi]
-	if crc32.ChecksumIEEE(r.data[m.off:int(m.off)+int(m.plen)]) != r.crcs[bi] {
-		return fmt.Errorf("block %d: payload CRC mismatch", bi)
-	}
-	for {
-		old := atomic.LoadUint32(w)
-		if old&bit != 0 || atomic.CompareAndSwapUint32(w, old, old|bit) {
-			return nil
-		}
-	}
-}
-
 // decodeBlock expands block bi into the three column slices (each at least
 // count long), validating the payload as it goes: every varint must be
 // well-formed and in-bounds, every decoded component must fit an rdf.ID, and
@@ -208,9 +173,6 @@ func (r *blockRun) decodeBlock(bi int, c0, c1, c2 []rdf.ID) error {
 	m := &r.meta[bi]
 	if int(m.off) > len(r.data) || r.payloadEnd(bi) > len(r.data) {
 		return fmt.Errorf("block %d: payload offsets out of range", bi)
-	}
-	if err := r.checkCRC(bi); err != nil {
-		return err
 	}
 	p := r.data[m.off:r.payloadEnd(bi)]
 	cnt := int(m.count)
@@ -267,9 +229,10 @@ func (r *blockRun) decodeBlock(bi int, c0, c1, c2 []rdf.ID) error {
 	return nil
 }
 
-// mustDecode is decodeBlock for trusted in-process runs: snapshot loading
-// validates every block once, so a decode failure afterwards can only mean
-// memory corruption and is a panic, not a recoverable error.
+// mustDecode is decodeBlock for trusted runs. In-process blocks always decode,
+// and snapshot loading checks every payload CRC at open, so a failure here
+// means a hand-crafted file whose CRCs agree with a malformed payload (load's
+// overlay check recovers that panic into an error) or memory corruption.
 func (r *blockRun) mustDecode(bi int, c0, c1, c2 []rdf.ID) {
 	if err := r.decodeBlock(bi, c0, c1, c2); err != nil {
 		panic("store: corrupt block run: " + err.Error())
@@ -315,10 +278,10 @@ func (r *blockRun) size() int { return r.n }
 
 func (r *blockRun) memBytes() int64 {
 	// Fence entries are 44 bytes (4+4+4+8 header fields + two 12-byte keys)
-	// plus the 4-byte max0 mirror and any CRC side arrays. Mapped payloads
-	// live in the OS page cache, not the heap, so they are excluded here and
-	// reported through mappedBytes instead.
-	b := int64(len(r.meta))*48 + int64(len(r.crcs))*4 + int64(len(r.verified))*4
+	// plus the 4-byte max0 mirror. Mapped payloads live in the OS page cache,
+	// not the heap, so they are excluded here and reported through
+	// mappedBytes instead.
+	b := int64(len(r.meta)) * 48
 	if !r.mapped {
 		b += int64(len(r.data))
 	}
@@ -334,20 +297,6 @@ func (r *blockRun) mappedBytes() int64 {
 }
 
 func (r *blockRun) numBlocks() int { return len(r.meta) }
-
-// verifiedBlocks counts blocks whose payload CRC has been checked. Runs
-// without lazy snapshot CRCs are trusted in-process memory, so every block
-// counts; mmap-backed runs popcount the lazy-verification bitset.
-func (r *blockRun) verifiedBlocks() int {
-	if r.crcs == nil {
-		return len(r.meta)
-	}
-	n := 0
-	for i := range r.verified {
-		n += bits.OnesCount32(atomic.LoadUint32(&r.verified[i]))
-	}
-	return n
-}
 
 // passes reports whether a key satisfies the search bound: prefix > key for
 // upper bounds, prefix ≥ key for lower bounds.
@@ -670,8 +619,6 @@ func (r *blockRun) alignSplit(pos int) int {
 }
 
 func (r *blockRun) clone() run {
-	// The copy is trusted in-process heap memory, so snapshot CRCs (verified
-	// or not once the bytes are re-read here) are dropped rather than carried.
 	c := &blockRun{n: r.n}
 	c.meta = append([]blockMeta(nil), r.meta...)
 	c.data = append([]byte(nil), r.data...)

@@ -31,8 +31,9 @@
 // component counts by reference and copy only the count adjustments since
 // the last compaction; exact pattern-cardinality Estimate for the
 // planner, per-predicate statistics (Stats), one binary snapshot format —
-// the paged v3 layout, loaded onto the heap (Load, LoadFile) or mmap'd
-// (LoadFileWith) — and Version — a mutation counter view catalogs compare to
+// the paged v3 layout, read onto the heap from a stream (Load) or opened from
+// a file (LoadFile, which maps it on unix), with every payload CRC checked at
+// open — and Version — a mutation counter view catalogs compare to
 // detect staleness. Apply commits a whole insert+delete batch under one
 // lock and returns its effective Delta (the triples actually added and
 // removed, tagged with the version interval) so writers capture ΔG at

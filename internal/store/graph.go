@@ -56,11 +56,9 @@ type Graph struct {
 	// updated incrementally.
 	counts [3]idCounts
 
-	// storage records how this graph's runs are resident (heap or mmap) and
-	// pages holds the paged snapshot image the runs slice into, when the graph
-	// was loaded from a v3 snapshot. Both are nil/zero for built graphs.
-	storage Storage
-	pages   pageStore
+	// pages holds the paged snapshot image the runs slice into, when the
+	// graph was loaded from a v3 snapshot; nil for built graphs.
+	pages *pageImage
 
 	// pagedPath is the on-disk v3 snapshot this graph was loaded from (or last
 	// checkpointed to), and pagedDirty records whether the graph has logically
@@ -416,7 +414,6 @@ func (g *Graph) forkLocked() *Graph {
 		ov:      g.ov,
 		n:       g.n,
 		version: g.version,
-		storage: g.storage,
 		pages:   g.pages,
 	}
 	for i := range g.counts {

@@ -9,10 +9,14 @@ import (
 	"syscall"
 )
 
-// mmapFile maps the open file read-only in its entirety. The mapping is
+// imageMapped reports that readImage maps the snapshot file instead of
+// copying it onto the heap.
+const imageMapped = true
+
+// readImage maps the open file read-only in its entirety. The mapping is
 // shared (file-backed, never written), so every process mapping the same
 // snapshot shares one copy in the page cache.
-func mmapFile(f *os.File) ([]byte, error) {
+func readImage(f *os.File) ([]byte, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("store: stat snapshot: %w", err)
@@ -39,10 +43,10 @@ func madviseSequential(data []byte) {
 	_ = syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
 }
 
-// munmapFile releases a mapping from mmapFile. Only called when a load fails
+// releaseImage unmaps an image from readImage. Only called when a load fails
 // validation — a successfully loaded graph keeps its mapping for the process
 // lifetime (live iterators may reference it indefinitely).
-func munmapFile(data []byte) {
+func releaseImage(data []byte) {
 	if len(data) > 0 {
 		_ = syscall.Munmap(data)
 	}

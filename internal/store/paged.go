@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -10,15 +9,16 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync/atomic"
 
 	"sofos/internal/rdf"
 )
 
 // Paged (v3) snapshot layout. v3 is the on-disk format that *is* the runtime
 // format: block payloads are packed whole into fixed-size pages, so a loaded
-// graph serves scans straight out of the file image — read into the heap
-// (StorageHeap) or mmap'd with the OS page cache as the buffer pool
-// (StorageMmap). All integers are varints unless noted.
+// graph serves scans straight out of the file image — on unix a read-only
+// mapping with the OS page cache as the buffer pool. All integers are varints
+// unless noted.
 //
 //	magic "SOFOSGR3" (8 bytes)
 //	codec (1 byte, 1 = block)
@@ -43,10 +43,10 @@ import (
 //	(exact EOF — any truncation or growth fails the size check)
 //
 // Loading validates the header and directory exhaustively (the directory
-// checksum catches every corrupted header byte) but does not touch payload
-// pages: per-block CRCs verify lazily on first decode under mmap, eagerly
-// under heap storage (where the bytes were just read anyway). That is what
-// makes recovery O(open + WAL suffix) — see core.Restore.
+// checksum catches every corrupted header byte) and checks every block
+// payload against its CRC once, so a corrupt page fails the load with an
+// error naming the run and block instead of a later scan. The payload is
+// read once at open for that; nothing is decoded or copied.
 //
 // The terms section is opened in place, not re-interned: rdf.OpenDict makes
 // one validating pass over its bytes (kinds, canonical and bounded lengths,
@@ -280,8 +280,8 @@ func readIDCounts(r *bytes.Reader, section string, maxID rdf.ID) (map[rdf.ID]int
 }
 
 // readFenceKey reads one directory fence key, validating every component is a
-// dictionary ID: payloads are not read at load, so the directory is where
-// the check happens.
+// dictionary ID: payloads are checksummed at load but not decoded, so the
+// directory is where the check happens.
 func readFenceKey(r *bytes.Reader, maxID rdf.ID) (rdf.EncodedTriple, error) {
 	var t rdf.EncodedTriple
 	for c := 0; c < 3; c++ {
@@ -298,27 +298,27 @@ func readFenceKey(r *bytes.Reader, maxID rdf.ID) (rdf.EncodedTriple, error) {
 }
 
 // readPagedRun reads one permutation's v3 directory into a blockRun whose
-// data region is attached by the caller. It enforces the canonical greedy
-// page packing, so every structurally distinct directory byte matters — any
-// deviation is corrupt.
-func readPagedRun(r *bytes.Reader, pageSize int, maxID rdf.ID) (*blockRun, int, error) {
+// data region is attached by the caller, returning each block's payload CRC
+// beside it. It enforces the canonical greedy page packing, so every
+// structurally distinct directory byte matters — any deviation is corrupt.
+func readPagedRun(r *bytes.Reader, pageSize int, maxID rdf.ID) (*blockRun, []uint32, int, error) {
 	keyCount, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("reading key count: %w", err)
+		return nil, nil, 0, fmt.Errorf("reading key count: %w", err)
 	}
 	blockCount, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("reading block count: %w", err)
+		return nil, nil, 0, fmt.Errorf("reading block count: %w", err)
 	}
 	if keyCount > 1<<40 || blockCount > keyCount {
-		return nil, 0, fmt.Errorf("implausible key/block counts %d/%d", keyCount, blockCount)
+		return nil, nil, 0, fmt.Errorf("implausible key/block counts %d/%d", keyCount, blockCount)
 	}
 	pageCount, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("reading page count: %w", err)
+		return nil, nil, 0, fmt.Errorf("reading page count: %w", err)
 	}
 	if blockCount == 0 && pageCount != 0 || blockCount > 0 && (pageCount == 0 || pageCount > blockCount) {
-		return nil, 0, fmt.Errorf("implausible page count %d for %d blocks", pageCount, blockCount)
+		return nil, nil, 0, fmt.Errorf("implausible page count %d for %d blocks", pageCount, blockCount)
 	}
 	metaCap := blockCount
 	if metaCap > 1<<20 {
@@ -326,60 +326,60 @@ func readPagedRun(r *bytes.Reader, pageSize int, maxID rdf.ID) (*blockRun, int, 
 	}
 	br := &blockRun{
 		meta: make([]blockMeta, 0, metaCap),
-		crcs: make([]uint32, 0, metaCap),
 		n:    int(keyCount),
 		psz:  pageSize,
 	}
+	crcs := make([]uint32, 0, metaCap)
 	start := 0
 	var crcb [4]byte
 	for bi := uint64(0); bi < blockCount; bi++ {
 		count, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading block %d count: %w", bi, err)
+			return nil, nil, 0, fmt.Errorf("reading block %d count: %w", bi, err)
 		}
 		if count == 0 || count > maxBlockCount {
-			return nil, 0, fmt.Errorf("block %d: invalid count %d", bi, count)
+			return nil, nil, 0, fmt.Errorf("block %d: invalid count %d", bi, count)
 		}
 		min, err := readFenceKey(r, maxID)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading block %d min fence: %w", bi, err)
+			return nil, nil, 0, fmt.Errorf("reading block %d min fence: %w", bi, err)
 		}
 		max, err := readFenceKey(r, maxID)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading block %d max fence: %w", bi, err)
+			return nil, nil, 0, fmt.Errorf("reading block %d max fence: %w", bi, err)
 		}
 		if count == 1 && min != max || count > 1 && cmpKeys(min, max) >= 0 {
-			return nil, 0, fmt.Errorf("block %d: fences out of order", bi)
+			return nil, nil, 0, fmt.Errorf("block %d: fences out of order", bi)
 		}
 		if bi > 0 && cmpKeys(br.meta[bi-1].max, min) >= 0 {
-			return nil, 0, fmt.Errorf("block %d: fences regress across blocks", bi)
+			return nil, nil, 0, fmt.Errorf("block %d: fences regress across blocks", bi)
 		}
 		plen, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading block %d payload length: %w", bi, err)
+			return nil, nil, 0, fmt.Errorf("reading block %d payload length: %w", bi, err)
 		}
 		if plen > maxBlockCount*3*binary.MaxVarintLen32 || plen > uint64(pageSize) {
-			return nil, 0, fmt.Errorf("block %d: payload length %d exceeds limit", bi, plen)
+			return nil, nil, 0, fmt.Errorf("block %d: payload length %d exceeds limit", bi, plen)
 		}
 		if count == 1 && plen != 0 {
-			return nil, 0, fmt.Errorf("block %d: one-key block with a %d-byte payload", bi, plen)
+			return nil, nil, 0, fmt.Errorf("block %d: one-key block with a %d-byte payload", bi, plen)
 		}
 		pageIdx, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading block %d page index: %w", bi, err)
+			return nil, nil, 0, fmt.Errorf("reading block %d page index: %w", bi, err)
 		}
 		pageOff, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading block %d page offset: %w", bi, err)
+			return nil, nil, 0, fmt.Errorf("reading block %d page offset: %w", bi, err)
 		}
 		if pageIdx >= pageCount || pageOff+plen > uint64(pageSize) {
-			return nil, 0, fmt.Errorf("block %d: payload outside its page", bi)
+			return nil, nil, 0, fmt.Errorf("block %d: payload outside its page", bi)
 		}
 		// Canonical greedy packing: same page tightly after the previous
 		// block, or the first slot of the next page when it would not fit.
 		if bi == 0 {
 			if pageIdx != 0 || pageOff != 0 {
-				return nil, 0, fmt.Errorf("block 0: not at the first page slot")
+				return nil, nil, 0, fmt.Errorf("block 0: not at the first page slot")
 			}
 		} else {
 			pm := &br.meta[bi-1]
@@ -388,22 +388,22 @@ func readPagedRun(r *bytes.Reader, pageSize int, maxID rdf.ID) (*blockRun, int, 
 			switch pageIdx {
 			case prevIdx:
 				if pageOff != prevEnd {
-					return nil, 0, fmt.Errorf("block %d: payload not packed tightly", bi)
+					return nil, nil, 0, fmt.Errorf("block %d: payload not packed tightly", bi)
 				}
 			case prevIdx + 1:
 				if pageOff != 0 || prevEnd+plen <= uint64(pageSize) {
-					return nil, 0, fmt.Errorf("block %d: page break without overflow", bi)
+					return nil, nil, 0, fmt.Errorf("block %d: page break without overflow", bi)
 				}
 			default:
-				return nil, 0, fmt.Errorf("block %d: page index regresses or skips", bi)
+				return nil, nil, 0, fmt.Errorf("block %d: page index regresses or skips", bi)
 			}
 		}
 		if _, err := io.ReadFull(r, crcb[:]); err != nil {
-			return nil, 0, fmt.Errorf("reading block %d checksum: %w", bi, err)
+			return nil, nil, 0, fmt.Errorf("reading block %d checksum: %w", bi, err)
 		}
 		off64 := int64(pageIdx)*int64(pageSize) + int64(pageOff)
 		if off64+int64(plen) > math.MaxUint32 {
-			return nil, 0, fmt.Errorf("block %d: run region exceeds addressable range", bi)
+			return nil, nil, 0, fmt.Errorf("block %d: run region exceeds addressable range", bi)
 		}
 		br.meta = append(br.meta, blockMeta{
 			off:   uint32(off64),
@@ -413,54 +413,66 @@ func readPagedRun(r *bytes.Reader, pageSize int, maxID rdf.ID) (*blockRun, int, 
 			min:   min,
 			max:   max,
 		})
-		br.crcs = append(br.crcs, binary.LittleEndian.Uint32(crcb[:]))
+		crcs = append(crcs, binary.LittleEndian.Uint32(crcb[:]))
 		start += int(count)
 	}
 	if start != int(keyCount) {
-		return nil, 0, fmt.Errorf("blocks hold %d keys, header says %d", start, keyCount)
+		return nil, nil, 0, fmt.Errorf("blocks hold %d keys, header says %d", start, keyCount)
 	}
 	if blockCount > 0 {
 		if last := uint64(br.meta[blockCount-1].off) / uint64(pageSize); last != pageCount-1 {
-			return nil, 0, fmt.Errorf("directory declares %d pages but blocks end on page %d", pageCount, last)
+			return nil, nil, 0, fmt.Errorf("directory declares %d pages but blocks end on page %d", pageCount, last)
 		}
 	}
-	br.verified = make([]uint32, (len(br.meta)+31)/32)
-	return br, int(pageCount), nil
+	return br, crcs, int(pageCount), nil
 }
 
-// LoadFile loads a snapshot file onto the heap; LoadFileWith can mmap it.
+// pageImage is the byte region behind a loaded paged snapshot: the full file
+// image (header, directory, and page-aligned payload pages). Runs slice their
+// payload regions out of it without copying. A mapped image is never
+// unmapped once its graph loads — live iterators may reference it
+// indefinitely, and unmapping under them would fault; the kernel reclaims
+// clean pages under memory pressure, which is the entire buffer-pool story.
+type pageImage struct {
+	data   []byte
+	pages  int // payload pages across permutations
+	psz    int
+	mapped bool // data is a read-only file mapping, not heap memory
+
+	// advised latches the one-shot MADV_SEQUENTIAL hint: full scans dominate
+	// the workloads that benefit, the hint is sticky per mapping, and the
+	// mapping is shared by every graph generation forked off this snapshot,
+	// so one syscall per mapping per process is all that is ever needed.
+	advised atomic.Bool
+}
+
+// adviseSequential hints that the image is about to be read front to back (a
+// full scan), so the kernel can read ahead aggressively.
+func (p *pageImage) adviseSequential() {
+	if p.mapped && len(p.data) > 0 && p.advised.CompareAndSwap(false, true) {
+		madviseSequential(p.data)
+	}
+}
+
+// LoadFile opens a snapshot file. On unix the file is mapped read-only and
+// the runs serve straight out of the mapping, so the servable graph size is
+// bounded by the address space, not RAM; elsewhere it is read onto the heap
+// in one sized read. Either way every payload CRC is checked before it
+// returns.
 func LoadFile(path string) (*Graph, error) {
-	return LoadFileWith(path, StorageHeap)
-}
-
-// LoadFileWith loads a snapshot file with an explicit storage, in O(open):
-// the directory is validated but no payload page is read — under mmap
-// storage the pages fault in on first use; under heap storage the file is
-// read into memory and every block checksum is verified up front.
-func LoadFileWith(path string, st Storage) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	var g *Graph
-	if st == StorageMmap {
-		data, err := mmapFile(f)
-		if err != nil {
-			return nil, err
-		}
-		if g, err = loadPagedBytes(data, StorageMmap); err != nil {
-			munmapFile(data)
-			return nil, err
-		}
-	} else {
-		full, err := io.ReadAll(bufio.NewReaderSize(f, 1<<20))
-		if err != nil {
-			return nil, fmt.Errorf("store: reading snapshot: %w", err)
-		}
-		if g, err = loadPagedBytes(full, StorageHeap); err != nil {
-			return nil, err
-		}
+	data, err := readImage(f)
+	if err != nil {
+		return nil, err
+	}
+	g, err := loadPagedBytes(data, imageMapped)
+	if err != nil {
+		releaseImage(data)
+		return nil, err
 	}
 	// The file is a faithful paged image of the loaded content, so future
 	// checkpoints may hard-link it instead of re-serializing.
@@ -468,10 +480,9 @@ func LoadFileWith(path string, st Storage) (*Graph, error) {
 	return g, nil
 }
 
-// loadPagedBytes builds a graph over a complete v3 snapshot image. st labels
-// how the image is resident (and decides lazy vs eager payload checksums);
-// the image itself was supplied by the caller.
-func loadPagedBytes(full []byte, st Storage) (*Graph, error) {
+// loadPagedBytes builds a graph over a complete v3 snapshot image supplied by
+// the caller; mapped records whether the image is a file mapping.
+func loadPagedBytes(full []byte, mapped bool) (*Graph, error) {
 	r := bytes.NewReader(full)
 	pos := func() int { return len(full) - r.Len() }
 	if err := checkMagic(r); err != nil {
@@ -521,14 +532,15 @@ func loadPagedBytes(full []byte, st Storage) (*Graph, error) {
 		}
 	}
 	var runs [numPerms]*blockRun
+	var crcs [numPerms][]uint32
 	var pageCounts [numPerms]int
 	totalPages := 0
 	for k := permKind(0); k < numPerms; k++ {
-		br, pc, err := readPagedRun(r, pageSz, maxID)
+		br, bc, pc, err := readPagedRun(r, pageSz, maxID)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading %s run directory: %w", permName(k), err)
 		}
-		runs[k], pageCounts[k] = br, pc
+		runs[k], crcs[k], pageCounts[k] = br, bc, pc
 		totalPages += pc
 	}
 	if runs[permPOS].n != runs[permSPO].n || runs[permOSP].n != runs[permSPO].n {
@@ -553,31 +565,19 @@ func loadPagedBytes(full []byte, st Storage) (*Graph, error) {
 		rlen := int64(pageCounts[k]) * int64(pageSz)
 		br.data = full[off : off+rlen]
 		off += rlen
-		br.mapped = st == StorageMmap
+		br.mapped = mapped
 		br.fenceInit()
-		if st == StorageHeap {
-			// The heap path already paid O(data) to read the file, so verify
-			// every payload up front: Load from untrusted bytes then fails
-			// with an error instead of a first-decode panic.
-			for bi := range br.meta {
-				if err := br.checkCRC(bi); err != nil {
-					return nil, fmt.Errorf("store: %s run: %w", permName(k), err)
-				}
+		for bi := range br.meta {
+			if crc32.ChecksumIEEE(br.data[br.meta[bi].off:br.payloadEnd(bi)]) != crcs[k][bi] {
+				return nil, fmt.Errorf("store: %s run: block %d: payload CRC mismatch", permName(k), bi)
 			}
 		}
 		g.runs[k] = br
 	}
-	if st == StorageMmap {
-		g.pages = &mmapPages{data: full, n: totalPages, psz: pageSz}
-	} else {
-		g.pages = &heapPages{buf: full, n: totalPages, psz: pageSz}
-	}
+	g.pages = &pageImage{data: full, pages: totalPages, psz: pageSz, mapped: mapped}
 	// Install the delta overlay. Tombstones must reference run triples and
 	// inserts must be new, or scans would double-count; each check decodes at
-	// most one block, so boot cost stays O(overlay), not O(data). Under mmap
-	// those lazy decodes are the one place load itself can trip a payload CRC
-	// — which surfaces as a tagged panic on the trusted-decode path — so the
-	// checks run under a recover that turns it back into a load error.
+	// most one block, so boot cost stays O(overlay), not O(data).
 	if err := checkOverlayMembership(g, adds, dels); err != nil {
 		return nil, err
 	}
@@ -594,14 +594,15 @@ func loadPagedBytes(full []byte, st Storage) (*Graph, error) {
 	for i := range counts {
 		g.counts[i] = newIDCounts(counts[i])
 	}
-	g.storage = st
 	g.version = int64(g.n) // as if LoadEncoded had counted each triple
 	return g, nil
 }
 
 // checkOverlayMembership validates overlay sections against the runs,
-// converting the tagged corruption panic a lazily verified (mmap) block decode
-// can raise into a plain load error.
+// converting the tagged corruption panic of a block decode into a plain load
+// error. Every payload CRC has been checked by then, so a decode can only
+// fail on a hand-crafted file whose CRCs agree with a malformed payload; the
+// recover keeps that input from disk an error, not a crash.
 func checkOverlayMembership(g *Graph, adds, dels []rdf.EncodedTriple) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,22 +1,26 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"sofos/internal/rdf"
 )
 
-// loadPagedGraph snapshots g as a v3 paged file and loads it back under the
-// given storage backend.
-func loadPagedGraph(t *testing.T, g *Graph, pageSize int, st Storage) *Graph {
+// loadPagedGraphs snapshots g as a v3 paged snapshot and opens it through
+// both entry points: Load from a reader (heap) and LoadFile (mapped).
+func loadPagedGraphs(t *testing.T, g *Graph, pageSize int) (heap, mapped *Graph) {
 	t.Helper()
-	path := writeSnapshotFile(t, pagedBytes(t, g, pageSize))
-	loaded, err := LoadFileWith(path, st)
+	data := pagedBytes(t, g, pageSize)
+	heap, err := Load(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("loading paged snapshot (%v): %v", st, err)
+		t.Fatalf("Load: %v", err)
 	}
-	return loaded
+	if mapped, err = LoadFile(writeSnapshotFile(t, data)); err != nil {
+		t.Fatalf("LoadFile: %v", err)
+	}
+	return heap, mapped
 }
 
 // TestSplitAlignsToPageBoundaries checks the page-aware partitioning
@@ -26,10 +30,9 @@ func loadPagedGraph(t *testing.T, g *Graph, pageSize int, st Storage) *Graph {
 // workers. The concatenation identity must of course still hold.
 func TestSplitAlignsToPageBoundaries(t *testing.T) {
 	const pageSize = 4096
-	g := pagedTestGraph(t, 4000)
-	for _, st := range []Storage{StorageHeap, StorageMmap} {
-		t.Run(st.String(), func(t *testing.T) {
-			loaded := loadPagedGraph(t, g, pageSize, st)
+	heap, mapped := loadPagedGraphs(t, pagedTestGraph(t, 4000), pageSize)
+	for _, loaded := range []*Graph{heap, mapped} {
+		t.Run(loaded.MemStats().Storage, func(t *testing.T) {
 			serial := collect(loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID))
 			for _, n := range []int{2, 3, 4, 8, 16} {
 				it := loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
@@ -70,7 +73,7 @@ func TestSplitAlignsToPageBoundaries(t *testing.T) {
 func TestSplitCompactionRevertsToBlockAlignment(t *testing.T) {
 	const pageSize = 4096
 	g := pagedTestGraph(t, 1500)
-	loaded := loadPagedGraph(t, g, pageSize, StorageHeap)
+	loaded, _ := loadPagedGraphs(t, g, pageSize)
 	loaded.MustAdd(tr("post-load", "p", "o"))
 	loaded.Compact()
 	it := loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
@@ -89,11 +92,8 @@ func TestSplitCompactionRevertsToBlockAlignment(t *testing.T) {
 func TestAdviseSequentialOnFullScan(t *testing.T) {
 	const pageSize = 4096
 	g := pagedTestGraph(t, 1000)
-	loaded := loadPagedGraph(t, g, pageSize, StorageMmap)
-	mp, ok := loaded.pages.(*mmapPages)
-	if !ok {
-		t.Fatalf("mmap-loaded graph has page store %T", loaded.pages)
-	}
+	_, loaded := loadPagedGraphs(t, g, pageSize)
+	mp := loaded.pages
 	if mp.advised.Load() {
 		t.Fatal("mapping advised before any scan")
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -39,7 +40,7 @@ func pagedBytes(t testing.TB, g *Graph, pageSize int) []byte {
 	return buf.Bytes()
 }
 
-// writeSnapshotFile materializes snapshot bytes as a file for LoadFileWith.
+// writeSnapshotFile materializes snapshot bytes as a file for LoadFile.
 func writeSnapshotFile(t testing.TB, data []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "graph.snap")
@@ -49,97 +50,85 @@ func writeSnapshotFile(t testing.TB, data []byte) string {
 	return path
 }
 
-// scanOutcome runs a full scan over the graph, classifying the result: count
-// of yielded triples on success, or the message of a tagged corruption panic
-// (the only panic mmap-backed runs are allowed — lazy CRC verification fires
-// on first decode). Any other panic propagates and fails the test.
-func scanOutcome(g *Graph) (n int, corrupt string) {
-	defer func() {
-		if r := recover(); r != nil {
-			msg, ok := r.(string)
-			if !ok || !strings.HasPrefix(msg, "store: corrupt block run: ") {
-				panic(r)
-			}
-			corrupt = msg
-		}
-	}()
+// scanCount runs a full scan over the graph and counts what it yields.
+func scanCount(g *Graph) int {
+	n := 0
 	it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
 	for it.Next() {
 		n++
 	}
-	return n, ""
+	return n
 }
 
-// TestPagedRoundTripStorages loads one paged snapshot under both storages
-// and checks the content is bit-identical to the source graph, and that the
+// TestPagedRoundTripStorages opens one paged snapshot through both entry
+// points — Load from a reader onto the heap, LoadFile mapping the file — and
+// checks the content is bit-identical to the source graph, and that the
 // storage accounting (mapped bytes, page counts) tells the truth.
 func TestPagedRoundTripStorages(t *testing.T) {
 	g := pagedTestGraph(t, 400)
 	want := g.SortedTriples()
 	for _, pageSize := range []int{4096, defaultPageSize} {
-		path := writeSnapshotFile(t, pagedBytes(t, g, pageSize))
-		for _, st := range []Storage{StorageHeap, StorageMmap} {
-			loaded, err := LoadFileWith(path, st)
-			if err != nil {
-				t.Fatalf("page %d, %v: %v", pageSize, st, err)
-			}
+		data := pagedBytes(t, g, pageSize)
+		heap, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("page %d, Load: %v", pageSize, err)
+		}
+		mapped, err := LoadFile(writeSnapshotFile(t, data))
+		if err != nil {
+			t.Fatalf("page %d, LoadFile: %v", pageSize, err)
+		}
+		for _, loaded := range []*Graph{heap, mapped} {
 			got := loaded.SortedTriples()
 			if len(got) != len(want) {
-				t.Fatalf("page %d, %v: %d triples, want %d", pageSize, st, len(got), len(want))
+				t.Fatalf("page %d: %d triples, want %d", pageSize, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("page %d, %v: triple %d = %v, want %v", pageSize, st, i, got[i], want[i])
+					t.Fatalf("page %d: triple %d = %v, want %v", pageSize, i, got[i], want[i])
 				}
 			}
-			ms := loaded.MemStats()
-			if st == StorageMmap {
-				if ms.Storage != "mmap" || ms.MappedBytes == 0 || ms.Pages == 0 || ms.PageSize != pageSize {
-					t.Fatalf("page %d mmap stats wrong: %+v", pageSize, ms)
-				}
-				if ms.SPO.Mapped == 0 {
-					t.Fatalf("page %d mmap: SPO reports no mapped payload: %+v", pageSize, ms.SPO)
-				}
-			} else if ms.Storage != "heap" || ms.MappedBytes != 0 || ms.Pages == 0 {
-				t.Fatalf("page %d heap stats wrong: %+v", pageSize, ms)
-			}
+		}
+		ms := mapped.MemStats()
+		if ms.Storage != "mmap" || ms.MappedBytes == 0 || ms.Pages == 0 || ms.PageSize != pageSize {
+			t.Fatalf("page %d LoadFile stats wrong: %+v", pageSize, ms)
+		}
+		if ms.SPO.Mapped == 0 {
+			t.Fatalf("page %d LoadFile: SPO reports no mapped payload: %+v", pageSize, ms.SPO)
+		}
+		if ms := heap.MemStats(); ms.Storage != "heap" || ms.MappedBytes != 0 || ms.Pages == 0 {
+			t.Fatalf("page %d Load stats wrong: %+v", pageSize, ms)
 		}
 	}
 }
 
-// TestPagedLoadSkipsPayloadReads is the O(open) recovery proof: a corrupted
-// byte inside a payload page must not be noticed by an mmap load — the
-// directory is validated, payload pages are not read — and must then be
-// caught by the lazy per-block CRC as a tagged panic on first scan. The heap
-// load of the same bytes pays O(data) anyway and must refuse up front.
-func TestPagedLoadSkipsPayloadReads(t *testing.T) {
-	g := pagedTestGraph(t, 600)
-	// Compact so the overlay is empty: with overlay sections present, load
-	// legitimately decodes the O(overlay) blocks its membership checks touch.
+// TestPagedLoadRejectsCorruptPayload flips one byte inside a block payload of
+// each run: the directory is intact, so only the per-block CRC can notice,
+// and both entry points must refuse at open with an error naming the run and
+// the block — not load and panic on the first scan that decodes it.
+func TestPagedLoadRejectsCorruptPayload(t *testing.T) {
+	g := pagedTestGraph(t, 3*blockSize/2)
 	g.Compact()
 	data := pagedBytes(t, g, 4096)
-
-	// Locate the page region from a clean load's own accounting, then corrupt
-	// the very first payload byte — block 0 of the SPO run.
-	clean, err := LoadFileWith(writeSnapshotFile(t, data), StorageHeap)
+	clean, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	regionStart := len(data) - clean.MemStats().Pages*4096
-	mut := append([]byte(nil), data...)
-	mut[regionStart] ^= 0x40
-	path := writeSnapshotFile(t, mut)
-
-	loaded, err := LoadFileWith(path, StorageMmap)
-	if err != nil {
-		t.Fatalf("mmap load read payload bytes at boot (failed with %v); recovery is not O(open)", err)
-	}
-	if _, corrupt := scanOutcome(loaded); corrupt == "" {
-		t.Fatal("scan over the corrupted block did not trip the lazy CRC")
-	}
-
-	if _, err := LoadFileWith(path, StorageHeap); err == nil {
-		t.Fatal("heap load accepted a corrupt payload page; eager CRC verification is gone")
+	runStart := len(data) - clean.MemStats().Pages*4096
+	for k := permKind(0); k < numPerms; k++ {
+		br := clean.runs[k].(*blockRun)
+		if len(br.meta) < 2 || br.meta[1].plen == 0 {
+			t.Fatalf("%s run has no second block payload to corrupt", permName(k))
+		}
+		mut := append([]byte(nil), data...)
+		mut[runStart+int(br.meta[1].off)] ^= 0x40
+		runStart += len(br.data)
+		want := fmt.Sprintf("%s run: block 1: payload CRC mismatch", permName(k))
+		if _, err := Load(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Load of a corrupt %s payload: err %v, want one containing %q", permName(k), err, want)
+		}
+		if _, err := LoadFile(writeSnapshotFile(t, mut)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("LoadFile of a corrupt %s payload: err %v, want one containing %q", permName(k), err, want)
+		}
 	}
 }
 
@@ -169,8 +158,8 @@ func TestBlockLoadTruncationMultiBlock(t *testing.T) {
 }
 
 // TestPagedTruncationEveryPrefix feeds every prefix of a v3 snapshot through
-// the byte loader (heap) and, at a stride, through file loads under both
-// storages: nothing but the full input may load.
+// the byte loader and, at a stride, through the file loader: nothing but the
+// full input may load.
 func TestPagedTruncationEveryPrefix(t *testing.T) {
 	full := pagedBytes(t, pagedTestGraph(t, 120), minPageSize)
 	mustTruncate(t, full, 1)
@@ -180,19 +169,16 @@ func TestPagedTruncationEveryPrefix(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range []Storage{StorageHeap, StorageMmap} {
-			if _, err := LoadFileWith(path, st); err == nil {
-				t.Fatalf("%v: truncated file (%d/%d bytes) loaded successfully", st, cut, len(full))
-			}
+		if _, err := LoadFile(path); err == nil {
+			t.Fatalf("truncated file (%d/%d bytes) loaded successfully", cut, len(full))
 		}
 	}
 }
 
-// TestPagedBitFlipsBothStorages flips bits across a whole v3 snapshot. Under
-// heap storage every outcome must be an error or a fully consistent graph
-// (eager CRC). Under mmap a flip in a payload page legitimately surfaces
-// later, as a tagged corruption panic on the first scan that decodes the
-// block — anything else (wrong counts, untagged panic) is a bug.
+// TestPagedBitFlipsBothStorages flips bits across a whole v3 snapshot and
+// opens each copy through Load (heap) and LoadFile (mapped). Every outcome
+// must be an error or a fully consistent graph: CRCs are checked at open, so
+// a scan of a loaded graph never panics.
 func TestPagedBitFlipsBothStorages(t *testing.T) {
 	full := pagedBytes(t, pagedTestGraph(t, 120), minPageSize)
 	step := 1
@@ -208,20 +194,15 @@ func TestPagedBitFlipsBothStorages(t *testing.T) {
 			if err := os.WriteFile(path, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			g, err := LoadFileWith(path, StorageHeap)
-			if err == nil {
-				if n, corrupt := scanOutcome(g); corrupt != "" {
-					t.Fatalf("flip at %d/%#x: heap load accepted bytes that scan as corrupt: %s", off, bit, corrupt)
-				} else if n != g.Len() {
-					t.Fatalf("flip at %d/%#x: heap Len()=%d but scan found %d", off, bit, g.Len(), n)
+			if g, err := Load(bytes.NewReader(mut)); err == nil {
+				if n := scanCount(g); n != g.Len() {
+					t.Fatalf("flip at %d/%#x: Load Len()=%d but scan found %d", off, bit, g.Len(), n)
 				}
 			}
-			g, err = LoadFileWith(path, StorageMmap)
-			if err != nil {
-				continue
-			}
-			if n, corrupt := scanOutcome(g); corrupt == "" && n != g.Len() {
-				t.Fatalf("flip at %d/%#x: mmap Len()=%d but scan found %d", off, bit, g.Len(), n)
+			if g, err := LoadFile(path); err == nil {
+				if n := scanCount(g); n != g.Len() {
+					t.Fatalf("flip at %d/%#x: LoadFile Len()=%d but scan found %d", off, bit, g.Len(), n)
+				}
 			}
 		}
 	}
@@ -309,7 +290,7 @@ func TestPagedHugeCounts(t *testing.T) {
 func TestPagedSourceTracking(t *testing.T) {
 	g := pagedTestGraph(t, 100)
 	path := writeSnapshotFile(t, pagedBytes(t, g, minPageSize))
-	loaded, err := LoadFileWith(path, StorageHeap)
+	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +327,7 @@ func TestPagedSourceTracking(t *testing.T) {
 func TestCloneSharesMappedRuns(t *testing.T) {
 	g := pagedTestGraph(t, 200)
 	path := writeSnapshotFile(t, pagedBytes(t, g, 4096))
-	loaded, err := LoadFileWith(path, StorageMmap)
+	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +350,7 @@ func TestCloneSharesMappedRuns(t *testing.T) {
 
 // FuzzPagedSnapshotLoad hammers the v3 loader with mutated paged snapshots:
 // every input either loads into a consistent graph or errors — no panics
-// (heap loads verify payloads eagerly), no runaway allocations.
+// (payload CRCs are checked at open), no runaway allocations.
 func FuzzPagedSnapshotLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagicV3))
@@ -384,12 +365,7 @@ func FuzzPagedSnapshotLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n := 0
-		it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-		for it.Next() {
-			n++
-		}
-		if n != g.Len() {
+		if n := scanCount(g); n != g.Len() {
 			t.Fatalf("loaded graph inconsistent: Len()=%d, scan=%d", g.Len(), n)
 		}
 	})

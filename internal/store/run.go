@@ -27,12 +27,6 @@ type run interface {
 	// numBlocks returns the number of fixed-size blocks (0 for flat runs).
 	numBlocks() int
 
-	// verifiedBlocks returns how many blocks have had their payload CRC
-	// checked. Runs without lazy snapshot CRCs (flat, or built/verified
-	// in-process) count every block as verified; for mmap-backed runs the
-	// count grows as lazy first-decode verification touches blocks.
-	verifiedBlocks() int
-
 	// search returns the first position in [from, size()] whose depth-prefix
 	// is ≥ key's (upper=false) or > key's (upper=true) — the primitive under
 	// range scans and exact estimates. depth 0 means "match everything":
@@ -155,11 +149,10 @@ func (b *flatBuilder) finish() run { return flatRun(b.keys) }
 // flatRun stores keys as a plain sorted slice.
 type flatRun []rdf.EncodedTriple
 
-func (r flatRun) size() int           { return len(r) }
-func (r flatRun) memBytes() int64     { return int64(len(r)) * int64(3*4) }
-func (r flatRun) mappedBytes() int64  { return 0 }
-func (r flatRun) numBlocks() int      { return 0 }
-func (r flatRun) verifiedBlocks() int { return 0 }
+func (r flatRun) size() int          { return len(r) }
+func (r flatRun) memBytes() int64    { return int64(len(r)) * int64(3*4) }
+func (r flatRun) mappedBytes() int64 { return 0 }
+func (r flatRun) numBlocks() int     { return 0 }
 
 func (r flatRun) search(from int, key rdf.EncodedTriple, depth int, upper bool) int {
 	return searchPrefix(r, from, key, depth, upper)

@@ -175,13 +175,13 @@ func (g *Graph) blockRunsLocked() ([numPerms]*blockRun, error) {
 }
 
 // Load reads a snapshot written by Save into a fresh block-coded graph on
-// the heap. LoadFile is the entry point that can mmap instead.
+// the heap; LoadFile opens a snapshot file. Both check every payload CRC.
 func Load(r io.Reader) (*Graph, error) {
 	full, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	return loadPagedBytes(full, StorageHeap)
+	return loadPagedBytes(full, false)
 }
 
 // checkMagic reads and checks the snapshot magic, naming a retired format

@@ -99,7 +99,7 @@ func TestLoadErrors(t *testing.T) {
 
 // TestLoadRejectsRetiredFormats pins that v1 and v2 snapshots, which no
 // longer load, fail with an error naming the format and the way out — from a
-// stream and from a file under both storages.
+// stream and from a file.
 func TestLoadRejectsRetiredFormats(t *testing.T) {
 	for _, tc := range []struct{ magic, version string }{
 		{retiredMagicV1, "v1"},
@@ -120,11 +120,8 @@ func TestLoadRejectsRetiredFormats(t *testing.T) {
 		}
 		_, err := Load(strings.NewReader(data))
 		check("Load", err)
-		path := writeSnapshotFile(t, []byte(data))
-		for _, st := range []Storage{StorageHeap, StorageMmap} {
-			_, err := LoadFileWith(path, st)
-			check("LoadFileWith "+st.String(), err)
-		}
+		_, err = LoadFile(writeSnapshotFile(t, []byte(data)))
+		check("LoadFile", err)
 	}
 }
 

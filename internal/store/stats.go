@@ -137,11 +137,10 @@ func (g *Graph) EstimatedBytes() int64 {
 
 // IndexMemStats is the resident footprint of one permutation index.
 type IndexMemStats struct {
-	Keys     int   `json:"keys"`                      // triples stored in the run
-	Blocks   int   `json:"blocks,omitempty"`          // compressed blocks (0 for flat)
-	Verified int   `json:"verified_blocks,omitempty"` // blocks with their payload CRC checked
-	Bytes    int64 `json:"bytes"`                     // heap-resident bytes of the run encoding
-	Mapped   int64 `json:"mapped_bytes,omitempty"`    // mmap-backed payload bytes
+	Keys   int   `json:"keys"`                   // triples stored in the run
+	Blocks int   `json:"blocks,omitempty"`       // compressed blocks (0 for flat)
+	Bytes  int64 `json:"bytes"`                  // heap-resident bytes of the run encoding
+	Mapped int64 `json:"mapped_bytes,omitempty"` // mmap-backed payload bytes
 }
 
 // MemStats reports the actual resident bytes of the graph's storage, broken
@@ -151,7 +150,7 @@ type IndexMemStats struct {
 // encoding, so the block codec's compression win is observable in /stats.
 type MemStats struct {
 	Codec       string        `json:"codec"`
-	Storage     string        `json:"storage"` // heap | mmap
+	Storage     string        `json:"storage"` // mmap for a mapped snapshot, else heap
 	Triples     int           `json:"triples"`
 	Pages       int           `json:"pages,omitempty"`     // paged-snapshot pages backing the runs
 	PageSize    int           `json:"page_size,omitempty"` // bytes per page
@@ -166,36 +165,28 @@ type MemStats struct {
 	TotalBytes  int64         `json:"total_bytes"`  // IndexBytes + DictBytes
 }
 
-// Storage reports how the graph's runs are resident: mmap when it was loaded
-// from a snapshot with StorageMmap, heap otherwise.
-func (g *Graph) Storage() Storage {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.storage
-}
-
 // MemStats measures the graph's current resident storage footprint.
 func (g *Graph) MemStats() MemStats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	ms := MemStats{
 		Codec:       g.codec.name(),
-		Storage:     g.storage.String(),
+		Storage:     "heap",
 		Triples:     g.n,
 		OverlayAdds: len(g.ov.adds[permSPO]),
 		OverlayDels: len(g.ov.dels[permSPO]),
 	}
-	if g.pages != nil {
-		ms.Pages = g.pages.pages()
-		ms.PageSize = g.pages.pageSize()
-		ms.MappedBytes = g.pages.mappedBytes()
+	if p := g.pages; p != nil {
+		ms.Pages, ms.PageSize = p.pages, p.psz
+		if p.mapped {
+			ms.Storage, ms.MappedBytes = "mmap", int64(len(p.data))
+		}
 	}
 	perms := [numPerms]*IndexMemStats{&ms.SPO, &ms.POS, &ms.OSP}
 	for k := permKind(0); k < numPerms; k++ {
 		if r := g.runs[k]; r != nil {
 			perms[k].Keys = r.size()
 			perms[k].Blocks = r.numBlocks()
-			perms[k].Verified = r.verifiedBlocks()
 			perms[k].Bytes = r.memBytes()
 			perms[k].Mapped = r.mappedBytes()
 		}
