@@ -454,8 +454,7 @@ func (e *Engine) runOptional(rows []binding, p *Plan, op *optionalPlan, ctx *exe
 // yield with the extension written into scratch (callers copy rows they
 // keep). Bound variables act as constants, so the store answers each
 // propagation step with one permutation range scan; the Iterator is caller-
-// owned for buffer reuse and holds no graph lock, keeping filter evaluation
-// off the store's critical section.
+// owned for buffer reuse.
 func (e *Engine) matchPattern(it *store.Iterator, row, scratch binding, cp compiledPattern, yield func(binding) bool) {
 	if cp.s.missing || cp.p.missing || cp.o.missing {
 		return // a constant term absent from the graph can never match

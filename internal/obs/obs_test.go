@@ -2,6 +2,7 @@ package obs
 
 import (
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -227,6 +228,39 @@ func TestConcurrentScrapes(t *testing.T) {
 	}
 	if h.Count() != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", h.Count())
+	}
+}
+
+// TestConcurrentFirstUse looks the same labeled series up from several
+// goroutines at once, as request handlers do on a fresh server: every
+// caller must get the one metric, fully set, whoever created it (run under
+// -race).
+func TestConcurrentFirstUse(t *testing.T) {
+	const workers, series = 8, 200
+	r := NewRegistry()
+	label := func(i int) Label { return Label{Key: "code", Value: strconv.Itoa(i)} }
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < series; i++ {
+				r.Counter("sofos_first_total", "c", label(i)).Inc()
+				r.Histogram("sofos_first_seconds", "h", nil, label(i)).Observe(0.001)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < series; i++ {
+		if got := r.Counter("sofos_first_total", "c", label(i)).Value(); got != workers {
+			t.Fatalf("counter %d = %d, want %d", i, got, workers)
+		}
+		if got := r.Histogram("sofos_first_seconds", "h", nil, label(i)).Count(); got != workers {
+			t.Fatalf("histogram %d count = %d, want %d", i, got, workers)
+		}
 	}
 }
 

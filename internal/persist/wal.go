@@ -385,8 +385,8 @@ type LogStats struct {
 
 // Stats snapshots the log's counters. The segment count is maintained by
 // OpenLog/Rotate/TruncateBefore, so no directory scan runs here: /stats
-// polls this under the serving read lock, and the log mutex is shared with
-// the append path.
+// polls this beside serving, and the log mutex is shared with the append
+// path.
 func (l *Log) Stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()

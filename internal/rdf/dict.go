@@ -37,8 +37,7 @@ const NoID ID = 0
 // snapshot and the writable fork preparing the next generation share one
 // dictionary: readers resolving IDs of the published snapshot can never
 // observe an inconsistent entry, only interleave with the writer appending
-// fresh terms to the tail. Clone shares the base (it never changes) and
-// copies only the tail.
+// fresh terms to the tail.
 type Dict struct {
 	base dictBase
 
@@ -255,23 +254,6 @@ func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.base.len() + len(d.terms)
-}
-
-// Clone returns an independent copy of the dictionary. Graph.Clone uses this
-// so mutating a cloned graph never grows the original's dictionary.
-func (d *Dict) Clone() *Dict {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	c := &Dict{
-		base:   d.base,
-		byTerm: make(map[Term]ID, len(d.byTerm)),
-		terms:  make([]Term, len(d.terms)),
-	}
-	copy(c.terms, d.terms)
-	for t, id := range d.byTerm {
-		c.byTerm[t] = id
-	}
-	return c
 }
 
 // EachTerm calls fn for every interned (id, term) pair in ID order. fn must

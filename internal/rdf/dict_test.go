@@ -53,25 +53,6 @@ func TestDictTermPanicsOnInvalidID(t *testing.T) {
 	}
 }
 
-func TestDictClone(t *testing.T) {
-	d := NewDict()
-	a := d.Intern(NewIRI("http://a"))
-	c := d.Clone()
-	if c.Len() != 1 || !c.Term(a).Equal(NewIRI("http://a")) {
-		t.Fatal("clone lost contents")
-	}
-	// Mutating the clone must not affect the original.
-	c.Intern(NewIRI("http://b"))
-	if d.Len() != 1 {
-		t.Error("clone mutation leaked into original")
-	}
-	// And interning in the original must not appear in the clone.
-	d.Intern(NewIRI("http://c"))
-	if _, ok := c.Lookup(NewIRI("http://c")); ok {
-		t.Error("original mutation leaked into clone")
-	}
-}
-
 func TestDictEachTerm(t *testing.T) {
 	d := NewDict()
 	want := []Term{NewIRI("http://a"), NewBlank("b"), NewLiteral("c")}
@@ -254,7 +235,7 @@ func checkAgainstModel(t *testing.T, d *Dict, m *dictModel) {
 
 // TestDictBaseTailDifferential checks a Dict opened from its serialized form
 // and then grown by Intern against the map model: IDs, terms, absent
-// lookups, EachTerm order, re-serialization and Clone independence.
+// lookups, EachTerm order and re-serialization.
 func TestDictBaseTailDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -297,24 +278,6 @@ func TestDictBaseTailDifferential(t *testing.T) {
 
 		// Base and tail serialize back to a dictionary that opens equal.
 		checkAgainstModel(t, openedDict(t, m.terms), m)
-
-		// A clone shares the base but never the tail growth, either way.
-		c := d.Clone()
-		before := d.Len()
-		cloneTerm, origTerm := NewIRI("clone-only"), NewIRI("original-only")
-		c.Intern(cloneTerm)
-		d.Intern(origTerm)
-		if d.Len() != before+1 || c.Len() != before+1 {
-			t.Fatalf("seed %d: Len after cross interns = %d/%d, want %d", seed, d.Len(), c.Len(), before+1)
-		}
-		if _, ok := d.Lookup(cloneTerm); ok {
-			t.Fatalf("seed %d: clone's intern leaked into the original", seed)
-		}
-		if _, ok := c.Lookup(origTerm); ok {
-			t.Fatalf("seed %d: original's intern leaked into the clone", seed)
-		}
-		m.intern(origTerm)
-		checkAgainstModel(t, d, m)
 	}
 }
 

@@ -66,9 +66,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ackN > 0 {
-		// The wait runs outside the write lock: replicas catch up by tailing
-		// the WAL (file reads) and posting acks, neither of which needs the
-		// lock, but queries and further writes must not stall behind us.
+		// The wait runs after core.Chain's writer mutex is released: replicas
+		// catch up by tailing the WAL (file reads) and posting acks, neither
+		// of which needs it, but further writes must not stall behind us.
 		start := time.Now()
 		got, waitErr := s.tracker.waitFor(r.Context(), ackN, toVersion, s.cfg.AckTimeout)
 		resp.Ack = fmt.Sprintf("replicas:%d", ackN)

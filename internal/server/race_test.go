@@ -38,7 +38,7 @@ func TestServeWhileRefresh(t *testing.T) {
 	const popPerRound = 1_000_000 // dwarfs base pops so each state is distinct
 
 	// validSums[i] is the apex sum after i committed update batches. Batches
-	// commit atomically under the server's write lock, so no other sums can
+	// commit atomically (one fork published per batch), so no other sums can
 	// ever be observed.
 	base := numCell(t, query(t, ts, apexQuery).Rows[0][0])
 	validSums := make(map[float64]bool, rounds+1)

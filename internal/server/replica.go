@@ -27,7 +27,7 @@ import (
 // primary acknowledged the batch at. When the stream reports that the
 // replica's resume version was truncated away (the primary checkpointed past
 // it while the replica was down), the loop re-bootstraps and swaps the fresh
-// system in under the write lock.
+// system in under core.Chain's writer mutex (Chain.Reset).
 
 // Replica pacing: how often an idle replica re-reports progress (keeps the
 // primary's lastSeen and the replica's lag stats fresh), and the reconnect

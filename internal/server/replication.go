@@ -349,7 +349,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // replicationStatsNow renders the /v1/stats replication section for either
-// role. Callers hold the read lock.
+// role, reading sys, a published system that no writer touches.
 func (s *Server) replicationStatsNow(sys *core.System) *api.ReplicationStats {
 	if s.role == RoleReplica {
 		return s.repl.statsNow(sys)

@@ -73,7 +73,7 @@ type blockRun struct {
 }
 
 // fenceInit (re)builds the max0 fence mirror from meta; called after a run is
-// assembled by the builder, a clone, or a snapshot load.
+// assembled by the builder or a snapshot load.
 func (r *blockRun) fenceInit() {
 	r.max0 = make([]rdf.ID, len(r.meta))
 	for i := range r.meta {
@@ -616,12 +616,4 @@ func (r *blockRun) alignSplit(pos int) int {
 		}
 	}
 	return r.meta[bi].start
-}
-
-func (r *blockRun) clone() run {
-	c := &blockRun{n: r.n}
-	c.meta = append([]blockMeta(nil), r.meta...)
-	c.data = append([]byte(nil), r.data...)
-	c.fenceInit()
-	return c
 }

@@ -124,7 +124,7 @@ func TestDifferentialFlatVsBlock(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		batch = append(batch, rdf.EncodedTriple{randS(), randP(), randO()})
 	}
-	if flat.LoadEncoded(batch) != block.LoadEncoded(batch) {
+	if flat.loadEncoded(batch) != block.loadEncoded(batch) {
 		t.Fatal("bulk load counts diverged")
 	}
 	check(0)
@@ -135,7 +135,7 @@ func TestDifferentialFlatVsBlock(t *testing.T) {
 				t.Fatalf("step %d: Remove(%d,%d,%d) return values diverged", step, s, p, o)
 			}
 		} else {
-			if flat.AddEncoded(s, p, o) != block.AddEncoded(s, p, o) {
+			if flat.addEncoded(s, p, o) != block.addEncoded(s, p, o) {
 				t.Fatalf("step %d: Add(%d,%d,%d) return values diverged", step, s, p, o)
 			}
 		}
@@ -184,8 +184,8 @@ func TestMemStats(t *testing.T) {
 		batch = append(batch, rdf.EncodedTriple{
 			rdf.ID(1 + rng.Intn(2000)), rdf.ID(1 + rng.Intn(10)), rdf.ID(1 + rng.Intn(4000))})
 	}
-	flat.LoadEncoded(batch)
-	block.LoadEncoded(batch)
+	flat.loadEncoded(batch)
+	block.loadEncoded(batch)
 	fs, bs := flat.MemStats(), block.MemStats()
 	if fs.Codec != "flat" || bs.Codec != "block" {
 		t.Fatalf("codec names: %q / %q", fs.Codec, bs.Codec)

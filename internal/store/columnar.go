@@ -18,8 +18,8 @@ import (
 // sorted per permutation like the runs, replaced copy-on-write by each write —
 // that is merged into fresh runs once it exceeds a fraction of the base
 // (LSM-style). Readers capture the run plus the in-range sub-slices of the
-// overlay, so scans never hold the graph lock while yielding and mutations
-// never invalidate a live Iterator.
+// overlay, so an Iterator never reads the Graph while yielding and a later
+// write by the graph's owner never invalidates it.
 
 // permKind selects one of the three sorted permutations.
 type permKind uint8

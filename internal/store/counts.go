@@ -10,7 +10,7 @@ import (
 // idCounts holds, for one triple component (subject, predicate or object),
 // how many live triples carry each ID there. The count of an ID is
 // base[id] + delta[id]: base is immutable once built and shared by reference
-// between a graph and its forks and clones, delta is the owner's private
+// between a graph and its forks, delta is the owner's private
 // adjustment since base was built. Compaction and bulk loads — which are
 // O(|G|) already — fold delta into a fresh base, so between them a fork
 // copies only the IDs the overlay touched.

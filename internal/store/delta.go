@@ -30,10 +30,9 @@ func (d *Delta) Len() int { return len(d.Inserted) + len(d.Deleted) }
 func (d *Delta) Empty() bool { return d.Len() == 0 }
 
 // Apply commits one batched update — inserts first, then deletes, matching
-// the /update endpoint's order — under a single lock acquisition and returns
-// the effective delta. A triple inserted (as new) and deleted by the same
-// batch cancels out of the delta entirely: the graph is unchanged with
-// respect to it. Inserts are validated up front, so an error means nothing
+// the /update endpoint's order — as one write and returns the effective
+// delta. A triple inserted (as new) and deleted by the same batch cancels
+// out of the delta entirely: the graph is unchanged with respect to it. Inserts are validated up front, so an error means nothing
 // was applied.
 func (g *Graph) Apply(inserts, deletes []rdf.Triple) (Delta, error) {
 	for _, t := range inserts {
@@ -41,8 +40,6 @@ func (g *Graph) Apply(inserts, deletes []rdf.Triple) (Delta, error) {
 			return Delta{}, fmt.Errorf("store: %w", err)
 		}
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	d := Delta{FromVersion: g.version}
 	var insIdx map[rdf.EncodedTriple]int // effective insert key -> index in d.Inserted
 	if len(inserts) > 0 && len(deletes) > 0 {
@@ -63,27 +60,16 @@ func (g *Graph) Apply(inserts, deletes []rdf.Triple) (Delta, error) {
 	}
 	var cancelled map[int]bool // indices of d.Inserted undone by a same-batch delete
 	for _, t := range deletes {
-		s, ok := g.dict.Lookup(t.S)
-		if !ok {
+		k, ok := g.lookup(t)
+		if !ok || !b.remove(k) {
 			continue
 		}
-		p, ok := g.dict.Lookup(t.P)
-		if !ok {
-			continue
-		}
-		o, ok := g.dict.Lookup(t.O)
-		if !ok {
-			continue
-		}
-		if !b.remove(rdf.EncodedTriple{s, p, o}) {
-			continue
-		}
-		if i, ok := insIdx[rdf.EncodedTriple{s, p, o}]; ok {
+		if i, ok := insIdx[k]; ok {
 			if cancelled == nil {
 				cancelled = make(map[int]bool)
 			}
 			cancelled[i] = true
-			delete(insIdx, rdf.EncodedTriple{s, p, o})
+			delete(insIdx, k)
 			continue
 		}
 		d.Deleted = append(d.Deleted, t)
@@ -159,24 +145,12 @@ func ComposeDeltas(ds []Delta) Delta {
 // are skipped: such a triple cannot have been part of any earlier graph
 // state, and adding it would mutate the shared dictionary.
 func (g *Graph) OverlayWith(extra []rdf.Triple) *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	o := g.forkLocked()
+	o := g.shareData()
 	b := batch{g: o}
 	for _, t := range extra {
-		s, ok := g.dict.Lookup(t.S)
-		if !ok {
-			continue
+		if k, ok := g.lookup(t); ok {
+			b.add(k)
 		}
-		p, ok := g.dict.Lookup(t.P)
-		if !ok {
-			continue
-		}
-		ob, ok := g.dict.Lookup(t.O)
-		if !ok {
-			continue
-		}
-		b.add(rdf.EncodedTriple{s, p, ob})
 	}
 	b.flush() // no compaction: that would be O(|G|)
 	o.version = g.version

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 
 	"sofos/internal/rdf"
 )
@@ -22,12 +21,13 @@ const (
 )
 
 // Graph is an in-memory RDF graph with dictionary encoding and full triple
-// indexing. It is safe for concurrent reads; writes are serialized by an
-// internal mutex (reads during writes are also safe). The triple data lives
-// in three sorted permutation runs plus a mutable delta overlay; see
-// columnar.go for the layout and run.go/block.go for the run encodings.
+// indexing. A Graph has any number of readers or one owner that writes while
+// no one reads; it takes no lock. Concurrent serving gets both at once by
+// forking: readers keep the published graph, which is never written again,
+// and the writer mutates its private Fork. The triple data lives in three
+// sorted permutation runs plus a delta overlay; see columnar.go for the
+// layout and run.go/block.go for the run encodings.
 type Graph struct {
-	mu   sync.RWMutex
 	dict *rdf.Dict
 
 	// codec encodes the immutable runs: block, or flat for the test oracle
@@ -65,7 +65,10 @@ type Graph struct {
 	// diverged from it. While clean, a checkpoint can hard-link the file
 	// instead of re-serializing the runs; any successful mutation dirties it.
 	// Compaction alone does not: it changes the physical layout, not the
-	// triple set, and checkpoints capture logical content.
+	// triple set, and checkpoints capture logical content. Besides the
+	// graph's own writes, only Fork, PagedSource and AdoptPagedSource touch
+	// the two fields; a checkpoint adopts its file on the published graph,
+	// so all three run under the MVCC chain's writer mutex (core.Chain).
 	pagedPath  string
 	pagedDirty bool
 }
@@ -73,22 +76,14 @@ type Graph struct {
 // Version returns a counter that increases on every successful mutation.
 // Equal versions imply identical contents for a graph only mutated through
 // Add/Remove (the counter never repeats within one graph's lifetime).
-func (g *Graph) Version() int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.version
-}
+func (g *Graph) Version() int64 { return g.version }
 
 // SetVersion forces the mutation counter — the restore hook the persistence
 // layer uses so a snapshot-loaded graph resumes the saved numbering and the
 // version intervals of durably logged update batches stay aligned across
 // restarts. Never lower the counter on a live graph: staleness tracking and
 // delta-log chaining assume it never repeats.
-func (g *Graph) SetVersion(v int64) {
-	g.mu.Lock()
-	g.version = v
-	g.mu.Unlock()
-}
+func (g *Graph) SetVersion(v int64) { g.version = v }
 
 // NewGraph returns an empty block-coded graph with a fresh dictionary.
 func NewGraph() *Graph {
@@ -96,8 +91,8 @@ func NewGraph() *Graph {
 }
 
 // BuildFrom constructs a compacted graph directly from a triple slice — the
-// bulk-load fast path: one lock acquisition, one sort per permutation, no
-// per-triple map allocations.
+// bulk-load fast path: one sort per permutation, no per-triple map
+// allocations.
 func BuildFrom(ts []rdf.Triple) (*Graph, error) {
 	g := NewGraph()
 	if _, err := g.LoadTriples(ts); err != nil {
@@ -106,16 +101,14 @@ func BuildFrom(ts []rdf.Triple) (*Graph, error) {
 	return g, nil
 }
 
-// Dict exposes the graph's term dictionary. Callers must not mutate it
-// concurrently with graph writes; the engine only resolves IDs through it.
+// Dict exposes the graph's term dictionary. It is append-only and
+// synchronized inside, and every fork shares it, so interning a term never
+// changes an answer of a graph that does not hold it; the engine only
+// resolves IDs through it.
 func (g *Graph) Dict() *rdf.Dict { return g.dict }
 
 // Len returns the number of triples |G|.
-func (g *Graph) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.n
-}
+func (g *Graph) Len() int { return g.n }
 
 // Add inserts a triple, interning its terms. It reports whether the triple
 // was new and returns an error for RDF-invalid triples.
@@ -123,12 +116,10 @@ func (g *Graph) Add(t rdf.Triple) (bool, error) {
 	if err := t.Validate(); err != nil {
 		return false, fmt.Errorf("store: %w", err)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s := g.dict.Intern(t.S)
-	p := g.dict.Intern(t.P)
-	o := g.dict.Intern(t.O)
-	return g.addEncodedLocked(s, p, o), nil
+	b := batch{g: g}
+	added := b.add(rdf.EncodedTriple{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)})
+	b.commit()
+	return added, nil
 }
 
 // MustAdd is Add for construction code paths where the triple is known valid
@@ -141,63 +132,48 @@ func (g *Graph) MustAdd(t rdf.Triple) bool {
 	return ok
 }
 
-// AddEncoded inserts an already-encoded triple. The IDs must come from this
-// graph's dictionary.
-func (g *Graph) AddEncoded(s, p, o rdf.ID) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.addEncodedLocked(s, p, o)
-}
-
-// inRunsLocked reports whether the SPO-ordered key is in the base runs
-// (ignoring tombstones).
-func (g *Graph) inRunsLocked(k rdf.EncodedTriple) bool {
+// inRuns reports whether the SPO-ordered key is in the base runs (ignoring
+// tombstones).
+func (g *Graph) inRuns(k rdf.EncodedTriple) bool {
 	r := g.runs[permSPO]
 	return r != nil && r.contains(k)
 }
 
-func (g *Graph) containsLocked(s, p, o rdf.ID) bool {
-	return g.keyStateLocked(rdf.EncodedTriple{s, p, o}).present()
-}
-
-func (g *Graph) addEncodedLocked(s, p, o rdf.ID) bool {
-	b := batch{g: g}
-	added := b.add(rdf.EncodedTriple{s, p, o})
-	b.commit()
-	return added
+// lookup encodes a triple without interning; false means one of its terms
+// is not in the dictionary, so no graph over it can hold the triple.
+func (g *Graph) lookup(t rdf.Triple) (rdf.EncodedTriple, bool) {
+	s, ok := g.dict.Lookup(t.S)
+	if !ok {
+		return rdf.EncodedTriple{}, false
+	}
+	p, ok := g.dict.Lookup(t.P)
+	if !ok {
+		return rdf.EncodedTriple{}, false
+	}
+	o, ok := g.dict.Lookup(t.O)
+	return rdf.EncodedTriple{s, p, o}, ok
 }
 
 // Remove deletes a triple if present and reports whether it was.
 func (g *Graph) Remove(t rdf.Triple) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s, ok := g.dict.Lookup(t.S)
+	k, ok := g.lookup(t)
 	if !ok {
 		return false
 	}
-	p, ok := g.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	o, ok := g.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	return g.removeEncodedLocked(s, p, o)
-}
-
-func (g *Graph) removeEncodedLocked(s, p, o rdf.ID) bool {
 	b := batch{g: g}
-	removed := b.remove(rdf.EncodedTriple{s, p, o})
+	removed := b.remove(k)
 	b.commit()
 	return removed
 }
 
-// compactLocked merges pending inserts and tombstones into freshly built
-// sorted runs, leaving the delta overlay empty, and folds the count
-// adjustments into fresh base maps. Old runs, overlay slices and count maps
-// are left untouched for live Iterators and forks.
-func (g *Graph) compactLocked() {
+// Compact merges any pending delta overlay into the sorted runs. A scan whose
+// range holds overlay entries merges them in triple by triple instead of
+// serving whole decoded spans, and every write and fork pays for the
+// overlay's size, so call it after a large batch of mutations and before a
+// scan-heavy phase; bulk-load paths compact automatically. The count
+// adjustments fold into fresh base maps; old runs, overlay slices and count
+// maps are left untouched for live Iterators and forks.
+func (g *Graph) Compact() {
 	if g.ov.size() == 0 {
 		return
 	}
@@ -205,54 +181,28 @@ func (g *Graph) compactLocked() {
 		g.runs[k] = mergeRuns(g.codec, g.runs[k], g.ov.adds[k], g.ov.dels[k])
 	}
 	g.ov = overlay{}
-	g.foldCountsLocked()
+	g.foldCounts()
 }
 
-func (g *Graph) foldCountsLocked() {
+func (g *Graph) foldCounts() {
 	for i := range g.counts {
 		g.counts[i].fold()
 	}
 }
 
-// Compact merges any pending delta overlay into the sorted runs. A scan whose
-// range holds overlay entries merges them in triple by triple instead of
-// serving whole decoded spans, and every write and fork pays for the
-// overlay's size, so call it after a large batch of mutations and before a
-// scan-heavy phase; bulk-load paths compact automatically.
-func (g *Graph) Compact() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.compactLocked()
-}
-
 // Contains reports whether the triple is in the graph.
 func (g *Graph) Contains(t rdf.Triple) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s, ok := g.dict.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	p, ok := g.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	o, ok := g.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	return g.containsLocked(s, p, o)
+	k, ok := g.lookup(t)
+	return ok && g.keyState(k).present()
 }
 
 // Scan returns an Iterator over every triple matching the pattern, where
 // rdf.NoID components are wildcards, in the chosen permutation's sorted
-// order. The Iterator is a consistent snapshot: it stays valid (and yields
-// the same triples) regardless of concurrent mutations, and it does not hold
-// the graph lock while the caller iterates.
+// order. The Iterator is a consistent snapshot: it holds the immutable runs
+// and overlay slices, so it stays valid (and yields the same triples) after
+// the graph's owner writes again.
 func (g *Graph) Scan(s, p, o rdf.ID) (it Iterator) {
-	g.mu.RLock()
 	g.scanInto(&it, s, p, o)
-	g.mu.RUnlock()
 	return it
 }
 
@@ -261,24 +211,12 @@ func (g *Graph) Scan(s, p, o rdf.ID) (it Iterator) {
 // slices are dropped, never reused: they alias the shared overlay.
 func (g *Graph) ScanInto(it *Iterator, s, p, o rdf.ID) {
 	it.base, it.extra, it.dels = nil, nil, nil
-	g.mu.RLock()
 	g.scanInto(it, s, p, o)
-	g.mu.RUnlock()
-}
-
-func (g *Graph) scanLocked(s, p, o rdf.ID) (it Iterator) {
-	g.scanInto(&it, s, p, o)
-	return it
 }
 
 func (g *Graph) scanInto(it *Iterator, s, p, o rdf.ID) {
 	kind, key, depth := choosePerm(s, p, o)
 	g.scanPermInto(it, kind, key, depth)
-}
-
-func (g *Graph) scanPermLocked(kind permKind, key rdf.EncodedTriple, depth int) (it Iterator) {
-	g.scanPermInto(&it, kind, key, depth)
-	return it
 }
 
 // scanPermInto fills an Iterator with one permutation range: the base-run
@@ -326,14 +264,8 @@ func (g *Graph) Match(s, p, o rdf.ID, yield func(s, p, o rdf.ID) bool) {
 // blocks are counted without being decoded. Used by the planner for greedy
 // join ordering.
 func (g *Graph) Estimate(s, p, o rdf.ID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.estimateLocked(s, p, o)
-}
-
-func (g *Graph) estimateLocked(s, p, o rdf.ID) int {
 	if s != rdf.NoID && p != rdf.NoID && o != rdf.NoID {
-		if g.containsLocked(s, p, o) {
+		if g.keyState(rdf.EncodedTriple{s, p, o}).present() {
 			return 1
 		}
 		return 0
@@ -347,9 +279,7 @@ func (g *Graph) estimateLocked(s, p, o rdf.ID) int {
 
 // Triples returns all triples, decoded, in SPO-sorted ID order.
 func (g *Graph) Triples() []rdf.Triple {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	it := g.scanLocked(rdf.NoID, rdf.NoID, rdf.NoID)
+	it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
 	out := make([]rdf.Triple, 0, g.n)
 	for it.Next() {
 		s, p, o := it.Triple()
@@ -366,21 +296,6 @@ func (g *Graph) SortedTriples() []rdf.Triple {
 	return ts
 }
 
-// Clone returns an independent copy of the graph, including its dictionary.
-// Everything immutable is shared by reference — the columnar runs, the sorted
-// overlay slices and the base count maps are all replaced wholesale, never
-// mutated in place — and so is the dictionary's loaded base, so cloning is
-// O(dictionary tail), not O(data). That matters for mmap-backed graphs, where
-// deep-copying the runs would pull the whole file resident; experiments and
-// tests clone a graph to mutate the copy without disturbing the original.
-func (g *Graph) Clone() *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	c := g.forkLocked()
-	c.dict = g.dict.Clone()
-	return c
-}
-
 // Fork returns a writable copy-on-write successor of the graph for MVCC
 // commit chains: the term dictionary is shared by pointer (it is append-only
 // and internally synchronized, so readers of the published snapshot and the
@@ -388,25 +303,24 @@ func (g *Graph) Clone() *Graph {
 // runs, any paged snapshot image, the sorted overlay slices and the base
 // count maps are shared too. The only thing copied is the count adjustment
 // since the last compaction — O(IDs the overlay touched), never O(data),
-// O(distinct terms) or O(dictionary). Unlike Clone, Fork carries the
-// paged-snapshot provenance (pagedPath and dirtiness) so hard-link checkpoints
-// keep working across generations.
+// O(distinct terms) or O(dictionary). That matters for mmap-backed graphs,
+// where copying the runs would pull the whole file resident. Fork carries the
+// paged-snapshot provenance (pagedPath and dirtiness) so hard-link
+// checkpoints keep working across generations.
 //
 // The receiver must be treated as frozen once it has been published: the fork
 // is where all further mutation happens.
 func (g *Graph) Fork() *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	c := g.forkLocked()
+	c := g.shareData()
 	c.pagedPath = g.pagedPath
 	c.pagedDirty = g.pagedDirty
 	return c
 }
 
-// forkLocked is the part Fork, Clone and OverlayWith share: a graph over the
+// shareData is the part Fork and OverlayWith share: a graph over the
 // receiver's dictionary, runs, pages and overlay with its own count
 // adjustments.
-func (g *Graph) forkLocked() *Graph {
+func (g *Graph) shareData() *Graph {
 	c := &Graph{
 		dict:    g.dict,
 		codec:   g.codec,
@@ -426,12 +340,6 @@ func (g *Graph) forkLocked() *Graph {
 // in subject or object position. This is the "number of nodes" quantity of
 // the paper's fourth cost model.
 func (g *Graph) DistinctNodes() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.distinctNodesLocked()
-}
-
-func (g *Graph) distinctNodesLocked() int {
 	subjects, objects := &g.counts[0], &g.counts[2]
 	n := subjects.distinct
 	objects.each(func(id rdf.ID, _ int) {
@@ -443,16 +351,11 @@ func (g *Graph) distinctNodesLocked() int {
 }
 
 // DistinctPredicates returns the number of distinct predicates in use.
-func (g *Graph) DistinctPredicates() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.counts[1].distinct
-}
+func (g *Graph) DistinctPredicates() int { return g.counts[1].distinct }
 
-// LoadTriples adds every triple in ts in one batch — single lock
-// acquisition, sort-and-merge into the runs — returning the number actually
-// new. On an invalid triple it loads the preceding prefix and returns an
-// error.
+// LoadTriples adds every triple in ts in one batch, sort-merged into the
+// runs, returning the number actually new. On an invalid triple it loads the
+// preceding prefix and returns an error.
 func (g *Graph) LoadTriples(ts []rdf.Triple) (int, error) {
 	valid := len(ts)
 	var verr error
@@ -462,32 +365,23 @@ func (g *Graph) LoadTriples(ts []rdf.Triple) (int, error) {
 			break
 		}
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	enc := make([]rdf.EncodedTriple, valid)
 	for i, t := range ts[:valid] {
 		enc[i] = rdf.EncodedTriple{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)}
 	}
-	return g.loadEncodedLocked(enc), verr
+	return g.loadEncoded(enc), verr
 }
 
-// LoadEncoded bulk-inserts already-encoded triples (IDs from this graph's
-// dictionary), returning the number actually new. Like LoadTriples, it takes
-// the write lock once and merges sorted batches directly into the runs,
-// leaving the graph compacted.
-func (g *Graph) LoadEncoded(ts []rdf.EncodedTriple) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.loadEncodedLocked(ts)
-}
-
-func (g *Graph) loadEncodedLocked(ts []rdf.EncodedTriple) int {
+// loadEncoded bulk-inserts already-encoded triples (IDs from this graph's
+// dictionary), merging the sorted batch directly into the runs and leaving
+// the graph compacted; it returns the number actually new.
+func (g *Graph) loadEncoded(ts []rdf.EncodedTriple) int {
 	if len(ts) == 0 {
 		return 0
 	}
 	// Fold any pending delta into the runs first so the batch merge below is
 	// a clean two-way merge against the full base.
-	g.compactLocked()
+	g.Compact()
 	batch := append([]rdf.EncodedTriple(nil), ts...)
 	sortKeys(batch)
 	fresh := batch[:0]
@@ -497,7 +391,7 @@ func (g *Graph) loadEncodedLocked(ts []rdf.EncodedTriple) int {
 			continue // duplicate within the batch
 		}
 		prev = t
-		if g.inRunsLocked(t) {
+		if g.inRuns(t) {
 			continue // already present
 		}
 		fresh = append(fresh, t)
@@ -508,7 +402,7 @@ func (g *Graph) loadEncodedLocked(ts []rdf.EncodedTriple) int {
 	if len(fresh) == 0 {
 		return 0
 	}
-	g.foldCountsLocked()
+	g.foldCounts()
 	for k := permKind(0); k < numPerms; k++ {
 		ins := fresh
 		if k != permSPO {
@@ -526,8 +420,6 @@ func (g *Graph) loadEncodedLocked(ts []rdf.EncodedTriple) int {
 // logical content this graph still matches, if any. The persistence layer
 // uses it to hard-link checkpoints instead of re-serializing unchanged runs.
 func (g *Graph) PagedSource() (string, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	if g.pagedPath == "" || g.pagedDirty {
 		return "", false
 	}
@@ -538,37 +430,6 @@ func (g *Graph) PagedSource() (string, bool) {
 // graph's current logical content. The loader and the checkpoint writer call
 // it; the path stays valid until the next mutation.
 func (g *Graph) AdoptPagedSource(path string) {
-	g.mu.Lock()
 	g.pagedPath = path
 	g.pagedDirty = false
-	g.mu.Unlock()
-}
-
-// RemoveTriples deletes every listed triple in one batch under a single lock
-// acquisition, returning how many were actually present. The batch view-drop
-// path in views.Catalog uses this.
-func (g *Graph) RemoveTriples(ts []rdf.Triple) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	b := batch{g: g}
-	removed := 0
-	for _, t := range ts {
-		s, ok := g.dict.Lookup(t.S)
-		if !ok {
-			continue
-		}
-		p, ok := g.dict.Lookup(t.P)
-		if !ok {
-			continue
-		}
-		o, ok := g.dict.Lookup(t.O)
-		if !ok {
-			continue
-		}
-		if b.remove(rdf.EncodedTriple{s, p, o}) {
-			removed++
-		}
-	}
-	b.commit()
-	return removed
 }

@@ -3,6 +3,9 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -230,25 +233,26 @@ func randomGraph(rng *rand.Rand, n int) *Graph {
 	return g
 }
 
-func TestGraphClone(t *testing.T) {
+func TestGraphFork(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(5)), 200)
-	c := g.Clone()
+	c := g.Fork()
 	if c.Len() != g.Len() {
-		t.Fatalf("clone Len %d != %d", c.Len(), g.Len())
+		t.Fatalf("fork Len %d != %d", c.Len(), g.Len())
 	}
 	for _, x := range g.Triples() {
 		if !c.Contains(x) {
-			t.Fatalf("clone missing %s", x)
+			t.Fatalf("fork missing %s", x)
 		}
 	}
-	// Clone is independent in both directions.
+	// A fork is independent in both directions, though the MVCC chain only
+	// ever writes the fork.
 	c.MustAdd(tr("new", "p", "o"))
 	if g.Contains(tr("new", "p", "o")) {
-		t.Error("clone write leaked into original")
+		t.Error("fork write leaked into original")
 	}
 	g.MustAdd(tr("orig", "p", "o"))
 	if c.Contains(tr("orig", "p", "o")) {
-		t.Error("original write leaked into clone")
+		t.Error("original write leaked into fork")
 	}
 }
 
@@ -396,23 +400,123 @@ func TestEstimatedBytesGrowsWithData(t *testing.T) {
 	}
 }
 
+// TestConcurrentReaders pins the fork contract the server's MVCC chain rests
+// on: readers of a frozen graph take no lock, and one writer applying
+// batches and compacting successive forks of it never changes what they
+// see — not even by interning new terms in the dictionary the forks share.
+// Run under -race, it also fails on any write to memory a fork shares.
 func TestConcurrentReaders(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(9)), 300)
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
+	rng := rand.New(rand.NewSource(9))
+	var ts []rdf.Triple
+	for i := 0; i < 3000; i++ {
+		ts = append(ts, tr(fmt.Sprintf("s%d", rng.Intn(300)), fmt.Sprintf("p%d", rng.Intn(8)), fmt.Sprintf("o%d", rng.Intn(400))))
+	}
+	parent, err := BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leave an uncompacted overlay so the forks share its slices and copy
+	// its count adjustments.
+	var added []rdf.Triple
+	for i := 0; i < 60; i++ {
+		added = append(added, tr(fmt.Sprintf("ps%d", i), "p0", fmt.Sprintf("o%d", i)))
+		parent.MustAdd(added[i])
+		parent.Remove(ts[i])
+	}
+	unseen := rdf.ID(parent.Dict().Len() + 1) // the writer interns it below
+
+	patterns := [][3]rdf.ID{{}, {unseen, rdf.NoID, rdf.NoID}, {rdf.NoID, unseen, rdf.NoID}}
+	for _, x := range ts[:40] {
+		s, _ := parent.Dict().Lookup(x.S)
+		p, _ := parent.Dict().Lookup(x.P)
+		o, _ := parent.Dict().Lookup(x.O)
+		patterns = append(patterns, [3]rdf.ID{s, rdf.NoID, rdf.NoID}, [3]rdf.ID{rdf.NoID, p, o}, [3]rdf.ID{s, p, o})
+	}
+	estimates := func() []int {
+		out := make([]int, len(patterns))
+		for i, pt := range patterns {
+			out[i] = parent.Estimate(pt[0], pt[1], pt[2])
+		}
+		return out
+	}
+	// The dictionary is shared and grows with the writer's terms; every
+	// other part of the footprint belongs to the frozen parent.
+	memStats := func() MemStats {
+		ms := parent.MemStats()
+		ms.DictBytes, ms.TotalBytes = 0, 0
+		return ms
+	}
+	all := func() []rdf.EncodedTriple { return collect(parent.Scan(rdf.NoID, rdf.NoID, rdf.NoID)) }
+	split := func() []rdf.EncodedTriple {
+		it := parent.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
+		var out []rdf.EncodedTriple
+		for _, part := range it.Split(4) {
+			out = append(out, collect(part)...)
+		}
+		return out
+	}
+	wantLen, wantAll, wantEst := parent.Len(), all(), estimates()
+	wantStats, wantMem := parent.Snapshot(), memStats()
+	if !reflect.DeepEqual(split(), wantAll) {
+		t.Fatal("split scan disagrees with the full scan before any write")
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 50; j++ {
-				g.Match(rdf.NoID, rdf.NoID, rdf.NoID, func(_, _, _ rdf.ID) bool { return true })
-				g.Snapshot()
-				g.Len()
+			defer wg.Done()
+			for i := 0; i < 3 || !done.Load(); i++ {
+				switch {
+				case parent.Len() != wantLen:
+					t.Errorf("parent Len moved to %d, want %d", parent.Len(), wantLen)
+				case !reflect.DeepEqual(all(), wantAll):
+					t.Error("parent full scan changed")
+				case !reflect.DeepEqual(split(), wantAll):
+					t.Error("parent split scan changed")
+				case !reflect.DeepEqual(estimates(), wantEst):
+					t.Error("parent estimates changed")
+				case !reflect.DeepEqual(parent.Snapshot(), wantStats):
+					t.Error("parent statistics changed")
+				case !reflect.DeepEqual(memStats(), wantMem):
+					t.Error("parent storage footprint changed")
+				default:
+					continue
+				}
+				return
 			}
 		}()
 	}
-	for i := 0; i < 20; i++ {
-		g.MustAdd(tr(fmt.Sprintf("cs%d", i), "cp", "co"))
+
+	w := parent.Fork()
+	wrng := rand.New(rand.NewSource(10))
+	for round := 0; round < 40; round++ {
+		// New triples grow the overlay; deleting the parent's overlay
+		// inserts and re-adding its tombstoned triples shrink it. Even
+		// rounds, the first included, only shrink the slices a fork shares.
+		var ins, del []rdf.Triple
+		for i := 0; i < 50 && round%2 == 1; i++ {
+			ins = append(ins, tr(fmt.Sprintf("new%d", wrng.Intn(2000)), fmt.Sprintf("p%d", wrng.Intn(9)), fmt.Sprintf("o%d", wrng.Intn(400))))
+		}
+		for i := 0; i < 10; i++ {
+			ins = append(ins, ts[wrng.Intn(80)])
+		}
+		for i := 0; i < 20; i++ {
+			del = append(del, ts[wrng.Intn(len(ts))], added[wrng.Intn(len(added))])
+		}
+		if _, err := w.Apply(ins, del); err != nil {
+			t.Error(err)
+			break
+		}
+		if round%7 == 6 {
+			w.Compact()
+		}
+		w = w.Fork() // publish this generation; keep writing its successor
 	}
-	for i := 0; i < 4; i++ {
-		<-done
+	done.Store(true)
+	wg.Wait()
+	if w.Len() == wantLen || w.Estimate(unseen, rdf.NoID, rdf.NoID) == 0 {
+		t.Fatalf("writer's forks hold %d triples and none with the first new subject; the writes never landed", w.Len())
 	}
 }

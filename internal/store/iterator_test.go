@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sofos/internal/rdf"
@@ -117,15 +118,15 @@ func TestIteratorSnapshotSemantics(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersWriters races Match/Estimate/Scan readers against
-// Add/Remove writers, for both the callback API and the iterator API. Run
-// with -race; correctness assertions are internal-consistency ones (a reader
-// sees only well-formed triples and matching estimates for its snapshot).
+// TestConcurrentReadersWriters runs Match/Estimate/Scan readers against a
+// writer the way the server's MVCC chain does: the writer applies Add/Remove
+// to a private fork and publishes each generation; readers take whichever
+// generation is published and never see it written. Run with -race; the
+// assertions are internal-consistency ones (a reader sees only well-formed
+// triples, Remaining matches what a Scan yields, and the callback and
+// iterator APIs agree on one generation).
 func TestConcurrentReadersWriters(t *testing.T) {
 	g := NewGraph()
-	// Pre-intern the universe so concurrent readers never touch the dict
-	// while writers intern (the dictionary itself is store-lock-protected
-	// only for writes through Add).
 	var subj, pred, obj []rdf.ID
 	for i := 0; i < 30; i++ {
 		subj = append(subj, g.Dict().Intern(rdf.NewIRI(fmt.Sprintf("http://ex.org/cs%d", i))))
@@ -138,28 +139,33 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 	seedRNG := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
-		g.AddEncoded(subj[seedRNG.Intn(len(subj))], pred[seedRNG.Intn(len(pred))], obj[seedRNG.Intn(len(obj))])
+		g.addEncoded(subj[seedRNG.Intn(len(subj))], pred[seedRNG.Intn(len(pred))], obj[seedRNG.Intn(len(obj))])
 	}
+	var published atomic.Pointer[Graph]
+	published.Store(g)
 
-	const writers, readers, ops = 2, 4, 1500
+	const readers, ops, batch = 4, 1500, 25
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < ops; i++ {
-				s := subj[rng.Intn(len(subj))]
-				p := pred[rng.Intn(len(pred))]
-				o := obj[rng.Intn(len(obj))]
-				if rng.Intn(3) == 0 {
-					g.removeEncoded(s, p, o)
-				} else {
-					g.AddEncoded(s, p, o)
-				}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(100))
+		w := published.Load().Fork()
+		for i := 1; i <= 2*ops; i++ {
+			s := subj[rng.Intn(len(subj))]
+			p := pred[rng.Intn(len(pred))]
+			o := obj[rng.Intn(len(obj))]
+			if rng.Intn(3) == 0 {
+				w.removeEncoded(s, p, o)
+			} else {
+				w.addEncoded(s, p, o)
 			}
-		}(int64(w + 100))
-	}
+			if i%batch == 0 {
+				published.Store(w)
+				w = w.Fork()
+			}
+		}
+	}()
 	errs := make(chan error, readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -177,19 +183,29 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					o = obj[rng.Intn(len(obj))]
 				}
+				gen := published.Load()
 				switch i % 3 {
-				case 0: // old callback API
+				case 0: // callback API, checked against the iterator on the same generation
 					n := 0
-					g.Match(s, p, o, func(ms, mp, mo rdf.ID) bool {
+					bad := false
+					gen.Match(s, p, o, func(ms, mp, mo rdf.ID) bool {
 						if (s != rdf.NoID && ms != s) || (p != rdf.NoID && mp != p) || (o != rdf.NoID && mo != o) {
 							errs <- fmt.Errorf("Match yielded (%d,%d,%d) for pattern (%d,%d,%d)", ms, mp, mo, s, p, o)
+							bad = true
 							return false
 						}
 						n++
 						return true
 					})
+					if bad {
+						return
+					}
+					if it := gen.Scan(s, p, o); it.Remaining() != n {
+						errs <- fmt.Errorf("Match yielded %d on one generation, Scan promised %d", n, it.Remaining())
+						return
+					}
 				case 1: // iterator API; Remaining must equal yielded count
-					it := g.Scan(s, p, o)
+					it := gen.Scan(s, p, o)
 					want := it.Remaining()
 					n := 0
 					for it.Next() {
@@ -197,10 +213,12 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					}
 					if n != want {
 						errs <- fmt.Errorf("Scan yielded %d, Remaining promised %d", n, want)
+						return
 					}
 				default:
-					if est := g.Estimate(s, p, o); est < 0 {
+					if est := gen.Estimate(s, p, o); est < 0 {
 						errs <- fmt.Errorf("negative estimate %d", est)
+						return
 					}
 				}
 			}
@@ -211,26 +229,36 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	if published.Load() == g {
+		t.Fatal("the writer never published a generation")
+	}
 }
 
-// TestConcurrentSnapshotAndCompact races Snapshot/Clone/Compact with writers
-// to cover the statistics and compaction paths under -race.
+// TestConcurrentSnapshotAndCompact covers the statistics and compaction
+// paths under -race: one writer adds to and compacts successive forks,
+// publishing each, while readers take Snapshot, Len and Estimate on
+// whichever generation is published.
 func TestConcurrentSnapshotAndCompact(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(13)), 500)
+	var published atomic.Pointer[Graph]
+	published.Store(g)
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
+		w := g.Fork()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			g.MustAdd(tr(fmt.Sprintf("ws%d", i%50), "wp", fmt.Sprintf("wo%d", i%40)))
+			w.MustAdd(tr(fmt.Sprintf("ws%d", i%50), "wp", fmt.Sprintf("wo%d", i%40)))
 			if i%97 == 0 {
-				g.Compact()
+				w.Compact()
 			}
+			published.Store(w)
+			w = w.Fork()
 		}
 	}()
 	var readers sync.WaitGroup
@@ -239,17 +267,15 @@ func TestConcurrentSnapshotAndCompact(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
-				st := g.Snapshot()
-				if st.Triples < 0 || len(st.Predicates) == 0 {
-					t.Error("implausible snapshot")
+				gen := published.Load()
+				st := gen.Snapshot()
+				if st.Triples != gen.Len() || len(st.Predicates) == 0 {
+					t.Errorf("implausible snapshot: %d triples on a generation of %d", st.Triples, gen.Len())
 					return
 				}
-				if i%50 == 0 {
-					c := g.Clone()
-					if c.Len() != c.Estimate(rdf.NoID, rdf.NoID, rdf.NoID) {
-						t.Error("clone Len/Estimate mismatch")
-						return
-					}
+				if i%50 == 0 && gen.Len() != gen.Estimate(rdf.NoID, rdf.NoID, rdf.NoID) {
+					t.Error("generation Len/Estimate mismatch")
+					return
 				}
 			}
 		}()

@@ -10,7 +10,7 @@ import "sofos/internal/rdf"
 //
 // The slices are immutable once installed on a graph: a write merges its net
 // edit into fresh slices (copy-on-write, see batch) and replaces the overlay
-// value under the graph's write lock. Iterators, forks and OverlayWith graphs
+// value on the graph it owns. Iterators, forks and OverlayWith graphs
 // therefore share them by reference, and nothing ever appends to or writes
 // through a slice taken from here.
 type overlay struct {
@@ -93,26 +93,25 @@ const (
 
 func (st keyState) present() bool { return st == stAdded || st == stLive }
 
-// keyStateLocked classifies the SPO-ordered key against the installed overlay
+// keyState classifies the SPO-ordered key against the installed overlay
 // and the runs.
-func (g *Graph) keyStateLocked(k rdf.EncodedTriple) keyState {
+func (g *Graph) keyState(k rdf.EncodedTriple) keyState {
 	switch {
 	case containsKey(g.ov.adds[permSPO], k):
 		return stAdded
 	case containsKey(g.ov.dels[permSPO], k):
 		return stTomb
-	case g.inRunsLocked(k):
+	case g.inRuns(k):
 		return stLive
 	}
 	return stAbsent
 }
 
-// batch is one locked write against a graph: Apply, RemoveTriples, or a
-// single Add/Remove. Triple count, version and component counts move as each
-// operation lands; the overlay edits collect in pending and are merged into
-// the overlay once, by flush, so a write costs O(|overlay| + |batch|) however
-// many triples it carries and the installed slices are never written to. The
-// caller holds g.mu for writing from the first add/remove to commit.
+// batch is one write against a graph: Apply or a single Add/Remove. Triple
+// count, version and component counts move as each operation lands; the
+// overlay edits collect in pending and are merged into the overlay once, by
+// flush, so a write costs O(|overlay| + |batch|) however many triples it
+// carries and the installed slices are never written to.
 type batch struct {
 	g *Graph
 	// pending maps each SPO key whose state the batch changed to its state
@@ -126,7 +125,7 @@ func (b *batch) state(k rdf.EncodedTriple) [2]keyState {
 	if e, ok := b.pending[k]; ok {
 		return e
 	}
-	st := b.g.keyStateLocked(k)
+	st := b.g.keyState(k)
 	return [2]keyState{st, st}
 }
 
@@ -217,7 +216,7 @@ func (b *batch) maybeCompact() {
 	if delta >= compactMinDelta &&
 		(delta >= compactMaxDelta || delta*compactFraction >= runSize(g.runs[permSPO])) {
 		b.flush()
-		g.compactLocked()
+		g.Compact()
 	}
 }
 

@@ -18,8 +18,6 @@ import (
 // the triple count and the distinct-ID counts equal what they summarize.
 func checkOverlayInvariants(t *testing.T, g *Graph) {
 	t.Helper()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	for side, perms := range [][numPerms][]rdf.EncodedTriple{g.ov.adds, g.ov.dels} {
 		for k := permKind(0); k < numPerms; k++ {
 			keys := perms[k]
@@ -38,7 +36,7 @@ func checkOverlayInvariants(t *testing.T, g *Graph) {
 				if k != permSPO {
 					continue // same set as SPO, checked there in run order
 				}
-				if inRuns, tomb := g.inRunsLocked(spo), side == 1; inRuns != tomb {
+				if inRuns, tomb := g.inRuns(spo), side == 1; inRuns != tomb {
 					t.Fatalf("overlay side %d holds %v, in runs: %v", side, spo, inRuns)
 				}
 			}
@@ -178,7 +176,7 @@ func overlaidGraph(n int) *Graph {
 		}
 	}
 	g := NewGraph()
-	g.LoadEncoded(base)
+	g.loadEncoded(base)
 	b := batch{g: g}
 	for i := 0; i < n; i++ {
 		b.add(rdf.EncodedTriple{rdf.ID(30_000 + i), 1 + rdf.ID(i%6), rdf.ID(1 + i%977)})

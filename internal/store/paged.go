@@ -64,17 +64,11 @@ const (
 // size; Save uses defaultPageSize. Small page sizes keep exhaustive
 // corruption sweeps fast in tests; every page must still fit the largest
 // block payload. Only block-coded graphs have a paged form.
-func (g *Graph) SavePaged(w io.Writer, pageSize int) error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.savePagedLocked(w, pageSize)
-}
-
-func (g *Graph) savePagedLocked(out io.Writer, pageSize int) error {
+func (g *Graph) SavePaged(out io.Writer, pageSize int) error {
 	if pageSize < minPageSize || pageSize > maxPageSize || pageSize&(pageSize-1) != 0 {
 		return fmt.Errorf("store: invalid page size %d", pageSize)
 	}
-	brs, err := g.blockRunsLocked()
+	brs, err := g.blockRuns()
 	if err != nil {
 		return err
 	}
@@ -594,7 +588,7 @@ func loadPagedBytes(full []byte, mapped bool) (*Graph, error) {
 	for i := range counts {
 		g.counts[i] = newIDCounts(counts[i])
 	}
-	g.version = int64(g.n) // as if LoadEncoded had counted each triple
+	g.version = int64(g.n) // as if loadEncoded had counted each triple
 	return g, nil
 }
 
@@ -614,12 +608,12 @@ func checkOverlayMembership(g *Graph, adds, dels []rdf.EncodedTriple) (err error
 		}
 	}()
 	for _, t := range dels {
-		if !g.inRunsLocked(t) {
+		if !g.inRuns(t) {
 			return fmt.Errorf("store: overlay tombstone %v not present in runs", t)
 		}
 	}
 	for _, t := range adds {
-		if g.inRunsLocked(t) {
+		if g.inRuns(t) {
 			return fmt.Errorf("store: overlay insert %v already present in runs", t)
 		}
 	}

@@ -287,6 +287,8 @@ func TestPagedHugeCounts(t *testing.T) {
 // paged file advertises it as a linkable source exactly until the first
 // mutation, and re-adopting after a fresh snapshot restores it. Compaction
 // alone must not invalidate the source — it changes layout, not content.
+// Forks carry the provenance, and each fork's writes and adoptions stay its
+// own: the parent is the published graph a later checkpoint may link.
 func TestPagedSourceTracking(t *testing.T) {
 	g := pagedTestGraph(t, 100)
 	path := writeSnapshotFile(t, pagedBytes(t, g, minPageSize))
@@ -296,6 +298,24 @@ func TestPagedSourceTracking(t *testing.T) {
 	}
 	if src, ok := loaded.PagedSource(); !ok || src != path {
 		t.Fatalf("fresh load: PagedSource = %q, %v; want %q, true", src, ok, path)
+	}
+	f := loaded.Fork()
+	if src, ok := f.PagedSource(); !ok || src != path {
+		t.Fatalf("fork of a clean load: PagedSource = %q, %v; want %q, true", src, ok, path)
+	}
+	f.MustAdd(tr("forkonly", "p", "o"))
+	if src, ok := f.PagedSource(); ok {
+		t.Fatalf("write to the fork left it linkable: %q", src)
+	}
+	if src, ok := loaded.PagedSource(); !ok || src != path {
+		t.Fatalf("write to a fork dirtied the parent: PagedSource = %q, %v", src, ok)
+	}
+	f.AdoptPagedSource(path + ".next")
+	if src, ok := f.PagedSource(); !ok || src != path+".next" {
+		t.Fatalf("fork adoption: PagedSource = %q, %v; want %q, true", src, ok, path+".next")
+	}
+	if src, ok := loaded.PagedSource(); !ok || src != path {
+		t.Fatalf("adoption on a fork moved the parent's source: PagedSource = %q, %v", src, ok)
 	}
 	loaded.SetVersion(42) // restore-time counter reinstatement must not dirty
 	if _, ok := loaded.PagedSource(); !ok {
@@ -321,30 +341,30 @@ func TestPagedSourceTracking(t *testing.T) {
 	}
 }
 
-// TestCloneSharesMappedRuns pins that cloning an mmap-backed graph does not
-// copy the runs onto the heap: catalog restore clones the base graph for G+,
-// and a deep copy would pull the whole file resident at boot.
-func TestCloneSharesMappedRuns(t *testing.T) {
+// TestForkSharesMappedRuns pins that forking an mmap-backed graph does not
+// copy the runs onto the heap: every write on a restored server forks the
+// published graph, and a deep copy would pull the whole file resident.
+func TestForkSharesMappedRuns(t *testing.T) {
 	g := pagedTestGraph(t, 200)
 	path := writeSnapshotFile(t, pagedBytes(t, g, 4096))
 	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := loaded.Clone()
+	c := loaded.Fork()
 	cms, lms := c.MemStats(), loaded.MemStats()
 	if cms.SPO.Mapped != lms.SPO.Mapped || cms.SPO.Mapped == 0 {
-		t.Fatalf("clone SPO mapped %d bytes, original %d; runs were copied", cms.SPO.Mapped, lms.SPO.Mapped)
+		t.Fatalf("fork SPO mapped %d bytes, original %d; runs were copied", cms.SPO.Mapped, lms.SPO.Mapped)
 	}
-	// The clone must stay independent for mutations...
-	c.MustAdd(tr("cloneonly", "p", "o"))
-	if loaded.Contains(tr("cloneonly", "p", "o")) {
-		t.Fatal("clone mutation leaked into the original")
+	// The fork must stay independent for mutations...
+	c.MustAdd(tr("forkonly", "p", "o"))
+	if loaded.Contains(tr("forkonly", "p", "o")) {
+		t.Fatal("fork mutation leaked into the original")
 	}
 	// ...and identical for reads.
 	want, got := loaded.SortedTriples(), c.SortedTriples()
 	if len(got) != len(want)+1 {
-		t.Fatalf("clone has %d triples, original %d", len(got), len(want))
+		t.Fatalf("fork has %d triples, original %d", len(got), len(want))
 	}
 }
 

@@ -50,9 +50,6 @@ type run interface {
 	// boundary (a block start; flat runs return pos unchanged), so Split
 	// partitions never force partial-block decodes at partition edges.
 	alignSplit(pos int) int
-
-	// clone returns an independent deep copy.
-	clone() run
 }
 
 // runBuilder accumulates sorted keys and emits a run in the builder's codec.
@@ -177,10 +174,3 @@ func (r flatRun) fill(a *spanArena, lo, hi int) {
 }
 
 func (r flatRun) alignSplit(pos int) int { return pos }
-
-func (r flatRun) clone() run {
-	if len(r) == 0 {
-		return flatRun(nil)
-	}
-	return flatRun(append([]rdf.EncodedTriple(nil), r...))
-}

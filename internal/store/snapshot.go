@@ -154,10 +154,10 @@ func (g *Graph) writeOverlays(w *snapshotWriter) error {
 	return nil
 }
 
-// blockRunsLocked returns the graph's permutation runs as blockRuns, with
+// blockRuns returns the graph's permutation runs as blockRuns, with
 // empty stand-ins for never-written indexes, erroring if the graph holds a
 // different run representation.
-func (g *Graph) blockRunsLocked() ([numPerms]*blockRun, error) {
+func (g *Graph) blockRuns() ([numPerms]*blockRun, error) {
 	var brs [numPerms]*blockRun
 	for k := permKind(0); k < numPerms; k++ {
 		if g.runs[k] != nil {

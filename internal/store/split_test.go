@@ -32,14 +32,14 @@ func splitGraph(t *testing.T, n int, rng *rand.Rand) *Graph {
 			rdf.ID(1 + rng.Intn(n/2+1)),
 		}
 	}
-	g.LoadEncoded(enc)
+	g.loadEncoded(enc)
 	// Tombstone some run triples and add fresh delta inserts, staying below
 	// the compaction threshold so the overlay survives.
 	for i := 0; i < 50 && i < len(enc); i += 3 {
 		g.removeEncoded(enc[i][0], enc[i][1], enc[i][2])
 	}
 	for i := 0; i < 50; i++ {
-		g.AddEncoded(rdf.ID(1+rng.Intn(n/4+1)), rdf.ID(9+rng.Intn(4)), rdf.ID(1+rng.Intn(n/2+1)))
+		g.addEncoded(rdf.ID(1+rng.Intn(n/4+1)), rdf.ID(9+rng.Intn(4)), rdf.ID(1+rng.Intn(n/2+1)))
 	}
 	return g
 }
@@ -107,8 +107,9 @@ func TestSplitEmptyAndTiny(t *testing.T) {
 }
 
 // TestSplitConcurrentIteration iterates all parts from separate goroutines
-// while the graph mutates, asserting the snapshot property per part (run
-// under -race in CI).
+// while the graph's owner writes again, asserting the snapshot property per
+// part: the parts hold only immutable runs and overlay slices, never the
+// graph (run under -race in CI).
 func TestSplitConcurrentIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := splitGraph(t, 4000, rng)
@@ -126,7 +127,7 @@ func TestSplitConcurrentIteration(t *testing.T) {
 	}
 	// Concurrent writers must not affect the captured parts.
 	for i := 0; i < 200; i++ {
-		g.AddEncoded(rdf.ID(1+i), rdf.ID(20), rdf.ID(1+i))
+		g.addEncoded(rdf.ID(1+i), rdf.ID(20), rdf.ID(1+i))
 	}
 	wg.Wait()
 	total := 0

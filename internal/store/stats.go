@@ -61,16 +61,15 @@ func (s *Stats) PredicateCount(iri string) int {
 // each predicate is one contiguous range sorted by object — so only the
 // per-predicate distinct-subject sets need scratch memory.
 func (g *Graph) Snapshot() *Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	st := &Stats{
 		Triples:            g.n,
 		DistinctSubjects:   g.counts[0].distinct,
 		DistinctPredicates: g.counts[1].distinct,
 		DistinctObjects:    g.counts[2].distinct,
-		DistinctNodes:      g.distinctNodesLocked(),
+		DistinctNodes:      g.DistinctNodes(),
 	}
-	it := g.scanPermLocked(permPOS, rdf.EncodedTriple{}, 0)
+	var it Iterator
+	g.scanPermInto(&it, permPOS, rdf.EncodedTriple{}, 0)
 
 	// The iterator yields (p, o, s)-sorted triples: predicate ranges are
 	// contiguous and objects are grouped within each range.
@@ -123,8 +122,6 @@ const overlayEntryBytes = 3 * 12
 // columnar index cost: three permutation runs at 12 bytes (three 4-byte IDs)
 // per triple, and the same three 12-byte keys per uncompacted delta entry.
 func (g *Graph) EstimatedBytes() int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	var total int64
 	g.dict.EachTerm(func(_ rdf.ID, t rdf.Term) bool {
 		total += int64(len(t.Value) + len(t.Datatype) + len(t.Lang) + 16)
@@ -167,8 +164,6 @@ type MemStats struct {
 
 // MemStats measures the graph's current resident storage footprint.
 func (g *Graph) MemStats() MemStats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	ms := MemStats{
 		Codec:       g.codec.name(),
 		Storage:     "heap",

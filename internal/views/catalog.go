@@ -106,8 +106,9 @@ type Catalog struct {
 	// deletes, materializations, drops, resets, and refreshes. Two reads that
 	// observe the same generation observed the same catalog state, so the
 	// counter is the invalidation key for any result cache layered on top
-	// (see internal/server). Atomic so monitoring reads never race writers.
-	generation atomic.Int64
+	// (see internal/server). A plain field, like the rest of the catalog:
+	// monitors read the published catalog and writers bump their fork.
+	generation int64
 
 	// log retains the effective deltas of committed update batches so stale
 	// views can refresh by replaying exactly the batches they missed — the
@@ -148,12 +149,12 @@ func NewCatalogWithOptions(base *store.Graph, f *facet.Facet, opts engine.Option
 }
 
 // Fork returns a writable copy-on-write successor of the catalog for MVCC
-// commit chains: G is forked (immutable runs and dictionary shared, delta
-// overlay copied), the materialization records are carried by
-// pointer — they are immutable once committed and replaced wholesale on
-// refresh, which also preserves the pointer-identity stale-plan check in
-// CommitRefresh across the fork — and the delta log is copied so the fork's
-// maintenance window evolves independently. The receiver must be treated as
+// commit chains: G is forked (immutable runs, dictionary and delta overlay
+// slices shared, only the count adjustments copied), the materialization
+// records are carried by pointer — they are immutable once committed and
+// replaced wholesale on refresh, which also preserves the pointer-identity
+// stale-plan check in CommitRefresh across the fork — and the delta log is
+// copied so the fork's maintenance window evolves independently. The receiver must be treated as
 // frozen once published; all further mutation happens on the fork.
 func (c *Catalog) Fork() *Catalog {
 	nb := c.base.Fork()
@@ -166,9 +167,9 @@ func (c *Catalog) Fork() *Catalog {
 		log:           c.log.fork(),
 		maintMode:     c.maintMode,
 		noIncremental: c.noIncremental,
+		generation:    c.generation,
 	}
 	maps.Copy(nc.mats, c.mats)
-	nc.generation.Store(c.generation.Load())
 	return nc
 }
 
@@ -179,10 +180,10 @@ func (c *Catalog) Facet() *facet.Facet { return c.facet }
 // committed change that can alter a query answer — ApplyUpdate,
 // CommitMaterialize, CommitRefresh, Drop, Reset — and never repeats within
 // one catalog's lifetime, so (query, generation) identifies a unique answer.
-func (c *Catalog) Generation() int64 { return c.generation.Load() }
+func (c *Catalog) Generation() int64 { return c.generation }
 
 // bump records one committed mutation.
-func (c *Catalog) bump() { c.generation.Add(1) }
+func (c *Catalog) bump() { c.generation++ }
 
 // ViewSetHash returns an order-independent hash of the materialized view
 // set. Unlike Generation it is stable across mutations that do not change

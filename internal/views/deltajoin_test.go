@@ -56,7 +56,7 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 	f := popFacet(t, agg)
 	gInc := popGraph(t, 93, 4, 3, 2)
 	ci := NewCatalog(gInc, f)
-	cf := NewCatalog(gInc.Clone(), f)
+	cf := NewCatalog(gInc.Fork(), f)
 	cf.SetIncrementalMaintenance(false)
 	finest, mid, apex := f.View(f.FullMask()), f.View(facet.MaskFromBits(0, 1)), f.View(0)
 	vs := []facet.View{finest, mid, apex}

@@ -51,7 +51,7 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(agg)*31 + 7)))
 			f := popFacet(t, agg)
 			gInc := popGraph(t, 91, 3, 3, 2)
-			gFull := gInc.Clone()
+			gFull := gInc.Fork()
 			ci := NewCatalog(gInc, f)
 			cf := NewCatalog(gFull, f)
 			cf.SetIncrementalMaintenance(false)

@@ -70,7 +70,7 @@ type staleState struct {
 // catalog state moved. Concurrent readers may rebuild redundantly; they
 // store identical values. Callers must not mutate the returned state.
 func (c *Catalog) staleNow() *staleState {
-	gen, bv := c.generation.Load(), c.base.Version()
+	gen, bv := c.generation, c.base.Version()
 	if s := c.staleMemo.Load(); s != nil && s.generation == gen && s.baseVersion == bv {
 		return s
 	}

@@ -42,14 +42,14 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 	f := popFacet(t, "AVG") // AVG exercises the (Sum, Count) roll-up state
 	vs := latticeViews(f)
 
-	serial := NewCatalog(g.Clone(), f)
+	serial := NewCatalog(g.Fork(), f)
 	for _, v := range vs {
 		if _, err := serial.Materialize(v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		par := NewCatalog(g.Clone(), f)
+		par := NewCatalog(g.Fork(), f)
 		mats := materializeBatch(t, par, vs, workers)
 		if len(mats) != len(vs) {
 			t.Fatalf("workers=%d: %d records for %d views", workers, len(mats), len(vs))

@@ -185,14 +185,15 @@ func (w *stateWriter) float(f float64) {
 // SaveState writes the catalog's materialization state — generation counter
 // and, per materialized view, its computed groups and staleness bookkeeping —
 // in the versioned binary checkpoint format. Callers must not run catalog
-// mutations concurrently (the serving layer holds its read lock, which
-// excludes writers).
+// mutations concurrently: the server checkpoints a published catalog, which
+// is never written again, or its own pending fork, under core.Chain's
+// writer mutex.
 func (c *Catalog) SaveState(out io.Writer) error {
 	w := &stateWriter{bw: bufio.NewWriterSize(out, 1<<16)}
 	if _, err := w.bw.WriteString(catalogStateMagic); err != nil {
 		return fmt.Errorf("views: writing catalog state header: %w", err)
 	}
-	w.varint(c.generation.Load())
+	w.varint(c.generation)
 	mats := c.Materialized()
 	w.uvarint(uint64(len(mats)))
 	for _, m := range mats {
@@ -271,7 +272,7 @@ func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in i
 		m.Maint.Mode = c.maintMode.String()
 		c.mats[mask] = m
 	}
-	c.generation.Store(gen)
+	c.generation = gen
 	return c, nil
 }
 
@@ -389,6 +390,6 @@ func readGroup(r *stateReader, dims int) (Group, error) {
 // key embeds the generation: a rewind on an unpublished fork could otherwise
 // collide with a memo taken at an intermediate state under the same number.
 func (c *Catalog) SetGeneration(gen int64) {
-	c.generation.Store(gen)
+	c.generation = gen
 	c.staleMemo.Store(nil)
 }

@@ -170,7 +170,7 @@ func TestCatalogStateCorruption(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut += 7 {
-		if _, err := RestoreCatalog(g.Clone(), f, engine.Options{}, bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := RestoreCatalog(g.Fork(), f, engine.Options{}, bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d restored successfully", cut)
 		}
 	}
@@ -179,7 +179,7 @@ func TestCatalogStateCorruption(t *testing.T) {
 		mut[off] ^= 0x20
 		// Flips may still decode to a structurally valid state; the contract
 		// is no panic and no silent crash, which the call itself verifies.
-		_, _ = RestoreCatalog(g.Clone(), f, engine.Options{}, bytes.NewReader(mut))
+		_, _ = RestoreCatalog(g.Fork(), f, engine.Options{}, bytes.NewReader(mut))
 	}
 }
 
@@ -216,7 +216,7 @@ func TestCatalogStateGroupOrder(t *testing.T) {
 
 	reversed := slices.Clone(groups)
 	slices.Reverse(reversed)
-	restored, err := RestoreCatalog(g.Clone(), f, engine.Options{}, saveAs(reversed))
+	restored, err := RestoreCatalog(g.Fork(), f, engine.Options{}, saveAs(reversed))
 	if err != nil {
 		t.Fatalf("engine-order state: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestCatalogStateGroupOrder(t *testing.T) {
 		{"unsorted", append(append([]Group{groups[1], groups[0]}, groups[2:]...), groups[1]),
 			fmt.Sprintf("group %d repeats the key of group 0", len(groups))},
 	} {
-		_, err := RestoreCatalog(g.Clone(), f, engine.Options{}, saveAs(tc.order))
+		_, err := RestoreCatalog(g.Fork(), f, engine.Options{}, saveAs(tc.order))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s duplicate: restore error = %v, want %q", tc.name, err, tc.want)
 		}
