@@ -100,7 +100,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.Int64Var(&c.cacheBytes, "cache-bytes", 0, "result cache byte budget over rendered bodies (0 = entry bound only)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints); empty = memory-only")
 	fs.StringVar(&c.walSync, "wal-sync", "always", "WAL fsync policy: always (sync before every ack), interval (background sync), none")
-	fs.DurationVar(&c.checkpointInterval, "checkpoint-interval", 0, "write a checkpoint this often (0 = only at boot, on view changes, and via /admin/checkpoint)")
+	fs.DurationVar(&c.checkpointInterval, "checkpoint-interval", 0, "write a checkpoint this often, skipping ticks when nothing changed (0 = only at boot, on view changes, and via /admin/checkpoint; a recovered boot writes its checkpoint once serving starts)")
 	fs.StringVar(&c.replica, "replica", "", "run as a read replica of the primary at this base URL (e.g. http://primary:8080); ignores -data-dir and dataset flags")
 	fs.StringVar(&c.replicaID, "replica-id", "", "replica identity in progress reports and the primary's /v1/stats (default replica-<pid>)")
 	fs.DurationVar(&c.ackTimeout, "ack-timeout", 0, `how long an update with "ack":"replicas:N" waits for N replica acknowledgements (0 = 10s)`)
@@ -128,12 +128,14 @@ func (c *config) opts() core.Options {
 
 // buildServer constructs the system and server for a config — separated
 // from run so tests can build without listening. With a data dir it prefers
-// recovery (checkpoint load + WAL replay) over generator rebuild, opens the
-// WAL, and — on a fresh directory — writes the initial checkpoint so every
-// later boot has a snapshot to recover from.
-func buildServer(c *config) (*server.Server, error) {
+// recovery (checkpoint load + WAL replay) over generator rebuild and opens
+// the WAL. A recovered boot also returns foldIn, the checkpoint that folds
+// the replayed WAL suffix into a new snapshot, for the caller to run once
+// serving has started; it is nil on every other boot.
+func buildServer(c *config) (srv *server.Server, foldIn func() error, err error) {
 	if c.replica != "" {
-		return buildReplica(c)
+		srv, err = buildReplica(c)
+		return srv, nil, err
 	}
 	var (
 		dur *server.Durability
@@ -142,38 +144,38 @@ func buildServer(c *config) (*server.Server, error) {
 	if c.dataDir != "" {
 		policy, err := persist.ParseSyncPolicy(c.walSync)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dir, err := persist.Open(c.dataDir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cp, err := dir.LatestCheckpoint()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dur = &server.Durability{Dir: dir, Dataset: c.dataset, Scale: c.scale, Seed: c.seed}
 		if cp != nil {
 			if cp.Manifest.Dataset != c.dataset || cp.Manifest.Scale != c.scale || cp.Manifest.Seed != c.seed {
-				return nil, fmt.Errorf("data dir %s holds %s scale %d seed %d, flags ask for %s scale %d seed %d",
+				return nil, nil, fmt.Errorf("data dir %s holds %s scale %d seed %d, flags ask for %s scale %d seed %d",
 					c.dataDir, cp.Manifest.Dataset, cp.Manifest.Scale, cp.Manifest.Seed,
 					c.dataset, c.scale, c.seed)
 			}
 			spec, ok := datasets.ByName(c.dataset)
 			if !ok {
-				return nil, fmt.Errorf("unknown dataset %q in data dir manifest", c.dataset)
+				return nil, nil, fmt.Errorf("unknown dataset %q in data dir manifest", c.dataset)
 			}
 			f, err := spec.Facet()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			var rec *core.RecoveryStats
 			sys, rec, err = core.Restore(dir, f, c.opts())
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			rec.LogRecovery()
-			dur.Recovery = rec
+			dur.Restored, dur.Recovery = &cp.Manifest, rec
 		} else {
 			// No checkpoint. Leftover WAL segments are tolerable only when
 			// they hold no records — the debris of a first boot that died
@@ -185,25 +187,24 @@ func buildServer(c *config) (*server.Server, error) {
 			cur.Close()
 			switch {
 			case err == nil || errors.Is(err, persist.ErrWALGap):
-				return nil, fmt.Errorf("data dir %s has wal records but no checkpoint; cannot recover", c.dataDir)
+				return nil, nil, fmt.Errorf("data dir %s has wal records but no checkpoint; cannot recover", c.dataDir)
 			case !errors.Is(err, persist.ErrWALNoMore):
-				return nil, fmt.Errorf("data dir %s has no checkpoint and a damaged wal: %w", c.dataDir, err)
+				return nil, nil, fmt.Errorf("data dir %s has no checkpoint and a damaged wal: %w", c.dataDir, err)
 			}
 		}
 		dur.Log, err = persist.OpenLog(dir.WALDir(), policy)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
 	if sys == nil {
-		var err error
 		sys, err = buildFresh(c)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	srv := server.New(sys, server.Config{
+	srv = server.New(sys, server.Config{
 		MaxConcurrent: c.maxConcurrent,
 		CacheEntries:  c.cacheEntries,
 		CacheBytes:    c.cacheBytes,
@@ -214,21 +215,39 @@ func buildServer(c *config) (*server.Server, error) {
 		SlowQueryMS:   c.slowQueryMS,
 		TraceRing:     c.traceRing,
 	})
-	// Every durable boot checkpoints immediately. Fresh boots need a
-	// snapshot on disk before the first update can be acknowledged
-	// (recovery must never depend on re-running the generators); recovered
-	// boots fold the just-replayed WAL suffix into a new snapshot so the
-	// suffix cannot grow without bound across restarts.
-	if dur != nil {
+	switch {
+	case dur == nil:
+	case dur.Recovery == nil || dur.Recovery.TornTail:
+		// A fresh boot needs a snapshot on disk before the first update can
+		// be acknowledged: recovery must never depend on re-running the
+		// generators. A recovered log that ended at a torn record folds in
+		// before serving too: a record appended after the damage would make
+		// every later reader take it for mid-log corruption, and the
+		// checkpoint truncates the damaged segment.
 		m, err := srv.Checkpoint()
 		if err != nil {
-			return nil, fmt.Errorf("writing boot checkpoint: %w", err)
+			return nil, nil, fmt.Errorf("writing boot checkpoint: %w", err)
 		}
 		slog.Info("wrote boot checkpoint", "checkpoint_seq", m.Sequence,
 			"triples", m.BaseTriples, "views", m.Views,
 			"generation", m.Generation, "data_dir", c.dataDir)
+	default:
+		// Otherwise the state is already durable as the restored checkpoint
+		// plus the WAL, so the fold-in — which keeps the suffix from being
+		// replayed again on every restart — can wait until serving starts.
+		foldIn = func() error {
+			start := time.Now()
+			m, err := srv.Checkpoint()
+			if err != nil {
+				slog.Error("fold-in checkpoint failed; the restored checkpoint and the wal still hold the state", "err", err)
+				return err
+			}
+			slog.Info("wrote fold-in checkpoint", "checkpoint_seq", m.Sequence,
+				"generation", m.Generation, "elapsed", time.Since(start).Round(time.Millisecond))
+			return nil
+		}
 	}
-	return srv, nil
+	return srv, foldIn, nil
 }
 
 // buildReplica bootstraps a read replica from its primary's newest
@@ -299,17 +318,18 @@ func buildFresh(c *config) (*core.System, error) {
 }
 
 // checkpointLoop writes checkpoints on the configured interval until stop is
-// closed. Failures are logged and retried next tick — the WAL keeps every
-// committed batch recoverable in the meantime.
+// closed, skipping a tick when nothing changed since the last checkpoint.
+// Failures are logged and retried next tick — the WAL keeps every committed
+// batch recoverable in the meantime.
 func checkpointLoop(srv *server.Server, every time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			if m, err := srv.Checkpoint(); err != nil {
+			if m, err := srv.CheckpointIfChanged(); err != nil {
 				slog.Error("interval checkpoint failed", "err", err)
-			} else {
+			} else if m != nil {
 				slog.Info("interval checkpoint written", "checkpoint_seq", m.Sequence,
 					"generation", m.Generation, "wal_from_segment", m.WALSeq)
 			}
@@ -340,13 +360,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := buildServer(c)
+	srv, foldIn, err := buildServer(c)
 	if err != nil {
 		return err
 	}
 	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
+	}
+	if foldIn != nil {
+		go foldIn() // logs its own outcome; a failure leaves the boot serving
 	}
 	if c.dataDir != "" && c.checkpointInterval > 0 {
 		stop := make(chan struct{})

@@ -3,12 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
+	"sofos/internal/algebra"
 	"sofos/internal/engine"
 	"sofos/internal/facet"
 	"sofos/internal/persist"
+	"sofos/internal/rdf"
 	"sofos/internal/rewrite"
+	"sofos/internal/sparql"
 	"sofos/internal/store"
 	"sofos/internal/views"
 )
@@ -22,10 +26,26 @@ type RecoveryStats = persist.RecoveryStats
 // Restore constructs a warm system from a data directory: it loads the
 // newest checkpoint's graph snapshot and catalog state, reinstates the saved
 // version and generation counters, and replays the WAL suffix through the
-// catalog — each recovered batch takes the same incremental O(|ΔG|)
-// maintenance path a live /update does, so recovery cost is O(snapshot +
-// |Δ log suffix|), never a rematerialization. The facet must match the one
-// the directory was written under (resolve it from the manifest's dataset).
+// catalog, so recovery cost is O(snapshot + |Δ log suffix|), never a
+// rematerialization. The facet must match the one the directory was written
+// under (resolve it from the manifest's dataset).
+//
+// Replay is deferred maintenance: each record's inserts and deletes are
+// applied as they were live, but a run of consecutive eager records shares
+// one refresh, run before the next lazy record and at the end of the log —
+// one delta join over the run's net ΔG instead of one per record. Nothing
+// is published until Restore returns, so no reader can tell the difference:
+// every lazy record sees the views exactly as stale as they were live, and
+// the run ends on the generation its last record was acknowledged at. The
+// one thing a fold could change is floating-point rounding, since SUM and
+// AVG add a run's values in a different order than the live refreshes did
+// (and net an insert against a later delete of the same triple). A fold is
+// therefore taken only while that arithmetic is exact: for SUM and AVG
+// facets, every stored group total restored from the checkpoint and every
+// numeric literal in the replayed records must be an integer, and their
+// magnitudes together must stay below 2^53. From the first record that
+// breaks the rule on, each eager record is replayed with its own refresh,
+// as ReplayRecord does.
 func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *RecoveryStats, error) {
 	start := time.Now()
 	cp, err := dir.LatestCheckpoint()
@@ -83,24 +103,46 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 		Workers:  engOpts.EffectiveWorkers(),
 	}
 
-	// WAL replay: re-apply every batch past the checkpoint through the same
-	// catalog path a live /update takes, maintenance included. The cursor
-	// starts at the checkpoint's segment and version, so it passes over the
-	// batches the snapshot already holds and checks the version chain.
+	// WAL replay. The cursor starts at the checkpoint's segment and version,
+	// so it passes over the batches the snapshot already holds and checks the
+	// version chain.
 	replayStart := time.Now()
 	cur := persist.OpenWALCursor(dir.WALDir(), cp.Manifest.WALSeq, cp.Manifest.GraphVersion)
 	defer cur.Close()
+	fold := newFoldRule(sys.Catalog)
+	var deferred *persist.Record // last eager record whose refresh is pending
+	flush := func() error {
+		if deferred == nil {
+			return nil
+		}
+		rec := deferred
+		deferred = nil
+		if err := replayRefresh(sys, rec, stats); err != nil {
+			return err
+		}
+		sys.Catalog.SetGeneration(rec.Generation)
+		return nil
+	}
 	for {
 		rec, _, err := cur.Next()
 		if errors.Is(err, persist.ErrWALNoMore) {
 			break
 		}
 		if err == nil {
-			err = ReplayRecord(sys, rec, stats)
+			if fold.admits(rec) && rec.Eager {
+				if err = applyRecord(sys, rec, stats); err == nil {
+					deferred = rec
+				}
+			} else if err = flush(); err == nil {
+				err = ReplayRecord(sys, rec, stats)
+			}
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: replaying wal: %w", err)
 		}
+	}
+	if err := flush(); err != nil {
+		return nil, nil, fmt.Errorf("core: replaying wal: %w", err)
 	}
 	stats.Replay = time.Since(replayStart)
 	stats.SkippedBatches = cur.Skipped()
@@ -115,15 +157,34 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 	return sys, stats, nil
 }
 
-// ReplayRecord re-applies one durably logged batch to a system: recovery
-// uses it for the WAL suffix after a checkpoint load, and a replica's apply
-// loop feeds it every record tailed from the primary's /v1/wal stream — the
-// same incremental O(|ΔG|) maintenance path a live /update takes, landing on
-// the exact generation the batch was acknowledged at. stats may be nil.
+// ReplayRecord re-applies one durably logged batch to a system with its own
+// maintenance: a replica's apply loop feeds it every record tailed from the
+// primary's /v1/wal stream, and recovery uses it for each record it does not
+// fold into a run (see Restore) — the same incremental O(|ΔG|) maintenance
+// path a live /update takes, landing on the exact generation the batch was
+// acknowledged at. stats may be nil.
 func ReplayRecord(sys *System, rec *persist.Record, stats *RecoveryStats) error {
 	if stats == nil {
 		stats = &RecoveryStats{}
 	}
+	if err := applyRecord(sys, rec, stats); err != nil {
+		return err
+	}
+	if rec.Eager {
+		if err := replayRefresh(sys, rec, stats); err != nil {
+			return err
+		}
+	}
+	// Land on the exact generation the batch was acknowledged at, whatever
+	// mix of lazy and eager maintenance produced it live.
+	sys.Catalog.SetGeneration(rec.Generation)
+	return nil
+}
+
+// applyRecord applies one logged batch's inserts and deletes to the base
+// graph through the catalog, leaving the views stale. It does not touch the
+// generation: the caller sets it once the batch's maintenance has run.
+func applyRecord(sys *System, rec *persist.Record, stats *RecoveryStats) error {
 	g := sys.Graph
 	// Both callers open their cursor past the version they hold, so a record
 	// that does not start exactly there — one the graph already covers
@@ -143,23 +204,99 @@ func ReplayRecord(sys *System, rec *persist.Record, stats *RecoveryStats) error 
 		// just slower, and only for this rare shape.
 		g.SetVersion(rec.ToVersion)
 	}
-	if rec.Eager {
-		plan, err := sys.Catalog.PlanRefresh(sys.Workers)
-		if err != nil {
-			return fmt.Errorf("replaying eager refresh for batch %d→%d: %w", rec.FromVersion, rec.ToVersion, err)
-		}
-		if plan != nil {
-			stats.IncrementalRefreshes += plan.Incremental()
-		}
-		if _, err := sys.Catalog.CommitRefresh(plan); err != nil {
-			return fmt.Errorf("replaying eager refresh for batch %d→%d: %w", rec.FromVersion, rec.ToVersion, err)
-		}
-		stats.EagerRefreshes++
-	}
-	// Land on the exact generation the batch was acknowledged at, whatever
-	// mix of lazy and eager maintenance produced it live.
-	sys.Catalog.SetGeneration(rec.Generation)
 	stats.ReplayedBatches++
 	stats.ReplayedTriples += rec.Len()
 	return nil
+}
+
+// replayRefresh runs one eager refresh of every stale view; rec is the last
+// batch it covers, named in errors.
+func replayRefresh(sys *System, rec *persist.Record, stats *RecoveryStats) error {
+	plan, err := sys.Catalog.PlanRefresh(sys.Workers)
+	if err == nil {
+		_, err = sys.Catalog.CommitRefresh(plan)
+	}
+	if err != nil {
+		return fmt.Errorf("replaying eager refresh for batch %d→%d: %w", rec.FromVersion, rec.ToVersion, err)
+	}
+	if plan != nil {
+		stats.IncrementalRefreshes += plan.Incremental()
+	}
+	stats.EagerRefreshes++
+	return nil
+}
+
+// foldRule decides which records Restore may fold into a shared refresh
+// of a SUM or AVG facet: only while the sums stay exact integers (see
+// Restore). COUNT, MIN and MAX results do not depend on the order values
+// arrive in, so their rule is nil and admits every record.
+type foldRule struct {
+	unchecked *views.Catalog // restored catalog whose totals are not yet checked
+	exact     bool
+	budget    float64 // magnitude left before a sum could leave the exact range
+}
+
+// exactRange bounds the stored totals and, separately, the replayed values:
+// two magnitudes below 10^15 sum to less than 2^53 ≈ 9.007·10^15, below
+// which every float64 integer sum is exact in any order.
+const exactRange = 1e15
+
+func newFoldRule(c *views.Catalog) *foldRule {
+	if agg := c.Facet().Agg; agg != sparql.AggSum && agg != sparql.AggAvg {
+		return nil
+	}
+	return &foldRule{unchecked: c, budget: exactRange}
+}
+
+// admits reports whether rec may join a fold. It must see every replayed
+// record, lazy ones included, because their values reach the sums too; a
+// refusal is final, as the sums may no longer be integers. The restored
+// totals are checked on the first record, so a restore with nothing to
+// replay never scans them.
+func (r *foldRule) admits(rec *persist.Record) bool {
+	if r == nil {
+		return true
+	}
+	if r.unchecked != nil {
+		r.exact = exactTotals(r.unchecked)
+		r.unchecked = nil
+	}
+	for _, ts := range [2][]rdf.Triple{rec.Inserts, rec.Deletes} {
+		for _, t := range ts {
+			if !r.exact {
+				return false
+			}
+			if f, ok := algebra.NumericValue(t.O); ok {
+				r.budget -= math.Abs(f)
+				r.exact = exactInteger(f) && r.budget > 0
+			}
+		}
+	}
+	return r.exact
+}
+
+// exactTotals reports whether every group total of a SUM or AVG catalog is
+// an integer inside the exact range.
+func exactTotals(c *views.Catalog) bool {
+	sum := c.Facet().Agg == sparql.AggSum
+	exact := true
+	for _, m := range c.Materialized() {
+		m.Data.Each(func(g views.Group) bool {
+			total := g.Sum // AVG keeps its running sum here
+			if sum && g.Agg.Bound {
+				total, _ = algebra.NumericValue(g.Agg.Term)
+			}
+			exact = exactInteger(total)
+			return exact
+		})
+		if !exact {
+			return false
+		}
+	}
+	return true
+}
+
+// exactInteger reports whether f is an integer inside the exact range.
+func exactInteger(f float64) bool {
+	return f == math.Trunc(f) && math.Abs(f) < exactRange
 }

@@ -14,6 +14,7 @@ import (
 	"sofos/internal/persist"
 	"sofos/internal/rdf"
 	"sofos/internal/sparql"
+	"sofos/internal/views"
 )
 
 const dbp = "http://dbpedia.org/property/"
@@ -21,6 +22,11 @@ const dbp = "http://dbpedia.org/property/"
 // obsBatch builds one valid dbpedia-facet observation: a fresh country
 // joined to an observation with language, year, and population.
 func obsBatch(tag string, pop int64) []rdf.Triple {
+	return obsBatchOf(tag, rdf.NewInteger(pop))
+}
+
+// obsBatchOf is obsBatch with any population term.
+func obsBatchOf(tag string, pop rdf.Term) []rdf.Triple {
 	iri := func(s string) rdf.Term { return rdf.NewIRI(dbp + s) }
 	obs := rdf.NewIRI("http://ex.org/obs_" + tag)
 	c := rdf.NewIRI("http://ex.org/c_" + tag)
@@ -30,7 +36,7 @@ func obsBatch(tag string, pop int64) []rdf.Triple {
 		{S: c, P: iri("continent"), O: rdf.NewLiteral("Atlantis")},
 		{S: obs, P: iri("language"), O: rdf.NewLiteral("xx")},
 		{S: obs, P: iri("year"), O: rdf.NewYear(2020)},
-		{S: obs, P: iri("population"), O: rdf.NewInteger(pop)},
+		{S: obs, P: iri("population"), O: pop},
 	}
 }
 
@@ -429,4 +435,142 @@ func TestRestoreTornTailLandsOnCommittedState(t *testing.T) {
 	if restored.Graph.Contains(obsBatch("c", 12)[0]) {
 		t.Fatal("triple from the torn batch survived recovery")
 	}
+}
+
+// TestRestoredStateEqualsLive checks that folding runs of eager records into
+// one refresh restores the catalog a live server held. For each aggregate
+// and each measure it runs eager and lazy batches live — a MIN/MAX extremum
+// delete that forces the full fallback mid-run, an insert then a delete of
+// the same triples inside one run, lazy records between runs and at the end
+// — then restores from the checkpoint plus the WAL and compares the two
+// catalogs' saved state byte for byte. Only the provenance of each view
+// record is zeroed first (see stateBytes); generation, base versions,
+// triple counts and every group's key, aggregate, AVG companions and
+// contribution count must agree bit for bit.
+//
+// The measures cover Restore's fold rule: integers fold everywhere;
+// non-integer values in the replayed records, or a non-integer total in
+// the checkpoint (there, folding would net a 10^12 insert-then-delete that
+// the live sums rounded through), keep SUM and AVG at one refresh per eager
+// record. Folding either of the last two changes the restored sums' bits.
+func TestRestoredStateEqualsLive(t *testing.T) {
+	integer := func(i int) rdf.Term { return rdf.NewInteger(int64(10 + 7*i)) }
+	measures := []struct {
+		name string
+		val  func(tag string, i int) rdf.Term
+	}{
+		{"integer", func(_ string, i int) rdf.Term { return integer(i) }},
+		{"decimal", func(tag string, i int) rdf.Term {
+			if tag == "keep" || tag == "pre" {
+				return integer(i)
+			}
+			return rdf.NewDecimal(float64(i*i*i)*1234567.891 + 0.1)
+		}},
+		{"decimal-checkpoint", func(tag string, i int) rdf.Term {
+			switch tag {
+			case "keep":
+				return rdf.NewDecimal(0.1)
+			case "e":
+				return rdf.NewInteger(1e12)
+			}
+			return integer(i)
+		}},
+	}
+	for _, agg := range []sparql.AggKind{sparql.AggSum, sparql.AggAvg, sparql.AggMin, sparql.AggMax} {
+		for _, m := range measures {
+			t.Run(agg.String()+"/"+m.name, func(t *testing.T) {
+				g, pop, err := datasets.BuildWithFacet("dbpedia", 15, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := facet.New(pop.Name+"-"+agg.String(), pop.Dims, pop.Measure, agg, pop.Pattern, pop.Prefixes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live, err := New(g, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, dims := range [][]string{{"country", "continent", "lang", "year"}, {"continent", "year"}, {"continent"}, {}} {
+					v, err := f.ViewByDims(dims...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := live.Catalog.Materialize(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dir, err := persist.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := persist.OpenLog(dir.WALDir(), persist.SyncNone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+
+				i := 0
+				batch := func(tag string) []rdf.Triple {
+					i++
+					return obsBatchOf(tag, m.val(tag, i))
+				}
+				keep, pre, a, e := batch("keep"), batch("pre"), batch("a"), batch("e")
+				applyLogged(t, live, l, keep, nil, true)
+				applyLogged(t, live, l, pre, nil, true)
+				checkpointSystem(t, dir, l, live)
+
+				// Run 1: inserts around an extremum delete.
+				applyLogged(t, live, l, a, nil, true)
+				applyLogged(t, live, l, batch("b"), nil, true)
+				applyLogged(t, live, l, nil, pre, true)
+				applyLogged(t, live, l, batch("c"), nil, true)
+				applyLogged(t, live, l, batch("d"), nil, false)
+				// Run 2: an insert and a delete of the same triples, and a
+				// second extremum delete.
+				applyLogged(t, live, l, e, nil, true)
+				applyLogged(t, live, l, batch("f"), nil, true)
+				applyLogged(t, live, l, nil, e, true)
+				applyLogged(t, live, l, nil, a, true)
+				applyLogged(t, live, l, batch("g"), nil, true)
+				applyLogged(t, live, l, batch("h"), nil, false)
+
+				restored, rec, err := Restore(dir, f, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRuns := 2
+				if m.name != "integer" && (agg == sparql.AggSum || agg == sparql.AggAvg) {
+					wantRuns = 9 // one per eager record
+				}
+				if rec.ReplayedBatches != 11 || rec.EagerRefreshes != wantRuns {
+					t.Fatalf("replayed %d batches in %d refreshes, want 11 in %d", rec.ReplayedBatches, rec.EagerRefreshes, wantRuns)
+				}
+				if !reflect.DeepEqual(restored.Graph.SortedTriples(), live.Graph.SortedTriples()) {
+					t.Fatal("base graph differs after restore")
+				}
+				if got, want := stateBytes(t, restored.Catalog), stateBytes(t, live.Catalog); !bytes.Equal(got, want) {
+					t.Fatalf("restored catalog state differs from live (%d vs %d bytes)", len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
+// stateBytes is the catalog's SaveState with each view record's provenance
+// zeroed: the timings (Elapsed, LastCost, ComputeTime), which differ between
+// any two runs, and the last refresh's path, source and delta size, which
+// name the refresh that produced the record — on a restored catalog the
+// replay's, which folds a run the live server refreshed batch by batch.
+func stateBytes(t *testing.T, c *views.Catalog) []byte {
+	t.Helper()
+	for _, m := range c.Materialized() {
+		m.Elapsed, m.Maint.LastCost, m.Maint.DeltaSize, m.Maint.LastPath = 0, 0, 0, ""
+		m.Data.ComputeTime, m.Data.Source = 0, ""
+	}
+	var buf bytes.Buffer
+	if err := c.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -19,10 +19,14 @@ type RecoveryStats struct {
 	RestoredTriples      int    `json:"restored_triples"`
 
 	// WAL replay outcome.
-	ReplayedBatches      int  `json:"replayed_batches"`
-	ReplayedTriples      int  `json:"replayed_triples"` // Σ|ΔG| over replayed batches
-	SkippedBatches       int  `json:"skipped_batches"`  // already inside the checkpoint
-	EagerRefreshes       int  `json:"eager_refreshes"`
+	ReplayedBatches int `json:"replayed_batches"`
+	ReplayedTriples int `json:"replayed_triples"` // Σ|ΔG| over replayed batches
+	SkippedBatches  int `json:"skipped_batches"`  // already inside the checkpoint
+	// EagerRefreshes counts refresh runs, not eager records: replay folds a
+	// run of consecutive eager records into one refresh (see core.Restore).
+	EagerRefreshes int `json:"eager_refreshes"`
+	// IncrementalRefreshes counts view refreshes, over all runs, that took
+	// the incremental path.
 	IncrementalRefreshes int  `json:"incremental_refreshes"`
 	TornTail             bool `json:"torn_tail"` // final record cut by the crash; never acknowledged
 
@@ -52,6 +56,7 @@ func (r *RecoveryStats) LogRecovery() {
 		"wal_batches", r.ReplayedBatches,
 		"wal_triples", r.ReplayedTriples,
 		"wal_skipped", r.SkippedBatches,
+		"refreshes", r.EagerRefreshes,
 		"torn_tail", r.TornTail,
 		"elapsed", r.Elapsed.Round(time.Millisecond),
 		"snapshot_load", r.SnapshotLoad.Round(time.Millisecond),

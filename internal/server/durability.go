@@ -12,10 +12,10 @@ import (
 
 // Durability wires a server to its data directory: the open write-ahead log
 // every committed /update batch is appended to before acknowledgement, the
-// checkpoint directory, the dataset identity stamped into manifests, and the
-// recovery stats of the boot that produced the served system (nil after a
-// fresh, non-recovered boot). When Config.Durability is nil the server is
-// memory-only — the pre-persistence behavior.
+// checkpoint directory, the dataset identity stamped into manifests, and,
+// after a recovered boot, the checkpoint it restored and what the restore
+// did (both nil after a fresh boot). When Config.Durability is nil the
+// server is memory-only — the pre-persistence behavior.
 type Durability struct {
 	Dir     *persist.Dir
 	Log     *persist.Log
@@ -23,6 +23,11 @@ type Durability struct {
 	Scale   int
 	Seed    int64
 
+	// Restored is the manifest of the checkpoint recovery loaded. The state
+	// is durable as that checkpoint plus the WAL, so the server treats it as
+	// its last checkpoint until it writes one of its own: /v1/stats reports
+	// it, and the /v1/wal stream refuses resume points it truncated.
+	Restored *persist.Manifest
 	// Recovery reports what boot-time restore did, surfaced via /stats.
 	Recovery *core.RecoveryStats
 }
@@ -31,15 +36,35 @@ type Durability struct {
 // rotates the WAL, and truncates segments the checkpoint made redundant. It
 // holds the chain's writer mutex: queries keep flowing against the published
 // snapshot (readers never touch that mutex), writers stall until the
-// snapshot is on disk, and two checkpoints never interleave. Serving layers
-// call it on the -checkpoint-interval ticker; clients trigger it via POST
-// /v1/admin/checkpoint.
+// snapshot is on disk, and two checkpoints never interleave. It always
+// writes, even when nothing changed since the last checkpoint: POST
+// /v1/admin/checkpoint asks for a new snapshot by name, and a recovered
+// boot's fold-in must truncate the WAL segments recovery read even when it
+// replayed nothing from them. The interval ticker calls
+// CheckpointIfChanged instead.
 func (s *Server) Checkpoint() (*persist.Manifest, error) {
+	return s.checkpoint(true)
+}
+
+// CheckpointIfChanged is Checkpoint for the -checkpoint-interval ticker: it
+// returns a nil manifest, writing nothing, when the published generation and
+// graph version are the last checkpoint's, since a snapshot of them is
+// already on disk. Skips are counted in sofos_checkpoints_skipped_total.
+func (s *Server) CheckpointIfChanged() (*persist.Manifest, error) {
+	return s.checkpoint(false)
+}
+
+func (s *Server) checkpoint(force bool) (*persist.Manifest, error) {
 	if s.dur == nil {
 		return nil, errNoDurability
 	}
 	var m *persist.Manifest
 	err := s.chain.Exclusive(func(st *core.GenerationState) error {
+		if last := s.lastCheckpoint.Load(); !force && last != nil &&
+			last.Generation == st.Sys.Generation() && last.GraphVersion == st.Sys.GraphVersion() {
+			s.checkpointsSkipped.Add(1)
+			return nil
+		}
 		var cperr error
 		m, cperr = s.checkpointState(st.Sys)
 		return cperr

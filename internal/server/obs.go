@@ -107,6 +107,9 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	reg.CounterFunc("sofos_checkpoints_total",
 		"Checkpoints written since boot.",
 		func() float64 { return float64(s.checkpoints.Load()) })
+	reg.CounterFunc("sofos_checkpoints_skipped_total",
+		"Interval checkpoints skipped because nothing changed since the last one.",
+		func() float64 { return float64(s.checkpointsSkipped.Load()) })
 	reg.GaugeFunc("sofos_checkpoint_age_seconds",
 		"Seconds since the newest checkpoint was written (-1 when none).",
 		func() float64 { return s.checkpointAge() })

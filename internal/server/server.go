@@ -182,19 +182,22 @@ type Server struct {
 	queries atomic.Int64 // /query requests answered (including cache hits)
 	updates atomic.Int64 // /update batches applied
 
-	// dur is the durability wiring (nil = memory-only); lastCheckpoint and
-	// checkpoints track checkpoint activity for /stats. Atomics because the
-	// interval checkpointer and /admin/checkpoint can both write them.
+	// dur is the durability wiring (nil = memory-only); lastCheckpoint,
+	// checkpoints and checkpointsSkipped track checkpoint activity for
+	// /stats. lastCheckpoint starts as the restored checkpoint after a
+	// recovered boot. Atomics because the interval checkpointer and
+	// /admin/checkpoint can both write them.
 	// Checkpoint writers serialize on the chain's writer mutex (see
 	// Checkpoint), so two checkpoints never interleave inside one sequence
 	// number and a snapshot never races a WAL append.
 	// walGap records that a committed batch failed to reach the WAL and no
 	// healing checkpoint has succeeded yet; further updates are refused
 	// until one does (see commitUpdate).
-	dur            *Durability
-	lastCheckpoint atomic.Pointer[persist.Manifest]
-	checkpoints    atomic.Int64
-	walGap         atomic.Bool
+	dur                *Durability
+	lastCheckpoint     atomic.Pointer[persist.Manifest]
+	checkpoints        atomic.Int64
+	checkpointsSkipped atomic.Int64
+	walGap             atomic.Bool
 
 	// tracker follows replica progress on a primary (nil on replicas);
 	// repl is the apply-loop state on a replica (nil on primaries).
@@ -216,6 +219,9 @@ func New(sys *core.System, cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 		dur:     cfg.Durability,
+	}
+	if s.dur != nil && s.dur.Restored != nil {
+		s.lastCheckpoint.Store(s.dur.Restored)
 	}
 	if cfg.Replica != nil {
 		s.role = RoleReplica
