@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"time"
 
 	"sofos/internal/algebra"
@@ -29,6 +30,13 @@ type RecoveryStats = persist.RecoveryStats
 // catalog, so recovery cost is O(snapshot + |Δ log suffix|), never a
 // rematerialization. The facet must match the one the directory was written
 // under (resolve it from the manifest's dataset).
+//
+// The catalog state is read and decoded (views.ReadState) on a second
+// goroutine while the snapshot loads on the caller's, since decoding group
+// tables never touches the graph; the decoded state is bound to the loaded
+// graph once both are done, and the decoder is always joined before Restore
+// returns or replays anything. Each phase is timed on its own goroutine, so
+// the snapshot-load and catalog-restore phases of RecoveryStats may overlap.
 //
 // Replay is deferred maintenance: each record's inserts and deletes are
 // applied as they were live, but a run of consecutive eager records shares
@@ -61,34 +69,45 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 		CheckpointGeneration: cp.Manifest.Generation,
 	}
 
+	// Catalog state: materialized views come back as their stored group
+	// tables, not as recomputations of their defining queries, decoded on a
+	// goroutine of its own while the snapshot loads on this one. The channel
+	// is unbuffered, so a return that skipped the receive below would leak
+	// the decoder.
+	decoded := make(chan catalogState)
+	go func() {
+		start := time.Now()
+		var d catalogState
+		var raw []byte
+		if raw, d.err = os.ReadFile(cp.CatalogPath()); d.err == nil {
+			d.state, d.err = views.ReadState(f, raw)
+		}
+		d.took = time.Since(start)
+		decoded <- d
+	}()
+
 	// Snapshot load: the base graph, with its saved version counter
 	// reinstated so WAL version intervals line up across the restart. The
 	// snapshot is mapped on unix: its pages are read once to check their
 	// CRCs, then served from the OS page cache, never copied onto the heap.
 	loadStart := time.Now()
 	g, err := store.LoadFile(cp.GraphPath())
+	stats.SnapshotLoad = time.Since(loadStart)
+	cs := <-decoded
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: loading graph snapshot: %w", err)
 	}
+	if cs.err != nil {
+		return nil, nil, fmt.Errorf("core: restoring catalog state: %w", cs.err)
+	}
 	g.SetVersion(cp.Manifest.GraphVersion)
-	stats.SnapshotLoad = time.Since(loadStart)
 	stats.RestoredTriples = g.Len()
 
-	// Catalog state: materialized views come back as their stored group
-	// tables, not as recomputations of their defining queries.
-	catalogStart := time.Now()
-	cr, err := cp.OpenCatalog()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: opening catalog state: %w", err)
-	}
+	bindStart := time.Now()
 	engOpts := engine.Options{Workers: opts.Workers}
-	catalog, err := views.RestoreCatalog(g, f, engOpts, cr)
-	cr.Close()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: restoring catalog state: %w", err)
-	}
+	catalog := cs.state.Catalog(g, engOpts)
 	stats.RestoredViews = len(catalog.Materialized())
-	stats.CatalogRestore = time.Since(catalogStart)
+	stats.CatalogRestore = cs.took + time.Since(bindStart)
 
 	l, err := facet.NewLattice(f)
 	if err != nil {
@@ -155,6 +174,14 @@ func Restore(dir *persist.Dir, f *facet.Facet, opts Options) (*System, *Recovery
 	stats.ReplayUS = stats.Replay.Microseconds()
 	stats.ElapsedUS = stats.Elapsed.Microseconds()
 	return sys, stats, nil
+}
+
+// catalogState is what Restore's decoder goroutine hands back: the decoded
+// catalog state or the error that stopped it, and how long it took.
+type catalogState struct {
+	state *views.State
+	err   error
+	took  time.Duration
 }
 
 // ReplayRecord re-applies one durably logged batch to a system with its own

@@ -7,7 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"sofos/internal/datasets"
 	"sofos/internal/facet"
@@ -167,13 +170,15 @@ func TestRestoreCheckpointPlusReplay(t *testing.T) {
 	if rec.EagerRefreshes != 2 {
 		t.Fatalf("replayed %d eager refreshes, want 2", rec.EagerRefreshes)
 	}
-	// Each phase is timed on its own, and the phases never overlap.
+	// Each phase is timed on its own. The snapshot load and the catalog
+	// decode run side by side, and replay starts only once both are done.
 	if rec.SnapshotLoadUS <= 0 || rec.CatalogRestoreUS <= 0 || rec.ReplayUS <= 0 {
 		t.Fatalf("recovery phases not all timed: load %d us, catalog %d us, replay %d us",
 			rec.SnapshotLoadUS, rec.CatalogRestoreUS, rec.ReplayUS)
 	}
-	if sum := rec.SnapshotLoadUS + rec.CatalogRestoreUS + rec.ReplayUS; sum > rec.ElapsedUS {
-		t.Fatalf("recovery phases sum to %d us, more than the %d us elapsed", sum, rec.ElapsedUS)
+	if span := max(rec.SnapshotLoadUS, rec.CatalogRestoreUS) + rec.ReplayUS; span > rec.ElapsedUS {
+		t.Fatalf("max(load %d us, catalog %d us) + replay %d us is more than the %d us elapsed",
+			rec.SnapshotLoadUS, rec.CatalogRestoreUS, rec.ReplayUS, rec.ElapsedUS)
 	}
 
 	// Exact state equivalence: generation, graph version, contents, views.
@@ -204,6 +209,63 @@ func TestRestoreCheckpointPlusReplay(t *testing.T) {
 	}
 	if mat.Maint.LastPath != "incremental" {
 		t.Fatalf("last refresh path = %q, want incremental (replay must take the delta path)", mat.Maint.LastPath)
+	}
+}
+
+// TestRestoreErrorPathsJoinDecoder: Restore decodes the catalog state on a
+// goroutine of its own while the snapshot loads, and must join it on every
+// path. A corrupt snapshot beside valid catalog state fails as a snapshot
+// load, a valid snapshot beside truncated catalog state fails as a catalog
+// restore, and after either the goroutine count is back where it was.
+func TestRestoreErrorPathsJoinDecoder(t *testing.T) {
+	live := sys(t)
+	if _, err := live.Catalog.Materialize(live.Facet.View(live.Facet.FullMask())); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		file func(*persist.Checkpoint) string
+		want string
+	}{
+		{"corrupt snapshot", (*persist.Checkpoint).GraphPath, "loading graph snapshot"},
+		{"truncated catalog", (*persist.Checkpoint).CatalogPath, "restoring catalog state"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, err := persist.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkpointSystem(t, dir, nil, live)
+			cp, err := dir.LatestCheckpoint()
+			if err != nil || cp == nil {
+				t.Fatalf("checkpoint missing: %v", err)
+			}
+			path := tc.file(cp)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cut the file in half: for the snapshot that breaks its
+			// header's section table, for the catalog a group mid-way.
+			if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			before := runtime.NumGoroutine()
+			_, _, err = Restore(dir, mustFacet(t), Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore error = %v, want one naming %q", err, tc.want)
+			}
+			// The decoder has handed its result over before Restore returns;
+			// give the goroutine a moment to exit after its send.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after a failed restore, %d before: the decoder was not joined", n, before)
+			}
+		})
 	}
 }
 

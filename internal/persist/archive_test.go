@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"bytes"
 	"io"
+	"os"
 	"testing"
 )
 
@@ -52,16 +53,11 @@ func TestArchiveRoundTrip(t *testing.T) {
 		t.Fatalf("CURRENT resolves to %+v, want %+v", got, cp.Manifest)
 	}
 	for name, want := range map[string]string{"graph": graph, "catalog": catalog} {
-		open := got.OpenGraph
+		path := got.GraphPath()
 		if name == "catalog" {
-			open = got.OpenCatalog
+			path = got.CatalogPath()
 		}
-		f, err := open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(f)
-		f.Close()
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,10 +110,9 @@ func (c *Checkpoint) OpenGraph() (io.ReadCloser, error) {
 // loaders that map the snapshot (store.LoadFile) instead of streaming it.
 func (c *Checkpoint) GraphPath() string { return filepath.Join(c.dir, graphFile) }
 
-// OpenCatalog opens the checkpoint's catalog state for reading.
-func (c *Checkpoint) OpenCatalog() (io.ReadCloser, error) {
-	return os.Open(filepath.Join(c.dir, catalogFile))
-}
+// CatalogPath returns the path of the checkpoint's catalog state file, for
+// readers that decode the state whole (views.ReadState).
+func (c *Checkpoint) CatalogPath() string { return filepath.Join(c.dir, catalogFile) }
 
 // LatestCheckpoint resolves CURRENT to a checkpoint, or returns (nil, nil)
 // when the directory has none yet.

@@ -370,12 +370,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("superseded checkpoint not reclaimed: %v", err)
 	}
 
-	cr, err := got.OpenCatalog()
-	if err != nil {
+	if raw, err = os.ReadFile(got.CatalogPath()); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ = io.ReadAll(cr)
-	cr.Close()
 	if string(raw) != "C2" {
 		t.Fatalf("catalog payload = %q", raw)
 	}

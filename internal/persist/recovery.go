@@ -36,7 +36,10 @@ type RecoveryStats struct {
 	SnapshotLoad   time.Duration `json:"-"`
 	CatalogRestore time.Duration `json:"-"`
 	Replay         time.Duration `json:"-"`
-	Elapsed        time.Duration `json:"-"` // ≥ the three phases above together
+	// Elapsed is at least max(SnapshotLoad, CatalogRestore) + Replay: the
+	// snapshot load and the catalog decode run side by side, each timed on
+	// its own goroutine, so the three phases may sum past it.
+	Elapsed time.Duration `json:"-"`
 
 	// Microsecond mirrors for JSON consumers.
 	SnapshotLoadUS   int64 `json:"snapshot_load_us"`

@@ -2,9 +2,12 @@ package views
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"time"
 
@@ -20,10 +23,10 @@ import (
 // materialized, their computed groups, or their staleness bookkeeping —
 // without those a restart would re-run selection and re-materialize every
 // view from scratch. SaveState captures exactly that catalog state in a
-// versioned binary format; RestoreCatalog rebuilds a warm catalog from it
-// by reinstating the stored group tables (V, derived on demand from the
-// tables, is bit-identical to the pre-crash one: blank labels are
-// content-keyed).
+// versioned binary format; ReadState decodes it without the graph and
+// State.Catalog binds the result to one, reinstating the stored group tables
+// (V, derived on demand from the tables, is bit-identical to the pre-crash
+// one: blank labels are content-keyed). RestoreCatalog does both.
 //
 // Layout (integers varint/uvarint, strings length-prefixed):
 //
@@ -101,53 +104,121 @@ func (w *stateWriter) value(v algebra.Value) {
 	w.term(v.Term)
 }
 
-// stateReader deserializes catalog state primitives.
+// stateReader decodes catalog state held whole in memory: every read is a
+// bounds-checked slice of buf, so a corrupt length fails before anything is
+// allocated for it. Key terms are interned by their encoded bytes and
+// datatype and language strings by value, so a term that many groups share
+// is built once per restore and every group key holding it shares it.
 type stateReader struct {
-	br *bufio.Reader
+	buf   []byte
+	terms map[string]rdf.Term // encoded key term → decoded term
+	strs  map[string]string   // datatype and language strings
 }
 
-func (r *stateReader) uvarint() (uint64, error) { return binary.ReadUvarint(r.br) }
-func (r *stateReader) varint() (int64, error)   { return binary.ReadVarint(r.br) }
+func (r *stateReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 {
+		return 0, varintError(n)
+	}
+	r.buf = r.buf[n:]
+	return v, nil
+}
 
-func (r *stateReader) string() (string, error) {
+func (r *stateReader) varint() (int64, error) {
+	v, n := binary.Varint(r.buf)
+	if n <= 0 {
+		return 0, varintError(n)
+	}
+	r.buf = r.buf[n:]
+	return v, nil
+}
+
+// varintError explains a failed binary.Uvarint or binary.Varint: n is 0
+// when the input ends inside the varint and negative when it overflows.
+func varintError(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errors.New("varint overflows 64 bits")
+}
+
+func (r *stateReader) byte() (byte, error) {
+	if len(r.buf) == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	b := r.buf[0]
+	r.buf = r.buf[1:]
+	return b, nil
+}
+
+// bytes returns the next length-prefixed string's bytes, aliasing buf.
+func (r *stateReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > stateStringLimit {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
+		return nil, fmt.Errorf("string length %d exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		return "", err
+	if n > uint64(len(r.buf)) {
+		return nil, fmt.Errorf("string length %d overruns the %d bytes left: %w", n, len(r.buf), io.ErrUnexpectedEOF)
 	}
-	return string(b), nil
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b, nil
 }
 
-func (r *stateReader) term() (rdf.Term, error) {
-	var t rdf.Term
-	kind, err := r.br.ReadByte()
+func (r *stateReader) string() (string, error) {
+	b, err := r.bytes()
+	return string(b), err
+}
+
+// shared returns b as a string, the same one for every equal b.
+func (r *stateReader) shared(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := r.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	r.strs[s] = s
+	return s
+}
+
+// term decodes one term. A key term is built on its first occurrence only;
+// an aggregate keeps a value string of its own.
+func (r *stateReader) term(key bool) (rdf.Term, error) {
+	enc := r.buf
+	kind, err := r.byte()
 	if err != nil {
-		return t, err
+		return rdf.Term{}, err
 	}
 	if kind > byte(rdf.KindLiteral) {
-		return t, fmt.Errorf("invalid term kind %d", kind)
+		return rdf.Term{}, fmt.Errorf("invalid term kind %d", kind)
 	}
-	t.Kind = rdf.TermKind(kind)
-	if t.Value, err = r.string(); err != nil {
-		return t, err
+	var parts [3][]byte // value, datatype, lang
+	for i := range parts {
+		if parts[i], err = r.bytes(); err != nil {
+			return rdf.Term{}, err
+		}
 	}
-	if t.Datatype, err = r.string(); err != nil {
-		return t, err
+	enc = enc[:len(enc)-len(r.buf)]
+	if key {
+		if t, ok := r.terms[string(enc)]; ok {
+			return t, nil
+		}
 	}
-	if t.Lang, err = r.string(); err != nil {
-		return t, err
+	t := rdf.Term{Kind: rdf.TermKind(kind), Value: string(parts[0]),
+		Datatype: r.shared(parts[1]), Lang: r.shared(parts[2])}
+	if key {
+		r.terms[string(enc)] = t
 	}
 	return t, nil
 }
 
-func (r *stateReader) value() (algebra.Value, error) {
-	bound, err := r.br.ReadByte()
+func (r *stateReader) value(key bool) (algebra.Value, error) {
+	bound, err := r.byte()
 	if err != nil {
 		return algebra.Unbound, err
 	}
@@ -155,7 +226,7 @@ func (r *stateReader) value() (algebra.Value, error) {
 	case 0:
 		return algebra.Unbound, nil
 	case 1:
-		t, err := r.term()
+		t, err := r.term(key)
 		if err != nil {
 			return algebra.Unbound, err
 		}
@@ -166,11 +237,12 @@ func (r *stateReader) value() (algebra.Value, error) {
 }
 
 func (r *stateReader) float() (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r.br, b[:]); err != nil {
-		return 0, err
+	if len(r.buf) < 8 {
+		return 0, io.ErrUnexpectedEOF
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
+	r.buf = r.buf[8:]
+	return f, nil
 }
 
 func (w *stateWriter) float(f float64) {
@@ -225,22 +297,30 @@ func (c *Catalog) SaveState(out io.Writer) error {
 	return w.bw.Flush()
 }
 
-// RestoreCatalog rebuilds a warm catalog from saved state: the base graph
-// (already snapshot-loaded, with its version restored), the facet, and the
-// state written by SaveState. Every persisted view's group table and
-// staleness bookkeeping (baseVersion, maintenance record) is reinstated, so
-// no view is rematerialized from its defining query; the recorded triple
-// count is checked against the encoding's counting rule. Corrupt input
-// returns an error, never panics.
-func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in io.Reader) (*Catalog, error) {
-	r := &stateReader{br: bufio.NewReaderSize(in, 1<<16)}
-	magic := make([]byte, len(catalogStateMagic))
-	if _, err := io.ReadFull(r.br, magic); err != nil {
-		return nil, fmt.Errorf("views: reading catalog state header: %w", err)
+// State is catalog state decoded by ReadState and not yet bound to a base
+// graph. Decoding never touches the graph, so a restore can run it while the
+// graph snapshot loads.
+type State struct {
+	facet      *facet.Facet
+	generation int64
+	mats       map[facet.Mask]*Materialized
+}
+
+// ReadState decodes catalog state written by SaveState for facet f. Every
+// persisted view's group table and staleness bookkeeping (baseVersion,
+// maintenance record) is reinstated, so no view is rematerialized from its
+// defining query; the recorded triple count is checked against the
+// encoding's counting rule. state is only read, and not retained: every
+// decoded string is a copy. Corrupt input returns an error, never panics.
+func ReadState(f *facet.Facet, state []byte) (*State, error) {
+	if len(state) < len(catalogStateMagic) {
+		return nil, fmt.Errorf("views: reading catalog state header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(magic) != catalogStateMagic {
+	if magic := state[:len(catalogStateMagic)]; string(magic) != catalogStateMagic {
 		return nil, fmt.Errorf("views: bad catalog state magic %q", magic)
 	}
+	r := &stateReader{buf: state[len(catalogStateMagic):],
+		terms: make(map[string]rdf.Term), strs: make(map[string]string)}
 	gen, err := r.varint()
 	if err != nil {
 		return nil, fmt.Errorf("views: reading catalog generation: %w", err)
@@ -253,27 +333,54 @@ func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in i
 		return nil, fmt.Errorf("views: state has %d views but facet %s has only %d lattice nodes",
 			nviews, f.Name, f.FullMask()+1)
 	}
-	c := NewCatalogWithOptions(base, f, opts)
+	s := &State{facet: f, generation: gen, mats: make(map[facet.Mask]*Materialized, nviews)}
+	mode := maintenanceMode(f).String()
 	for i := uint64(0); i < nviews; i++ {
 		m, err := readMaterialized(r, f)
 		if err != nil {
 			return nil, fmt.Errorf("views: reading view %d: %w", i, err)
 		}
 		mask := m.Data.View.Mask
-		if _, dup := c.mats[mask]; dup {
+		if _, dup := s.mats[mask]; dup {
 			return nil, fmt.Errorf("views: duplicate view %s in state", m.Data.View)
 		}
-		triples, bytes := encodingSize(m.Data)
+		triples, size := encodingSize(m.Data)
 		if triples != m.Triples {
 			return nil, fmt.Errorf("views: %s encodes to %d triples, state recorded %d",
 				m.Data.View, triples, m.Triples)
 		}
-		m.Bytes = bytes
-		m.Maint.Mode = c.maintMode.String()
-		c.mats[mask] = m
+		m.Bytes = size
+		m.Maint.Mode = mode
+		s.mats[mask] = m
 	}
-	c.generation = gen
-	return c, nil
+	return s, nil
+}
+
+// Catalog binds the decoded state to base — the snapshot-loaded graph, with
+// its version restored — as a warm catalog. The materialization records are
+// immutable, so catalogs bound from one State share them, as forks do.
+func (s *State) Catalog(base *store.Graph, opts engine.Options) *Catalog {
+	c := NewCatalogWithOptions(base, s.facet, opts)
+	maps.Copy(c.mats, s.mats)
+	c.generation = s.generation
+	return c
+}
+
+// RestoreCatalog rebuilds a warm catalog from saved state: the base graph
+// (already snapshot-loaded, with its version restored), the facet, and the
+// state written by SaveState. It reads the state whole, decodes it with
+// ReadState and binds it with State.Catalog; core.Restore runs the same two
+// steps with the decode beside the snapshot load.
+func RestoreCatalog(base *store.Graph, f *facet.Facet, opts engine.Options, in io.Reader) (*Catalog, error) {
+	var state bytes.Buffer
+	if _, err := io.Copy(&state, in); err != nil {
+		return nil, fmt.Errorf("views: reading catalog state: %w", err)
+	}
+	s, err := ReadState(f, state.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	return s.Catalog(base, opts), nil
 }
 
 // readMaterialized decodes one view's record. The facet resolves the mask to
@@ -328,18 +435,21 @@ func readMaterialized(r *stateReader, f *facet.Facet) (*Materialized, error) {
 	if err != nil {
 		return nil, fmt.Errorf("group count: %w", err)
 	}
+	// Every group takes at least its key length, one bound flag per key
+	// value and one for the aggregate, two floats and a varint: a count the
+	// remaining bytes cannot hold is corrupt, and is refused before the
+	// group and key slabs are sized from it.
 	dims := len(v.Dims())
-	capHint := ngroups
-	if capHint > 1<<20 {
-		capHint = 1 << 20
+	if ngroups > uint64(len(r.buf))/uint64(dims+19) {
+		return nil, fmt.Errorf("group count %d overruns the %d bytes left", ngroups, len(r.buf))
 	}
-	groups := make([]Group, 0, capHint)
-	for gi := uint64(0); gi < ngroups; gi++ {
-		g, err := readGroup(r, dims)
-		if err != nil {
+	groups := make([]Group, ngroups)
+	keys := make([]algebra.Value, len(groups)*dims) // one slab for the view's keys
+	for gi := range groups {
+		key := keys[gi*dims : (gi+1)*dims : (gi+1)*dims]
+		if groups[gi], err = readGroup(r, key); err != nil {
 			return nil, fmt.Errorf("group %d: %w", gi, err)
 		}
-		groups = append(groups, g)
 	}
 	if groups, err = restoreOrder(groups); err != nil {
 		return nil, err
@@ -349,25 +459,26 @@ func readMaterialized(r *stateReader, f *facet.Facet) (*Materialized, error) {
 	return m, nil
 }
 
-// readGroup decodes one group, validating its key arity against the view.
-func readGroup(r *stateReader, dims int) (Group, error) {
+// readGroup decodes one group into key, a slab slice sized to the view's
+// dims, validating the stored key arity against it.
+func readGroup(r *stateReader, key []algebra.Value) (Group, error) {
 	var g Group
 	keyLen, err := r.uvarint()
 	if err != nil {
 		return g, fmt.Errorf("key length: %w", err)
 	}
-	if keyLen != uint64(dims) {
-		return g, fmt.Errorf("key has %d values for %d dims", keyLen, dims)
+	if keyLen != uint64(len(key)) {
+		return g, fmt.Errorf("key has %d values for %d dims", keyLen, len(key))
 	}
-	if dims > 0 { // an apex key stays nil, as Compute leaves it
-		g.Key = make([]algebra.Value, dims)
+	if len(key) > 0 { // an apex key stays nil, as Compute leaves it
+		g.Key = key
 	}
 	for i := range g.Key {
-		if g.Key[i], err = r.value(); err != nil {
+		if g.Key[i], err = r.value(true); err != nil {
 			return g, fmt.Errorf("key value %d: %w", i, err)
 		}
 	}
-	if g.Agg, err = r.value(); err != nil {
+	if g.Agg, err = r.value(false); err != nil {
 		return g, fmt.Errorf("aggregate: %w", err)
 	}
 	if g.Sum, err = r.float(); err != nil {

@@ -2,13 +2,16 @@ package views
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"sofos/internal/engine"
+	"sofos/internal/facet"
 	"sofos/internal/rdf"
 	"sofos/internal/store"
 )
@@ -155,11 +158,12 @@ func TestRestoredCatalogMaintains(t *testing.T) {
 	}
 }
 
-// TestCatalogStateCorruption truncates and bit-flips a serialized state and
-// asserts RestoreCatalog errors instead of panicking.
-func TestCatalogStateCorruption(t *testing.T) {
-	g := popGraph(t, 7, 3, 2, 2)
-	f := popFacet(t, "AVG")
+// savedState materializes the full view of a population catalog and
+// returns the graph, the facet and the catalog's saved state.
+func savedState(t testing.TB, seed int64, agg string, countries, langs, years int) (*store.Graph, *facet.Facet, []byte) {
+	t.Helper()
+	g := popGraph(t, seed, countries, langs, years)
+	f := popFacet(t, agg)
 	c := NewCatalog(g, f)
 	if _, err := c.Materialize(f.View(f.FullMask())); err != nil {
 		t.Fatal(err)
@@ -168,8 +172,14 @@ func TestCatalogStateCorruption(t *testing.T) {
 	if err := c.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	for cut := 0; cut < len(raw); cut += 7 {
+	return g, f, buf.Bytes()
+}
+
+// TestCatalogStateCorruption truncates the serialized state at every byte
+// and bit-flips it, and asserts RestoreCatalog errors instead of panicking.
+func TestCatalogStateCorruption(t *testing.T) {
+	g, f, raw := savedState(t, 7, "AVG", 3, 2, 2)
+	for cut := 0; cut < len(raw); cut++ {
 		if _, err := RestoreCatalog(g.Fork(), f, engine.Options{}, bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d restored successfully", cut)
 		}
@@ -181,6 +191,110 @@ func TestCatalogStateCorruption(t *testing.T) {
 		// is no panic and no silent crash, which the call itself verifies.
 		_, _ = RestoreCatalog(g.Fork(), f, engine.Options{}, bytes.NewReader(mut))
 	}
+}
+
+// TestCatalogStateLengthOverrun: a string length prefix that claims more
+// bytes than the state holds, though within stateStringLimit, is refused
+// before anything of that length is allocated.
+func TestCatalogStateLengthOverrun(t *testing.T) {
+	f := popFacet(t, "SUM")
+	const claimed = stateStringLimit - 1
+	var state []byte
+	state = append(state, catalogStateMagic...)
+	state = binary.AppendVarint(state, 3)        // generation
+	state = binary.AppendUvarint(state, 1)       // one view
+	state = binary.AppendUvarint(state, 0)       // apex mask
+	state = binary.AppendVarint(state, 1)        // base version
+	state = binary.AppendUvarint(state, 1)       // triples
+	state = binary.AppendVarint(state, 0)        // elapsed
+	state = binary.AppendUvarint(state, claimed) // maint path length
+	state = append(state, "incremental"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadState(f, state)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Fatalf("ReadState error = %v, want a length overrun", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= claimed/2 {
+		t.Fatalf("ReadState allocated %d bytes for a %d-byte length it refused", got, claimed)
+	}
+}
+
+// FuzzCatalogStateRestore: any input either fails to restore or restores a
+// catalog whose saved state restores again. Seeded from a saved AVG and a
+// saved SUM state.
+func FuzzCatalogStateRestore(f *testing.F) {
+	g, avg, avgState := savedState(f, 7, "AVG", 2, 2, 1)
+	_, sum, sumState := savedState(f, 11, "SUM", 2, 2, 1)
+	f.Add(avgState, true)
+	f.Add(sumState, false)
+	f.Fuzz(func(t *testing.T, state []byte, isAvg bool) {
+		fc := sum
+		if isAvg {
+			fc = avg
+		}
+		c, err := RestoreCatalog(g.Fork(), fc, engine.Options{}, bytes.NewReader(state))
+		if err != nil {
+			return
+		}
+		if c == nil {
+			t.Fatal("RestoreCatalog returned neither a catalog nor an error")
+		}
+		var again bytes.Buffer
+		if err := c.SaveState(&again); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadState(fc, again.Bytes()); err != nil {
+			t.Fatalf("a restored catalog's saved state does not restore: %v", err)
+		}
+	})
+}
+
+// TestRestoreCatalogAllocBudget: decoding state allocates per group and per
+// distinct key term, not per term occurrence. The fixture's full view holds
+// 40·10·5 groups (minus the holes popGraph leaves) over 55 distinct key
+// terms, each key three terms long. A decoder that builds every key term
+// and its strings anew, as one reading a stream must, takes a dozen
+// allocations per group and fails the bound.
+func TestRestoreCatalogAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g := popGraph(t, 3, 40, 10, 5)
+	f := popFacet(t, "AVG")
+	c := NewCatalog(g, f)
+	for _, dims := range [][]string{{"country", "lang", "year"}, {"country", "lang"}, {"year"}} {
+		v, err := f.ViewByDims(dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Materialize(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	groups := 0
+	for _, m := range c.Materialized() {
+		groups += m.Data.NumGroups()
+	}
+	const distinct = 40 + 10 + 5
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadState(f, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Per group, the aggregate's value string and the AVG sum and count
+	// strings the triple-count check formats; per distinct key term, its
+	// value string, its map key and the map's growth; a few per view.
+	if budget := float64(3*groups + 4*distinct + 64); allocs > budget {
+		t.Fatalf("ReadState of %d groups over %d distinct key terms took %.0f allocations, budget %.0f",
+			groups, distinct, allocs, budget)
+	}
+	t.Logf("%d groups, %d distinct key terms: %.0f allocations", groups, distinct, allocs)
 }
 
 // TestCatalogStateGroupOrder: state written with groups in engine order (as
