@@ -46,7 +46,7 @@ func env(b *testing.B, dataset string, scale, wl int) *experiments.Env {
 	if e, ok := benchEnvs[key]; ok {
 		return e
 	}
-	e, err := experiments.NewEnv(dataset, scale, 1, wl)
+	e, err := experiments.NewEnvWithOptions(dataset, scale, 1, wl, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,16 +213,19 @@ func BenchmarkE10EstimatedModel(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkStoreInsert measures dictionary-encoded triple insertion.
+// BenchmarkStoreInsert measures dictionary-encoded triple insertion, one
+// write per triple.
 func BenchmarkStoreInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := store.NewGraph()
 		for t := 0; t < 1000; t++ {
-			g.MustAdd(rdf.Triple{
+			if _, err := g.Apply([]rdf.Triple{{
 				S: rdf.NewIRI(fmt.Sprintf("http://ex.org/s%d", t%100)),
 				P: rdf.NewIRI(fmt.Sprintf("http://ex.org/p%d", t%10)),
 				O: rdf.NewInteger(int64(t)),
-			})
+			}}, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -333,7 +336,7 @@ func BenchmarkRollUp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	child := f.View(facet.MaskFromBits(0, 1))
+	child := f.View(facet.Mask(0b11))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := views.RollUp(top, child); err != nil {
@@ -349,7 +352,7 @@ func BenchmarkRollUpVsBaseAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	child := f.View(facet.MaskFromBits(0, 1))
+	child := f.View(facet.Mask(0b11))
 	b.Run("from-base", func(b *testing.B) {
 		eng := engine.New(g)
 		for i := 0; i < b.N; i++ {
@@ -627,7 +630,7 @@ func benchDataDir(b *testing.B, path string, n int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.Refresh(); err != nil {
+		if _, err := sys.Catalog.RefreshAllParallel(sys.Workers); err != nil {
 			b.Fatal(err)
 		}
 		if err := l.Append(&persist.Record{

@@ -57,19 +57,6 @@ type Retractor interface {
 	Unadd(v Value)
 }
 
-// CanRetract reports whether the aggregate of a select item supports exact
-// retraction — i.e. whether NewAccumulator(item) returns a Retractor.
-func CanRetract(item sparql.SelectItem) bool {
-	switch item.Agg {
-	case sparql.AggCount:
-		return !item.AggDistinct
-	case sparql.AggSum, sparql.AggAvg:
-		return true
-	default:
-		return false
-	}
-}
-
 // countAcc counts bound values (or all rows for COUNT(*), where the caller
 // feeds a bound placeholder per row).
 type countAcc struct{ n int64 }

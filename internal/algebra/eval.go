@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -315,10 +316,19 @@ func evalCall(x *sparql.CallExpr, resolve Resolver) (rdf.Term, error) {
 // FormatFloat renders an aggregate result as the canonical literal for the
 // aggregate's output type.
 func FormatFloat(f float64) rdf.Term {
+	var buf [32]byte
+	lex, datatype := AppendFloat(buf[:0], f)
+	return rdf.Term{Kind: rdf.KindLiteral, Value: string(lex), Datatype: datatype}
+}
+
+// AppendFloat appends the lexical form of FormatFloat(f) to dst and returns
+// it with the literal's datatype: xsd:integer when f is integral and fits
+// an int64, else xsd:decimal.
+func AppendFloat(dst []byte, f float64) ([]byte, string) {
 	if f == float64(int64(f)) {
-		return rdf.NewInteger(int64(f))
+		return strconv.AppendInt(dst, int64(f), 10), rdf.XSDInteger
 	}
-	return rdf.NewDecimal(f)
+	return strconv.AppendFloat(dst, f, 'f', -1, 64), rdf.XSDDecimal
 }
 
 // ParseNumeric parses a term required to be numeric, as aggregation input.
@@ -328,6 +338,3 @@ func ParseNumeric(t rdf.Term) (float64, error) {
 	}
 	return 0, TypeErrorf("aggregation over non-numeric %s", t)
 }
-
-// Itoa is a convenience for building literal counts.
-func Itoa(n int64) rdf.Term { return rdf.NewInteger(n) }

@@ -176,9 +176,3 @@ func TestParseNumeric(t *testing.T) {
 		t.Errorf("ParseNumeric of string: %v", err)
 	}
 }
-
-func TestItoa(t *testing.T) {
-	if got := Itoa(12); got.Value != "12" || got.Datatype != rdf.XSDInteger {
-		t.Errorf("Itoa = %s", got)
-	}
-}

@@ -51,7 +51,7 @@ func TestUnaddToEmpty(t *testing.T) {
 }
 
 // TestNonRetractableAccumulators: COUNT DISTINCT and MIN/MAX must report
-// non-retractable — both via CanRetract and by not implementing Retractor.
+// non-retractable by not implementing Retractor.
 func TestNonRetractableAccumulators(t *testing.T) {
 	cases := []struct {
 		name string
@@ -66,9 +66,6 @@ func TestNonRetractableAccumulators(t *testing.T) {
 		{"MAX", item(sparql.AggMax, false), false},
 	}
 	for _, tc := range cases {
-		if got := CanRetract(tc.item); got != tc.want {
-			t.Errorf("CanRetract(%s) = %v, want %v", tc.name, got, tc.want)
-		}
 		_, isRetractor := NewAccumulator(tc.item).(Retractor)
 		if isRetractor != tc.want {
 			t.Errorf("%s accumulator Retractor implementation = %v, want %v", tc.name, isRetractor, tc.want)

@@ -71,25 +71,6 @@ func (t *Timing) P50() time.Duration { return t.Percentile(50) }
 // P95 is the 95th percentile.
 func (t *Timing) P95() time.Duration { return t.Percentile(95) }
 
-// Min returns the smallest sample, 0 with no samples. It scans the samples
-// directly: the old Percentile(0.0001) shortcut returned sample rank
-// ⌈1e-6·n⌉-1, which stops being the minimum once n reaches 10⁶.
-func (t *Timing) Min() time.Duration {
-	if len(t.samples) == 0 {
-		return 0
-	}
-	min := t.samples[0]
-	for _, d := range t.samples[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// Max returns the largest sample.
-func (t *Timing) Max() time.Duration { return t.Percentile(100) }
-
 // Spearman computes the Spearman rank correlation of two equal-length
 // vectors, handling ties by average ranks. It returns NaN for vectors
 // shorter than 2 or with zero variance.

@@ -3,15 +3,19 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"sofos/internal/cost"
 	"sofos/internal/datasets"
+	"sofos/internal/engine"
 	"sofos/internal/facet"
 	"sofos/internal/rdf"
 	"sofos/internal/selection"
+	"sofos/internal/sparql"
 	"sofos/internal/store"
+	"sofos/internal/views"
 	"sofos/internal/workload"
 )
 
@@ -58,10 +62,10 @@ func TestIntegrationViewAnswersEqualBase(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !rowsEqual(ans.Result.Sorted(), base.Sorted(), f) {
+					if !rowsEqual(sortedRows(ans.Result), sortedRows(base), f) {
 						t.Errorf("%s query %d via %s diverges\nquery: %s\nview: %v\nbase: %v",
 							m.Name(), qi, ans.ViaLabel(), q.Text,
-							ans.Result.Sorted(), base.Sorted())
+							sortedRows(ans.Result), sortedRows(base))
 					}
 				}
 				s.Reset()
@@ -131,7 +135,7 @@ func TestIntegrationMaintenanceEndToEnd(t *testing.T) {
 	if _, err := s.Catalog.Materialize(v); err != nil {
 		t.Fatal(err)
 	}
-	q := f.View(facet.MaskFromBits(2)).AnalyticalQuery() // per-language
+	q := f.View(facet.Mask(0b100)).AnalyticalQuery() // per-language
 
 	before, err := s.Answer(q)
 	if err != nil {
@@ -175,7 +179,7 @@ func TestIntegrationMaintenanceEndToEnd(t *testing.T) {
 	}
 
 	// Refresh and re-answer: the new language appears and matches base.
-	if _, err := s.Refresh(); err != nil {
+	if _, err := s.Catalog.RefreshAllParallel(s.Workers); err != nil {
 		t.Fatal(err)
 	}
 	after, err := s.Answer(q)
@@ -189,8 +193,8 @@ func TestIntegrationMaintenanceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(after.Result.Sorted(), base.Sorted()) {
-		t.Errorf("after refresh:\nview: %v\nbase: %v", after.Result.Sorted(), base.Sorted())
+	if !reflect.DeepEqual(sortedRows(after.Result), sortedRows(base)) {
+		t.Errorf("after refresh:\nview: %v\nbase: %v", sortedRows(after.Result), sortedRows(base))
 	}
 	foundEsperanto = false
 	for _, row := range after.Result.Rows {
@@ -227,7 +231,10 @@ func TestIntegrationUserSelectionFlow(t *testing.T) {
 		}
 		chosen = append(chosen, v)
 	}
-	um := cost.NewUserSelection("user", chosen)
+	um := &cost.UserModel{Label: "user", Costs: map[facet.Mask]float64{}, BaseC: 1}
+	for _, v := range chosen {
+		um.Costs[v.Mask] = 0
+	}
 	sel := selection.Manual(s.Lattice, &cost.AggValuesModel{Provider: p}, chosen)
 	if _, err := s.Materialize(sel); err != nil {
 		t.Fatal(err)
@@ -280,7 +287,7 @@ func TestIntegrationSnapshotPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := f.View(facet.MaskFromBits(2)).AnalyticalQuery()
+	q := f.View(facet.Mask(0b100)).AnalyticalQuery()
 	r1, err := s1.Answer(q)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +296,7 @@ func TestIntegrationSnapshotPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.Result.Sorted(), r2.Result.Sorted()) {
+	if !reflect.DeepEqual(sortedRows(r1.Result), sortedRows(r2.Result)) {
 		t.Error("reloaded graph answers differently")
 	}
 }
@@ -302,4 +309,30 @@ func (w *byteWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
 
 func loadFromString(s string) (*store.Graph, error) {
 	return store.Load(strings.NewReader(s))
+}
+
+// sortedRows renders the rows and sorts them: a canonical form for
+// comparing results.
+func sortedRows(r *engine.Result) []string {
+	out := make([]string, 0, len(r.Rows))
+	for _, row := range r.Rows {
+		parts := make([]string, len(row))
+		for i, v := range row {
+			parts[i] = v.String()
+		}
+		out = append(out, strings.Join(parts, "\t"))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// viewTriples lists the view graph V of c, read through its engine, in a
+// canonical order.
+func viewTriples(t *testing.T, c *views.Catalog) []string {
+	t.Helper()
+	res, err := c.ExpandedEngine().Execute(sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sortedRows(res)
 }

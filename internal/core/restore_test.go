@@ -191,7 +191,7 @@ func TestRestoreCheckpointPlusReplay(t *testing.T) {
 	if !reflect.DeepEqual(restored.Graph.SortedTriples(), live.Graph.SortedTriples()) {
 		t.Fatal("base graph differs after restore")
 	}
-	if !reflect.DeepEqual(restored.Catalog.ViewGraph().SortedTriples(), live.Catalog.ViewGraph().SortedTriples()) {
+	if !reflect.DeepEqual(viewTriples(t, restored.Catalog), viewTriples(t, live.Catalog)) {
 		t.Fatal("view graph V differs after restore")
 	}
 	if got, want := mustAnswer(t, restored, restoreQuery), mustAnswer(t, live, restoreQuery); !reflect.DeepEqual(got, want) {
@@ -200,8 +200,13 @@ func TestRestoreCheckpointPlusReplay(t *testing.T) {
 
 	// The restored view must also match a from-scratch recompute — the
 	// differential cross-check of the acceptance criteria.
-	mat, ok := restored.Catalog.Get(full.Mask)
-	if !ok {
+	var mat *views.Materialized
+	for _, m := range restored.Catalog.Materialized() {
+		if m.Data.View.Mask == full.Mask {
+			mat = m
+		}
+	}
+	if mat == nil {
 		t.Fatal("full view lost in restore")
 	}
 	if restored.Catalog.Stale(full.Mask) {

@@ -184,13 +184,6 @@ func (s *System) ApplyUpdate(inserts, deletes []rdf.Triple) (store.Delta, error)
 	return s.Catalog.ApplyUpdate(inserts, deletes)
 }
 
-// Refresh brings every stale materialized view up to date with the current
-// base graph: views whose staleness window the maintenance delta log covers
-// refresh in O(|ΔG|), the rest recompute on the system's worker pool.
-func (s *System) Refresh() (int, error) {
-	return s.Catalog.RefreshAllParallel(s.Workers)
-}
-
 // Reset drops all materialized views, so that G+ equals G.
 func (s *System) Reset() { s.Catalog.Reset() }
 
@@ -419,31 +412,4 @@ func (s *System) CompareModels(models []cost.Model, k int, w *workload.Workload)
 		s.Reset()
 	}
 	return out, nil
-}
-
-// LatticeReport describes the full lattice (panel ① of the GUI).
-type LatticeReport struct {
-	Views       int
-	Levels      [][]facet.View
-	TotalGroups int
-	TotalAdded  int // triples if the whole lattice were materialized
-	BaseTriples int
-}
-
-// DescribeLattice produces the full-lattice statistics table.
-func (s *System) DescribeLattice() (*LatticeReport, error) {
-	p, err := s.Provider()
-	if err != nil {
-		return nil, err
-	}
-	rep := &LatticeReport{
-		Views:       s.Lattice.Size(),
-		Levels:      s.Lattice.Levels(),
-		BaseTriples: s.Graph.Len(),
-	}
-	for _, st := range p.AllStats() {
-		rep.TotalGroups += st.Groups
-		rep.TotalAdded += st.Triples
-	}
-	return rep, nil
 }

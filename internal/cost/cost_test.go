@@ -16,7 +16,7 @@ import (
 func fixture(t testing.TB) (*store.Graph, *facet.Lattice) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for ci := 0; ci < 6; ci++ {
 		for li := 0; li < 4; li++ {
@@ -25,12 +25,16 @@ func fixture(t testing.TB) (*store.Graph, *facet.Lattice) {
 					continue
 				}
 				obs := ex(fmt.Sprintf("o%d_%d_%d", ci, li, yi))
-				g.MustAdd(rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2018 + yi)})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(900) + 100))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2018 + yi)})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(900) + 100))})
 			}
 		}
+	}
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/>
 SELECT ?country ?lang ?year (SUM(?pop) AS ?a) WHERE {
@@ -45,6 +49,20 @@ SELECT ?country ?lang ?year (SUM(?pop) AS ?a) WHERE {
 		t.Fatal(err)
 	}
 	return g, l
+}
+
+// validCosts checks that a model gives every view of l a finite,
+// non-negative cost and has a non-negative base cost.
+func validCosts(m Model, l *facet.Lattice) error {
+	if m.BaseCost() < 0 {
+		return fmt.Errorf("model %s has negative base cost", m.Name())
+	}
+	for _, v := range l.Views() {
+		if c := m.Cost(v); c < 0 || math.IsNaN(c) {
+			return fmt.Errorf("model %s produced invalid cost %f for %s", m.Name(), c, v)
+		}
+	}
+	return nil
 }
 
 func TestProviderComputesWholeLattice(t *testing.T) {
@@ -64,16 +82,9 @@ func TestProviderComputesWholeLattice(t *testing.T) {
 		if st.Groups <= 0 || st.Triples <= 0 || st.Nodes <= 0 {
 			t.Errorf("view %s has empty stats %+v", v, st)
 		}
-		d, err := p.Data(v.Mask)
-		if err != nil || d.NumGroups() != st.Groups {
-			t.Errorf("data/stats mismatch for %s", v)
-		}
 	}
 	if _, err := p.Stats(facet.Mask(999)); err == nil {
 		t.Error("unknown mask accepted")
-	}
-	if _, err := p.Data(facet.Mask(999)); err == nil {
-		t.Error("unknown mask accepted by Data")
 	}
 	if p.TotalTriples() <= 0 {
 		t.Error("TotalTriples not positive")
@@ -92,9 +103,9 @@ func TestProviderMonotonicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range l.Views() {
-		for _, c := range l.Children(v) {
+		for _, c := range l.Descendants(v) {
 			if p.MustStats(c.Mask).Groups > p.MustStats(v.Mask).Groups {
-				t.Errorf("child %s has more groups than parent %s", c, v)
+				t.Errorf("descendant %s has more groups than %s", c, v)
 			}
 		}
 	}
@@ -106,7 +117,7 @@ func TestRandomModel(t *testing.T) {
 	if m.Name() != "random" {
 		t.Error("name")
 	}
-	if err := Validate(m, l); err != nil {
+	if err := validCosts(m, l); err != nil {
 		t.Fatal(err)
 	}
 	// Deterministic under a seed, different across seeds (for some view).
@@ -142,7 +153,7 @@ func TestAnalyticModels(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, m := range models {
-		if err := Validate(m, l); err != nil {
+		if err := validCosts(m, l); err != nil {
 			t.Errorf("%s: %v", m.Name(), err)
 		}
 		names[m.Name()] = true
@@ -194,8 +205,11 @@ func TestModelsDisagreeOnRanking(t *testing.T) {
 
 func TestUserModel(t *testing.T) {
 	_, l := fixture(t)
-	chosen := []facet.View{l.Top(), l.Facet.View(facet.MaskFromBits(0))}
-	m := NewUserSelection("picked", chosen)
+	chosen := []facet.View{l.Top(), l.Facet.View(facet.Mask(0b1))}
+	m := &UserModel{Label: "picked", Costs: map[facet.Mask]float64{}, BaseC: 1}
+	for _, v := range chosen {
+		m.Costs[v.Mask] = 0
+	}
 	if m.Name() != "picked" {
 		t.Error("label not used")
 	}
@@ -207,7 +221,7 @@ func TestUserModel(t *testing.T) {
 			t.Errorf("chosen view cost = %f", m.Cost(v))
 		}
 	}
-	if !math.IsInf(m.Cost(l.Facet.View(facet.MaskFromBits(1))), 1) {
+	if !math.IsInf(m.Cost(l.Facet.View(facet.Mask(0b10))), 1) {
 		t.Error("unchosen view not infinite")
 	}
 }
@@ -215,18 +229,18 @@ func TestUserModel(t *testing.T) {
 func TestValidateCatchesBadModels(t *testing.T) {
 	_, l := fixture(t)
 	bad := &UserModel{BaseC: -1}
-	if err := Validate(bad, l); err == nil {
+	if err := validCosts(bad, l); err == nil {
 		t.Error("negative base cost accepted")
 	}
 	nan := &UserModel{BaseC: 1, Costs: map[facet.Mask]float64{0: math.NaN()}}
-	if err := Validate(nan, l); err == nil {
+	if err := validCosts(nan, l); err == nil {
 		t.Error("NaN cost accepted")
 	}
 }
 
 func TestMeasureViewTimes(t *testing.T) {
 	g, l := fixture(t)
-	sample := []facet.View{l.Top(), l.Facet.View(facet.MaskFromBits(1))}
+	sample := []facet.View{l.Top(), l.Facet.View(facet.Mask(0b10))}
 	times, err := MeasureViewTimes(g, l, sample, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +278,7 @@ func TestTrainLearnedModel(t *testing.T) {
 	if !(last < first) {
 		t.Errorf("loss did not decrease: %v -> %v", first, last)
 	}
-	if err := Validate(res.Model, l); err != nil {
+	if err := validCosts(res.Model, l); err != nil {
 		t.Errorf("trained model invalid: %v", err)
 	}
 	if res.Model.BaseCost() <= 0 {
@@ -291,7 +305,7 @@ func TestTrainLearnedModelWithHoldout(t *testing.T) {
 
 func TestRandomSubmask(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := facet.MaskFromBits(0, 2, 4)
+	m := facet.Mask(0b10101)
 	for i := 0; i < 100; i++ {
 		sub := randomSubmask(rng, m)
 		if !sub.Subset(m) {

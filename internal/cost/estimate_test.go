@@ -13,14 +13,14 @@ func TestEstimatedModelBasics(t *testing.T) {
 	if m.Name() != "estimated" {
 		t.Error("name")
 	}
-	if err := Validate(m, l); err != nil {
+	if err := validCosts(m, l); err != nil {
 		t.Fatal(err)
 	}
 	if m.BaseCost() <= 0 {
 		t.Errorf("base cost = %f", m.BaseCost())
 	}
 	// Apex estimates one group.
-	if got := m.Cost(l.Apex()); got != 1 {
+	if got := m.Cost(l.Facet.View(0)); got != 1 {
 		t.Errorf("apex estimate = %f", got)
 	}
 	// Estimates never exceed the pattern-rows upper bound.
@@ -35,10 +35,10 @@ func TestEstimatedModelMonotone(t *testing.T) {
 	g, l := fixture(t)
 	m := NewEstimatedModel(l.Facet, g.Snapshot())
 	for _, v := range l.Views() {
-		for _, p := range l.Parents(v) {
-			if m.Cost(p) < m.Cost(v)-1e-9 {
-				t.Errorf("estimate not monotone: %s=%f > parent %s=%f",
-					v, m.Cost(v), p, m.Cost(p))
+		for _, d := range l.Descendants(v) {
+			if m.Cost(v) < m.Cost(d)-1e-9 {
+				t.Errorf("estimate not monotone: %s=%f > ancestor %s=%f",
+					d, m.Cost(d), v, m.Cost(v))
 			}
 		}
 	}

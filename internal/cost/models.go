@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 
 	"sofos/internal/facet"
@@ -154,17 +153,6 @@ type UserModel struct {
 	BaseC float64
 }
 
-// NewUserSelection builds a UserModel that forces the greedy selector to
-// pick exactly the given views, mirroring the demo's "User Selected Views"
-// step.
-func NewUserSelection(label string, chosen []facet.View) *UserModel {
-	m := &UserModel{Label: label, Costs: make(map[facet.Mask]float64, len(chosen)), BaseC: 1}
-	for _, v := range chosen {
-		m.Costs[v.Mask] = 0
-	}
-	return m
-}
-
 // Name implements Model.
 func (m *UserModel) Name() string {
 	if m.Label == "" {
@@ -183,18 +171,3 @@ func (m *UserModel) Cost(v facet.View) float64 {
 
 // BaseCost implements Model.
 func (m *UserModel) BaseCost() float64 { return m.BaseC }
-
-// Validate checks that a model produces finite non-negative costs across a
-// lattice (used by tests and the CLI before running selection).
-func Validate(m Model, l *facet.Lattice) error {
-	if m.BaseCost() < 0 {
-		return fmt.Errorf("cost: model %s has negative base cost", m.Name())
-	}
-	for _, v := range l.Views() {
-		c := m.Cost(v)
-		if c < 0 || math.IsNaN(c) {
-			return fmt.Errorf("cost: model %s produced invalid cost %f for %s", m.Name(), c, v)
-		}
-	}
-	return nil
-}

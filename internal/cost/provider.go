@@ -110,15 +110,6 @@ func patternRows(top *views.Data) int {
 	return n
 }
 
-// Data returns the precomputed contents of a view.
-func (p *Provider) Data(m facet.Mask) (*views.Data, error) {
-	d, ok := p.data[m]
-	if !ok {
-		return nil, fmt.Errorf("cost: no data for mask %b", m)
-	}
-	return d, nil
-}
-
 // Stats returns the statistics of a view.
 func (p *Provider) Stats(m facet.Mask) (ViewStats, error) {
 	s, ok := p.stats[m]

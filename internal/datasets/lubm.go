@@ -13,11 +13,6 @@ import (
 // LUBM namespace, mirroring the Univ-Bench ontology vocabulary.
 const lubmNS = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
 
-// lubmPrefixes are the prefixes used by the LUBM facet queries.
-func lubmPrefixes() map[string]string {
-	return map[string]string{"ub": lubmNS}
-}
-
 // LUBMSpec returns the LUBM dataset: universities containing departments,
 // faculty of three ranks working for departments, and publications authored
 // by faculty — the same organization hierarchy and cardinalities as the

@@ -19,9 +19,6 @@ import (
 // packages for the common parse-then-execute flow.
 type Query = sparql.Query
 
-// ParseQuery parses a SPARQL query in the SOFOS fragment.
-func ParseQuery(src string) (*Query, error) { return sparql.Parse(src) }
-
 // Options tune engine behaviour; the zero value is the production default.
 type Options struct {
 	// NaiveOrder disables greedy selectivity-based join ordering, executing
@@ -94,21 +91,6 @@ type Result struct {
 	Stats ExecStats
 }
 
-// Sorted returns the rows rendered and sorted lexicographically — a
-// canonical form for result comparison in tests and rewrite validation.
-func (r *Result) Sorted() []string {
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = v.String()
-		}
-		out = append(out, strings.Join(parts, "\t"))
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Execute parses nothing: it runs an already-parsed query.
 func (e *Engine) Execute(q *sparql.Query) (*Result, error) {
 	start := time.Now()
@@ -135,20 +117,6 @@ func (e *Engine) Execute(q *sparql.Query) (*Result, error) {
 	execSp.AttrInt("result_rows", int64(res.Stats.ResultRows))
 	execSp.End()
 	return res, nil
-}
-
-// ExecuteString parses and runs a query in one step.
-func (e *Engine) ExecuteString(src string) (*Result, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Execute(q)
-}
-
-// Explain compiles the query and returns its physical plan.
-func (e *Engine) Explain(q *sparql.Query) (*Plan, error) {
-	return compile(e.graph, q, e.opts)
 }
 
 // binding is a working row of slot values; NoID means unbound. Aggregate

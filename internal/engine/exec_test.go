@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"sofos/internal/algebra"
 	"sofos/internal/rdf"
+	"sofos/internal/sparql"
 	"sofos/internal/store"
 )
 
@@ -37,11 +40,60 @@ ex:eu ex:name "EU" .
 
 func exec(t testing.TB, g *store.Graph, src string) *Result {
 	t.Helper()
-	res, err := New(g).ExecuteString(src)
+	res, err := execWith(New(g), src)
 	if err != nil {
-		t.Fatalf("ExecuteString(%q): %v", src, err)
+		t.Fatalf("Execute(%q): %v", src, err)
 	}
 	return res
+}
+
+// execWith parses src and runs it on e.
+func execWith(e *Engine, src string) (*Result, error) {
+	q, err := sparql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.Execute(q)
+}
+
+// sortedRows renders the rows and sorts them: a canonical form for
+// comparing results.
+func sortedRows(r *Result) []string {
+	out := make([]string, 0, len(r.Rows))
+	for _, row := range r.Rows {
+		parts := make([]string, len(row))
+		for i, v := range row {
+			parts[i] = v.String()
+		}
+		out = append(out, strings.Join(parts, "\t"))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// compilePlan compiles q as Execute does.
+func compilePlan(t *testing.T, g *store.Graph, q *Query, opts Options) *Plan {
+	t.Helper()
+	plan, err := compile(g, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// firstScan renders the first scan of plan's main branch, constants
+// resolved through g's dictionary.
+func firstScan(g *store.Graph, plan *Plan) string {
+	pat := plan.main.steps[0].pat
+	var parts []string
+	for _, ct := range []compiledTerm{pat.s, pat.p, pat.o} {
+		if ct.isVar {
+			parts = append(parts, "?"+plan.vars[ct.slot])
+		} else {
+			parts = append(parts, g.Dict().Term(ct.id).String())
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 func TestExecuteSingleSelect(t *testing.T) {
@@ -49,7 +101,7 @@ func TestExecuteSingleSelect(t *testing.T) {
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?n WHERE { ex:france ex:name ?n . }`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Term.Value != "France" {
-		t.Errorf("rows = %v", res.Sorted())
+		t.Errorf("rows = %v", sortedRows(res))
 	}
 }
 
@@ -61,7 +113,7 @@ SELECT ?name ?pop WHERE {
   ?c ex:name ?name .
   ?c ex:population ?pop .
 }`)
-	got := res.Sorted()
+	got := sortedRows(res)
 	if len(got) != 2 {
 		t.Fatalf("rows = %v", got)
 	}
@@ -78,7 +130,7 @@ SELECT ?name WHERE {
   ?c ex:population ?pop .
   FILTER (?pop > 60000000)
 }`)
-	got := res.Sorted()
+	got := sortedRows(res)
 	want := []string{`"France"`, `"Germany"`}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("rows = %v, want %v", got, want)
@@ -93,7 +145,7 @@ SELECT ?lang (SUM(?pop) AS ?total) WHERE {
   ?c ex:language ?lang .
   ?c ex:population ?pop .
 } GROUP BY ?lang ORDER BY ?lang`)
-	got := res.Sorted()
+	got := sortedRows(res)
 	want := []string{
 		`"English"	"37000000"^^<http://www.w3.org/2001/XMLSchema#integer>`,
 		`"French"	"104000000"^^<http://www.w3.org/2001/XMLSchema#integer>`,
@@ -111,7 +163,7 @@ func TestExecuteCountCountries(t *testing.T) {
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT (COUNT(?c) AS ?n) WHERE { ?c ex:language "French" . }`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Term.Value != "2" {
-		t.Errorf("rows = %v", res.Sorted())
+		t.Errorf("rows = %v", sortedRows(res))
 	}
 }
 
@@ -134,17 +186,17 @@ func TestExecuteAggregateEmptyInput(t *testing.T) {
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT (COUNT(?c) AS ?n) (SUM(?pop) AS ?s) (MIN(?pop) AS ?m) WHERE { ?c ex:language "Klingon" . ?c ex:population ?pop . }`)
 	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Sorted())
+		t.Fatalf("rows = %v", sortedRows(res))
 	}
 	row := res.Rows[0]
 	if row[0].Term.Value != "0" || row[1].Term.Value != "0" || row[2].Bound {
-		t.Errorf("empty aggregates = %v", res.Sorted())
+		t.Errorf("empty aggregates = %v", sortedRows(res))
 	}
 	// With GROUP BY, an empty input gives zero rows instead.
 	res = exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?lang (COUNT(?c) AS ?n) WHERE { ?c ex:language ?lang . ?c ex:name "Klingonia" . } GROUP BY ?lang`)
 	if len(res.Rows) != 0 {
-		t.Errorf("grouped empty input rows = %v", res.Sorted())
+		t.Errorf("grouped empty input rows = %v", sortedRows(res))
 	}
 }
 
@@ -153,7 +205,7 @@ func TestExecuteMissingConstant(t *testing.T) {
 	// A term that was never interned must yield an empty result quickly.
 	res := exec(t, g, `SELECT ?o WHERE { <http://nowhere.org/x> <http://nowhere.org/p> ?o . }`)
 	if len(res.Rows) != 0 {
-		t.Errorf("rows = %v", res.Sorted())
+		t.Errorf("rows = %v", sortedRows(res))
 	}
 }
 
@@ -164,7 +216,7 @@ SELECT ?lang (COUNT(?c) AS ?n) WHERE {
   ?c ex:language ?lang .
 } GROUP BY ?lang HAVING (?n > 1)`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Term.Value != "French" {
-		t.Errorf("rows = %v", res.Sorted())
+		t.Errorf("rows = %v", sortedRows(res))
 	}
 }
 
@@ -174,7 +226,7 @@ func TestExecuteOrderByLimitOffset(t *testing.T) {
 SELECT ?name ?pop WHERE { ?c ex:name ?name . ?c ex:population ?pop . }
 ORDER BY DESC(?pop) LIMIT 2`)
 	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Sorted())
+		t.Fatalf("rows = %v", sortedRows(res))
 	}
 	if res.Rows[0][0].Term.Value != "Germany" || res.Rows[1][0].Term.Value != "France" {
 		t.Errorf("order = %v %v", res.Rows[0][0], res.Rows[1][0])
@@ -183,13 +235,13 @@ ORDER BY DESC(?pop) LIMIT 2`)
 SELECT ?name ?pop WHERE { ?c ex:name ?name . ?c ex:population ?pop . }
 ORDER BY DESC(?pop) LIMIT 2 OFFSET 1`)
 	if res.Rows[0][0].Term.Value != "France" || res.Rows[1][0].Term.Value != "Italy" {
-		t.Errorf("offset order = %v", res.Sorted())
+		t.Errorf("offset order = %v", sortedRows(res))
 	}
 	// Offset beyond result size.
 	res = exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?name WHERE { ?c ex:name ?name . } OFFSET 100`)
 	if len(res.Rows) != 0 {
-		t.Errorf("beyond-offset rows = %v", res.Sorted())
+		t.Errorf("beyond-offset rows = %v", sortedRows(res))
 	}
 }
 
@@ -198,7 +250,7 @@ func TestExecuteDistinct(t *testing.T) {
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT DISTINCT ?year WHERE { ?c ex:year ?year . }`)
 	if len(res.Rows) != 1 {
-		t.Errorf("distinct years = %v", res.Sorted())
+		t.Errorf("distinct years = %v", sortedRows(res))
 	}
 }
 
@@ -211,7 +263,7 @@ SELECT ?name ?union WHERE {
   OPTIONAL { ?c ex:partOf ?u . ?u ex:name ?union . }
 } ORDER BY ?name`)
 	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %v", res.Sorted())
+		t.Fatalf("rows = %v", sortedRows(res))
 	}
 	byName := map[string]string{}
 	for _, row := range res.Rows {
@@ -250,20 +302,24 @@ SELECT ?name WHERE {
   FILTER (!BOUND(?u))
 }`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Term.Value != "Canada" {
-		t.Errorf("rows = %v", res.Sorted())
+		t.Errorf("rows = %v", sortedRows(res))
 	}
 }
 
 func TestExecuteSharedVariablePattern(t *testing.T) {
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
-	g.MustAdd(rdf.Triple{S: ex("a"), P: ex("knows"), O: ex("a")})
-	g.MustAdd(rdf.Triple{S: ex("a"), P: ex("knows"), O: ex("b")})
-	g.MustAdd(rdf.Triple{S: ex("b"), P: ex("knows"), O: ex("b")})
+	ts = append(ts, rdf.Triple{S: ex("a"), P: ex("knows"), O: ex("a")})
+	ts = append(ts, rdf.Triple{S: ex("a"), P: ex("knows"), O: ex("b")})
+	ts = append(ts, rdf.Triple{S: ex("b"), P: ex("knows"), O: ex("b")})
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?x WHERE { ?x ex:knows ?x . }`)
 	if len(res.Rows) != 2 {
-		t.Errorf("self-loops = %v", res.Sorted())
+		t.Errorf("self-loops = %v", sortedRows(res))
 	}
 }
 
@@ -272,7 +328,7 @@ func TestExecuteVariablePredicate(t *testing.T) {
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT DISTINCT ?p WHERE { ex:france ?p ?o . } ORDER BY ?p`)
 	if len(res.Rows) != 5 {
-		t.Errorf("predicates = %v", res.Sorted())
+		t.Errorf("predicates = %v", sortedRows(res))
 	}
 }
 
@@ -281,14 +337,7 @@ func TestExecuteCountDistinct(t *testing.T) {
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT (COUNT(DISTINCT ?lang) AS ?n) WHERE { ?c ex:language ?lang . }`)
 	if res.Rows[0][0].Term.Value != "4" {
-		t.Errorf("distinct languages = %v", res.Sorted())
-	}
-}
-
-func TestExecuteStringParseError(t *testing.T) {
-	g := figure1Graph(t)
-	if _, err := New(g).ExecuteString("not sparql"); err == nil {
-		t.Error("invalid query accepted")
+		t.Errorf("distinct languages = %v", sortedRows(res))
 	}
 }
 
@@ -317,40 +366,27 @@ SELECT ?name WHERE {
   ?c ex:population ?pop .
   ?c ex:language "French" .
 }`)
-	plan, err := New(g).Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := plan.main.steps[0].pat.src.String()
-	if !strings.Contains(first, "French") {
-		t.Errorf("first step = %s; plan:\n%s", first, plan.String())
-	}
-	if !strings.Contains(plan.String(), "scan") {
-		t.Errorf("plan string = %s", plan.String())
+	plan := compilePlan(t, g, q, Options{})
+	if first := firstScan(g, plan); !strings.Contains(first, "French") {
+		t.Errorf("first step = %s", first)
 	}
 }
 
 func TestExplainEmptyPlan(t *testing.T) {
 	g := figure1Graph(t)
 	q := mustQuery(t, `SELECT ?o WHERE { <http://gone> <http://p> ?o . }`)
-	plan, err := New(g).Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := compilePlan(t, g, q, Options{})
 	if !plan.empty {
 		t.Error("plan not marked empty")
 	}
-	if !strings.Contains(plan.String(), "empty") {
-		t.Errorf("plan string = %q", plan.String())
-	}
-	if len(plan.Vars()) == 0 {
+	if len(plan.vars) == 0 {
 		t.Error("vars not tracked")
 	}
 }
 
 func mustQuery(t *testing.T, src string) *Query {
 	t.Helper()
-	q, err := ParseQuery(src)
+	q, err := sparql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +413,7 @@ func TestJoinOrderInsensitivity(t *testing.T) {
 			body.WriteString("\n")
 		}
 		src := "PREFIX ex: <http://ex.org/>\nSELECT ?name ?pop ?lang WHERE {\n" + body.String() + "}"
-		got := exec(t, g, src).Sorted()
+		got := sortedRows(exec(t, g, src))
 		if i == 0 {
 			want = got
 			continue
@@ -412,7 +448,7 @@ func permutations(n int) [][]int {
 func TestEngineAgainstReferenceEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
-		g := store.NewGraph()
+		var ts []rdf.Triple
 		nt := 30 + rng.Intn(60)
 		for i := 0; i < nt; i++ {
 			s := fmt.Sprintf("http://ex.org/s%d", rng.Intn(10))
@@ -423,11 +459,15 @@ func TestEngineAgainstReferenceEvaluator(t *testing.T) {
 			} else {
 				o = rdf.NewInteger(int64(rng.Intn(20)))
 			}
-			g.MustAdd(rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: o})
+			ts = append(ts, rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: o})
+		}
+		g, err := store.BuildFrom(ts)
+		if err != nil {
+			t.Fatal(err)
 		}
 		src := `PREFIX ex: <http://ex.org/>
 SELECT ?x ?y WHERE { ?x ex:p0 ?y . ?x ex:p1 ?z . FILTER (?z >= 5) }`
-		got := exec(t, g, src).Sorted()
+		got := sortedRows(exec(t, g, src))
 		want := referenceEval(g)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d mismatch:\nengine: %v\nreference: %v", trial, got, want)
@@ -447,8 +487,8 @@ func referenceEval(g *store.Graph) []string {
 			if t2.P.Value != "http://ex.org/p1" || t2.S != t1.S {
 				continue
 			}
-			v, err := t2.O.Float()
-			if err != nil || v < 5 {
+			v, ok := algebra.NumericValue(t2.O)
+			if !ok || v < 5 {
 				continue
 			}
 			out = append(out, t1.S.String()+"\t"+t1.O.String())

@@ -23,16 +23,16 @@ SELECT ?name ?u WHERE { ?c ex:name ?name . OPTIONAL { ?c ex:partOf ?u . } }`,
 	def := New(g)
 	naive := NewWithOptions(g, Options{NaiveOrder: true})
 	for _, src := range queries {
-		a, err := def.ExecuteString(src)
+		a, err := execWith(def, src)
 		if err != nil {
 			t.Fatalf("default: %v", err)
 		}
-		b, err := naive.ExecuteString(src)
+		b, err := execWith(naive, src)
 		if err != nil {
 			t.Fatalf("naive: %v", err)
 		}
-		if !reflect.DeepEqual(a.Sorted(), b.Sorted()) {
-			t.Errorf("ordering changed results for %q:\n%v\nvs\n%v", src, a.Sorted(), b.Sorted())
+		if !reflect.DeepEqual(sortedRows(a), sortedRows(b)) {
+			t.Errorf("ordering changed results for %q:\n%v\nvs\n%v", src, sortedRows(a), sortedRows(b))
 		}
 	}
 }
@@ -46,44 +46,39 @@ SELECT ?name WHERE {
   ?c ex:language "French" .
 }`
 	q := mustQuery(t, src)
-	naive := NewWithOptions(g, Options{NaiveOrder: true})
-	plan, err := naive.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := plan.main.steps[0].pat.src.String()
+	first := firstScan(g, compilePlan(t, g, q, Options{NaiveOrder: true}))
 	if !strings.Contains(first, "name") {
 		t.Errorf("naive plan reordered; first = %s", first)
 	}
 	// The default engine puts the selective French pattern first.
-	plan2, err := New(g).Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan2.main.steps[0].pat.src.String(), "French") {
-		t.Errorf("greedy plan did not reorder; first = %s", plan2.main.steps[0].pat.src.String())
+	if first := firstScan(g, compilePlan(t, g, q, Options{})); !strings.Contains(first, "French") {
+		t.Errorf("greedy plan did not reorder; first = %s", first)
 	}
 }
 
 func TestNaiveOrderDoesMoreWork(t *testing.T) {
 	// On a graph where ordering matters, naive execution scans strictly more
 	// intermediate rows than the greedy plan.
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	for i := 0; i < 200; i++ {
-		g.MustAdd(tripleIRI("s", i, "broad", "o", i))
+		ts = append(ts, tripleIRI("s", i, "broad", "o", i))
 	}
-	g.MustAdd(tripleIRI("s", 7, "narrow", "x", 0))
+	ts = append(ts, tripleIRI("s", 7, "narrow", "x", 0))
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := `PREFIX ex: <http://ex.org/>
 SELECT ?s WHERE { ?s ex:broad ?o . ?s ex:narrow ?x . }`
-	a, err := New(g).ExecuteString(src)
+	a, err := execWith(New(g), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewWithOptions(g, Options{NaiveOrder: true}).ExecuteString(src)
+	b, err := execWith(NewWithOptions(g, Options{NaiveOrder: true}), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Sorted(), b.Sorted()) {
+	if !reflect.DeepEqual(sortedRows(a), sortedRows(b)) {
 		t.Fatal("results differ")
 	}
 	if b.Stats.IntermediateRows <= a.Stats.IntermediateRows {
@@ -93,9 +88,13 @@ SELECT ?s WHERE { ?s ex:broad ?o . ?s ex:narrow ?x . }`
 }
 
 func TestLimitPushdownStopsEarly(t *testing.T) {
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	for i := 0; i < 500; i++ {
-		g.MustAdd(tripleIRI("s", i, "p", "o", i))
+		ts = append(ts, tripleIRI("s", i, "p", "o", i))
+	}
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	limited := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?s ?o WHERE { ?s ex:p ?o . } LIMIT 5`)
@@ -110,10 +109,10 @@ SELECT ?s ?o WHERE { ?s ex:p ?o . }`)
 	}
 	// Every limited row must be a valid full-result row.
 	all := map[string]bool{}
-	for _, r := range full.Sorted() {
+	for _, r := range sortedRows(full) {
 		all[r] = true
 	}
-	for _, r := range limited.Sorted() {
+	for _, r := range sortedRows(limited) {
 		if !all[r] {
 			t.Errorf("limited row %q not in full result", r)
 		}
@@ -128,27 +127,31 @@ func TestLimitPushdownDisabledWhenUnsafe(t *testing.T) {
 SELECT ?name ?pop WHERE { ?c ex:name ?name . ?c ex:population ?pop . }
 ORDER BY DESC(?pop) LIMIT 1`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Term.Value != "Germany" {
-		t.Errorf("ordered LIMIT = %v", res.Sorted())
+		t.Errorf("ordered LIMIT = %v", sortedRows(res))
 	}
 	// DISTINCT with LIMIT still deduplicates before cutting.
 	res = exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT DISTINCT ?year WHERE { ?c ex:year ?year . } LIMIT 5`)
 	if len(res.Rows) != 1 {
-		t.Errorf("distinct LIMIT rows = %v", res.Sorted())
+		t.Errorf("distinct LIMIT rows = %v", sortedRows(res))
 	}
 	// Aggregation with LIMIT aggregates over everything first.
 	res = exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT (SUM(?pop) AS ?t) WHERE { ?c ex:population ?pop . } LIMIT 1`)
 	if res.Rows[0][0].Term.Value != "246000000" {
-		t.Errorf("aggregate under LIMIT = %v", res.Sorted())
+		t.Errorf("aggregate under LIMIT = %v", sortedRows(res))
 	}
 }
 
 func TestLimitPushdownWithUnion(t *testing.T) {
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	for i := 0; i < 100; i++ {
-		g.MustAdd(tripleIRI("a", i, "p", "x", i))
-		g.MustAdd(tripleIRI("b", i, "q", "y", i))
+		ts = append(ts, tripleIRI("a", i, "p", "x", i))
+		ts = append(ts, tripleIRI("b", i, "q", "y", i))
+	}
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res := exec(t, g, `PREFIX ex: <http://ex.org/>
 SELECT ?s WHERE { { ?s ex:p ?o . } UNION { ?s ex:q ?o . } } LIMIT 7`)

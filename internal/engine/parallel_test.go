@@ -153,13 +153,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 	serial := NewWithOptions(g, Options{Workers: 1})
 	for _, tc := range parallelQueries {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := serial.ExecuteString(tc.src)
+			want, err := execWith(serial, tc.src)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				par := NewWithOptions(g, Options{Workers: workers})
-				got, err := par.ExecuteString(tc.src)
+				got, err := execWith(par, tc.src)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -183,7 +183,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelUsesPartitions(t *testing.T) {
 	g := parallelGraph(t, 6000, 40)
 	eng := NewWithOptions(g, Options{Workers: 4})
-	res, err := eng.ExecuteString(`PREFIX ex: <http://ex.org/>
+	res, err := execWith(eng, `PREFIX ex: <http://ex.org/>
 SELECT ?s ?g WHERE { ?s ex:type ex:item . ?s ex:group ?g . }`)
 	if err != nil {
 		t.Fatal(err)
@@ -204,21 +204,32 @@ func TestParallelWithDeltaOverlay(t *testing.T) {
 	term := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	// Remove a slice of type edges and add late items, staying under the
 	// compaction threshold so scans see a live overlay.
+	var ins, dels []rdf.Triple
 	for i := 0; i < 300; i += 7 {
-		g.Remove(rdf.Triple{S: term(fmt.Sprintf("s%05d", i)), P: term("type"), O: term("item")})
+		dels = append(dels, rdf.Triple{S: term(fmt.Sprintf("s%05d", i)), P: term("type"), O: term("item")})
 	}
 	for i := 0; i < 200; i++ {
-		g.MustAdd(rdf.Triple{S: term(fmt.Sprintf("late%04d", i)), P: term("type"), O: term("item")})
-		g.MustAdd(rdf.Triple{S: term(fmt.Sprintf("late%04d", i)), P: term("score"), O: rdf.NewInteger(int64(i))})
+		ins = append(ins,
+			rdf.Triple{S: term(fmt.Sprintf("late%04d", i)), P: term("type"), O: term("item")},
+			rdf.Triple{S: term(fmt.Sprintf("late%04d", i)), P: term("score"), O: rdf.NewInteger(int64(i))})
+	}
+	if _, err := g.Apply(nil, dels); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Apply(ins, nil); err != nil {
+		t.Fatal(err)
+	}
+	if g.MemStats().OverlayAdds == 0 || g.MemStats().OverlayDels == 0 {
+		t.Fatal("updates left no live overlay")
 	}
 	src := `PREFIX ex: <http://ex.org/>
 SELECT ?s ?v WHERE { ?s ex:type ex:item . ?s ex:score ?v . }`
-	want, err := NewWithOptions(g, Options{Workers: 1}).ExecuteString(src)
+	want, err := execWith(NewWithOptions(g, Options{Workers: 1}), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := NewWithOptions(g, Options{Workers: workers}).ExecuteString(src)
+		got, err := execWith(NewWithOptions(g, Options{Workers: workers}), src)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

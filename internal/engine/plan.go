@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"sofos/internal/obs"
 	"sofos/internal/rdf"
@@ -24,8 +22,7 @@ type compiledTerm struct {
 // compiledPattern is a triple pattern with resolved constants.
 type compiledPattern struct {
 	s, p, o compiledTerm
-	src     sparql.TriplePattern // original pattern, for Explain
-	est     int                  // base cardinality estimate (constants only)
+	est     int // base cardinality estimate (constants only)
 }
 
 // step is one element of the physical plan: a pattern scan plus the filters
@@ -55,41 +52,6 @@ type optionalPlan struct {
 	// ownSlots are slots first bound inside the optional (reset to unbound
 	// when the block does not match).
 	ownSlots []int
-}
-
-// Vars returns the variable names by slot order.
-func (p *Plan) Vars() []string { return p.vars }
-
-// String renders the plan for EXPLAIN-style inspection.
-func (p *Plan) String() string {
-	var b strings.Builder
-	b.WriteString("plan:\n")
-	if p.empty {
-		b.WriteString("  <empty: constant term missing from graph>\n")
-		return b.String()
-	}
-	for i, st := range p.main.steps {
-		fmt.Fprintf(&b, "  %2d. scan %s (est %d)\n", i+1, st.pat.src.String(), st.pat.est)
-		for _, f := range st.filters {
-			fmt.Fprintf(&b, "      filter %s\n", f.String())
-		}
-	}
-	for _, opt := range p.main.optionals {
-		b.WriteString("  optional:\n")
-		for _, st := range opt.steps {
-			fmt.Fprintf(&b, "    scan %s (est %d)\n", st.pat.src.String(), st.pat.est)
-		}
-	}
-	for _, f := range p.main.lateFilter {
-		fmt.Fprintf(&b, "  late filter %s\n", f.String())
-	}
-	for i, br := range p.unions {
-		fmt.Fprintf(&b, "  union branch %d:\n", i+1)
-		for _, st := range br.steps {
-			fmt.Fprintf(&b, "    scan %s (est %d)\n", st.pat.src.String(), st.pat.est)
-		}
-	}
-	return b.String()
 }
 
 // branchPlan is one compiled conjunctive group (the required BGP with its
@@ -134,7 +96,7 @@ func (c *compiler) slot(name string) int {
 // base cardinality estimate is exact: the store reads it off the matching
 // permutation range's length, so greedy ordering never guesses.
 func (c *compiler) compileOne(tp sparql.TriplePattern) compiledPattern {
-	cp := compiledPattern{src: tp}
+	var cp compiledPattern
 	comp := func(pt sparql.PatternTerm) compiledTerm {
 		if pt.IsVar {
 			return compiledTerm{isVar: true, slot: c.slot(pt.Var)}

@@ -136,7 +136,7 @@ func refEvalGroup(g *store.Graph, q *sparql.Query, gp *sparql.GroupPattern) []st
 func TestEngineDifferentialRandomBGPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 60; trial++ {
-		g := store.NewGraph()
+		var ts []rdf.Triple
 		nTriples := 10 + rng.Intn(25)
 		for i := 0; i < nTriples; i++ {
 			s := fmt.Sprintf("http://n%d", rng.Intn(6))
@@ -147,7 +147,11 @@ func TestEngineDifferentialRandomBGPs(t *testing.T) {
 			} else {
 				o = rdf.NewInteger(int64(rng.Intn(8)))
 			}
-			g.MustAdd(rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: o})
+			ts = append(ts, rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: o})
+		}
+		g, err := store.BuildFrom(ts)
+		if err != nil {
+			t.Fatal(err)
 		}
 		q := randomBGPQuery(rng)
 		engRes, err := New(g).Execute(q)
@@ -155,7 +159,7 @@ func TestEngineDifferentialRandomBGPs(t *testing.T) {
 			t.Fatalf("trial %d: engine error: %v\n%s", trial, err, q)
 		}
 		want := refEval(g, q)
-		got := engRes.Sorted()
+		got := sortedRows(engRes)
 		if want == nil {
 			want = []string{}
 		}
@@ -239,7 +243,7 @@ func randomBGPQuery(rng *rand.Rand) *sparql.Query {
 func TestEngineDifferentialRandomUnions(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 40; trial++ {
-		g := store.NewGraph()
+		var ts []rdf.Triple
 		for i := 0; i < 15+rng.Intn(20); i++ {
 			s := fmt.Sprintf("http://n%d", rng.Intn(6))
 			p := fmt.Sprintf("http://p%d", rng.Intn(3))
@@ -249,7 +253,11 @@ func TestEngineDifferentialRandomUnions(t *testing.T) {
 			} else {
 				o = rdf.NewInteger(int64(rng.Intn(8)))
 			}
-			g.MustAdd(rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: o})
+			ts = append(ts, rdf.Triple{S: rdf.NewIRI(s), P: rdf.NewIRI(p), O: o})
+		}
+		g, err := store.BuildFrom(ts)
+		if err != nil {
+			t.Fatal(err)
 		}
 		b1 := randomBGPQuery(rng)
 		b2 := randomBGPQuery(rng)
@@ -267,7 +275,7 @@ func TestEngineDifferentialRandomUnions(t *testing.T) {
 			t.Fatalf("trial %d: %v\n%s", trial, err, q)
 		}
 		want := refEval(g, q)
-		got := engRes.Sorted()
+		got := sortedRows(engRes)
 		if want == nil {
 			want = []string{}
 		}

@@ -27,8 +27,8 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	// Build the seed graph with the same vocabulary the flat-vs-block
 	// differential uses: a tiny dense core randomBGPQuery knows about plus a
 	// wide subject space so runs span many blocks and pages.
-	seed := store.NewGraphWithCodec(store.CodecBlock)
-	addRandomTo := func(g *store.Graph, n int) {
+	var seedTs []rdf.Triple
+	addRandom := func(n int) {
 		for i := 0; i < n; i++ {
 			s := rdf.NewIRI(fmt.Sprintf("http://n%d", rng.Intn(6)))
 			p := rdf.NewIRI(fmt.Sprintf("http://p%d", rng.Intn(3)))
@@ -38,20 +38,24 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 			} else {
 				o = rdf.NewInteger(int64(rng.Intn(8)))
 			}
-			g.MustAdd(rdf.Triple{S: s, P: p, O: o})
+			seedTs = append(seedTs, rdf.Triple{S: s, P: p, O: o})
 		}
 	}
-	addWideTo := func(g *store.Graph, n int) {
+	addWide := func(n int) {
 		for i := 0; i < n; i++ {
-			g.MustAdd(rdf.Triple{
+			seedTs = append(seedTs, rdf.Triple{
 				S: rdf.NewIRI(fmt.Sprintf("http://wide/s%d", rng.Intn(4000))),
 				P: rdf.NewIRI(fmt.Sprintf("http://p%d", rng.Intn(3))),
 				O: rdf.NewIRI(fmt.Sprintf("http://n%d", rng.Intn(6))),
 			})
 		}
 	}
-	addRandomTo(seed, 40)
-	addWideTo(seed, 3000)
+	addRandom(40)
+	addWide(3000)
+	seed, err := store.BuildFrom(seedTs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const pageSize = 16 << 10
 	dir := t.TempDir()
@@ -117,21 +121,21 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 			if herr != nil {
 				continue
 			}
-			hs, ms := hres.Sorted(), mres.Sorted()
+			hs, ms := sortedRows(hres), sortedRows(mres)
 			if !reflect.DeepEqual(hs, ms) {
 				t.Fatalf("%s trial %d: results diverged on\n%s\nheap: %v\nmmap: %v", stage, trial, q, hs, ms)
 			}
 		}
 		for _, src := range aggQueries() {
-			hres, herr := New(heap).ExecuteString(src)
-			mres, merr := New(mm).ExecuteString(src)
+			hres, herr := execWith(New(heap), src)
+			mres, merr := execWith(New(mm), src)
 			if (herr == nil) != (merr == nil) {
 				t.Fatalf("%s aggregate: errors diverged: heap=%v mmap=%v\n%s", stage, herr, merr, src)
 			}
 			if herr != nil {
 				continue
 			}
-			hs, ms := hres.Sorted(), mres.Sorted()
+			hs, ms := sortedRows(hres), sortedRows(mres)
 			if !reflect.DeepEqual(hs, ms) {
 				t.Fatalf("%s aggregate diverged on\n%s\nheap: %v\nmmap: %v", stage, src, hs, ms)
 			}
@@ -145,8 +149,10 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	all := heap.Triples()
 	for i := 0; i < 400; i++ {
 		tr := all[rng.Intn(len(all))]
-		if heap.Remove(tr) != mm.Remove(tr) {
-			t.Fatalf("Remove(%v) return values diverged", tr)
+		hd, _ := heap.Apply(nil, []rdf.Triple{tr})
+		md, _ := mm.Apply(nil, []rdf.Triple{tr})
+		if len(hd.Deleted) != len(md.Deleted) {
+			t.Fatalf("delete of %v diverged", tr)
 		}
 	}
 	for i := 0; i < 30; i++ {
@@ -154,10 +160,10 @@ func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 		p := rdf.NewIRI(fmt.Sprintf("http://p%d", rng.Intn(3)))
 		o := rdf.NewInteger(int64(rng.Intn(8)))
 		tr := rdf.Triple{S: s, P: p, O: o}
-		hok, herr := heap.Add(tr)
-		mok, merr := mm.Add(tr)
-		if hok != mok || (herr == nil) != (merr == nil) {
-			t.Fatalf("Add(%v) return values diverged", tr)
+		hd, herr := heap.Apply([]rdf.Triple{tr}, nil)
+		md, merr := mm.Apply([]rdf.Triple{tr}, nil)
+		if len(hd.Inserted) != len(md.Inserted) || (herr == nil) != (merr == nil) {
+			t.Fatalf("insert of %v diverged", tr)
 		}
 	}
 	checkStage("overlay", 12)

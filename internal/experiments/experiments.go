@@ -25,14 +25,9 @@ type Env struct {
 	Workload *workload.Workload
 }
 
-// NewEnv builds a dataset-backed environment with a generated workload and
-// default system options (parallel execution at GOMAXPROCS).
-func NewEnv(dataset string, scale int, seed int64, workloadSize int) (*Env, error) {
-	return NewEnvWithOptions(dataset, scale, seed, workloadSize, core.Options{})
-}
-
-// NewEnvWithOptions is NewEnv with explicit system options, letting callers
-// pin the worker count for serial-vs-parallel comparisons.
+// NewEnvWithOptions builds a dataset-backed environment with a generated
+// workload and the given system options, letting callers pin the worker
+// count for serial-vs-parallel comparisons.
 func NewEnvWithOptions(dataset string, scale int, seed int64, workloadSize int, opts core.Options) (*Env, error) {
 	g, f, err := datasets.BuildWithFacet(dataset, scale, seed)
 	if err != nil {
@@ -47,11 +42,6 @@ func NewEnvWithOptions(dataset string, scale int, seed int64, workloadSize int, 
 		return nil, err
 	}
 	return &Env{Dataset: dataset, Scale: scale, Seed: seed, System: s, Workload: w}, nil
-}
-
-// DefaultEnvs builds the three demo environments at laptop scales.
-func DefaultEnvs(seed int64, workloadSize int) ([]*Env, error) {
-	return defaultEnvs(seed, workloadSize, core.Options{})
 }
 
 func defaultEnvs(seed int64, workloadSize int, opts core.Options) ([]*Env, error) {

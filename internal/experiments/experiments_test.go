@@ -4,13 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"sofos/internal/core"
 	"sofos/internal/cost"
 )
 
 // smallEnv builds a fast environment for experiment smoke tests.
 func smallEnv(t testing.TB, dataset string, scale int) *Env {
 	t.Helper()
-	env, err := NewEnv(dataset, scale, 3, 8)
+	env, err := NewEnvWithOptions(dataset, scale, 3, 8, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestNewEnv(t *testing.T) {
 	if env.System == nil || env.Workload == nil || len(env.Workload.Queries) != 8 {
 		t.Fatalf("env = %+v", env)
 	}
-	if _, err := NewEnv("nope", 1, 1, 1); err == nil {
+	if _, err := NewEnvWithOptions("nope", 1, 1, 1, core.Options{}); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 }
@@ -220,7 +221,7 @@ func TestE10EstimatedModel(t *testing.T) {
 }
 
 func TestDefaultEnvs(t *testing.T) {
-	envs, err := DefaultEnvs(2, 5)
+	envs, err := defaultEnvs(2, 5, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

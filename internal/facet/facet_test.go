@@ -100,7 +100,7 @@ func TestFacetValidate(t *testing.T) {
 
 func TestViewDimsAndID(t *testing.T) {
 	f := popFacet(t)
-	v := f.View(MaskFromBits(0, 2))
+	v := f.View(Mask(0b101))
 	dims := v.Dims()
 	if len(dims) != 2 || dims[0] != "country" || dims[1] != "year" {
 		t.Errorf("Dims = %v", dims)
@@ -125,7 +125,7 @@ func TestViewByDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Mask != MaskFromBits(1, 2) {
+	if v.Mask != Mask(0b110) {
 		t.Errorf("mask = %b", v.Mask)
 	}
 	if _, err := f.ViewByDims("ghost"); err == nil {
@@ -136,8 +136,8 @@ func TestViewByDims(t *testing.T) {
 func TestViewCovers(t *testing.T) {
 	f := popFacet(t)
 	full := f.View(f.FullMask())
-	cl := f.View(MaskFromBits(0, 1))
-	c := f.View(MaskFromBits(0))
+	cl := f.View(Mask(0b11))
+	c := f.View(Mask(0b1))
 	apex := f.View(0)
 	if !full.Covers(cl) || !cl.Covers(c) || !c.Covers(apex) || !full.Covers(apex) {
 		t.Error("covers chain broken")
@@ -156,7 +156,7 @@ func TestViewCovers(t *testing.T) {
 
 func TestViewQuery(t *testing.T) {
 	f := popFacet(t)
-	v := f.View(MaskFromBits(1)) // lang only
+	v := f.View(Mask(0b10)) // lang only
 	q := v.Query()
 	if err := q.Validate(); err != nil {
 		t.Fatalf("view query invalid: %v", err)

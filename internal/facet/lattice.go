@@ -1,7 +1,6 @@
 package facet
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 )
@@ -30,64 +29,17 @@ func NewLattice(f *Facet) (*Lattice, error) {
 // Size returns the number of views, 2^|X|.
 func (l *Lattice) Size() int { return len(l.views) }
 
-// View returns the view for a mask.
-func (l *Lattice) View(m Mask) (View, error) {
-	if int(m) >= len(l.views) {
-		return View{}, fmt.Errorf("facet: mask %b out of range for %d-dimension lattice", m, len(l.Facet.Dims))
-	}
-	return l.views[m], nil
-}
-
 // Views returns all views ordered by mask.
 func (l *Lattice) Views() []View { return append([]View(nil), l.views...) }
 
 // Top returns the finest view (all dimensions).
 func (l *Lattice) Top() View { return l.views[len(l.views)-1] }
 
-// Apex returns the coarsest view (no dimensions, grand total).
-func (l *Lattice) Apex() View { return l.views[0] }
-
-// Level returns the views with exactly k dimensions, ordered by mask.
-func (l *Lattice) Level(k int) []View {
-	var out []View
-	for _, v := range l.views {
-		if v.Level() == k {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Levels returns the views grouped by level, from apex (level 0) upward.
 func (l *Lattice) Levels() [][]View {
 	out := make([][]View, len(l.Facet.Dims)+1)
 	for _, v := range l.views {
 		out[v.Level()] = append(out[v.Level()], v)
-	}
-	return out
-}
-
-// Children returns the views directly below v: one dimension removed.
-func (l *Lattice) Children(v View) []View {
-	var out []View
-	m := uint32(v.Mask)
-	for m != 0 {
-		bit := m & (-m)
-		out = append(out, l.views[v.Mask&^Mask(bit)])
-		m &^= bit
-	}
-	return out
-}
-
-// Parents returns the views directly above v: one dimension added.
-func (l *Lattice) Parents(v View) []View {
-	var out []View
-	full := uint32(l.Facet.FullMask())
-	missing := full &^ uint32(v.Mask)
-	for missing != 0 {
-		bit := missing & (-missing)
-		out = append(out, l.views[v.Mask|Mask(bit)])
-		missing &^= bit
 	}
 	return out
 }
@@ -108,63 +60,6 @@ func (l *Lattice) Descendants(v View) []View {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Mask < out[j].Mask })
 	return out
-}
-
-// Ancestors returns every view that covers v (supersets of its mask),
-// including v itself, ordered by mask.
-func (l *Lattice) Ancestors(v View) []View {
-	var out []View
-	for _, w := range l.views {
-		if v.Mask.Subset(w.Mask) {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// CoveringViews returns, among the given candidate views, those that can
-// answer queries over target (mask superset), sorted coarsest-first (fewest
-// dimensions) so the first usable candidate tends to be the cheapest.
-func CoveringViews(candidates []View, target Mask) []View {
-	var out []View
-	for _, v := range candidates {
-		if target.Subset(v.Mask) {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := out[i].Level(), out[j].Level()
-		if li != lj {
-			return li < lj
-		}
-		return out[i].Mask < out[j].Mask
-	})
-	return out
-}
-
-// LevelWidth returns the binomial count of views at level k, for report
-// rendering without enumerating.
-func (l *Lattice) LevelWidth(k int) int {
-	d := len(l.Facet.Dims)
-	if k < 0 || k > d {
-		return 0
-	}
-	// C(d, k) with small d, exact in int.
-	num, den := 1, 1
-	for i := 0; i < k; i++ {
-		num *= d - i
-		den *= i + 1
-	}
-	return num / den
-}
-
-// MaskFromBits is a helper for tests: builds a mask from set bit positions.
-func MaskFromBits(positions ...int) Mask {
-	var m Mask
-	for _, p := range positions {
-		m |= 1 << p
-	}
-	return m
 }
 
 // PopCount exposes the level computation for reports.

@@ -27,63 +27,19 @@ func TestLatticeSizeAndLevels(t *testing.T) {
 		if len(levels[k]) != w {
 			t.Errorf("level %d width = %d, want %d", k, len(levels[k]), w)
 		}
-		if l.LevelWidth(k) != w {
-			t.Errorf("LevelWidth(%d) = %d, want %d", k, l.LevelWidth(k), w)
-		}
-		if len(l.Level(k)) != w {
-			t.Errorf("Level(%d) = %d views, want %d", k, len(l.Level(k)), w)
-		}
-	}
-	if l.LevelWidth(-1) != 0 || l.LevelWidth(9) != 0 {
-		t.Error("out-of-range LevelWidth != 0")
 	}
 }
 
 func TestLatticeTopApex(t *testing.T) {
 	l := popLattice(t)
-	if l.Top().Mask != 7 || l.Apex().Mask != 0 {
-		t.Errorf("top=%b apex=%b", l.Top().Mask, l.Apex().Mask)
-	}
-}
-
-func TestLatticeViewRange(t *testing.T) {
-	l := popLattice(t)
-	if _, err := l.View(7); err != nil {
-		t.Errorf("View(7): %v", err)
-	}
-	if _, err := l.View(8); err == nil {
-		t.Error("out-of-range mask accepted")
-	}
-}
-
-func TestChildrenParents(t *testing.T) {
-	l := popLattice(t)
-	v := l.Facet.View(MaskFromBits(0, 1)) // country+lang
-	children := l.Children(v)
-	if len(children) != 2 {
-		t.Fatalf("children = %v", children)
-	}
-	for _, c := range children {
-		if c.Level() != 1 || !v.Covers(c) {
-			t.Errorf("bad child %v", c)
-		}
-	}
-	parents := l.Parents(v)
-	if len(parents) != 1 || parents[0].Mask != 7 {
-		t.Errorf("parents = %v", parents)
-	}
-	// Apex has no children; top has no parents.
-	if len(l.Children(l.Apex())) != 0 {
-		t.Error("apex has children")
-	}
-	if len(l.Parents(l.Top())) != 0 {
-		t.Error("top has parents")
+	if l.Top().Mask != 7 || l.Levels()[0][0].Mask != 0 {
+		t.Errorf("top=%b apex=%b", l.Top().Mask, l.Levels()[0][0].Mask)
 	}
 }
 
 func TestDescendantsAncestors(t *testing.T) {
 	l := popLattice(t)
-	v := l.Facet.View(MaskFromBits(0, 2))
+	v := l.Facet.View(Mask(0b101))
 	desc := l.Descendants(v)
 	if len(desc) != 4 { // {}, {0}, {2}, {0,2}
 		t.Fatalf("descendants = %v", desc)
@@ -93,44 +49,19 @@ func TestDescendantsAncestors(t *testing.T) {
 			t.Errorf("descendant %v not covered", d)
 		}
 	}
-	anc := l.Ancestors(v)
-	if len(anc) != 2 { // {0,2}, {0,1,2}
-		t.Fatalf("ancestors = %v", anc)
-	}
-	for _, a := range anc {
-		if !a.Covers(v) {
-			t.Errorf("ancestor %v does not cover", a)
+	var anc []View // the views v rolls up from
+	for _, w := range l.Views() {
+		if w.Covers(v) {
+			anc = append(anc, w)
 		}
 	}
-}
-
-func TestCoveringViews(t *testing.T) {
-	l := popLattice(t)
-	candidates := []View{
-		l.Facet.View(MaskFromBits(0, 1, 2)),
-		l.Facet.View(MaskFromBits(0, 1)),
-		l.Facet.View(MaskFromBits(1)),
-	}
-	covering := CoveringViews(candidates, MaskFromBits(1))
-	if len(covering) != 3 {
-		t.Fatalf("covering = %v", covering)
-	}
-	// Coarsest first.
-	if covering[0].Level() != 1 || covering[2].Level() != 3 {
-		t.Errorf("covering order = %v", covering)
-	}
-	covering = CoveringViews(candidates, MaskFromBits(0, 2))
-	if len(covering) != 1 || covering[0].Mask != 7 {
-		t.Errorf("covering for {0,2} = %v", covering)
-	}
-	if len(CoveringViews(nil, 0)) != 0 {
-		t.Error("empty candidates should give empty cover")
+	if len(anc) != 2 || anc[0].Mask != 0b101 || anc[1].Mask != 0b111 {
+		t.Fatalf("ancestors = %v", anc)
 	}
 }
 
 // TestLatticeOrderLaws checks the partial-order laws on the full lattice:
-// reflexivity, antisymmetry, transitivity of Covers, and consistency of
-// Children/Parents with Covers.
+// reflexivity, antisymmetry and transitivity of Covers.
 func TestLatticeOrderLaws(t *testing.T) {
 	l := popLattice(t)
 	vs := l.Views()
@@ -146,18 +77,6 @@ func TestLatticeOrderLaws(t *testing.T) {
 				if a.Covers(b) && b.Covers(c) && !a.Covers(c) {
 					t.Errorf("transitivity violated: %v %v %v", a, b, c)
 				}
-			}
-		}
-	}
-	for _, v := range vs {
-		for _, c := range l.Children(v) {
-			if c.Level() != v.Level()-1 || !v.Covers(c) {
-				t.Errorf("child law violated: %v -> %v", v, c)
-			}
-		}
-		for _, p := range l.Parents(v) {
-			if p.Level() != v.Level()+1 || !p.Covers(v) {
-				t.Errorf("parent law violated: %v -> %v", v, p)
 			}
 		}
 	}
@@ -184,15 +103,11 @@ func TestDescendantCountProperty(t *testing.T) {
 		if got := len(l.Descendants(v)); got != want {
 			t.Errorf("view %v: %d descendants, want %d", v, got, want)
 		}
-		wantAnc := 1 << (len(l.Facet.Dims) - v.Level())
-		if got := len(l.Ancestors(v)); got != wantAnc {
-			t.Errorf("view %v: %d ancestors, want %d", v, got, wantAnc)
-		}
 	}
 }
 
 func TestPopCount(t *testing.T) {
-	if PopCount(MaskFromBits(0, 3, 5)) != 3 {
+	if PopCount(Mask(0b101001)) != 3 {
 		t.Error("PopCount wrong")
 	}
 }

@@ -15,12 +15,8 @@ func TestNewMLPValidation(t *testing.T) {
 	if _, err := NewMLP(0, []int{4}, 1); err == nil {
 		t.Error("zero input dim accepted")
 	}
-	m, err := NewMLP(3, []int{8, 4}, 1)
-	if err != nil {
+	if _, err := NewMLP(3, []int{8, 4}, 1); err != nil {
 		t.Fatal(err)
-	}
-	if m.InputDim() != 3 {
-		t.Errorf("InputDim = %d", m.InputDim())
 	}
 }
 
@@ -52,10 +48,10 @@ func TestMLPDeterministicInit(t *testing.T) {
 
 func TestMLPTrainValidation(t *testing.T) {
 	m, _ := NewMLP(2, []int{4}, 1)
-	if _, err := m.Train(nil, DefaultTrainConfig()); err == nil {
+	if _, err := m.Train(nil, TrainConfig{Epochs: 1}); err == nil {
 		t.Error("empty training set accepted")
 	}
-	if _, err := m.Train([]Sample{{X: []float64{1}, Y: 0}}, DefaultTrainConfig()); err == nil {
+	if _, err := m.Train([]Sample{{X: []float64{1}, Y: 0}}, TrainConfig{Epochs: 1}); err == nil {
 		t.Error("mis-sized sample accepted")
 	}
 }
@@ -146,13 +142,18 @@ func TestLogMicrosRoundTrip(t *testing.T) {
 // encFixture builds a small graph + facet for encoder tests.
 func encFixture(t *testing.T) (*facet.Facet, *store.Stats) {
 	t.Helper()
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for i := 0; i < 20; i++ {
 		obs := ex("o" + string(rune('a'+i%5)) + string(rune('0'+i%3)))
-		g.MustAdd(rdf.Triple{S: obs, P: ex("d1"), O: rdf.NewLiteral(string(rune('A' + i%5)))})
-		g.MustAdd(rdf.Triple{S: obs, P: ex("d2"), O: rdf.NewInteger(int64(i % 3))})
-		g.MustAdd(rdf.Triple{S: obs, P: ex("val"), O: rdf.NewInteger(int64(i))})
+		ts = append(ts,
+			rdf.Triple{S: obs, P: ex("d1"), O: rdf.NewLiteral(string(rune('A' + i%5)))},
+			rdf.Triple{S: obs, P: ex("d2"), O: rdf.NewInteger(int64(i % 3))},
+			rdf.Triple{S: obs, P: ex("val"), O: rdf.NewInteger(int64(i))})
+	}
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/>
 SELECT ?a ?b (SUM(?v) AS ?s) WHERE { ?o ex:d1 ?a . ?o ex:d2 ?b . ?o ex:val ?v . } GROUP BY ?a ?b`)

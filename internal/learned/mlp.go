@@ -55,9 +55,6 @@ func NewMLP(inputDim int, hidden []int, seed int64) (*MLP, error) {
 	return m, nil
 }
 
-// InputDim returns the expected feature-vector length.
-func (m *MLP) InputDim() int { return m.sizes[0] }
-
 // forward computes activations for every layer; acts[0] is the input.
 func (m *MLP) forward(x []float64) [][]float64 {
 	acts := make([][]float64, len(m.sizes))
@@ -97,12 +94,6 @@ type TrainConfig struct {
 	LR       float64
 	Momentum float64
 	Seed     int64 // shuffling seed
-}
-
-// DefaultTrainConfig is tuned for the small view-cost datasets SOFOS trains
-// on (tens to hundreds of samples).
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 400, LR: 0.01, Momentum: 0.9, Seed: 1}
 }
 
 // Train runs SGD over the samples and returns the per-epoch mean squared

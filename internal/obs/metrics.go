@@ -47,13 +47,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n; negative deltas are dropped (counters only go up).
-func (c *Counter) Add(n int64) {
-	if c != nil && n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -110,18 +103,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	if h != nil {
 		h.Observe(time.Since(start).Seconds())
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 type series struct {

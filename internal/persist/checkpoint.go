@@ -101,11 +101,6 @@ type Checkpoint struct {
 	dir      string // absolute checkpoint directory
 }
 
-// OpenGraph opens the checkpoint's graph snapshot for reading.
-func (c *Checkpoint) OpenGraph() (io.ReadCloser, error) {
-	return os.Open(filepath.Join(c.dir, graphFile))
-}
-
 // GraphPath returns the path of the checkpoint's graph snapshot file, for
 // loaders that map the snapshot (store.LoadFile) instead of streaming it.
 func (c *Checkpoint) GraphPath() string { return filepath.Join(c.dir, graphFile) }

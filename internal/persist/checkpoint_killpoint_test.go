@@ -18,13 +18,17 @@ import (
 // magic, directories, CRCs, page regions — not a placeholder string.
 func v3SnapshotBytes(t *testing.T, n int) []byte {
 	t.Helper()
-	g := store.NewGraphWithCodec(store.CodecBlock)
+	var ts []rdf.Triple
 	for i := 0; i < n; i++ {
-		g.MustAdd(rdf.Triple{
+		ts = append(ts, rdf.Triple{
 			S: rdf.NewIRI(fmt.Sprintf("http://kp/s%d", i%17)),
 			P: rdf.NewIRI(fmt.Sprintf("http://kp/p%d", i%5)),
 			O: rdf.NewInteger(int64(i)),
 		})
+	}
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := g.SavePaged(&buf, 512); err != nil {

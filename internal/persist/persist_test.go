@@ -347,12 +347,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got.Manifest.GraphVersion != 10 || got.Manifest.Dataset != "lubm" || got.Manifest.Format != manifestFormat {
 		t.Fatalf("manifest = %+v", got.Manifest)
 	}
-	r, err := got.OpenGraph()
+	raw, err := os.ReadFile(got.GraphPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(r)
-	r.Close()
 	if string(raw) != "G1" {
 		t.Fatalf("graph payload = %q", raw)
 	}
@@ -413,12 +411,10 @@ func TestCheckpointCrashMidWrite(t *testing.T) {
 	if cp.Manifest.Sequence != 2 {
 		t.Fatalf("retry checkpoint seq = %d", cp.Manifest.Sequence)
 	}
-	r, err := cp.OpenGraph()
+	raw, err := os.ReadFile(cp.GraphPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(r)
-	r.Close()
 	if string(raw) != "G2" {
 		t.Fatalf("retry reused debris: graph = %q", raw)
 	}

@@ -367,13 +367,6 @@ func (l *Log) TruncateBefore(seq uint64) (int, error) {
 	return removed, nil
 }
 
-// Seq returns the current segment's sequence number.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // LogStats reports an open log's health for /stats.
 type LogStats struct {
 	Policy   string `json:"policy"`

@@ -316,12 +316,3 @@ func (d *Dict) WriteTo(w io.Writer) (int64, error) {
 
 // EncodedTriple is a dictionary-encoded triple.
 type EncodedTriple [3]ID
-
-// S returns the subject ID.
-func (e EncodedTriple) S() ID { return e[0] }
-
-// P returns the predicate ID.
-func (e EncodedTriple) P() ID { return e[1] }
-
-// O returns the object ID.
-func (e EncodedTriple) O() ID { return e[2] }

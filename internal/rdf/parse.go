@@ -45,9 +45,6 @@ func NewParser(r io.Reader) *Parser {
 	}
 }
 
-// Prefixes returns the prefix map accumulated from directives so far.
-func (p *Parser) Prefixes() map[string]string { return p.prefixes }
-
 // ParseAll reads every triple until EOF.
 func (p *Parser) ParseAll() ([]Triple, error) {
 	var out []Triple

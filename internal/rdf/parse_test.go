@@ -339,13 +339,3 @@ func TestNTriplesString(t *testing.T) {
 		t.Errorf("NTriplesString = %q", got)
 	}
 }
-
-func TestParserPrefixesAccessor(t *testing.T) {
-	p := NewParser(strings.NewReader(`@prefix ex: <http://ex.org/> . ex:a ex:b ex:c .`))
-	if _, err := p.ParseAll(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Prefixes()["ex"] != "http://ex.org/" {
-		t.Errorf("prefixes = %v", p.Prefixes())
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -43,14 +42,12 @@ func (k TermKind) String() string {
 
 // Common XSD datatype IRIs used by the engine for typed literals.
 const (
-	XSDString   = "http://www.w3.org/2001/XMLSchema#string"
-	XSDInteger  = "http://www.w3.org/2001/XMLSchema#integer"
-	XSDDecimal  = "http://www.w3.org/2001/XMLSchema#decimal"
-	XSDDouble   = "http://www.w3.org/2001/XMLSchema#double"
-	XSDBoolean  = "http://www.w3.org/2001/XMLSchema#boolean"
-	XSDDateTime = "http://www.w3.org/2001/XMLSchema#dateTime"
-	XSDDate     = "http://www.w3.org/2001/XMLSchema#date"
-	XSDGYear    = "http://www.w3.org/2001/XMLSchema#gYear"
+	XSDString  = "http://www.w3.org/2001/XMLSchema#string"
+	XSDInteger = "http://www.w3.org/2001/XMLSchema#integer"
+	XSDDecimal = "http://www.w3.org/2001/XMLSchema#decimal"
+	XSDDouble  = "http://www.w3.org/2001/XMLSchema#double"
+	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
+	XSDGYear   = "http://www.w3.org/2001/XMLSchema#gYear"
 )
 
 // RDF vocabulary IRIs.
@@ -120,20 +117,6 @@ func NewYear(y int) Term {
 	return Term{Kind: KindLiteral, Value: strconv.Itoa(y), Datatype: XSDGYear}
 }
 
-// NewDateTime returns an xsd:dateTime literal in RFC 3339 format.
-func NewDateTime(t time.Time) Term {
-	return Term{Kind: KindLiteral, Value: t.UTC().Format(time.RFC3339), Datatype: XSDDateTime}
-}
-
-// IsIRI reports whether the term is an IRI.
-func (t Term) IsIRI() bool { return t.Kind == KindIRI }
-
-// IsBlank reports whether the term is a blank node.
-func (t Term) IsBlank() bool { return t.Kind == KindBlank }
-
-// IsLiteral reports whether the term is a literal.
-func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
-
 // IsNumeric reports whether the term is a literal of a numeric XSD type.
 func (t Term) IsNumeric() bool {
 	if t.Kind != KindLiteral {
@@ -160,30 +143,6 @@ func (t Term) EffectiveDatatype() string {
 		return XSDString
 	}
 	return t.Datatype
-}
-
-// Float returns the numeric value of a numeric literal.
-func (t Term) Float() (float64, error) {
-	if !t.IsNumeric() {
-		return 0, fmt.Errorf("rdf: term %s is not numeric", t)
-	}
-	f, err := strconv.ParseFloat(t.Value, 64)
-	if err != nil {
-		return 0, fmt.Errorf("rdf: invalid numeric literal %q: %w", t.Value, err)
-	}
-	return f, nil
-}
-
-// Int returns the integer value of an xsd:integer literal.
-func (t Term) Int() (int64, error) {
-	if t.Kind != KindLiteral || t.Datatype != XSDInteger {
-		return 0, fmt.Errorf("rdf: term %s is not an xsd:integer", t)
-	}
-	v, err := strconv.ParseInt(t.Value, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("rdf: invalid integer literal %q: %w", t.Value, err)
-	}
-	return v, nil
 }
 
 // Equal reports term equality. Literals compare by lexical form, datatype,

@@ -3,7 +3,6 @@ package rdf
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTermConstructors(t *testing.T) {
@@ -60,38 +59,12 @@ func TestIsNumericAndFloat(t *testing.T) {
 		if !lit.IsNumeric() {
 			t.Errorf("literal with %s not numeric", dt)
 		}
-		f, err := lit.Float()
-		if err != nil {
-			t.Fatalf("Float() error: %v", err)
-		}
-		if f != 3.0 {
-			t.Errorf("Float() = %v, want 3.0", f)
-		}
 	}
 	if NewLiteral("3").IsNumeric() {
 		t.Error("plain literal should not be numeric")
 	}
 	if NewIRI("http://x").IsNumeric() {
 		t.Error("IRI should not be numeric")
-	}
-	if _, err := NewLiteral("x").Float(); err == nil {
-		t.Error("Float() on plain literal should fail")
-	}
-	if _, err := NewTypedLiteral("abc", XSDDouble).Float(); err == nil {
-		t.Error("Float() on malformed double should fail")
-	}
-}
-
-func TestInt(t *testing.T) {
-	v, err := NewInteger(77).Int()
-	if err != nil || v != 77 {
-		t.Fatalf("Int() = %d, %v; want 77, nil", v, err)
-	}
-	if _, err := NewDouble(1.5).Int(); err == nil {
-		t.Error("Int() on double should fail")
-	}
-	if _, err := NewTypedLiteral("xyz", XSDInteger).Int(); err == nil {
-		t.Error("Int() on malformed integer should fail")
 	}
 }
 
@@ -173,30 +146,19 @@ func TestUnescapeUnicodeEscapes(t *testing.T) {
 	}
 }
 
-func TestNewDateTime(t *testing.T) {
-	ts := time.Date(2019, 6, 1, 12, 0, 0, 0, time.UTC)
-	term := NewDateTime(ts)
-	if term.Datatype != XSDDateTime {
-		t.Errorf("datatype = %q", term.Datatype)
-	}
-	if term.Value != "2019-06-01T12:00:00Z" {
-		t.Errorf("value = %q", term.Value)
-	}
-}
-
 func TestTripleValidateAndString(t *testing.T) {
-	good := NewTriple(NewIRI("http://s"), NewIRI("http://p"), NewLiteral("o"))
+	good := Triple{NewIRI("http://s"), NewIRI("http://p"), NewLiteral("o")}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid triple rejected: %v", err)
 	}
 	if got := good.String(); got != `<http://s> <http://p> "o" .` {
 		t.Errorf("String() = %q", got)
 	}
-	badSubj := NewTriple(NewLiteral("s"), NewIRI("http://p"), NewLiteral("o"))
+	badSubj := Triple{NewLiteral("s"), NewIRI("http://p"), NewLiteral("o")}
 	if err := badSubj.Validate(); err == nil {
 		t.Error("literal subject accepted")
 	}
-	badPred := NewTriple(NewIRI("http://s"), NewBlank("p"), NewLiteral("o"))
+	badPred := Triple{NewIRI("http://s"), NewBlank("p"), NewLiteral("o")}
 	if err := badPred.Validate(); err == nil {
 		t.Error("blank predicate accepted")
 	}

@@ -12,9 +12,6 @@ type Triple struct {
 	S, P, O Term
 }
 
-// NewTriple constructs a triple.
-func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
-
 // Validate reports whether the triple is well formed per the RDF model.
 func (t Triple) Validate() error {
 	if t.S.Kind == KindLiteral {

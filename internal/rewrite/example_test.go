@@ -17,7 +17,7 @@ import (
 // falling back to the base graph for a query the view cannot serve.
 func ExampleRewriter_Answer() {
 	// A tiny sales graph: each sale has a region, a year, and an amount.
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for i, sale := range []struct {
 		region string
@@ -28,11 +28,15 @@ func ExampleRewriter_Answer() {
 		{"west", 2023, 5}, {"west", 2024, 40},
 	} {
 		s := ex(fmt.Sprintf("sale%d", i))
-		g.MustAdd(rdf.Triple{S: s, P: ex("region"), O: rdf.NewLiteral(sale.region)})
-		g.MustAdd(rdf.Triple{S: s, P: ex("year"), O: rdf.NewYear(sale.year)})
-		g.MustAdd(rdf.Triple{S: s, P: ex("amount"), O: rdf.NewInteger(sale.amount)})
+		ts = append(ts, rdf.Triple{S: s, P: ex("region"), O: rdf.NewLiteral(sale.region)})
+		ts = append(ts, rdf.Triple{S: s, P: ex("year"), O: rdf.NewYear(sale.year)})
+		ts = append(ts, rdf.Triple{S: s, P: ex("amount"), O: rdf.NewInteger(sale.amount)})
 	}
 
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		panic(err)
+	}
 	// The facet: SUM(?amount) by (?region, ?year).
 	template := sparql.MustParse(`PREFIX ex: <http://ex.org/>
 SELECT ?region ?year (SUM(?amount) AS ?total) WHERE {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"sofos/internal/engine"
@@ -19,7 +21,7 @@ import (
 func fixture(t testing.TB, agg string) (*store.Graph, *facet.Facet, *views.Catalog) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for ci := 0; ci < 5; ci++ {
 		for li := 0; li < 3; li++ {
@@ -28,12 +30,16 @@ func fixture(t testing.TB, agg string) (*store.Graph, *facet.Facet, *views.Catal
 			}
 			for yi := 0; yi < 3; yi++ {
 				obs := ex(fmt.Sprintf("obs%d_%d_%d", ci, li, yi))
-				g.MustAdd(rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2015 + yi)})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(500) + 1))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2015 + yi)})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(500) + 1))})
 			}
 		}
+	}
+	g := store.NewGraph()
+	if _, err := g.Apply(ts, nil); err != nil {
+		t.Fatal(err)
 	}
 	q := sparql.MustParse(fmt.Sprintf(`PREFIX ex: <http://ex.org/>
 SELECT ?country ?lang ?year (%s(?pop) AS ?a) WHERE {
@@ -137,8 +143,8 @@ func TestViewAnswersEqualBaseAnswers(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !sameRows(table.Result.Sorted(), base.Sorted(), agg == "AVG") {
-								t.Errorf("%s:\nview: %v\nbase: %v", label, table.Result.Sorted(), base.Sorted())
+							if !sameRows(sortedRows(table.Result), sortedRows(base), agg == "AVG") {
+								t.Errorf("%s:\nview: %v\nbase: %v", label, sortedRows(table.Result), sortedRows(base))
 							}
 						}
 					}
@@ -187,7 +193,7 @@ func answerBothWays(t *testing.T, r *Rewriter, q *sparql.Query, label string) *A
 		if got, want := rowStrings(table.Result), rowStrings(star.Result); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: ordered rows differ\ntable:     %v\nstar join: %v", label, got, want)
 		}
-	} else if got, want := table.Result.Sorted(), star.Result.Sorted(); !reflect.DeepEqual(got, want) {
+	} else if got, want := sortedRows(table.Result), sortedRows(star.Result); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s:\ntable:     %v\nstar join: %v", label, got, want)
 	}
 	return table
@@ -284,8 +290,8 @@ func TestAnswerWithFilters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ans.Result.Sorted(), base.Sorted()) {
-			t.Errorf("dims %v filter %q:\nview: %v\nbase: %v", tc.dims, tc.filter, ans.Result.Sorted(), base.Sorted())
+		if !reflect.DeepEqual(sortedRows(ans.Result), sortedRows(base)) {
+			t.Errorf("dims %v filter %q:\nview: %v\nbase: %v", tc.dims, tc.filter, sortedRows(ans.Result), sortedRows(base))
 		}
 	}
 }
@@ -293,7 +299,7 @@ func TestAnswerWithFilters(t *testing.T) {
 func TestFilterDimNotInViewFallsBack(t *testing.T) {
 	_, f, c := fixture(t, "SUM")
 	// Only country+lang materialized; filter on year requires year dim.
-	if _, err := c.Materialize(f.View(facet.MaskFromBits(0, 1))); err != nil {
+	if _, err := c.Materialize(f.View(facet.Mask(0b11))); err != nil {
 		t.Fatal(err)
 	}
 	r := New(c)
@@ -321,7 +327,7 @@ func TestChooseViewPrefersSmallest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := c.Materialize(f.View(facet.MaskFromBits(1)))
+	small, err := c.Materialize(f.View(facet.Mask(0b10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,18 +336,18 @@ func TestChooseViewPrefersSmallest(t *testing.T) {
 			small.Data.NumGroups(), full.Data.NumGroups())
 	}
 	r := New(c)
-	got, ok := r.chooseView(facet.MaskFromBits(1), obs.SpanHandle{})
-	if !ok || got.View().Mask != facet.MaskFromBits(1) {
+	got, ok := r.chooseView(facet.Mask(0b10), obs.SpanHandle{})
+	if !ok || got.View().Mask != facet.Mask(0b10) {
 		t.Errorf("ChooseView = %v, want the lang view", got.View())
 	}
 	// A query needing country can only use the full view.
-	got, ok = r.chooseView(facet.MaskFromBits(0), obs.SpanHandle{})
+	got, ok = r.chooseView(facet.Mask(0b1), obs.SpanHandle{})
 	if !ok || got.View().Mask != f.FullMask() {
 		t.Errorf("ChooseView(country) = %v", got.View())
 	}
 	// Nothing covers an impossible requirement when catalog lacks it.
 	c.Drop(f.View(f.FullMask()))
-	if _, ok := r.chooseView(facet.MaskFromBits(0), obs.SpanHandle{}); ok {
+	if _, ok := r.chooseView(facet.Mask(0b1), obs.SpanHandle{}); ok {
 		t.Error("ChooseView found a view it should not")
 	}
 }
@@ -372,8 +378,8 @@ SELECT ?country (SUM(?pop) AS ?a) WHERE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ans.Result.Sorted(), base.Sorted()) {
-		t.Errorf("VALUES rewrite diverges:\nview: %v\nbase: %v", ans.Result.Sorted(), base.Sorted())
+	if !reflect.DeepEqual(sortedRows(ans.Result), sortedRows(base)) {
+		t.Errorf("VALUES rewrite diverges:\nview: %v\nbase: %v", sortedRows(ans.Result), sortedRows(base))
 	}
 	// The rewritten query must carry the VALUES clause.
 	if !contains(ans.Rewritten.String(), "VALUES ?lang") {
@@ -381,7 +387,7 @@ SELECT ?country (SUM(?pop) AS ?a) WHERE {
 	}
 	// A view lacking the VALUES dimension cannot answer.
 	c.Reset()
-	if _, err := c.Materialize(f.View(facet.MaskFromBits(0))); err != nil { // country only
+	if _, err := c.Materialize(f.View(facet.Mask(0b1))); err != nil { // country only
 		t.Fatal(err)
 	}
 	ans, err = r.Answer(q)
@@ -516,7 +522,7 @@ func TestAnswerUsesFewerScansThanBase(t *testing.T) {
 	// The point of materialization: answering from a small view touches far
 	// fewer intermediate bindings than the base computation.
 	_, f, c := fixture(t, "SUM")
-	if _, err := c.Materialize(f.View(facet.MaskFromBits(1))); err != nil {
+	if _, err := c.Materialize(f.View(facet.Mask(0b10))); err != nil {
 		t.Fatal(err)
 	}
 	r := New(c)
@@ -536,4 +542,19 @@ func TestAnswerUsesFewerScansThanBase(t *testing.T) {
 		t.Errorf("view scan rows %d >= base %d",
 			ans.Result.Stats.IntermediateRows, base.Stats.IntermediateRows)
 	}
+}
+
+// sortedRows renders the rows and sorts them: a canonical form for
+// comparing results.
+func sortedRows(r *engine.Result) []string {
+	out := make([]string, 0, len(r.Rows))
+	for _, row := range r.Rows {
+		parts := make([]string, len(row))
+		for i, v := range row {
+			parts[i] = v.String()
+		}
+		out = append(out, strings.Join(parts, "\t"))
+	}
+	sort.Strings(out)
+	return out
 }

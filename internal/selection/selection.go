@@ -35,16 +35,6 @@ func (s *Selection) Masks() []facet.Mask {
 	return out
 }
 
-// Contains reports whether the selection includes the mask.
-func (s *Selection) Contains(m facet.Mask) bool {
-	for _, v := range s.Views {
-		if v.Mask == m {
-			return true
-		}
-	}
-	return false
-}
-
 // TotalCost computes the selection objective for an arbitrary view set:
 // Σ over every view W in the lattice of the cost of W's cheapest source —
 // the raw graph (BaseCost) or any selected view covering W.
@@ -263,40 +253,4 @@ func Manual(l *facet.Lattice, m cost.Model, chosen []facet.View) *Selection {
 		Views:     views,
 		TotalCost: TotalCost(l, m, views),
 	}
-}
-
-// PickBySize is the PBS heuristic of Harinarayan et al.: select the k
-// cheapest views outright, skipping the benefit computation. PBS matches
-// greedy on "size-uniform" lattices but can strand coverage — including it
-// makes the greedy-vs-heuristic trade-off measurable.
-func PickBySize(l *facet.Lattice, m cost.Model, k int) (*Selection, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("selection: negative budget %d", k)
-	}
-	if k > l.Size() {
-		k = l.Size()
-	}
-	views := l.Views()
-	sort.SliceStable(views, func(i, j int) bool {
-		ci, cj := m.Cost(views[i]), m.Cost(views[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return views[i].Mask < views[j].Mask
-	})
-	var picked []facet.View
-	for _, v := range views {
-		if len(picked) == k {
-			break
-		}
-		if math.IsInf(m.Cost(v), 1) {
-			continue
-		}
-		picked = append(picked, v)
-	}
-	return &Selection{
-		Model:     m.Name() + "+pbs",
-		Views:     picked,
-		TotalCost: TotalCost(l, m, picked),
-	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sofos/internal/cost"
@@ -17,7 +18,7 @@ import (
 func fixture(t testing.TB) (*store.Graph, *facet.Lattice, *cost.Provider) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for ci := 0; ci < 8; ci++ {
 		for li := 0; li < 5; li++ {
@@ -26,12 +27,16 @@ func fixture(t testing.TB) (*store.Graph, *facet.Lattice, *cost.Provider) {
 					continue
 				}
 				obs := ex(fmt.Sprintf("o%d_%d_%d", ci, li, yi))
-				g.MustAdd(rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2017 + yi)})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(900) + 100))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2017 + yi)})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(900) + 100))})
 			}
 		}
+	}
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/>
 SELECT ?country ?lang ?year (SUM(?pop) AS ?a) WHERE {
@@ -83,10 +88,7 @@ func TestGreedyBasics(t *testing.T) {
 		}
 	}
 	// Selection helpers.
-	if !sel.Contains(sel.Views[0].Mask) || sel.Contains(facet.Mask(0xFFF)) {
-		t.Error("Contains wrong")
-	}
-	if len(sel.Masks()) != 3 {
+	if len(sel.Masks()) != 3 || sel.Masks()[0] != sel.Views[0].Mask {
 		t.Error("Masks wrong")
 	}
 }
@@ -141,11 +143,21 @@ func TestGreedyBudgetAboveLatticeSize(t *testing.T) {
 	}
 }
 
+// userModel is the user acting as the cost function: the chosen views cost
+// nothing and every other view is unreachable.
+func userModel(chosen ...facet.View) *cost.UserModel {
+	m := &cost.UserModel{Costs: map[facet.Mask]float64{}, BaseC: 1}
+	for _, v := range chosen {
+		m.Costs[v.Mask] = 0
+	}
+	return m
+}
+
 func TestGreedyStopsWhenNoBenefit(t *testing.T) {
 	_, l, _ := fixture(t)
 	// A user model with only one finite-cost view: after picking it no
 	// candidate has positive benefit.
-	um := cost.NewUserSelection("one", []facet.View{l.Top()})
+	um := userModel(l.Top())
 	sel, err := Greedy(l, um, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +180,10 @@ func TestGreedyDeterministic(t *testing.T) {
 func TestGreedyUserSelectionPicksExactlyChosen(t *testing.T) {
 	_, l, _ := fixture(t)
 	chosen := []facet.View{
-		l.Facet.View(facet.MaskFromBits(0)),
-		l.Facet.View(facet.MaskFromBits(1, 2)),
+		l.Facet.View(facet.Mask(0b1)),
+		l.Facet.View(facet.Mask(0b110)),
 	}
-	sel, err := Greedy(l, cost.NewUserSelection("user", chosen), 2)
+	sel, err := Greedy(l, userModel(chosen...), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +191,7 @@ func TestGreedyUserSelectionPicksExactlyChosen(t *testing.T) {
 		t.Fatalf("views = %v", sel.Views)
 	}
 	for _, v := range chosen {
-		if !sel.Contains(v.Mask) {
+		if !slices.Contains(sel.Masks(), v.Mask) {
 			t.Errorf("chosen view %v not selected", v)
 		}
 	}
@@ -204,7 +216,7 @@ func TestTotalCostMonotoneInSelection(t *testing.T) {
 	_, l, p := fixture(t)
 	m := &cost.AggValuesModel{Provider: p}
 	s1 := []facet.View{l.Top()}
-	s2 := []facet.View{l.Top(), l.Facet.View(facet.MaskFromBits(0))}
+	s2 := []facet.View{l.Top(), l.Facet.View(facet.Mask(0b1))}
 	if TotalCost(l, m, s2) > TotalCost(l, m, s1)+1e-9 {
 		t.Error("adding a view increased total cost")
 	}
@@ -336,53 +348,6 @@ func TestManual(t *testing.T) {
 	}
 	if sel.TotalCost != TotalCost(l, m, chosen) {
 		t.Error("manual total cost wrong")
-	}
-}
-
-func TestPickBySize(t *testing.T) {
-	_, l, p := fixture(t)
-	m := &cost.AggValuesModel{Provider: p}
-	sel, err := PickBySize(l, m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Views) != 3 {
-		t.Fatalf("picked %d views", len(sel.Views))
-	}
-	// The apex (1 group) is always the cheapest under aggvalues.
-	if sel.Views[0].Mask != 0 {
-		t.Errorf("first pick = %v, want apex", sel.Views[0])
-	}
-	// Picks are the k globally cheapest.
-	for _, v := range l.Views() {
-		if sel.Contains(v.Mask) {
-			continue
-		}
-		for _, picked := range sel.Views {
-			if m.Cost(v) < m.Cost(picked) {
-				t.Errorf("unpicked %v cheaper than picked %v", v, picked)
-			}
-		}
-	}
-	// PBS is never better than greedy under the same model's objective.
-	greedy, err := Greedy(l, m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.TotalCost < greedy.TotalCost-1e-9 {
-		t.Errorf("PBS beat greedy: %f < %f", sel.TotalCost, greedy.TotalCost)
-	}
-	// Infinite-cost views are skipped.
-	um := cost.NewUserSelection("one", []facet.View{l.Top()})
-	one, err := PickBySize(l, um, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one.Views) != 1 {
-		t.Errorf("PBS with one finite view picked %v", one.Views)
-	}
-	if _, err := PickBySize(l, m, -1); err == nil {
-		t.Error("negative budget accepted")
 	}
 }
 

@@ -43,18 +43,22 @@ const countryQuery = prefix + `SELECT ?country (SUM(?pop) AS ?a) WHERE {
 func newSystem(t testing.TB) *core.System {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for ci := 0; ci < 4; ci++ {
 		for li := 0; li < 3; li++ {
 			for yi := 0; yi < 2; yi++ {
 				obs := ex(fmt.Sprintf("obs%d_%d_%d", ci, li, yi))
-				g.MustAdd(rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2015 + yi)})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(500) + 1))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2015 + yi)})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(500) + 1))})
 			}
 		}
+	}
+	g := store.NewGraph()
+	if _, err := g.Apply(ts, nil); err != nil {
+		t.Fatal(err)
 	}
 	q := sparql.MustParse(prefix + `SELECT ?country ?lang ?year (SUM(?pop) AS ?a) WHERE {
   ?o ex:country ?country .

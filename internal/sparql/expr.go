@@ -148,20 +148,3 @@ func ExprVars(e Expr) []string {
 func Eq(varName string, t rdf.Term) Expr {
 	return &BinaryExpr{Op: OpEq, Left: &VarExpr{Name: varName}, Right: &TermExpr{Term: t}}
 }
-
-// And conjoins expressions; nil inputs are skipped and a single input is
-// returned unchanged.
-func And(es ...Expr) Expr {
-	var acc Expr
-	for _, e := range es {
-		if e == nil {
-			continue
-		}
-		if acc == nil {
-			acc = e
-			continue
-		}
-		acc = &BinaryExpr{Op: OpAnd, Left: acc, Right: e}
-	}
-	return acc
-}

@@ -340,19 +340,4 @@ func TestExprHelpers(t *testing.T) {
 	if e.String() != `(?x = "5"^^<http://www.w3.org/2001/XMLSchema#integer>)` {
 		t.Errorf("Eq String = %q", e.String())
 	}
-	if And() != nil {
-		t.Error("And() should be nil")
-	}
-	single := And(e)
-	if single != e {
-		t.Error("And(e) should be e")
-	}
-	both := And(e, Eq("y", rdf.NewInteger(6)))
-	be, ok := both.(*BinaryExpr)
-	if !ok || be.Op != OpAnd {
-		t.Errorf("And(a,b) = %v", both)
-	}
-	if got := And(nil, e, nil); got != e {
-		t.Error("And should skip nils")
-	}
 }

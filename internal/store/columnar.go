@@ -353,15 +353,6 @@ func (it *Iterator) NextSpan() (s, p, o []rdf.ID) {
 // Next call that returned true.
 func (it *Iterator) Triple() (s, p, o rdf.ID) { return it.s, it.p, it.o }
 
-// S returns the current subject ID.
-func (it *Iterator) S() rdf.ID { return it.s }
-
-// P returns the current predicate ID.
-func (it *Iterator) P() rdf.ID { return it.p }
-
-// O returns the current object ID.
-func (it *Iterator) O() rdf.ID { return it.o }
-
 // Remaining returns the exact number of triples Next has yet to yield.
 // Tombstones are discounted lazily — only those falling inside the remaining
 // base range [lo, hi) cancel anything — so partitioned iterators whose

@@ -53,8 +53,8 @@ func (g *Graph) Apply(inserts, deletes []rdf.Triple) (Delta, error) {
 				insIdx[k] = len(d.Inserted)
 			}
 			d.Inserted = append(d.Inserted, t)
-			// The compaction policy applies insert by insert, as it does for
-			// single Adds; deletes wait for the end of the batch.
+			// The compaction policy applies insert by insert; deletes wait
+			// for the end of the batch.
 			b.maybeCompact()
 		}
 	}

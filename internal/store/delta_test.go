@@ -89,9 +89,9 @@ func TestOverlayWith(t *testing.T) {
 	}
 	// Delete triple 2 so the overlay must resurrect a tombstoned run entry,
 	// and triple 3 post-compaction so it is a genuine overlay re-add.
-	g.Remove(deltaTriple(2))
+	removeOne(g, deltaTriple(2))
 	g.Compact()
-	g.Remove(deltaTriple(3))
+	removeOne(g, deltaTriple(3))
 
 	o := g.OverlayWith([]rdf.Triple{deltaTriple(2), deltaTriple(3), deltaTriple(1)})
 	if o.Len() != 3 {

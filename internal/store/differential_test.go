@@ -119,7 +119,8 @@ func runGraphProperty(t *testing.T, seed int64, steps int) string {
 			it := &parts[i]
 			if !spans {
 				for it.Next() {
-					out = append(out, rdf.EncodedTriple{it.S(), it.P(), it.O()})
+					s, p, o := it.Triple()
+					out = append(out, rdf.EncodedTriple{s, p, o})
 				}
 				continue
 			}
@@ -161,9 +162,9 @@ func runGraphProperty(t *testing.T, seed int64, steps int) string {
 		for id := range ref.countO {
 			nodes[id] = struct{}{}
 		}
-		if g.DistinctNodes() != len(nodes) || g.DistinctPredicates() != len(ref.countP) {
+		if g.DistinctNodes() != len(nodes) || g.Snapshot().DistinctPredicates != len(ref.countP) {
 			t.Fatalf("step %d %s: distinct nodes/predicates %d/%d, reference %d/%d", step, what,
-				g.DistinctNodes(), g.DistinctPredicates(), len(nodes), len(ref.countP))
+				g.DistinctNodes(), g.Snapshot().DistinctPredicates, len(nodes), len(ref.countP))
 		}
 		for shape := 0; shape < 8; shape++ {
 			s, p, o := randPattern(g, shape)
@@ -235,14 +236,13 @@ func runGraphProperty(t *testing.T, seed int64, steps int) string {
 		switch r := rng.Intn(100); {
 		case r < 20:
 			x := fresh(1)[0]
-			added, err := h.g.Add(x)
-			if err != nil || added != refAdd(h, x) {
-				t.Fatalf("step %d: Add(%v) = %v, %v; reference disagrees", step, x, added, err)
+			if added := addOne(h.g, x); added != refAdd(h, x) {
+				t.Fatalf("step %d: insert of %v = %v; reference disagrees", step, x, added)
 			}
 		case r < 35:
 			x := seen(1)[0]
-			if removed := h.g.Remove(x); removed != refRemove(h, x) {
-				t.Fatalf("step %d: Remove(%v) = %v, reference disagrees", step, x, removed)
+			if removed := removeOne(h.g, x); removed != refRemove(h, x) {
+				t.Fatalf("step %d: delete of %v = %v; reference disagrees", step, x, removed)
 			}
 		case r < 62:
 			ins, del := fresh(rng.Intn(300)), seen(rng.Intn(120))
@@ -432,7 +432,7 @@ func TestDifferentialBulkLoad(t *testing.T) {
 	}
 	added1 := 0
 	for _, tr := range batch {
-		if g1.addEncoded(tr.S(), tr.P(), tr.O()) {
+		if g1.addEncoded(tr[0], tr[1], tr[2]) {
 			added1++
 		}
 	}

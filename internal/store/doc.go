@@ -30,11 +30,11 @@
 // internal/server possible, and why a read beside a writer costs what a
 // read on compacted runs costs.
 //
-// Beyond point mutations (Add/Remove), the store offers bulk paths
-// (LoadTriples, BuildFrom) that sort-merge a batch into the runs once; Fork,
-// the MVCC successor, which shares runs, overlay and base component counts
-// by reference and copies only the count adjustments since the last
-// compaction; exact pattern-cardinality Estimate for the
+// Writes go through Apply (below) or the bulk paths (LoadTriples,
+// BuildFrom) that sort-merge a batch into the runs once. The store also
+// offers Fork, the MVCC successor, which shares runs, overlay and base
+// component counts by reference and copies only the count adjustments since
+// the last compaction; exact pattern-cardinality Estimate for the
 // planner, per-predicate statistics (Stats), one binary snapshot format —
 // the paged v3 layout, read onto the heap from a stream (Load) or opened from
 // a file (LoadFile, which maps it on unix), with every payload CRC checked at

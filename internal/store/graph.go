@@ -9,7 +9,7 @@ import (
 // compactMinDelta is the delta-overlay size below which compaction is never
 // triggered automatically; above it, the overlay is merged once it reaches
 // compactFraction of the base runs. Growing the threshold with the base
-// keeps interleaved Add/Remove workloads amortized near-linear, while
+// keeps interleaved insert/delete workloads amortized near-linear, while
 // compactMaxDelta caps the overlay absolutely: a scan finds its overlay
 // entries by binary search, but every write re-merges the whole sorted overlay
 // (copy-on-write) and every fork copies the counts it touched, so on very
@@ -75,7 +75,7 @@ type Graph struct {
 
 // Version returns a counter that increases on every successful mutation.
 // Equal versions imply identical contents for a graph only mutated through
-// Add/Remove (the counter never repeats within one graph's lifetime).
+// Apply (the counter never repeats within one graph's lifetime).
 func (g *Graph) Version() int64 { return g.version }
 
 // SetVersion forces the mutation counter — the restore hook the persistence
@@ -110,28 +110,6 @@ func (g *Graph) Dict() *rdf.Dict { return g.dict }
 // Len returns the number of triples |G|.
 func (g *Graph) Len() int { return g.n }
 
-// Add inserts a triple, interning its terms. It reports whether the triple
-// was new and returns an error for RDF-invalid triples.
-func (g *Graph) Add(t rdf.Triple) (bool, error) {
-	if err := t.Validate(); err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	b := batch{g: g}
-	added := b.add(rdf.EncodedTriple{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)})
-	b.commit()
-	return added, nil
-}
-
-// MustAdd is Add for construction code paths where the triple is known valid
-// by construction; it panics on invalid triples.
-func (g *Graph) MustAdd(t rdf.Triple) bool {
-	ok, err := g.Add(t)
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
-
 // inRuns reports whether the SPO-ordered key is in the base runs (ignoring
 // tombstones).
 func (g *Graph) inRuns(k rdf.EncodedTriple) bool {
@@ -152,18 +130,6 @@ func (g *Graph) lookup(t rdf.Triple) (rdf.EncodedTriple, bool) {
 	}
 	o, ok := g.dict.Lookup(t.O)
 	return rdf.EncodedTriple{s, p, o}, ok
-}
-
-// Remove deletes a triple if present and reports whether it was.
-func (g *Graph) Remove(t rdf.Triple) bool {
-	k, ok := g.lookup(t)
-	if !ok {
-		return false
-	}
-	b := batch{g: g}
-	removed := b.remove(k)
-	b.commit()
-	return removed
 }
 
 // Compact merges any pending delta overlay into the sorted runs. A scan whose
@@ -349,9 +315,6 @@ func (g *Graph) DistinctNodes() int {
 	})
 	return n
 }
-
-// DistinctPredicates returns the number of distinct predicates in use.
-func (g *Graph) DistinctPredicates() int { return g.counts[1].distinct }
 
 // LoadTriples adds every triple in ts in one batch, sort-merged into the
 // runs, returning the number actually new. On an invalid triple it loads the

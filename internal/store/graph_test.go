@@ -18,21 +18,36 @@ func tr(s, p, o string) rdf.Triple {
 	return rdf.Triple{S: iri(s), P: iri(p), O: iri(o)}
 }
 
+// addOne inserts x as a one-triple Apply, the write path updates take,
+// reporting whether it was new. It panics on an invalid triple.
+func addOne(g *Graph, x rdf.Triple) bool {
+	d, err := g.Apply([]rdf.Triple{x}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return len(d.Inserted) == 1
+}
+
+// removeOne deletes x as a one-triple Apply, reporting whether it was
+// present.
+func removeOne(g *Graph, x rdf.Triple) bool {
+	d, _ := g.Apply(nil, []rdf.Triple{x}) // Apply validates inserts only
+	return len(d.Deleted) == 1
+}
+
 func TestGraphAddContainsLen(t *testing.T) {
 	g := NewGraph()
 	if g.Len() != 0 {
 		t.Fatalf("empty Len = %d", g.Len())
 	}
-	added, err := g.Add(tr("s", "p", "o"))
-	if err != nil || !added {
-		t.Fatalf("Add = %v, %v", added, err)
+	if !addOne(g, tr("s", "p", "o")) {
+		t.Fatal("insert of a new triple reported not new")
 	}
 	if !g.Contains(tr("s", "p", "o")) {
-		t.Error("Contains after Add = false")
+		t.Error("Contains after insert = false")
 	}
-	added, err = g.Add(tr("s", "p", "o"))
-	if err != nil || added {
-		t.Errorf("duplicate Add = %v, %v; want false, nil", added, err)
+	if addOne(g, tr("s", "p", "o")) {
+		t.Error("duplicate insert reported new")
 	}
 	if g.Len() != 1 {
 		t.Errorf("Len = %d, want 1", g.Len())
@@ -44,37 +59,34 @@ func TestGraphAddContainsLen(t *testing.T) {
 
 func TestGraphAddInvalid(t *testing.T) {
 	g := NewGraph()
-	_, err := g.Add(rdf.Triple{S: rdf.NewLiteral("s"), P: iri("p"), O: iri("o")})
+	_, err := g.Apply([]rdf.Triple{{S: rdf.NewLiteral("s"), P: iri("p"), O: iri("o")}}, nil)
 	if err == nil {
 		t.Error("literal subject accepted")
 	}
-	_, err = g.Add(rdf.Triple{S: iri("s"), P: rdf.NewBlank("p"), O: iri("o")})
+	_, err = g.Apply([]rdf.Triple{tr("s", "p", "o"), {S: iri("s"), P: rdf.NewBlank("p"), O: iri("o")}}, nil)
 	if err == nil {
 		t.Error("blank predicate accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAdd did not panic on invalid triple")
-		}
-	}()
-	g.MustAdd(rdf.Triple{S: rdf.NewLiteral("s"), P: iri("p"), O: iri("o")})
+	if g.Len() != 0 || g.Version() != 0 {
+		t.Errorf("a rejected batch changed the graph: Len %d, Version %d", g.Len(), g.Version())
+	}
 }
 
 func TestGraphRemove(t *testing.T) {
 	g := NewGraph()
-	g.MustAdd(tr("s", "p", "o"))
-	g.MustAdd(tr("s", "p", "o2"))
-	if !g.Remove(tr("s", "p", "o")) {
-		t.Fatal("Remove of present triple = false")
+	addOne(g, tr("s", "p", "o"))
+	addOne(g, tr("s", "p", "o2"))
+	if !removeOne(g, tr("s", "p", "o")) {
+		t.Fatal("delete of present triple reported absent")
 	}
-	if g.Remove(tr("s", "p", "o")) {
-		t.Error("second Remove = true")
+	if removeOne(g, tr("s", "p", "o")) {
+		t.Error("second delete reported present")
 	}
-	if g.Remove(tr("never", "seen", "terms")) {
-		t.Error("Remove of unknown terms = true")
+	if removeOne(g, tr("never", "seen", "terms")) {
+		t.Error("delete of unknown terms reported present")
 	}
 	if g.Len() != 1 || g.Contains(tr("s", "p", "o")) || !g.Contains(tr("s", "p", "o2")) {
-		t.Error("graph state wrong after Remove")
+		t.Error("graph state wrong after delete")
 	}
 }
 
@@ -110,7 +122,7 @@ func TestGraphMatchAllShapes(t *testing.T) {
 		tr("s2", "p1", "o1"), tr("s2", "p2", "o3"),
 	}
 	for _, x := range triples {
-		g.MustAdd(x)
+		addOne(g, x)
 	}
 	var none rdf.Term
 	cases := []struct {
@@ -147,7 +159,7 @@ func TestGraphMatchAllShapes(t *testing.T) {
 func TestGraphMatchEarlyStop(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 10; i++ {
-		g.MustAdd(tr("s", "p", fmt.Sprintf("o%d", i)))
+		addOne(g, tr("s", "p", fmt.Sprintf("o%d", i)))
 	}
 	n := 0
 	g.Match(rdf.NoID, rdf.NoID, rdf.NoID, func(_, _, _ rdf.ID) bool {
@@ -161,10 +173,10 @@ func TestGraphMatchEarlyStop(t *testing.T) {
 
 func TestGraphEstimate(t *testing.T) {
 	g := NewGraph()
-	g.MustAdd(tr("s1", "p1", "o1"))
-	g.MustAdd(tr("s1", "p1", "o2"))
-	g.MustAdd(tr("s2", "p1", "o1"))
-	g.MustAdd(tr("s2", "p2", "o1"))
+	addOne(g, tr("s1", "p1", "o1"))
+	addOne(g, tr("s1", "p1", "o2"))
+	addOne(g, tr("s2", "p1", "o1"))
+	addOne(g, tr("s2", "p2", "o1"))
 	d := g.Dict()
 	id := func(s string) rdf.ID {
 		v, ok := d.Lookup(iri(s))
@@ -228,7 +240,7 @@ func randomGraph(rng *rand.Rand, n int) *Graph {
 		s := fmt.Sprintf("s%d", rng.Intn(20))
 		p := fmt.Sprintf("p%d", rng.Intn(6))
 		o := fmt.Sprintf("o%d", rng.Intn(30))
-		g.MustAdd(tr(s, p, o))
+		addOne(g, tr(s, p, o))
 	}
 	return g
 }
@@ -246,11 +258,11 @@ func TestGraphFork(t *testing.T) {
 	}
 	// A fork is independent in both directions, though the MVCC chain only
 	// ever writes the fork.
-	c.MustAdd(tr("new", "p", "o"))
+	addOne(c, tr("new", "p", "o"))
 	if g.Contains(tr("new", "p", "o")) {
 		t.Error("fork write leaked into original")
 	}
-	g.MustAdd(tr("orig", "p", "o"))
+	addOne(g, tr("orig", "p", "o"))
 	if c.Contains(tr("orig", "p", "o")) {
 		t.Error("original write leaked into fork")
 	}
@@ -258,8 +270,8 @@ func TestGraphFork(t *testing.T) {
 
 func TestGraphTriplesAndSorted(t *testing.T) {
 	g := NewGraph()
-	g.MustAdd(tr("b", "p", "o"))
-	g.MustAdd(tr("a", "p", "o"))
+	addOne(g, tr("b", "p", "o"))
+	addOne(g, tr("a", "p", "o"))
 	ts := g.SortedTriples()
 	if len(ts) != 2 || ts[0].S.Value != "http://ex.org/a" {
 		t.Errorf("SortedTriples = %v", ts)
@@ -268,18 +280,18 @@ func TestGraphTriplesAndSorted(t *testing.T) {
 
 func TestDistinctNodesAndPredicates(t *testing.T) {
 	g := NewGraph()
-	g.MustAdd(tr("s1", "p1", "o1"))
-	g.MustAdd(tr("s1", "p2", "o2"))
-	g.MustAdd(rdf.Triple{S: iri("s1"), P: iri("p1"), O: rdf.NewInteger(5)})
+	addOne(g, tr("s1", "p1", "o1"))
+	addOne(g, tr("s1", "p2", "o2"))
+	addOne(g, rdf.Triple{S: iri("s1"), P: iri("p1"), O: rdf.NewInteger(5)})
 	// Nodes: s1, o1, o2, "5" -> 4. Predicates p1, p2 are NOT nodes here.
 	if got := g.DistinctNodes(); got != 4 {
 		t.Errorf("DistinctNodes = %d, want 4", got)
 	}
-	if got := g.DistinctPredicates(); got != 2 {
+	if got := g.Snapshot().DistinctPredicates; got != 2 {
 		t.Errorf("DistinctPredicates = %d, want 2", got)
 	}
 	// A predicate also used as subject/object counts as a node.
-	g.MustAdd(rdf.Triple{S: iri("p1"), P: iri("p2"), O: rdf.NewLiteral("meta")})
+	addOne(g, rdf.Triple{S: iri("p1"), P: iri("p2"), O: rdf.NewLiteral("meta")})
 	if got := g.DistinctNodes(); got != 6 {
 		t.Errorf("DistinctNodes after meta-triple = %d, want 6", got)
 	}
@@ -314,16 +326,12 @@ func TestAddRemoveInvariantProperty(t *testing.T) {
 		for _, o := range ops {
 			x := tr(fmt.Sprintf("s%d", o.S%8), fmt.Sprintf("p%d", o.P%4), fmt.Sprintf("o%d", o.O%8))
 			if o.Add {
-				added, err := g.Add(x)
-				if err != nil {
-					return false
-				}
-				if added == ref[x] {
+				if addOne(g, x) == ref[x] {
 					return false // added must be true iff not already present
 				}
 				ref[x] = true
 			} else {
-				removed := g.Remove(x)
+				removed := removeOne(g, x)
 				if removed != ref[x] {
 					return false
 				}
@@ -357,9 +365,9 @@ func TestAddRemoveInvariantProperty(t *testing.T) {
 
 func TestSnapshotStats(t *testing.T) {
 	g := NewGraph()
-	g.MustAdd(tr("s1", "p1", "o1"))
-	g.MustAdd(tr("s2", "p1", "o1"))
-	g.MustAdd(tr("s1", "p2", "o2"))
+	addOne(g, tr("s1", "p1", "o1"))
+	addOne(g, tr("s2", "p1", "o1"))
+	addOne(g, tr("s1", "p2", "o2"))
 	st := g.Snapshot()
 	if st.Triples != 3 {
 		t.Errorf("Triples = %d", st.Triples)
@@ -388,18 +396,6 @@ func TestSnapshotStats(t *testing.T) {
 	}
 }
 
-func TestEstimatedBytesGrowsWithData(t *testing.T) {
-	g := NewGraph()
-	empty := g.EstimatedBytes()
-	for i := 0; i < 100; i++ {
-		g.MustAdd(tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i)))
-	}
-	full := g.EstimatedBytes()
-	if full <= empty {
-		t.Errorf("EstimatedBytes did not grow: %d -> %d", empty, full)
-	}
-}
-
 // TestConcurrentReaders pins the fork contract the server's MVCC chain rests
 // on: readers of a frozen graph take no lock, and one writer applying
 // batches and compacting successive forks of it never changes what they
@@ -420,8 +416,8 @@ func TestConcurrentReaders(t *testing.T) {
 	var added []rdf.Triple
 	for i := 0; i < 60; i++ {
 		added = append(added, tr(fmt.Sprintf("ps%d", i), "p0", fmt.Sprintf("o%d", i)))
-		parent.MustAdd(added[i])
-		parent.Remove(ts[i])
+		addOne(parent, added[i])
+		removeOne(parent, ts[i])
 	}
 	unseen := rdf.ID(parent.Dict().Len() + 1) // the writer interns it below
 

@@ -17,7 +17,7 @@ func TestIteratorAllShapes(t *testing.T) {
 		tr("s2", "p1", "o1"), tr("s2", "p2", "o3"),
 	}
 	for _, x := range triples {
-		g.MustAdd(x)
+		addOne(g, x)
 	}
 	id := func(s string) rdf.ID {
 		v, ok := g.Dict().Lookup(iri(s))
@@ -100,11 +100,11 @@ func TestIteratorSortedOrder(t *testing.T) {
 func TestIteratorSnapshotSemantics(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 10; i++ {
-		g.MustAdd(tr("s", "p", fmt.Sprintf("o%d", i)))
+		addOne(g, tr("s", "p", fmt.Sprintf("o%d", i)))
 	}
 	it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-	g.MustAdd(tr("s", "p", "onew"))
-	g.Remove(tr("s", "p", "o0"))
+	addOne(g, tr("s", "p", "onew"))
+	removeOne(g, tr("s", "p", "o0"))
 	g.Compact()
 	n := 0
 	for it.Next() {
@@ -119,7 +119,7 @@ func TestIteratorSnapshotSemantics(t *testing.T) {
 }
 
 // TestConcurrentReadersWriters runs Match/Estimate/Scan readers against a
-// writer the way the server's MVCC chain does: the writer applies Add/Remove
+// writer the way the server's MVCC chain does: the writer applies updates
 // to a private fork and publishes each generation; readers take whichever
 // generation is published and never see it written. Run with -race; the
 // assertions are internal-consistency ones (a reader sees only well-formed
@@ -253,7 +253,7 @@ func TestConcurrentSnapshotAndCompact(t *testing.T) {
 				return
 			default:
 			}
-			w.MustAdd(tr(fmt.Sprintf("ws%d", i%50), "wp", fmt.Sprintf("wo%d", i%40)))
+			addOne(w, tr(fmt.Sprintf("ws%d", i%50), "wp", fmt.Sprintf("wo%d", i%40)))
 			if i%97 == 0 {
 				w.Compact()
 			}

@@ -107,7 +107,7 @@ func (g *Graph) keyState(k rdf.EncodedTriple) keyState {
 	return stAbsent
 }
 
-// batch is one write against a graph: Apply or a single Add/Remove. Triple
+// batch is one write against a graph: one Apply. Triple
 // count, version and component counts move as each operation lands; the
 // overlay edits collect in pending and are merged into the overlay once, by
 // flush, so a write costs O(|overlay| + |batch|) however many triples it

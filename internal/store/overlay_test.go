@@ -100,7 +100,8 @@ func TestScanIntoReuseAcrossGenerations(t *testing.T) {
 		var out []rdf.EncodedTriple
 		g.ScanInto(it, s, rdf.NoID, rdf.NoID)
 		for it.Next() {
-			out = append(out, rdf.EncodedTriple{it.S(), it.P(), it.O()})
+			s, p, o := it.Triple()
+			out = append(out, rdf.EncodedTriple{s, p, o})
 		}
 		return out
 	}

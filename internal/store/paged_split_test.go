@@ -74,7 +74,7 @@ func TestSplitCompactionRevertsToBlockAlignment(t *testing.T) {
 	const pageSize = 4096
 	g := pagedTestGraph(t, 1500)
 	loaded, _ := loadPagedGraphs(t, g, pageSize)
-	loaded.MustAdd(tr("post-load", "p", "o"))
+	addOne(loaded, tr("post-load", "p", "o"))
 	loaded.Compact()
 	it := loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
 	br, ok := it.base.(*blockRun)

@@ -24,8 +24,8 @@ func pagedTestGraph(t testing.TB, n int) *Graph {
 		t.Fatal(err)
 	}
 	for i := 0; i < n/10+1; i++ {
-		g.MustAdd(tr("extra"+itoa(i), "pextra", "oextra"+itoa(i%3)))
-		g.Remove(base[(i*7)%len(base)])
+		addOne(g, tr("extra"+itoa(i), "pextra", "oextra"+itoa(i%3)))
+		removeOne(g, base[(i*7)%len(base)])
 	}
 	return g
 }
@@ -303,7 +303,7 @@ func TestPagedSourceTracking(t *testing.T) {
 	if src, ok := f.PagedSource(); !ok || src != path {
 		t.Fatalf("fork of a clean load: PagedSource = %q, %v; want %q, true", src, ok, path)
 	}
-	f.MustAdd(tr("forkonly", "p", "o"))
+	addOne(f, tr("forkonly", "p", "o"))
 	if src, ok := f.PagedSource(); ok {
 		t.Fatalf("write to the fork left it linkable: %q", src)
 	}
@@ -325,7 +325,7 @@ func TestPagedSourceTracking(t *testing.T) {
 	if _, ok := loaded.PagedSource(); !ok {
 		t.Fatal("compaction invalidated the paged source")
 	}
-	loaded.MustAdd(tr("fresh", "p", "o"))
+	addOne(loaded, tr("fresh", "p", "o"))
 	if src, ok := loaded.PagedSource(); ok {
 		t.Fatalf("mutation left the paged source valid: %q", src)
 	}
@@ -333,7 +333,7 @@ func TestPagedSourceTracking(t *testing.T) {
 	if _, ok := loaded.PagedSource(); !ok {
 		t.Fatal("AdoptPagedSource did not restore the source")
 	}
-	if !loaded.Remove(tr("fresh", "p", "o")) {
+	if !removeOne(loaded, tr("fresh", "p", "o")) {
 		t.Fatal("remove failed")
 	}
 	if _, ok := loaded.PagedSource(); ok {
@@ -357,7 +357,7 @@ func TestForkSharesMappedRuns(t *testing.T) {
 		t.Fatalf("fork SPO mapped %d bytes, original %d; runs were copied", cms.SPO.Mapped, lms.SPO.Mapped)
 	}
 	// The fork must stay independent for mutations...
-	c.MustAdd(tr("forkonly", "p", "o"))
+	addOne(c, tr("forkonly", "p", "o"))
 	if loaded.Contains(tr("forkonly", "p", "o")) {
 		t.Fatal("fork mutation leaked into the original")
 	}

@@ -232,3 +232,13 @@ func (g *NestedMapGraph) Estimate(s, p, o rdf.ID) int {
 		return g.n
 	}
 }
+
+// decOrDelete decrements a counter, deleting the key at zero so len() of the
+// counter map equals the number of distinct live components.
+func decOrDelete(m map[rdf.ID]int, k rdf.ID) {
+	if m[k] <= 1 {
+		delete(m, k)
+	} else {
+		m[k]--
+	}
+}

@@ -176,6 +176,9 @@ func (g *Graph) blockRuns() ([numPerms]*blockRun, error) {
 
 // Load reads a snapshot written by Save into a fresh block-coded graph on
 // the heap; LoadFile opens a snapshot file. Both check every payload CRC.
+// No binary calls Load: it stays as the heap-path oracle that tests compare
+// the mapped LoadFile against (TestEngineDifferentialHeapVsMmap and the
+// store's Load-vs-LoadFile differentials).
 func Load(r io.Reader) (*Graph, error) {
 	full, err := io.ReadAll(r)
 	if err != nil {

@@ -22,9 +22,9 @@ func snapshotBytes(t testing.TB) []byte {
 	if _, err := g.LoadTriples(base); err != nil {
 		t.Fatal(err)
 	}
-	g.MustAdd(rdf.Triple{S: iri("s"), P: iri("p"), O: rdf.NewLangLiteral("héllo", "fr")})
-	g.MustAdd(rdf.Triple{S: rdf.NewBlank("b"), P: iri("p"), O: rdf.NewTypedLiteral("2.5", rdf.XSDDouble)})
-	g.Remove(base[0]) // one run tombstone, so every overlay section is non-empty
+	addOne(g, rdf.Triple{S: iri("s"), P: iri("p"), O: rdf.NewLangLiteral("héllo", "fr")})
+	addOne(g, rdf.Triple{S: rdf.NewBlank("b"), P: iri("p"), O: rdf.NewTypedLiteral("2.5", rdf.XSDDouble)})
+	removeOne(g, base[0]) // one run tombstone, so every overlay section is non-empty
 	var buf bytes.Buffer
 	if err := g.SavePaged(&buf, minPageSize); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestSnapshotReopenedDictionaryRoundTrip(t *testing.T) {
 	}
 	for _, g := range []*Graph{fresh, reopened} {
 		for _, tr := range extra {
-			g.MustAdd(tr)
+			addOne(g, tr)
 		}
 	}
 	if want, got := save(fresh), save(reopened); !bytes.Equal(got, want) {

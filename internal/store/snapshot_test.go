@@ -12,8 +12,8 @@ import (
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(41)), 500)
-	g.MustAdd(rdf.Triple{S: iri("s"), P: iri("p"), O: rdf.NewLangLiteral("héllo", "fr")})
-	g.MustAdd(rdf.Triple{S: rdf.NewBlank("b1"), P: iri("p"), O: rdf.NewInteger(-5)})
+	addOne(g, rdf.Triple{S: iri("s"), P: iri("p"), O: rdf.NewLangLiteral("héllo", "fr")})
+	addOne(g, rdf.Triple{S: rdf.NewBlank("b1"), P: iri("p"), O: rdf.NewInteger(-5)})
 
 	var buf bytes.Buffer
 	if err := g.Save(&buf); err != nil {
@@ -134,7 +134,7 @@ func TestSnapshotPreservesTermDetails(t *testing.T) {
 		rdf.NewLiteral("with \"quotes\" and\nnewlines"),
 	}
 	for i, o := range terms {
-		g.MustAdd(rdf.Triple{S: iri("s"), P: iri("p"), O: o})
+		addOne(g, rdf.Triple{S: iri("s"), P: iri("p"), O: o})
 		_ = i
 	}
 	var buf bytes.Buffer

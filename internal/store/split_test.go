@@ -94,7 +94,7 @@ func TestSplitEmptyAndTiny(t *testing.T) {
 	if len(parts) != 1 || parts[0].Next() {
 		t.Errorf("empty split = %d parts", len(parts))
 	}
-	g.MustAdd(tr("s1", "p1", "o1"))
+	addOne(g, tr("s1", "p1", "o1"))
 	g.Compact()
 	it = g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
 	var got []rdf.EncodedTriple

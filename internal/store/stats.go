@@ -116,22 +116,6 @@ func (g *Graph) Snapshot() *Stats {
 // of the three permutations' sorted slices.
 const overlayEntryBytes = 3 * 12
 
-// EstimatedBytes approximates the in-memory footprint of the graph's triple
-// data, used for the paper's storage-amplification reports and the memory-
-// budget selection variant. It counts dictionary string bytes once plus the
-// columnar index cost: three permutation runs at 12 bytes (three 4-byte IDs)
-// per triple, and the same three 12-byte keys per uncompacted delta entry.
-func (g *Graph) EstimatedBytes() int64 {
-	var total int64
-	g.dict.EachTerm(func(_ rdf.ID, t rdf.Term) bool {
-		total += int64(len(t.Value) + len(t.Datatype) + len(t.Lang) + 16)
-		return true
-	})
-	total += int64(runSize(g.runs[permSPO])) * (3 * 12)
-	total += int64(g.ov.size()) * overlayEntryBytes
-	return total
-}
-
 // IndexMemStats is the resident footprint of one permutation index.
 type IndexMemStats struct {
 	Keys   int   `json:"keys"`                   // triples stored in the run
@@ -141,10 +125,9 @@ type IndexMemStats struct {
 }
 
 // MemStats reports the actual resident bytes of the graph's storage, broken
-// down per permutation index, plus the active run codec. Unlike
-// EstimatedBytes — which is a codec-independent cost-model quantity the
-// planner and selection variants consume — MemStats measures the real
-// encoding, so the block codec's compression win is observable in /stats.
+// down per permutation index, plus the active run codec. It measures the
+// real encoding, so the block codec's compression win is observable in
+// /stats.
 type MemStats struct {
 	Codec       string        `json:"codec"`
 	Storage     string        `json:"storage"` // mmap for a mapped snapshot, else heap

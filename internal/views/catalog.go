@@ -88,7 +88,7 @@ func (m *Materialized) BaseVersion() int64 { return m.baseVersion }
 // Catalog manages the materialized views of one facet over the base graph
 // G. Each view is a group table (Materialized.Data); the paper's expanded
 // graph G+ = G ∪ V is a logical model whose view graph V is derived from the
-// tables on demand (ViewGraph) and never maintained. It implements the
+// tables on demand (ExpandedEngine) and never maintained. It implements the
 // offline module's materialization half.
 type Catalog struct {
 	facet   *facet.Facet
@@ -97,7 +97,7 @@ type Catalog struct {
 	engOpts engine.Options // options the engines were built with
 	mats    map[facet.Mask]*Materialized
 
-	// memoV is the last view graph ViewGraph built, valid while the
+	// memoV is the last view graph viewGraph built, valid while the
 	// committed records it was built from are still the catalog's.
 	memoMu sync.Mutex
 	memoV  *viewGraph
@@ -217,16 +217,13 @@ type viewGraph struct {
 	eng  *engine.Engine
 }
 
-// ViewGraph returns the view graph V: the encodings of the materialized
-// views and nothing else, so that G+ is the logical union of Base and
-// ViewGraph. V is derived state: no answer, refresh or restore reads it. It
-// is built from Encode of the committed records on first use and memoized
-// until a commit replaces a record. Callers must not mutate it, nor race it
-// with catalog mutations.
-func (c *Catalog) ViewGraph() *store.Graph { return c.viewGraph().g }
-
-// ExpandedEngine returns an engine over the on-demand view graph V, the
-// graph the paper's rewritten star-join queries read (see ViewGraph).
+// ExpandedEngine returns an engine over the view graph V: the encodings of
+// the materialized views and nothing else, so that G+ is the logical union
+// of Base and V, and the graph the paper's rewritten star-join queries read.
+// V is derived state: no answer, refresh or restore reads it. It is built
+// from Encode of the committed records on first use and memoized until a
+// commit replaces a record. Callers must not race it with catalog
+// mutations.
 func (c *Catalog) ExpandedEngine() *engine.Engine { return c.viewGraph().eng }
 
 // viewGraph returns the memoized V, rebuilding it when the records moved.
@@ -264,12 +261,6 @@ func (c *Catalog) Has(m facet.Mask) bool {
 	return ok
 }
 
-// Get returns the materialization record of a view, if present.
-func (c *Catalog) Get(m facet.Mask) (*Materialized, bool) {
-	mat, ok := c.mats[m]
-	return mat, ok
-}
-
 // Materialized returns all materialized views ordered by mask.
 func (c *Catalog) Materialized() []*Materialized {
 	out := make([]*Materialized, 0, len(c.mats))
@@ -279,16 +270,6 @@ func (c *Catalog) Materialized() []*Materialized {
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Data.View.Mask < out[j].Data.View.Mask
 	})
-	return out
-}
-
-// MaterializedViews returns the views currently materialized, by mask order.
-func (c *Catalog) MaterializedViews() []facet.View {
-	mats := c.Materialized()
-	out := make([]facet.View, len(mats))
-	for i, m := range mats {
-		out[i] = m.Data.View
-	}
 	return out
 }
 
@@ -458,9 +439,17 @@ func (e *groupEncoder) size(g Group) (int, int64) {
 	}
 	if e.isAvg {
 		n += 2
-		bytes += triple(e.sumP, algebra.FormatFloat(g.Sum)) + triple(e.countP, algebra.FormatFloat(g.Count))
+		bytes += e.floatBytes(e.sumP, g.Sum) + e.floatBytes(e.countP, g.Count)
 	}
 	return n, bytes
+}
+
+// floatBytes is the tripleBytes of a group's triple with predicate p and
+// object FormatFloat(f), counted without building the literal.
+func (e *groupEncoder) floatBytes(p rdf.Term, f float64) int64 {
+	var buf [32]byte
+	lex, datatype := algebra.AppendFloat(buf[:0], f)
+	return tripleBytes(rdf.Triple{S: e.anyLabel, P: p, O: rdf.Term{Datatype: datatype}}) + int64(len(lex))
 }
 
 // Encode renders view data as the blank-node RDF encoding added to G+:

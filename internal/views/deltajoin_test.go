@@ -58,7 +58,7 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 	ci := NewCatalog(gInc, f)
 	cf := NewCatalog(gInc.Fork(), f)
 	cf.SetIncrementalMaintenance(false)
-	finest, mid, apex := f.View(f.FullMask()), f.View(facet.MaskFromBits(0, 1)), f.View(0)
+	finest, mid, apex := f.View(f.FullMask()), f.View(facet.Mask(0b11)), f.View(0)
 	vs := []facet.View{finest, mid, apex}
 	for _, c := range []*Catalog{ci, cf} {
 		materializeBatch(t, c, vs, workers)
@@ -89,14 +89,14 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 	check := func(round int) {
 		t.Helper()
 		for _, v := range vs {
-			mi, _ := ci.Get(v.Mask)
-			mf, _ := cf.Get(v.Mask)
+			mi := ci.mats[v.Mask]
+			mf := cf.mats[v.Mask]
 			if mf.Maint.LastPath == "incremental" {
 				t.Fatalf("round %d: disabled catalog took the incremental path for %s", round, v)
 			}
 			assertBitIdentical(t, fmt.Sprintf("round %d view %s", round, v), mi.Data, mf.Data)
 		}
-		ti, tf := ci.ViewGraph().SortedTriples(), cf.ViewGraph().SortedTriples()
+		ti, tf := ci.viewGraph().g.SortedTriples(), cf.viewGraph().g.SortedTriples()
 		if !reflect.DeepEqual(ti, tf) {
 			t.Fatalf("round %d: V diverged (%d vs %d triples)", round, len(ti), len(tf))
 		}
@@ -106,7 +106,7 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 		// Every finest group holds one observation, so deleting any pop
 		// triple deletes its group's extremum; one that is strictly inside
 		// the apex's extremum leaves the apex incremental.
-		ma, _ := ci.Get(apex.Mask)
+		ma := ci.mats[apex.Mask]
 		var victim rdf.Triple
 		found := false
 		for _, tr := range gInc.Triples() {
@@ -125,8 +125,8 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 		apply(-1, nil, []rdf.Triple{victim})
 		refreshAll(-1)
 		check(-1)
-		mFinest, _ := ci.Get(finest.Mask)
-		mApex, _ := ci.Get(apex.Mask)
+		mFinest := ci.mats[finest.Mask]
+		mApex := ci.mats[apex.Mask]
 		if mFinest.Maint.LastPath != "full" || mApex.Maint.LastPath != "incremental" {
 			t.Fatalf("extremum delete: finest took %q, apex %q; want full and incremental",
 				mFinest.Maint.LastPath, mApex.Maint.LastPath)
@@ -170,7 +170,7 @@ func testSharedWindowRefresh(t *testing.T, agg string, workers int) {
 		}
 		windows := map[int64]bool{}
 		for _, v := range ci.StaleViews() {
-			m, _ := ci.Get(v.Mask)
+			m := ci.mats[v.Mask]
 			windows[m.BaseVersion()] = true
 		}
 		if len(windows) > 1 {
@@ -283,7 +283,7 @@ func TestSharedDeltaJoinAllocBudget(t *testing.T) {
 		return total / rounds
 	}
 	one := perPlan([]facet.View{f.View(f.FullMask())})
-	four := perPlan([]facet.View{f.View(f.FullMask()), f.View(facet.MaskFromBits(0, 1)), f.View(facet.MaskFromBits(0)), f.View(0)})
+	four := perPlan([]facet.View{f.View(f.FullMask()), f.View(facet.Mask(0b11)), f.View(facet.Mask(0b1)), f.View(0)})
 	t.Logf("bytes allocated per PlanRefresh: %d with 1 stale view, %d with 4", one, four)
 	if float64(four) > 1.3*float64(one) {
 		t.Errorf("planning 4 stale views allocates %d B, over 1.3x the %d B for 1", four, one)

@@ -6,8 +6,8 @@
 // MARVEL encoding — in a view graph V, with the expanded graph G+ = G ∪ V.
 // Here G+ is the logical model: Encode renders that encoding, the catalog
 // counts its size (Materialized.Triples, AddedTriples) by Encode's rule, and
-// V itself is built from the tables only when asked for (ViewGraph,
-// ExpandedEngine: the paper-fidelity star join, its tests and export). No
+// V itself is built from the tables only when asked for (ExpandedEngine:
+// the paper-fidelity star join, its tests and export). No
 // answer, refresh or restore reads or writes V; G is never copied.
 //
 // The Catalog is the package's center: it tracks which views of a facet are

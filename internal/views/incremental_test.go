@@ -55,7 +55,7 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 			ci := NewCatalog(gInc, f)
 			cf := NewCatalog(gFull, f)
 			cf.SetIncrementalMaintenance(false)
-			v := f.View(facet.MaskFromBits(0, 1)) // per (country, lang)
+			v := f.View(facet.Mask(0b11)) // per (country, lang)
 			for _, c := range []*Catalog{ci, cf} {
 				if _, err := c.Materialize(v); err != nil {
 					t.Fatal(err)
@@ -119,7 +119,7 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 				label := fmt.Sprintf("%s round %d", agg, round)
 				assertBitIdentical(t, label, mi.Data, mf.Data)
 				// The encodings in V must coincide triple for triple.
-				ti, tf := ci.ViewGraph().SortedTriples(), cf.ViewGraph().SortedTriples()
+				ti, tf := ci.viewGraph().g.SortedTriples(), cf.viewGraph().g.SortedTriples()
 				if !reflect.DeepEqual(ti, tf) {
 					t.Fatalf("%s: V diverged (%d vs %d triples)", label, len(ti), len(tf))
 				}
@@ -141,7 +141,7 @@ func TestIncrementalRefreshRecordsPath(t *testing.T) {
 	g := popGraph(t, 41, 3, 2, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(0))
+	v := f.View(facet.Mask(0b1))
 	m, err := c.Materialize(v)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestMinMaxExtremumDeleteFallsBack(t *testing.T) {
 	g := popGraph(t, 42, 3, 2, 2)
 	f := popFacet(t, "MIN")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(0))
+	v := f.View(facet.Mask(0b1))
 	m, err := c.Materialize(v)
 	if err != nil {
 		t.Fatal(err)
@@ -273,13 +273,13 @@ func TestDeltaLogGapForcesFullRefresh(t *testing.T) {
 	g := popGraph(t, 43, 3, 2, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(0))
+	v := f.View(facet.Mask(0b1))
 	if _, err := c.Materialize(v); err != nil {
 		t.Fatal(err)
 	}
 	// Mutate the base graph directly: version moves, no delta is captured.
-	for _, tr := range observation("obsGap", "C0", "L0", 2015, 77) {
-		g.MustAdd(tr)
+	if _, err := g.Apply(observation("obsGap", "C0", "L0", 2015, 77), nil); err != nil {
+		t.Fatal(err)
 	}
 	if !c.Stale(v.Mask) {
 		t.Fatal("view not stale after direct base mutation")
@@ -395,7 +395,7 @@ func TestStaleMemo(t *testing.T) {
 	g := popGraph(t, 45, 3, 2, 1)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(0))
+	v := f.View(facet.Mask(0b1))
 	if _, err := c.Materialize(v); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,9 @@ func TestStaleMemo(t *testing.T) {
 		t.Fatal("refresh did not invalidate the memo")
 	}
 	// Direct base write: generation unchanged, version moves.
-	g.MustAdd(observation("obsM2", "C1", "L1", 2015, 9)[0])
+	if _, err := g.Apply(observation("obsM2", "C1", "L1", 2015, 9)[:1], nil); err != nil {
+		t.Fatal(err)
+	}
 	if !c.Stale(v.Mask) {
 		t.Fatal("direct base write did not invalidate the memo")
 	}
@@ -426,7 +428,7 @@ func TestIncrementalGroupLabelStability(t *testing.T) {
 	g := popGraph(t, 46, 4, 3, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(0, 1))
+	v := f.View(facet.Mask(0b11))
 	m, err := c.Materialize(v)
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +482,7 @@ func TestIncrementalRefreshAllocBudget(t *testing.T) {
 		}
 		f := popFacet(t, "SUM")
 		c := NewCatalog(g, f)
-		v := f.View(facet.MaskFromBits(0, 1)) // per (country, lang)
+		v := f.View(facet.Mask(0b11)) // per (country, lang)
 		m, err := c.Materialize(v)
 		if err != nil {
 			t.Fatal(err)
@@ -503,7 +505,7 @@ func TestIncrementalRefreshAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, _ := c.Get(v.Mask)
+			m := c.mats[v.Mask]
 			if m.Maint.LastPath != "incremental" {
 				t.Fatalf("refresh took path %q", m.Maint.LastPath)
 			}

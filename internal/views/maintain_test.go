@@ -16,13 +16,13 @@ func TestApplyUpdateLeavesViewGraphUntouched(t *testing.T) {
 	g := popGraph(t, 21, 2, 2, 1)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	if _, err := c.Materialize(f.View(facet.MaskFromBits(0))); err != nil {
+	if _, err := c.Materialize(f.View(facet.Mask(0b1))); err != nil {
 		t.Fatal(err)
 	}
-	want := c.ViewGraph().SortedTriples()
+	want := c.viewGraph().g.SortedTriples()
 	unchanged := func(step string) {
 		t.Helper()
-		if got := c.ViewGraph().SortedTriples(); !reflect.DeepEqual(got, want) {
+		if got := c.viewGraph().g.SortedTriples(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s moved V: %d triples -> %d", step, len(want), len(got))
 		}
 	}
@@ -35,7 +35,7 @@ func TestApplyUpdateLeavesViewGraphUntouched(t *testing.T) {
 	if err != nil || len(d.Inserted) != 1 {
 		t.Fatalf("insert = %+v, %v", d, err)
 	}
-	if !c.Base().Contains(tr) || c.ViewGraph().Contains(tr) {
+	if !c.Base().Contains(tr) || c.viewGraph().g.Contains(tr) {
 		t.Error("insert must land in G and only in G")
 	}
 	unchanged("insert")
@@ -75,7 +75,7 @@ func refreshView(t *testing.T, c *Catalog, v facet.View) *Materialized {
 	if _, err := c.RefreshAllParallel(1); err != nil {
 		t.Fatalf("refreshing %s: %v", v, err)
 	}
-	m, ok := c.Get(v.Mask)
+	m, ok := c.mats[v.Mask]
 	if !ok {
 		t.Fatalf("%s is not materialized", v)
 	}
@@ -86,14 +86,14 @@ func TestStalenessLifecycle(t *testing.T) {
 	g := popGraph(t, 22, 3, 2, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(0))
+	v := f.View(facet.Mask(0b1))
 	if _, err := c.Materialize(v); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stale(v.Mask) {
 		t.Error("freshly materialized view is stale")
 	}
-	if c.Stale(facet.MaskFromBits(1)) {
+	if c.Stale(facet.Mask(0b10)) {
 		t.Error("unmaterialized view reported stale")
 	}
 	addObservation(t, c, "obsX", "C99", "L0", 2015, 500)
@@ -114,7 +114,7 @@ func TestRefreshProducesCorrectAnswers(t *testing.T) {
 	g := popGraph(t, 23, 3, 2, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(0)) // per-country
+	v := f.View(facet.Mask(0b1)) // per-country
 	if _, err := c.Materialize(v); err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestRefreshProducesCorrectAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range want {
-		if !c.ViewGraph().Contains(tr) {
+		if !c.viewGraph().g.Contains(tr) {
 			t.Errorf("V missing refreshed triple %s", tr)
 		}
 	}
-	if got := c.ViewGraph().Len(); got != len(want) || c.AddedTriples() != got || refreshed.Triples != got {
+	if got := c.viewGraph().g.Len(); got != len(want) || c.AddedTriples() != got || refreshed.Triples != got {
 		t.Errorf("V has %d triples (AddedTriples %d, record %d), want %d",
 			got, c.AddedTriples(), refreshed.Triples, len(want))
 	}
@@ -150,7 +150,7 @@ func TestRefreshHandlesDeletes(t *testing.T) {
 	g := popGraph(t, 24, 3, 2, 1)
 	f := popFacet(t, "COUNT")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(1)) // per-lang
+	v := f.View(facet.Mask(0b10)) // per-lang
 	if _, err := c.Materialize(v); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRefreshAll(t *testing.T) {
 	g := popGraph(t, 25, 3, 2, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	for _, mask := range []facet.Mask{0, facet.MaskFromBits(0), facet.MaskFromBits(1, 2)} {
+	for _, mask := range []facet.Mask{0, facet.Mask(0b1), facet.Mask(0b110)} {
 		if _, err := c.Materialize(f.View(mask)); err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestCommitRefreshSkipsDroppedView(t *testing.T) {
 		if n, err := c.CommitRefresh(plan); err != nil || n != 0 {
 			t.Fatalf("incremental=%v: commit refreshed %d, %v; want 0", incremental, n, err)
 		}
-		if c.Has(v.Mask) || c.ViewGraph().Len() != 0 {
+		if c.Has(v.Mask) || c.viewGraph().g.Len() != 0 {
 			t.Errorf("incremental=%v: dropped view came back", incremental)
 		}
 	}
@@ -264,7 +264,7 @@ func TestRefreshEquivalenceProperty(t *testing.T) {
 			g := popGraph(t, 29, 3, 3, 2)
 			f := popFacet(t, agg)
 			c := NewCatalog(g, f)
-			v := f.View(facet.MaskFromBits(0, 1))
+			v := f.View(facet.Mask(0b11))
 			if _, err := c.Materialize(v); err != nil {
 				t.Fatal(err)
 			}

@@ -205,9 +205,6 @@ type RefreshPlan struct {
 	baseVersion int64 // base graph version full-recompute contents reflect
 }
 
-// Len returns the number of views the plan refreshes.
-func (p *RefreshPlan) Len() int { return len(p.views) }
-
 // Incremental returns how many of the plan's views take the delta path —
 // exposed so serving layers can report which maintenance path ran.
 func (p *RefreshPlan) Incremental() int {

@@ -55,7 +55,7 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %d records for %d views", workers, len(mats), len(vs))
 		}
 		for i, v := range vs {
-			want, _ := serial.Get(v.Mask)
+			want := serial.mats[v.Mask]
 			got := mats[i]
 			if got.View().Mask != v.Mask {
 				t.Fatalf("workers=%d: record %d is %s, want %s (input order)", workers, i, got.View(), v)
@@ -67,9 +67,9 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 				t.Errorf("workers=%d: view %s computed from base, expected roll-up", workers, v)
 			}
 		}
-		if !reflect.DeepEqual(par.ViewGraph().SortedTriples(), serial.ViewGraph().SortedTriples()) {
+		if !reflect.DeepEqual(par.viewGraph().g.SortedTriples(), serial.viewGraph().g.SortedTriples()) {
 			t.Errorf("workers=%d: V differs from serial (%d vs %d triples)",
-				workers, par.ViewGraph().Len(), serial.ViewGraph().Len())
+				workers, par.viewGraph().g.Len(), serial.viewGraph().g.Len())
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestPlanMaterializeRollsUpFromBatchParent(t *testing.T) {
 	g := popGraph(t, 2, 4, 3, 2)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	parent, child := f.View(facet.MaskFromBits(0, 1)), f.View(facet.MaskFromBits(0))
+	parent, child := f.View(facet.Mask(0b11)), f.View(facet.Mask(0b1))
 	mats := materializeBatch(t, c, []facet.View{child, parent}, 2)
 	if len(mats) != 2 || mats[0].View().Mask != child.Mask || mats[1].View().Mask != parent.Mask {
 		t.Fatalf("records = %v, want child then parent", mats)
@@ -115,15 +115,15 @@ func TestMaterializeAllDuplicatesAndExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := f.View(facet.MaskFromBits(0))
+	child := f.View(facet.Mask(0b1))
 	mats := materializeBatch(t, c, []facet.View{top, child, child, top}, 4)
 	if len(mats) != 1 || mats[0].View().Mask != child.Mask {
 		t.Fatalf("batch committed %v, want the child once", mats)
 	}
-	if m, _ := c.Get(child.Mask); m != mats[0] {
+	if m := c.mats[child.Mask]; m != mats[0] {
 		t.Error("committed record is not the catalog's")
 	}
-	if m, _ := c.Get(top.Mask); m != topRec {
+	if m := c.mats[top.Mask]; m != topRec {
 		t.Error("already-materialized view got a new record")
 	}
 	if plan, err := c.PlanMaterialize([]facet.View{top, child, top}, 4); err != nil || plan != nil {
@@ -134,7 +134,7 @@ func TestMaterializeAllDuplicatesAndExisting(t *testing.T) {
 	}
 
 	// Planned, then materialized by another path before the commit.
-	mid := f.View(facet.MaskFromBits(0, 1))
+	mid := f.View(facet.Mask(0b11))
 	plan, err := c.PlanMaterialize([]facet.View{mid}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +143,13 @@ func TestMaterializeAllDuplicatesAndExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vLen := c.ViewGraph().Len()
+	vLen := c.viewGraph().g.Len()
 	late, err := c.CommitMaterialize(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(late) != 1 || late[0] != first || c.ViewGraph().Len() != vLen {
-		t.Errorf("late commit replaced the record or added to V (|V| %d -> %d)", vLen, c.ViewGraph().Len())
+	if len(late) != 1 || late[0] != first || c.viewGraph().g.Len() != vLen {
+		t.Errorf("late commit replaced the record or added to V (|V| %d -> %d)", vLen, c.viewGraph().g.Len())
 	}
 }
 
@@ -184,7 +184,7 @@ func TestCommitMaterializeAfterWriteMarksStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := c.Get(v.Mask)
+	m := c.mats[v.Mask]
 	assertSameGroups(t, v, direct, m.Data)
 }
 
@@ -223,7 +223,7 @@ func TestMaterializeRollUpFromStaleAncestorIsStale(t *testing.T) {
 	if !c.Stale(top.Mask) {
 		t.Fatal("ancestor not stale after base mutation")
 	}
-	child := f.View(facet.MaskFromBits(0))
+	child := f.View(facet.Mask(0b1))
 	m, err := c.Materialize(child) // rolls up from the stale top view
 	if err != nil {
 		t.Fatal(err)
@@ -244,9 +244,9 @@ func TestMaterializeRollUpFromStaleAncestorIsStale(t *testing.T) {
 // contents. Repeated across independent catalogs to exercise both orders.
 func TestMaterializeTieBreakConsistency(t *testing.T) {
 	f := popFacet(t, "SUM")
-	a := f.View(facet.MaskFromBits(0, 1)) // country+lang
-	b := f.View(facet.MaskFromBits(0, 2)) // country+year
-	child := f.View(facet.MaskFromBits(0))
+	a := f.View(facet.Mask(0b11))  // country+lang
+	b := f.View(facet.Mask(0b101)) // country+year
+	child := f.View(facet.Mask(0b1))
 	for round := 0; round < 12; round++ {
 		c := NewCatalog(store.NewGraph(), f)
 		// Dense 2x2x2 grid: country+lang and country+year both have 4 groups.
@@ -268,8 +268,8 @@ func TestMaterializeTieBreakConsistency(t *testing.T) {
 		if _, err := c.Materialize(a); err != nil {
 			t.Fatal(err)
 		}
-		ma, _ := c.Get(a.Mask)
-		mb, _ := c.Get(b.Mask)
+		ma := c.mats[a.Mask]
+		mb := c.mats[b.Mask]
 		if c.Stale(a.Mask) || !c.Stale(b.Mask) || ma.Data.NumGroups() != mb.Data.NumGroups() {
 			t.Fatalf("fixture broken: staleA=%v staleB=%v groups %d vs %d",
 				c.Stale(a.Mask), c.Stale(b.Mask), ma.Data.NumGroups(), mb.Data.NumGroups())
@@ -287,7 +287,7 @@ func TestMaterializeTieBreakConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, _ := c.Get(child.Mask)
+			m := c.mats[child.Mask]
 			assertSameGroups(t, child, direct, m.Data)
 		}
 	}
@@ -318,12 +318,12 @@ func TestRefreshAllParallelMatchesSerial(t *testing.T) {
 	if n, err := got.RefreshAllParallel(4); err != nil || n == 0 {
 		t.Fatalf("parallel refresh: n=%d err=%v", n, err)
 	}
-	if got.ViewGraph().Len() != want.ViewGraph().Len() {
-		t.Errorf("parallel refresh |V| = %d, serial %d", got.ViewGraph().Len(), want.ViewGraph().Len())
+	if got.viewGraph().g.Len() != want.viewGraph().g.Len() {
+		t.Errorf("parallel refresh |V| = %d, serial %d", got.viewGraph().g.Len(), want.viewGraph().g.Len())
 	}
 	for _, v := range latticeViews(f) {
-		gm, _ := got.Get(v.Mask)
-		wm, _ := want.Get(v.Mask)
+		gm := got.mats[v.Mask]
+		wm := want.mats[v.Mask]
 		if !reflect.DeepEqual(groupsOf(gm.Data), groupsOf(wm.Data)) {
 			t.Errorf("view %s groups differ after parallel refresh", v)
 		}

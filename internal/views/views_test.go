@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 func popGraph(t testing.TB, seed int64, countries, langs, years int) *store.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for ci := 0; ci < countries; ci++ {
 		for li := 0; li < langs; li++ {
@@ -27,12 +28,18 @@ func popGraph(t testing.TB, seed int64, countries, langs, years int) *store.Grap
 			}
 			for yi := 0; yi < years; yi++ {
 				obs := ex(fmt.Sprintf("obs_%d_%d_%d", ci, li, yi))
-				g.MustAdd(rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2015 + yi)})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(1000) + 1))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2015 + yi)})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(1000) + 1))})
 			}
 		}
+	}
+	// One Apply leaves the graph as triple-by-triple inserts would: below the
+	// compaction threshold the triples stay in the delta overlay.
+	g := store.NewGraph()
+	if _, err := g.Apply(ts, nil); err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -90,8 +97,8 @@ func TestComputeApexEqualsTotalSum(t *testing.T) {
 		t.Fatalf("apex groups = %d", apex.NumGroups())
 	}
 	// Cross-check against a direct query.
-	res, err := eng.ExecuteString(`PREFIX ex: <http://ex.org/>
-SELECT (SUM(?pop) AS ?t) WHERE { ?o ex:country ?c . ?o ex:lang ?l . ?o ex:year ?y . ?o ex:pop ?pop . }`)
+	res, err := eng.Execute(sparql.MustParse(`PREFIX ex: <http://ex.org/>
+SELECT (SUM(?pop) AS ?t) WHERE { ?o ex:country ?c . ?o ex:lang ?l . ?o ex:year ?y . ?o ex:pop ?pop . }`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +172,11 @@ func TestRollUpRejectsNonCover(t *testing.T) {
 	g := popGraph(t, 4, 2, 2, 2)
 	f := popFacet(t, "SUM")
 	eng := engine.New(g)
-	child, err := Compute(eng, f.View(facet.MaskFromBits(0)))
+	child, err := Compute(eng, f.View(facet.Mask(0b1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RollUp(child, f.View(facet.MaskFromBits(0, 1))); err == nil {
+	if _, err := RollUp(child, f.View(facet.Mask(0b11))); err == nil {
 		t.Error("roll-up from non-covering view accepted")
 	}
 }
@@ -178,7 +185,7 @@ func TestComputeStats(t *testing.T) {
 	g := popGraph(t, 5, 3, 2, 2)
 	f := popFacet(t, "SUM")
 	eng := engine.New(g)
-	v := f.View(facet.MaskFromBits(0, 1))
+	v := f.View(facet.Mask(0b11))
 	d, err := Compute(eng, v)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +208,7 @@ func TestEncodeShape(t *testing.T) {
 	g := popGraph(t, 6, 2, 2, 1)
 	f := popFacet(t, "SUM")
 	eng := engine.New(g)
-	v := f.View(facet.MaskFromBits(1)) // lang only
+	v := f.View(facet.Mask(0b10)) // lang only
 	d, err := Compute(eng, v)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +223,7 @@ func TestEncodeShape(t *testing.T) {
 	}
 	inView, dims, aggs := 0, 0, 0
 	for _, tr := range triples {
-		if !tr.S.IsBlank() {
+		if tr.S.Kind != rdf.KindBlank {
 			t.Errorf("non-blank group subject %s", tr.S)
 		}
 		switch tr.P.Value {
@@ -245,7 +252,7 @@ func TestEncodeAvgCarriesSumCount(t *testing.T) {
 	g := popGraph(t, 7, 2, 2, 1)
 	f := popFacet(t, "AVG")
 	eng := engine.New(g)
-	d, err := Compute(eng, f.View(facet.MaskFromBits(0)))
+	d, err := Compute(eng, f.View(facet.Mask(0b1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +279,10 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
 	baseLen := g.Len()
-	if n := c.ViewGraph().Len(); n != 0 || c.AddedTriples() != 0 {
+	if n := c.viewGraph().g.Len(); n != 0 || c.AddedTriples() != 0 {
 		t.Fatalf("view graph V has %d triples before any materialization", n)
 	}
-	v := f.View(facet.MaskFromBits(0, 1))
+	v := f.View(facet.Mask(0b11))
 	m, err := c.Materialize(v)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +290,7 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if m.Triples == 0 || m.Nodes() == 0 || m.Bytes == 0 {
 		t.Errorf("materialized stats = %+v", m)
 	}
-	if n := c.ViewGraph().Len(); n != m.Triples || c.AddedTriples() != m.Triples {
+	if n := c.viewGraph().g.Len(); n != m.Triples || c.AddedTriples() != m.Triples {
 		t.Errorf("|V| = %d, AddedTriples = %d, want %d", n, c.AddedTriples(), m.Triples)
 	}
 	if want := float64(baseLen+m.Triples) / float64(baseLen); c.StorageAmplification() != want {
@@ -292,10 +299,10 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if g.Len() != baseLen {
 		t.Error("materialization mutated the base graph")
 	}
-	if !c.Has(v.Mask) || len(c.Materialized()) != 1 || len(c.MaterializedViews()) != 1 {
+	if !c.Has(v.Mask) || len(c.Materialized()) != 1 {
 		t.Error("catalog bookkeeping wrong")
 	}
-	if got, ok := c.Get(v.Mask); !ok || got != m {
+	if got, ok := c.mats[v.Mask]; !ok || got != m {
 		t.Error("Get returned wrong record")
 	}
 	// Re-materializing is a no-op.
@@ -303,15 +310,15 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if err != nil || m2 != m {
 		t.Errorf("re-materialize = %v, %v", m2, err)
 	}
-	if c.ViewGraph().Len() != m.Triples {
+	if c.viewGraph().g.Len() != m.Triples {
 		t.Error("re-materialize duplicated triples")
 	}
 	// A second view adds its own encoding: AddedTriples = |V| = Σ m.Triples.
-	m3, err := c.Materialize(f.View(facet.MaskFromBits(0)))
+	m3, err := c.Materialize(f.View(facet.Mask(0b1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum, n := m.Triples+m3.Triples, c.ViewGraph().Len(); n != sum || c.AddedTriples() != sum {
+	if sum, n := m.Triples+m3.Triples, c.viewGraph().g.Len(); n != sum || c.AddedTriples() != sum {
 		t.Errorf("|V| = %d, AddedTriples = %d, want Σ Triples = %d", n, c.AddedTriples(), sum)
 	}
 	// Drop empties V again.
@@ -324,7 +331,7 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 	if !c.Drop(m3.View()) {
 		t.Fatal("Drop of the second view = false")
 	}
-	if n := c.ViewGraph().Len(); n != 0 || g.Len() != baseLen {
+	if n := c.viewGraph().g.Len(); n != 0 || g.Len() != baseLen {
 		t.Errorf("after drop |V| = %d, |G| = %d; want 0, %d", n, g.Len(), baseLen)
 	}
 	if c.StorageAmplification() != 1.0 {
@@ -335,7 +342,7 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Reset()
-	if n := c.ViewGraph().Len(); n != 0 || c.AddedTriples() != 0 {
+	if n := c.viewGraph().g.Len(); n != 0 || c.AddedTriples() != 0 {
 		t.Errorf("after Reset |V| = %d, want 0", n)
 	}
 }
@@ -346,15 +353,23 @@ func TestCatalogMaterializeAndDrop(t *testing.T) {
 // its Bytes the encoding's Σ tripleBytes, AddedTriples is Σ Triples and the
 // size of the on-demand V, and the amplification is (|G| + |V|) / |G|. A
 // non-numeric measure gives the SUM and AVG views a group without a
-// sofos:agg triple.
+// sofos:agg triple, and fractional and out-of-int64 measures give AVG sums
+// on both of FormatFloat's branches.
 func TestEncodingCountsFollowEncode(t *testing.T) {
 	for _, agg := range []string{"SUM", "AVG", "MIN"} {
 		t.Run(agg, func(t *testing.T) {
 			g := popGraph(t, 31, 5, 3, 2)
 			nan := observation("obsNaN", "CNaN", "L0", 2015, 0)
 			nan[3].O = rdf.NewLiteral("n/a")
-			for _, tr := range nan {
-				g.MustAdd(tr)
+			// A fractional measure, and one whose int64 conversion
+			// overflows, put the AVG sum literal on FormatFloat's decimal
+			// branch; the other groups keep it on the integer branch.
+			frac := observation("obsFrac", "CFrac", "L0", 2015, 0)
+			frac[3].O = rdf.NewDecimal(2.5)
+			huge := observation("obsHuge", "CHuge", "L0", 2015, 0)
+			huge[3].O = rdf.NewDecimal(1e21)
+			if _, err := g.Apply(slices.Concat(nan, frac, huge), nil); err != nil {
+				t.Fatal(err)
 			}
 			f := popFacet(t, agg)
 			c := NewCatalog(g, f)
@@ -376,14 +391,14 @@ func TestEncodingCountsFollowEncode(t *testing.T) {
 					}
 					total += m.Triples
 				}
-				if c.AddedTriples() != total || c.ViewGraph().Len() != total {
-					t.Errorf("%s: AddedTriples %d, |V| %d, want Σ Triples %d", step, c.AddedTriples(), c.ViewGraph().Len(), total)
+				if c.AddedTriples() != total || c.viewGraph().g.Len() != total {
+					t.Errorf("%s: AddedTriples %d, |V| %d, want Σ Triples %d", step, c.AddedTriples(), c.viewGraph().g.Len(), total)
 				}
 				if want := float64(c.Base().Len()+total) / float64(c.Base().Len()); c.StorageAmplification() != want {
 					t.Errorf("%s: amplification %f, want %f", step, c.StorageAmplification(), want)
 				}
 			}
-			full, mid := f.View(f.FullMask()), f.View(facet.MaskFromBits(0, 1))
+			full, mid := f.View(f.FullMask()), f.View(facet.Mask(0b11))
 			for _, v := range []facet.View{full, mid, f.View(0)} {
 				if _, err := c.Materialize(v); err != nil {
 					t.Fatal(err)
@@ -414,7 +429,7 @@ func TestEncodingCountsFollowEncode(t *testing.T) {
 			restored := saveRestore(t, c)
 			check("restore", restored)
 			for _, m := range c.Materialized() {
-				r, _ := restored.Get(m.View().Mask)
+				r := restored.mats[m.View().Mask]
 				if r.Triples != m.Triples || r.Bytes != m.Bytes {
 					t.Errorf("restored %s: %d triples / %d bytes, want %d / %d", m.View(), r.Triples, r.Bytes, m.Triples, m.Bytes)
 				}
@@ -439,7 +454,7 @@ func TestCatalogRollUpPath(t *testing.T) {
 	if top.Data.Source != "base" {
 		t.Errorf("top source = %q", top.Data.Source)
 	}
-	child, err := c.Materialize(f.View(facet.MaskFromBits(0)))
+	child, err := c.Materialize(f.View(facet.Mask(0b1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +462,7 @@ func TestCatalogRollUpPath(t *testing.T) {
 		t.Errorf("child source = %q, want rollup", child.Data.Source)
 	}
 	// The rolled-up contents must match a direct base computation.
-	direct, err := Compute(c.BaseEngine(), f.View(facet.MaskFromBits(0)))
+	direct, err := Compute(c.BaseEngine(), f.View(facet.Mask(0b1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,11 +477,11 @@ func TestCatalogBestSourcePrefersFewestGroups(t *testing.T) {
 	if _, err := c.Materialize(f.View(f.FullMask())); err != nil {
 		t.Fatal(err)
 	}
-	mid, err := c.Materialize(f.View(facet.MaskFromBits(0, 1)))
+	mid, err := c.Materialize(f.View(facet.Mask(0b11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, err := c.Materialize(f.View(facet.MaskFromBits(0)))
+	child, err := c.Materialize(f.View(facet.Mask(0b1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +524,7 @@ func TestCatalogRejectsForeignView(t *testing.T) {
 
 func TestEncodeMismatchedKey(t *testing.T) {
 	f := popFacet(t, "SUM")
-	d := &Data{View: f.View(facet.MaskFromBits(0, 1)), groups: newGroupTable([]Group{{}})}
+	d := &Data{View: f.View(facet.Mask(0b11)), groups: newGroupTable([]Group{{}})}
 	if _, err := Encode(d); err == nil {
 		t.Error("mismatched key length accepted")
 	}
@@ -521,17 +536,17 @@ func TestViewDataQueriedThroughExpandedGraph(t *testing.T) {
 	g := popGraph(t, 14, 3, 2, 1)
 	f := popFacet(t, "SUM")
 	c := NewCatalog(g, f)
-	v := f.View(facet.MaskFromBits(1))
+	v := f.View(facet.Mask(0b10))
 	m, err := c.Materialize(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.ExpandedEngine().ExecuteString(fmt.Sprintf(`
+	res, err := c.ExpandedEngine().Execute(sparql.MustParse(fmt.Sprintf(`
 SELECT ?lang ?val WHERE {
   ?g <%s> <%s> .
   ?g <%s> ?lang .
   ?g <%s> ?val .
-}`, PredInView, v.IRI(), DimPredicate("lang"), PredAgg))
+}`, PredInView, v.IRI(), DimPredicate("lang"), PredAgg)))
 	if err != nil {
 		t.Fatal(err)
 	}

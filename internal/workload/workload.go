@@ -49,9 +49,6 @@ type Query struct {
 	FilterMask facet.Mask // dimensions constrained by FILTERs
 }
 
-// RequiredMask is the dimension set a view must keep to answer this query.
-func (q *Query) RequiredMask() facet.Mask { return q.GroupMask | q.FilterMask }
-
 // Workload is a reproducible set of queries over one facet.
 type Workload struct {
 	Facet   *facet.Facet

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
+	"sofos/internal/engine"
 	"sofos/internal/facet"
 	"sofos/internal/rdf"
 	"sofos/internal/rewrite"
@@ -17,18 +20,22 @@ import (
 func fixture(t testing.TB) (*store.Graph, *facet.Facet) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
-	g := store.NewGraph()
+	var ts []rdf.Triple
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex.org/" + s) }
 	for ci := 0; ci < 5; ci++ {
 		for li := 0; li < 3; li++ {
 			for yi := 0; yi < 2; yi++ {
 				obs := ex(fmt.Sprintf("o%d%d%d", ci, li, yi))
-				g.MustAdd(rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2018 + yi)})
-				g.MustAdd(rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(100) + 1))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("country"), O: rdf.NewLiteral(fmt.Sprintf("C%d", ci))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("lang"), O: rdf.NewLiteral(fmt.Sprintf("L%d", li))})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("year"), O: rdf.NewYear(2018 + yi)})
+				ts = append(ts, rdf.Triple{S: obs, P: ex("pop"), O: rdf.NewInteger(int64(rng.Intn(100) + 1))})
 			}
 		}
+	}
+	g, err := store.BuildFrom(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := sparql.MustParse(`PREFIX ex: <http://ex.org/>
 SELECT ?country ?lang ?year (SUM(?pop) AS ?a) WHERE {
@@ -140,7 +147,7 @@ func TestGeneratedQueriesExecutable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ans.Result.Sorted(), base.Sorted()) {
+		if !reflect.DeepEqual(sortedRows(ans.Result), sortedRows(base)) {
 			t.Errorf("query %d: view answer differs from base\n%s", i, q.Text)
 		}
 	}
@@ -157,9 +164,6 @@ func TestGeneratedMasksConsistent(t *testing.T) {
 	}
 	sawFilter := false
 	for i, q := range w.Queries {
-		if q.RequiredMask() != q.GroupMask|q.FilterMask {
-			t.Errorf("query %d: RequiredMask inconsistent", i)
-		}
 		// GroupMask matches the parsed GROUP BY.
 		var mask facet.Mask
 		for _, v := range q.Parsed.GroupBy {
@@ -240,7 +244,7 @@ func TestGenerateWithValuesClauses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ans.Result.Sorted(), base.Sorted()) {
+		if !reflect.DeepEqual(sortedRows(ans.Result), sortedRows(base)) {
 			t.Errorf("query %d diverges:\n%s", i, q.Text)
 		}
 	}
@@ -258,4 +262,19 @@ func TestGenerateDefaults(t *testing.T) {
 	if len(w.Queries) != 20 {
 		t.Errorf("default size = %d", len(w.Queries))
 	}
+}
+
+// sortedRows renders the rows and sorts them: a canonical form for
+// comparing results.
+func sortedRows(r *engine.Result) []string {
+	out := make([]string, 0, len(r.Rows))
+	for _, row := range r.Rows {
+		parts := make([]string, len(row))
+		for i, v := range row {
+			parts[i] = v.String()
+		}
+		out = append(out, strings.Join(parts, "\t"))
+	}
+	sort.Strings(out)
+	return out
 }
