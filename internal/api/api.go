@@ -72,10 +72,9 @@ type ErrorResponse struct {
 }
 
 // QueryRequest is the POST /v1/query body. GET requests pass the query in
-// the "q" parameter and workers in "workers" instead.
+// the "q" parameter instead.
 type QueryRequest struct {
-	Query   string `json:"query"`
-	Workers int    `json:"workers,omitempty"` // intra-query parallelism cap
+	Query string `json:"query"`
 }
 
 // QueryResponse is the /v1/query response body. Rows are rendered terms in

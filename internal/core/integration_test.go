@@ -11,7 +11,6 @@ import (
 	"sofos/internal/datasets"
 	"sofos/internal/engine"
 	"sofos/internal/facet"
-	"sofos/internal/rdf"
 	"sofos/internal/selection"
 	"sofos/internal/sparql"
 	"sofos/internal/store"
@@ -117,94 +116,6 @@ func numericTail(row string) string {
 		return ""
 	}
 	return row[j+1 : i]
-}
-
-// TestIntegrationMaintenanceEndToEnd mutates the base graph after
-// materialization and checks the full stale→refresh→correct-answers cycle
-// through the public facade.
-func TestIntegrationMaintenanceEndToEnd(t *testing.T) {
-	g, f, err := datasets.BuildWithFacet("dbpedia", 10, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(g, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := f.View(f.FullMask())
-	if _, err := s.Catalog.Materialize(v); err != nil {
-		t.Fatal(err)
-	}
-	q := f.View(facet.Mask(0b100)).AnalyticalQuery() // per-language
-
-	before, err := s.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !before.UsedView() {
-		t.Fatalf("not view-answered: %s", before.Reason)
-	}
-
-	// Insert a new observation for a fresh country speaking Esperanto.
-	dbp := func(l string) rdf.Term { return rdf.NewIRI("http://dbpedia.org/property/" + l) }
-	res := func(l string) rdf.Term { return rdf.NewIRI("http://dbpedia.org/resource/" + l) }
-	newTriples := []rdf.Triple{
-		{S: res("CountryX"), P: dbp("name"), O: rdf.NewLiteral("CountryX")},
-		{S: res("CountryX"), P: dbp("continent"), O: rdf.NewLiteral("Europe")},
-		{S: res("obsX"), P: dbp("country"), O: res("CountryX")},
-		{S: res("obsX"), P: dbp("language"), O: rdf.NewLiteral("Esperanto")},
-		{S: res("obsX"), P: dbp("year"), O: rdf.NewYear(2019)},
-		{S: res("obsX"), P: dbp("population"), O: rdf.NewInteger(1000)},
-	}
-	if _, err := s.ApplyUpdate(newTriples, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Catalog.StaleViews()) != 1 {
-		t.Fatalf("stale views = %v", s.Catalog.StaleViews())
-	}
-
-	// A stale view gives the old (now wrong) answer — the hazard.
-	stale, err := s.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundEsperanto := false
-	for _, row := range stale.Result.Rows {
-		if row[0].Term.Value == "Esperanto" {
-			foundEsperanto = true
-		}
-	}
-	if foundEsperanto {
-		t.Fatal("stale view already contains the new language?")
-	}
-
-	// Refresh and re-answer: the new language appears and matches base.
-	if _, err := s.Catalog.RefreshAllParallel(s.Workers); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.UsedView() {
-		t.Fatalf("refresh broke view answering: %s", after.Reason)
-	}
-	base, err := s.Catalog.BaseEngine().Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sortedRows(after.Result), sortedRows(base)) {
-		t.Errorf("after refresh:\nview: %v\nbase: %v", sortedRows(after.Result), sortedRows(base))
-	}
-	foundEsperanto = false
-	for _, row := range after.Result.Rows {
-		if row[0].Term.Value == "Esperanto" {
-			foundEsperanto = true
-		}
-	}
-	if !foundEsperanto {
-		t.Error("refreshed view missing the new language")
-	}
 }
 
 // TestIntegrationUserSelectionFlow reproduces the demo's "User Selected

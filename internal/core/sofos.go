@@ -194,19 +194,19 @@ func (s *System) Answer(q *sparql.Query) (*rewrite.Answer, error) {
 
 // AnswerWithWorkers answers one query with an explicit intra-query worker
 // bound, overriding the system default. 0 falls back to the system's
-// workers; the serving layer uses this for per-request admission control.
+// workers.
 func (s *System) AnswerWithWorkers(q *sparql.Query, workers int) (*rewrite.Answer, error) {
-	return s.AnswerObserved(q, workers, obs.SpanHandle{})
-}
-
-// AnswerObserved is AnswerWithWorkers with a parent trace span: the rewrite
-// decision, engine partitions, and aggregate merge record themselves under
-// sp. The zero handle disables tracing.
-func (s *System) AnswerObserved(q *sparql.Query, workers int, sp obs.SpanHandle) (*rewrite.Answer, error) {
 	if workers <= 0 {
 		workers = s.Workers
 	}
-	return s.Rewriter.AnswerWith(q, engine.Options{Workers: workers, Span: sp})
+	return s.Rewriter.AnswerWith(q, engine.Options{Workers: workers})
+}
+
+// AnswerObserved answers one query at the system's workers under a parent
+// trace span: the rewrite decision, engine partitions, and aggregate merge
+// record themselves under sp. The zero handle disables tracing.
+func (s *System) AnswerObserved(q *sparql.Query, sp obs.SpanHandle) (*rewrite.Answer, error) {
+	return s.Rewriter.AnswerWith(q, engine.Options{Workers: s.Workers, Span: sp})
 }
 
 // Generation returns the catalog mutation counter: it increases on every
@@ -265,63 +265,24 @@ func (r *WorkloadReport) HitRate() float64 {
 // RunWorkload answers every workload query against the current catalog state
 // and collects per-query outcomes — the "Query performance analyzer" panel.
 func (s *System) RunWorkload(w *workload.Workload) (*WorkloadReport, error) {
-	rep := &WorkloadReport{Workers: s.Workers}
-	for i, q := range w.Queries {
-		ans, err := s.Answer(q.Parsed)
-		if err != nil {
-			return nil, fmt.Errorf("core: workload query %d: %w", i, err)
-		}
-		if ans.UsedView() {
-			rep.ViewHits++
-		}
-		rep.Timing.Add(ans.Elapsed)
-		rep.PerQuery = append(rep.PerQuery, QueryOutcome{
-			Index:      i,
-			Text:       q.Text,
-			Via:        ans.ViaLabel(),
-			Reason:     ans.Reason,
-			Rows:       len(ans.Result.Rows),
-			Partitions: ans.Result.Stats.Partitions,
-			Elapsed:    ans.Elapsed,
-		})
-	}
-	return rep, nil
+	return s.RunWorkloadParallel(w, 1)
 }
 
-// RunWorkloadParallel answers the workload with the given number of
-// concurrent workers. The catalog is read-only during a run (the store
-// supports concurrent readers), so this measures the system's multi-client
-// throughput. Results are in workload order, as with RunWorkload.
+// RunWorkloadParallel is RunWorkload on the given number of concurrent
+// workers. The catalog is read-only during a run (the store supports
+// concurrent readers), so this measures the system's multi-client
+// throughput. Results are in workload order at any worker count.
 func (s *System) RunWorkloadParallel(w *workload.Workload, workers int) (*WorkloadReport, error) {
-	if workers <= 1 {
-		return s.RunWorkload(w)
-	}
-	type slot struct {
-		outcome QueryOutcome
-		err     error
-	}
-	results := make([]slot, len(w.Queries))
+	outcomes := make([]QueryOutcome, len(w.Queries))
+	errs := make([]error, len(w.Queries))
 	jobs := make(chan int)
-	done := make(chan struct{})
-	for wk := 0; wk < workers; wk++ {
+	var wg sync.WaitGroup
+	for range max(workers, 1) {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			for i := range jobs {
-				q := w.Queries[i]
-				ans, err := s.Answer(q.Parsed)
-				if err != nil {
-					results[i].err = fmt.Errorf("core: workload query %d: %w", i, err)
-					continue
-				}
-				results[i].outcome = QueryOutcome{
-					Index:      i,
-					Text:       q.Text,
-					Via:        ans.ViaLabel(),
-					Reason:     ans.Reason,
-					Rows:       len(ans.Result.Rows),
-					Partitions: ans.Result.Stats.Partitions,
-					Elapsed:    ans.Elapsed,
-				}
+				outcomes[i], errs[i] = s.answerQuery(i, w.Queries[i])
 			}
 		}()
 	}
@@ -329,21 +290,36 @@ func (s *System) RunWorkloadParallel(w *workload.Workload, workers int) (*Worklo
 		jobs <- i
 	}
 	close(jobs)
-	for wk := 0; wk < workers; wk++ {
-		<-done
-	}
+	wg.Wait()
 	rep := &WorkloadReport{Workers: s.Workers}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	for i, o := range outcomes {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if r.outcome.Via != "base" {
+		if o.Via != "base" {
 			rep.ViewHits++
 		}
-		rep.Timing.Add(r.outcome.Elapsed)
-		rep.PerQuery = append(rep.PerQuery, r.outcome)
+		rep.Timing.Add(o.Elapsed)
+		rep.PerQuery = append(rep.PerQuery, o)
 	}
 	return rep, nil
+}
+
+// answerQuery answers workload query i and records its outcome.
+func (s *System) answerQuery(i int, q workload.Query) (QueryOutcome, error) {
+	ans, err := s.Answer(q.Parsed)
+	if err != nil {
+		return QueryOutcome{}, fmt.Errorf("core: workload query %d: %w", i, err)
+	}
+	return QueryOutcome{
+		Index:      i,
+		Text:       q.Text,
+		Via:        ans.ViaLabel(),
+		Reason:     ans.Reason,
+		Rows:       len(ans.Result.Rows),
+		Partitions: ans.Result.Stats.Partitions,
+		Elapsed:    ans.Elapsed,
+	}, nil
 }
 
 // ModelReport is one row of the cost-model comparison (panel ② of the GUI):

@@ -53,12 +53,14 @@ func (e *Engine) runPartitioned(n int, p *Plan, stats *ExecStats, cap int,
 			defer wg.Done()
 			sp := p.span.Child("engine.partition")
 			sp.AttrInt("worker", int64(i))
+			defer store.Recover(&errs[i])
 			outs[i], errs[i] = part(i, &ctxs[i])
 			sp.AttrInt("rows_out", int64(len(outs[i])))
 			sp.End()
 		}(i)
 	}
 	wg.Wait()
+	store.Repanic(errs...)
 	total := 0
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sofos/internal/rdf"
@@ -247,4 +248,33 @@ func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
 	if got := (Options{Workers: 3}).EffectiveWorkers(); got != 3 {
 		t.Errorf("EffectiveWorkers(3) = %d", got)
 	}
+}
+
+// TestRunPartitionedContainsCorruptBlock: a partition that meets a corrupt
+// block (the store's tagged decode panic) fails the query with an error
+// instead of ending the process from its bare goroutine, and any other
+// panic is raised again on the caller's goroutine, where a net/http
+// handler's recover reaches it.
+func TestRunPartitionedContainsCorruptBlock(t *testing.T) {
+	e := New(store.NewGraph())
+	run := func(raise any) (err error) {
+		_, err = e.runPartitioned(3, &Plan{}, &ExecStats{}, 0, func(i int, _ *execCtx) ([]binding, error) {
+			if i == 1 {
+				panic(raise)
+			}
+			return nil, nil
+		})
+		return err
+	}
+	if err := run("store: corrupt block run: block 7: truncated c1 varint at entry 0"); err == nil ||
+		!strings.Contains(err.Error(), "block 7") {
+		t.Fatalf("corrupt block: error = %v, want the decode error", err)
+	}
+	defer func() {
+		if r := recover(); r != "bug" {
+			t.Fatalf("recovered %v on the caller, want the worker's panic", r)
+		}
+	}()
+	run("bug")
+	t.Fatal("a worker's panic was swallowed")
 }

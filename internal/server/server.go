@@ -71,10 +71,6 @@ type Config struct {
 	// Further requests queue until a slot frees. 0 means 2×GOMAXPROCS.
 	MaxConcurrent int
 
-	// MaxWorkers caps the per-request intra-query parallelism a client may
-	// ask for via the "workers" field. 0 means the system's worker count.
-	MaxWorkers int
-
 	// CacheEntries is the result cache capacity in entries. 0 means 4096;
 	// negative disables caching.
 	CacheEntries int
@@ -130,12 +126,9 @@ type Config struct {
 }
 
 // withDefaults resolves zero fields.
-func (c Config) withDefaults(sys *core.System) Config {
+func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = sys.Workers
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
@@ -211,7 +204,7 @@ type Server struct {
 
 // New wraps a system in a server with the given configuration.
 func New(sys *core.System, cfg Config) *Server {
-	cfg = cfg.withDefaults(sys)
+	cfg = cfg.withDefaults()
 	s := &Server{
 		chain:   core.NewChain(sys),
 		cfg:     cfg,
@@ -322,14 +315,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		req.Query = r.URL.Query().Get("q")
-		if ws := r.URL.Query().Get("workers"); ws != "" {
-			n, err := strconv.Atoi(ws)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, api.CodeBadRequest, "bad workers parameter %q", ws)
-				return
-			}
-			req.Workers = n
-		}
 	case http.MethodPost:
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
@@ -421,11 +406,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-
 	// Pin one published generation and answer entirely against it: the
 	// snapshot is immutable, so no lock is held while executing, and a
 	// writer publishing mid-query never perturbs this answer.
@@ -452,7 +432,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ans, err := st.Sys.AnswerObserved(q, workers, root)
+	ans, err := st.Sys.AnswerObserved(q, root)
 	if err != nil {
 		if s.obs != nil {
 			s.obs.finishQuery(tr, root, obs.QueryRecord{

@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"sofos/internal/rdf"
@@ -231,11 +233,40 @@ func (r *blockRun) decodeBlock(bi int, c0, c1, c2 []rdf.ID) error {
 
 // mustDecode is decodeBlock for trusted runs. In-process blocks always decode,
 // and snapshot loading checks every payload CRC at open, so a failure here
-// means a hand-crafted file whose CRCs agree with a malformed payload (load's
-// overlay check recovers that panic into an error) or memory corruption.
+// means a hand-crafted file whose CRCs agree with a malformed payload (see
+// Recover) or memory corruption.
 func (r *blockRun) mustDecode(bi int, c0, c1, c2 []rdf.ID) {
 	if err := r.decodeBlock(bi, c0, c1, c2); err != nil {
-		panic("store: corrupt block run: " + err.Error())
+		panic(corruptBlock + err.Error())
+	}
+}
+
+const corruptBlock = "store: corrupt block run: "
+
+// workerPanic carries any other panic from Recover to Repanic.
+type workerPanic struct{ value any }
+
+func (p workerPanic) Error() string { return fmt.Sprint(p.value) }
+
+// Recover, deferred by a goroutine that reads block runs, turns a corrupt
+// block (mustDecode's panic) into *err, and any other panic into an *err
+// for Repanic: a panic on a bare worker goroutine would end the process.
+func Recover(err *error) {
+	r := recover()
+	if msg, ok := r.(string); ok && strings.HasPrefix(msg, corruptBlock) {
+		*err = errors.New(msg)
+	} else if r != nil {
+		*err = workerPanic{r}
+	}
+}
+
+// Repanic raises again, on the calling goroutine, the first panic Recover
+// caught into errs. Call it once the workers are joined.
+func Repanic(errs ...error) {
+	for _, err := range errs {
+		if p, ok := err.(workerPanic); ok {
+			panic(p.value)
+		}
 	}
 }
 

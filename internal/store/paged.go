@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 	"sync/atomic"
 
 	"sofos/internal/rdf"
@@ -592,21 +591,13 @@ func loadPagedBytes(full []byte, mapped bool) (*Graph, error) {
 	return g, nil
 }
 
-// checkOverlayMembership validates overlay sections against the runs,
-// converting the tagged corruption panic of a block decode into a plain load
-// error. Every payload CRC has been checked by then, so a decode can only
-// fail on a hand-crafted file whose CRCs agree with a malformed payload; the
-// recover keeps that input from disk an error, not a crash.
+// checkOverlayMembership validates overlay sections against the runs.
+// Every payload CRC has been checked by then, so a decode can only fail on a
+// hand-crafted file whose CRCs agree with a malformed payload; Recover keeps
+// that input from disk a load error, not a crash.
 func checkOverlayMembership(g *Graph, adds, dels []rdf.EncodedTriple) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			msg, ok := r.(string)
-			if !ok || !strings.HasPrefix(msg, "store: corrupt block run: ") {
-				panic(r)
-			}
-			err = fmt.Errorf("store: overlay check: %s", msg)
-		}
-	}()
+	defer func() { Repanic(err) }()
+	defer Recover(&err)
 	for _, t := range dels {
 		if !g.inRuns(t) {
 			return fmt.Errorf("store: overlay tombstone %v not present in runs", t)

@@ -381,10 +381,12 @@ func deltaSolutions(eng *engine.Engine, f *facet.Facet, delta []rdf.Triple, work
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer store.Recover(&errs[w])
 			chunks[w], errs[w] = seededRows(eng, f, delta[w*len(delta)/n:(w+1)*len(delta)/n])
 		}()
 	}
 	wg.Wait()
+	store.Repanic(errs...)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -647,6 +649,8 @@ func applyGroupDeltas(v facet.View, mat *Materialized, insRows, delRows []deltaR
 		switch {
 		case !ok || g.N < 0:
 			return g, false, false
+		case g.N == 0 && v.Mask == 0:
+			return g, false, false // the apex of no rows: only Compute makes it
 		case g.N == 0:
 			count(*old, -1)
 			return g, false, true

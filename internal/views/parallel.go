@@ -7,6 +7,7 @@ import (
 
 	"sofos/internal/engine"
 	"sofos/internal/facet"
+	"sofos/internal/store"
 )
 
 // Parallel offline-module operations. Every materialization and refresh is
@@ -78,7 +79,10 @@ func (c *Catalog) computeWave(vs []facet.View, workers int,
 			defer wg.Done()
 			for i := range jobs {
 				results[i].start = time.Now()
-				results[i].data, results[i].err = compute(eng, i, vs[i])
+				func() {
+					defer store.Recover(&results[i].err)
+					results[i].data, results[i].err = compute(eng, i, vs[i])
+				}()
 			}
 		}()
 	}
@@ -87,6 +91,9 @@ func (c *Catalog) computeWave(vs []facet.View, workers int,
 	}
 	close(jobs)
 	wg.Wait()
+	for _, r := range results {
+		store.Repanic(r.err)
+	}
 	return results
 }
 
