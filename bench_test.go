@@ -402,75 +402,7 @@ func BenchmarkJoinOrderAblation(b *testing.B) {
 	})
 }
 
-// --- Codec: block-compressed runs vs flat ---
-
-// codecGraph builds a dataset graph under one codec — the flat oracle is
-// rebuilt from the generated block graph's triples — and compacts the overlay
-// so the benchmarks run against pure immutable runs.
-func codecGraph(b *testing.B, dataset string, scale int, codec store.Codec) (*store.Graph, *facet.Facet) {
-	b.Helper()
-	g, f, err := datasets.BuildWithFacet(dataset, scale, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if codec == store.CodecFlat {
-		if g, err = store.BuildFromWithCodec(codec, g.Triples()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	g.Compact()
-	return g, f
-}
-
-// BenchmarkScanCodec sweeps the flat and block codecs across dataset scales:
-// a cold full-graph scan through the vectorized NextSpan path, and the facet
-// template star join through the engine. The run_bytes metric reports the
-// resident index footprint per codec, the compression half of the trade-off.
-func BenchmarkScanCodec(b *testing.B) {
-	for _, ds := range []struct {
-		name  string
-		scale int
-	}{{"lubm", 100}, {"dbpedia", 2000}} {
-		for _, codec := range []store.Codec{store.CodecFlat, store.CodecBlock} {
-			g, f := codecGraph(b, ds.name, ds.scale, codec)
-			ms := g.MemStats()
-			b.Run(fmt.Sprintf("scan/%s@%d/%s", ds.name, ds.scale, codec), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					it := g.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-					n := 0
-					for {
-						s, _, _ := it.NextSpan()
-						if len(s) == 0 {
-							break
-						}
-						n += len(s)
-					}
-					if n != g.Len() {
-						b.Fatalf("scanned %d, want %d", n, g.Len())
-					}
-				}
-				// After ResetTimer: it clears custom metrics on recent Go.
-				b.ReportMetric(float64(ms.IndexBytes), "run_bytes")
-			})
-			b.Run(fmt.Sprintf("join/%s@%d/%s", ds.name, ds.scale, codec), func(b *testing.B) {
-				eng := engine.New(g)
-				q := f.TemplateQuery()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Execute(q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Rows) == 0 {
-						b.Fatal("no rows")
-					}
-				}
-			})
-		}
-	}
-}
+// --- Codec: block-compressed snapshot loads ---
 
 // BenchmarkSnapshotLoadCodec measures cold heap loads of the paged (v3)
 // snapshot of a block graph, whose payloads are installed verbatim. The
@@ -481,7 +413,11 @@ func BenchmarkSnapshotLoadCodec(b *testing.B) {
 		scale int
 	}{{"lubm", 100}, {"dbpedia", 2000}} {
 		b.Run(fmt.Sprintf("%s@%d/block", ds.name, ds.scale), func(b *testing.B) {
-			g, _ := codecGraph(b, ds.name, ds.scale, store.CodecBlock)
+			g, _, err := datasets.BuildWithFacet(ds.name, ds.scale, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Compact()
 			var buf bytes.Buffer
 			if err := g.Save(&buf); err != nil {
 				b.Fatal(err)

@@ -41,10 +41,12 @@ type System struct {
 	// query execution, batch materialization, and refresh.
 	Workers int
 
-	// provider holds the lazily computed full-lattice statistics;
-	// providerMu makes the one-time initialization safe when concurrent
-	// readers (e.g. the server's view-management path) race to be first.
+	// provider holds the lazily computed full-lattice statistics of the
+	// graph at version providerAt; providerMu makes the computation safe when
+	// concurrent readers (e.g. the server's view-management path) race to be
+	// first.
 	provider   *cost.Provider
+	providerAt int64
 	providerMu sync.Mutex
 }
 
@@ -92,30 +94,30 @@ func (s *System) Fork() *System {
 		Rewriter: rewrite.New(cat),
 		Workers:  s.Workers,
 	}
-	// The lattice statistics are a function of the base graph content; carry
-	// the memo only when no writer can have changed what it describes — and
-	// since forks exist to be mutated, recomputing lazily on demand is the
-	// safe default. Carrying the pointer is still correct for read-only forks.
+	// The lattice statistics are a function of the base graph content: the
+	// fork keeps the memo with the version it describes, and Provider
+	// recomputes once the fork's graph moves past it.
 	s.providerMu.Lock()
-	ns.provider = s.provider
+	ns.provider, ns.providerAt = s.provider, s.providerAt
 	s.providerMu.Unlock()
 	return ns
 }
 
-// Provider computes (once) and returns the full-lattice statistics: every
-// view's group/triple/node counts. This is the demo's "Full Lattice"
-// exploration step and the substrate of the analytic cost models.
+// Provider returns the full-lattice statistics of the current graph: every
+// view's group/triple/node counts, computed once per graph version. This is
+// the demo's "Full Lattice" exploration step and the substrate of the
+// analytic cost models.
 func (s *System) Provider() (*cost.Provider, error) {
 	s.providerMu.Lock()
 	defer s.providerMu.Unlock()
-	if s.provider != nil {
+	if s.provider != nil && s.providerAt == s.Graph.Version() {
 		return s.provider, nil
 	}
 	p, err := cost.NewProvider(s.Graph, s.Lattice)
 	if err != nil {
 		return nil, err
 	}
-	s.provider = p
+	s.provider, s.providerAt = p, s.Graph.Version()
 	return p, nil
 }
 

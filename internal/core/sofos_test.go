@@ -7,6 +7,7 @@ import (
 	"sofos/internal/cost"
 	"sofos/internal/datasets"
 	"sofos/internal/persist"
+	"sofos/internal/rdf"
 	"sofos/internal/workload"
 )
 
@@ -52,6 +53,47 @@ func TestProviderCached(t *testing.T) {
 	}
 	if p1 != p2 {
 		t.Error("provider not cached")
+	}
+}
+
+// TestForkProviderFollowsUpdates: a fork shares its parent's lattice
+// statistics only while its graph is unchanged; after an update, Provider
+// counts the fork's graph, and the parent keeps its own.
+func TestForkProviderFollowsUpdates(t *testing.T) {
+	s := sys(t)
+	p0, err := s.Provider()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := s.Lattice.Top().Mask
+	before := p0.MustStats(top).Groups
+	f := s.Fork()
+	if p, err := f.Provider(); err != nil || p != p0 {
+		t.Fatalf("an unchanged fork recomputed its statistics (err %v)", err)
+	}
+	// One observation of a new country: a new finest-view group.
+	dbpIRI := func(s string) rdf.Term { return rdf.NewIRI(dbp + s) }
+	obs, c := rdf.NewIRI("http://ex.org/obs_fork"), rdf.NewIRI("http://ex.org/c_fork")
+	ins := []rdf.Triple{
+		{S: c, P: dbpIRI("name"), O: rdf.NewLiteral("Cfork")},
+		{S: c, P: dbpIRI("continent"), O: rdf.NewLiteral("Europe")},
+		{S: obs, P: dbpIRI("country"), O: c},
+		{S: obs, P: dbpIRI("language"), O: rdf.NewLiteral("Lfork")},
+		{S: obs, P: dbpIRI("year"), O: rdf.NewYear(2015)},
+		{S: obs, P: dbpIRI("population"), O: rdf.NewInteger(7)},
+	}
+	if _, err := f.ApplyUpdate(ins, nil); err != nil {
+		t.Fatal(err)
+	}
+	p1, err := f.Provider()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p1.MustStats(top).Groups; got != before+1 {
+		t.Fatalf("fork's finest view has %d groups after one new observation, want %d", got, before+1)
+	}
+	if p, err := s.Provider(); err != nil || p != p0 {
+		t.Fatalf("the parent's statistics changed with its fork (err %v)", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -496,14 +497,6 @@ func referenceEval(g *store.Graph) []string {
 	}
 	// Deduplicate: multiple z matches produce duplicate (x, y) rows in both
 	// implementations, so keep duplicates — but ordering must be canonical.
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

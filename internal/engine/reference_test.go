@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"sofos/internal/algebra"
@@ -14,8 +16,10 @@ import (
 
 // refEval is a brute-force evaluator: Cartesian expansion of the triple
 // patterns with consistency, VALUES, and filter checks, and bag union over
-// branches. Exponential, so only for tiny graphs — it defines the ground
-// truth the optimized engine must match.
+// branches. Each pattern looks its candidate triples up by one bound
+// position, so the cost follows the partial answers rather than their count
+// times the graph's size; it defines the ground truth the optimized engine
+// must match.
 func refEval(g *store.Graph, q *sparql.Query) []string {
 	var rows []string
 	if q.Where.IsUnion() {
@@ -25,68 +29,97 @@ func refEval(g *store.Graph, q *sparql.Query) []string {
 	} else {
 		rows = refEvalGroup(g, q, &q.Where)
 	}
-	sortStrings(rows)
+	slices.Sort(rows)
 	return rows
 }
 
 // refEvalGroup brute-forces one conjunctive group.
 func refEvalGroup(g *store.Graph, q *sparql.Query, gp *sparql.GroupPattern) []string {
 	all := g.Triples()
-	type env map[string]rdf.Term
-	var envs []env
-	envs = append(envs, env{})
+	// byTerm[i][t] lists, in scan order, the indexes in all of the triples
+	// whose component i is t; every lists them all.
+	var byTerm [3]map[rdf.Term][]int
+	for i := range byTerm {
+		byTerm[i] = make(map[rdf.Term][]int)
+	}
+	every := make([]int, len(all))
+	for n, tr := range all {
+		every[n] = n
+		for i, t := range [3]rdf.Term{tr.S, tr.P, tr.O} {
+			byTerm[i][t] = append(byTerm[i][t], n)
+		}
+	}
+	// An env is a partial solution: each variable bound at most once.
+	type binding struct {
+		name string
+		term rdf.Term
+	}
+	type env []binding
+	lookup := func(e env, name string) (rdf.Term, bool) {
+		for _, b := range e {
+			if b.name == name {
+				return b.term, true
+			}
+		}
+		return rdf.Term{}, false
+	}
+	envs := []env{nil}
 	// VALUES clauses: cross product of inline bindings.
 	for _, d := range gp.Values {
 		var next []env
 		for _, e := range envs {
 			for _, t := range d.Terms {
-				ne := make(env, len(e)+1)
-				for k, v := range e {
-					ne[k] = v
-				}
-				ne[d.Var] = t
-				next = append(next, ne)
+				ne := slices.DeleteFunc(slices.Clone(e), func(b binding) bool { return b.name == d.Var })
+				next = append(next, append(ne, binding{d.Var, t}))
 			}
 		}
 		envs = next
 	}
-	match := func(pt sparql.PatternTerm, t rdf.Term, e env) (env, bool) {
-		if !pt.IsVar {
-			if pt.Term == t {
-				return e, true
+	// extend binds tp's variables to tr's terms on top of e, copying e once
+	// if it binds any; false means tr does not match tp under e.
+	extend := func(tp sparql.TriplePattern, tr rdf.Triple, e env) (env, bool) {
+		out := e
+		terms := [3]rdf.Term{tr.S, tr.P, tr.O}
+		for i, pt := range [3]sparql.PatternTerm{tp.S, tp.P, tp.O} {
+			want, bound := pt.Term, !pt.IsVar
+			if pt.IsVar {
+				want, bound = lookup(out, pt.Var)
 			}
-			return nil, false
-		}
-		if v, ok := e[pt.Var]; ok {
-			if v == t {
-				return e, true
+			switch {
+			case bound && want != terms[i]:
+				return nil, false
+			case bound:
+				continue
 			}
-			return nil, false
+			if len(out) == len(e) {
+				out = append(make(env, 0, len(e)+3), e...)
+			}
+			out = append(out, binding{pt.Var, terms[i]})
 		}
-		ne := make(env, len(e)+1)
-		for k, v := range e {
-			ne[k] = v
+		return out, true
+	}
+	// candidates returns the triples that can match tp under e: those
+	// holding the term at tp's most selective bound position.
+	candidates := func(tp sparql.TriplePattern, e env) []int {
+		best := every
+		for i, pt := range [3]sparql.PatternTerm{tp.S, tp.P, tp.O} {
+			t, ok := pt.Term, !pt.IsVar
+			if pt.IsVar {
+				t, ok = lookup(e, pt.Var)
+			}
+			if ok && len(byTerm[i][t]) < len(best) {
+				best = byTerm[i][t]
+			}
 		}
-		ne[pt.Var] = t
-		return ne, true
+		return best
 	}
 	for _, tp := range gp.Triples {
 		var next []env
 		for _, e := range envs {
-			for _, tr := range all {
-				e1, ok := match(tp.S, tr.S, e)
-				if !ok {
-					continue
+			for _, n := range candidates(tp, e) {
+				if e1, ok := extend(tp, all[n], e); ok {
+					next = append(next, e1)
 				}
-				e2, ok := match(tp.P, tr.P, e1)
-				if !ok {
-					continue
-				}
-				e3, ok := match(tp.O, tr.O, e2)
-				if !ok {
-					continue
-				}
-				next = append(next, e3)
 			}
 		}
 		envs = next
@@ -97,7 +130,7 @@ func refEvalGroup(g *store.Graph, q *sparql.Query, gp *sparql.GroupPattern) []st
 		ok := true
 		for _, f := range gp.Filters {
 			resolve := func(name string) algebra.Value {
-				if t, found := e[name]; found {
+				if t, found := lookup(e, name); found {
 					return algebra.Bind(t)
 				}
 				return algebra.Unbound
@@ -112,20 +145,16 @@ func refEvalGroup(g *store.Graph, q *sparql.Query, gp *sparql.GroupPattern) []st
 		}
 	}
 	// Project.
-	var rows []string
+	rows := make([]string, 0, len(kept))
+	cols := make([]string, len(q.Select))
 	for _, e := range kept {
-		row := ""
 		for i, si := range q.Select {
-			if i > 0 {
-				row += "\t"
-			}
-			if t, ok := e[si.Var]; ok {
-				row += t.String()
-			} else {
-				row += "UNDEF"
+			cols[i] = "UNDEF"
+			if t, ok := lookup(e, si.Var); ok {
+				cols[i] = t.String()
 			}
 		}
-		rows = append(rows, row)
+		rows = append(rows, strings.Join(cols, "\t"))
 	}
 	return rows
 }

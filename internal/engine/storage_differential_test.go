@@ -24,7 +24,7 @@ import (
 func TestEngineDifferentialHeapVsMmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
-	// Build the seed graph with the same vocabulary the flat-vs-block
+	// Build the seed graph with the same vocabulary the block-vs-refEval
 	// differential uses: a tiny dense core randomBGPQuery knows about plus a
 	// wide subject space so runs span many blocks and pages.
 	var seedTs []rdf.Triple

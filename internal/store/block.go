@@ -83,12 +83,8 @@ func (r *blockRun) fenceInit() {
 	}
 }
 
-// blockCodec builds block-compressed runs.
-type blockCodec struct{}
-
-func (blockCodec) name() string { return "block" }
-
-func (blockCodec) newBuilder(sizeHint int) runBuilder {
+// newBlockBuilder returns a builder for a run of about sizeHint keys.
+func newBlockBuilder(sizeHint int) *blockBuilder {
 	b := &blockBuilder{}
 	if sizeHint > 0 {
 		b.r.meta = make([]blockMeta, 0, (sizeHint+blockSize-1)/blockSize)
@@ -100,6 +96,8 @@ func (blockCodec) newBuilder(sizeHint int) runBuilder {
 }
 
 // blockBuilder accumulates sorted keys and flushes a block every blockSize.
+// Compaction and bulk loads stream their merge output through one, so runs
+// are encoded block by block with no intermediate flat key slice.
 type blockBuilder struct {
 	r    blockRun
 	pend []rdf.EncodedTriple
@@ -134,7 +132,7 @@ func (b *blockBuilder) flush() {
 	b.pend = b.pend[:0]
 }
 
-func (b *blockBuilder) finish() run {
+func (b *blockBuilder) finish() *blockRun {
 	b.flush()
 	r := b.r
 	b.r = blockRun{}
@@ -305,8 +303,17 @@ func (r *blockRun) blockOf(pos int) int {
 	return lo
 }
 
-func (r *blockRun) size() int { return r.n }
+// size returns the number of keys in the run; a nil run (an index never
+// written to) is empty.
+func (r *blockRun) size() int {
+	if r == nil {
+		return 0
+	}
+	return r.n
+}
 
+// memBytes returns the heap-resident bytes of the run (excluding the
+// dictionary), for memory accounting.
 func (r *blockRun) memBytes() int64 {
 	// Fence entries are 44 bytes (4+4+4+8 header fields + two 12-byte keys)
 	// plus the 4-byte max0 mirror. Mapped payloads live in the OS page cache,
@@ -327,6 +334,7 @@ func (r *blockRun) mappedBytes() int64 {
 	return 0
 }
 
+// numBlocks returns the number of fixed-size blocks.
 func (r *blockRun) numBlocks() int { return len(r.meta) }
 
 // passes reports whether a key satisfies the search bound: prefix > key for
@@ -394,84 +402,6 @@ func spanSearch(a *spanArena, n int, key rdf.EncodedTriple, depth int, upper boo
 		return hi
 	}
 	return lo
-}
-
-func (r *blockRun) search(from int, key rdf.EncodedTriple, depth int, upper bool) int {
-	if depth == 0 {
-		if upper {
-			return r.n
-		}
-		return from
-	}
-	if r.n == 0 || from >= r.n {
-		return r.n
-	}
-	// Find the first block whose last key passes the bound: earlier blocks
-	// hold only failing keys, so the answer is in this block or at its start.
-	// Narrow by the leading fence component first — max0 is a flat ID array,
-	// far cheaper to binary-search than the wide meta entries. Blocks with
-	// max0 < key[0] fail every bound, blocks with max0 > key[0] pass every
-	// bound; only the max0 == key[0] range needs deeper comparison.
-	k0 := key[0]
-	// e0: first block with max0 ≥ key[0].
-	e0, h := 0, len(r.max0)
-	for e0 < h {
-		mid := int(uint(e0+h) >> 1)
-		if r.max0[mid] < k0 {
-			e0 = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	// e1: first block with max0 > key[0].
-	e1 := e0
-	h = len(r.max0)
-	for e1 < h {
-		mid := int(uint(e1+h) >> 1)
-		if r.max0[mid] <= k0 {
-			e1 = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	var lo int
-	switch {
-	case depth == 1 && upper:
-		lo = e1 // first block holding any key with c0 > key[0]
-	case depth == 1:
-		lo = e0 // first block holding any key with c0 ≥ key[0]
-	default:
-		// Deeper bounds: only the max0 == key[0] blocks [e0, e1) are
-		// ambiguous; block e1, if it exists, passes outright.
-		lo, h = e0, e1
-		if h < len(r.meta) {
-			h++
-		}
-		for lo < h {
-			mid := int(uint(lo+h) >> 1)
-			if !passes(r.meta[mid].max, key, depth, upper) {
-				lo = mid + 1
-			} else {
-				h = mid
-			}
-		}
-	}
-	if lo == len(r.meta) {
-		return r.n
-	}
-	m := &r.meta[lo]
-	q := m.start
-	if !passes(m.min, key, depth, upper) {
-		// The boundary crosses this block: decode it and binary-search the
-		// columns for the first passing key.
-		a := r.decoded(lo)
-		q = m.start + spanSearch(a, int(m.count), key, depth, upper)
-		searchArenas.Put(a)
-	}
-	if q < from {
-		q = from
-	}
-	return q
 }
 
 // searchRange returns the [lower, upper) position range of keys matching the
@@ -569,6 +499,7 @@ func (r *blockRun) searchUpperFrom(b, e1 int, key rdf.EncodedTriple, depth int) 
 	return m.start
 }
 
+// contains reports whether the exact key is present.
 func (r *blockRun) contains(key rdf.EncodedTriple) bool {
 	if r.n == 0 {
 		return false
@@ -597,6 +528,9 @@ func (r *blockRun) contains(key rdf.EncodedTriple) bool {
 	return found
 }
 
+// keyAt returns the key at a position: O(1) at a block's fence positions
+// (its first and last key), one block decode otherwise — callers use it for
+// split boundaries, never per triple.
 func (r *blockRun) keyAt(pos int) rdf.EncodedTriple {
 	bi := r.blockOf(pos)
 	m := &r.meta[bi]
@@ -612,6 +546,9 @@ func (r *blockRun) keyAt(pos int) rdf.EncodedTriple {
 	return k
 }
 
+// fill decodes the block holding position lo into the arena, bounded by hi,
+// and sets a.idx so a.key(a.idx) is the key at lo. It decodes at least one
+// key; callers guarantee lo < hi ≤ size().
 func (r *blockRun) fill(a *spanArena, lo, hi int) {
 	bi := r.blockOf(lo)
 	m := &r.meta[bi]

@@ -26,78 +26,84 @@ func sortedRandomKeys(rng *rand.Rand, n int) []rdf.EncodedTriple {
 	return keys
 }
 
-// TestBlockRunAgainstFlat checks every run-interface primitive of the block
-// encoding against the flat oracle over the same keys: search at every
-// depth/bound, contains for hits and misses, keyAt at every position, fill
-// windows, and alignSplit monotonicity.
-func TestBlockRunAgainstFlat(t *testing.T) {
+// buildBlockRun encodes an already-sorted key slice as one run.
+func buildBlockRun(sorted []rdf.EncodedTriple) *blockRun {
+	b := newBlockBuilder(len(sorted))
+	for _, k := range sorted {
+		b.add(k)
+	}
+	return b.finish()
+}
+
+// TestBlockRunAgainstSortedKeys checks the block encoding's primitives
+// against the sorted key slice it was built from, searched with
+// searchPrefix: keyAt and contains at every position, searchRange at every
+// depth for every key and for random probes, contains for misses, fill
+// windows that must tile the sequence from any start, and alignSplit.
+func TestBlockRunAgainstSortedKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{0, 1, 2, blockSize - 1, blockSize, blockSize + 1, 3*blockSize + 17} {
 		keys := sortedRandomKeys(rng, n)
-		br := buildRun(blockCodec{}, keys)
-		fr := buildRun(flatCodec{}, keys)
-		if br.size() != n || fr.size() != n {
-			t.Fatalf("n=%d: sizes %d/%d", n, br.size(), fr.size())
+		br := buildBlockRun(keys)
+		if br.size() != n {
+			t.Fatalf("n=%d: size %d", n, br.size())
 		}
 		// Fence overhead dominates below a block; compression only pays off
 		// once runs actually span blocks.
-		if n >= blockSize && br.memBytes() >= fr.memBytes() {
-			t.Errorf("n=%d: block run %d B not smaller than flat %d B", n, br.memBytes(), fr.memBytes())
+		if n >= blockSize && br.memBytes() >= int64(12*n) {
+			t.Errorf("n=%d: block run %d B not smaller than fixed-width %d B", n, br.memBytes(), 12*n)
 		}
-		for pos := 0; pos < n; pos++ {
-			if br.keyAt(pos) != fr.keyAt(pos) {
-				t.Fatalf("n=%d: keyAt(%d) = %v, want %v", n, pos, br.keyAt(pos), fr.keyAt(pos))
+		for pos, k := range keys {
+			if got := br.keyAt(pos); got != k {
+				t.Fatalf("n=%d: keyAt(%d) = %v, want %v", n, pos, got, k)
+			}
+			if !br.contains(k) {
+				t.Fatalf("n=%d: contains misses the key at %d", n, pos)
 			}
 		}
-		for trial := 0; trial < 300; trial++ {
-			var probe rdf.EncodedTriple
-			if n > 0 && trial%2 == 0 {
-				probe = keys[rng.Intn(n)] // existing key
-			} else {
-				probe = rdf.EncodedTriple{
-					rdf.ID(rng.Intn(n + 2)), rdf.ID(rng.Intn(20)), rdf.ID(rng.Intn(n + 2))}
-			}
-			if got, want := br.contains(probe), fr.contains(probe); got != want {
+		checkProbe := func(probe rdf.EncodedTriple) {
+			t.Helper()
+			at := searchPrefix(keys, 0, probe, 3, false)
+			if got, want := br.contains(probe), at < n && keys[at] == probe; got != want {
 				t.Fatalf("n=%d: contains(%v) = %v, want %v", n, probe, got, want)
 			}
 			for depth := 0; depth <= 3; depth++ {
-				for _, upper := range []bool{false, true} {
-					from := 0
-					if n > 0 && rng.Intn(3) == 0 {
-						from = rng.Intn(n)
-					}
-					got := br.search(from, probe, depth, upper)
-					want := fr.search(from, probe, depth, upper)
-					if got != want {
-						t.Fatalf("n=%d: search(%d, %v, %d, %v) = %d, want %d",
-							n, from, probe, depth, upper, got, want)
-					}
-				}
-				wantLo := fr.search(0, probe, depth, false)
-				wantHi := fr.search(wantLo, probe, depth, true)
-				gotLo, gotHi := br.(*blockRun).searchRange(probe, depth)
-				if gotLo != wantLo || gotHi != wantHi {
+				wantLo := searchPrefix(keys, 0, probe, depth, false)
+				wantHi := searchPrefix(keys, wantLo, probe, depth, true)
+				if gotLo, gotHi := br.searchRange(probe, depth); gotLo != wantLo || gotHi != wantHi {
 					t.Fatalf("n=%d: searchRange(%v, %d) = [%d,%d), want [%d,%d)",
 						n, probe, depth, gotLo, gotHi, wantLo, wantHi)
 				}
 			}
 		}
-		// fill must reproduce the key sequence from any start position.
+		for _, k := range keys {
+			checkProbe(k)
+		}
+		for trial := 0; trial < 300; trial++ {
+			checkProbe(rdf.EncodedTriple{
+				rdf.ID(rng.Intn(n + 2)), rdf.ID(rng.Intn(20)), rdf.ID(rng.Intn(n + 2))})
+		}
+		// Successive fills from any start must reproduce the key sequence up
+		// to hi, each decoding at least one key.
 		var a spanArena
 		for lo := 0; lo < n; lo += 1 + rng.Intn(blockSize/2+1) {
-			br.fill(&a, lo, n)
-			if a.key(a.idx) != keys[lo] {
-				t.Fatalf("n=%d: fill(%d) decodes %v at idx, want %v", n, lo, a.key(a.idx), keys[lo])
-			}
-			for i := a.idx; i < a.n; i++ {
-				if a.key(i) != keys[lo+i-a.idx] {
-					t.Fatalf("n=%d: fill(%d) wrong at offset %d", n, lo, i-a.idx)
+			hi := lo + 1 + rng.Intn(n-lo)
+			for pos := lo; pos < hi; {
+				br.fill(&a, pos, hi)
+				if a.idx >= a.n {
+					t.Fatalf("n=%d: fill(%d, %d) decoded no key", n, pos, hi)
+				}
+				for i := a.idx; i < a.n; i++ {
+					if pos >= hi || a.key(i) != keys[pos] {
+						t.Fatalf("n=%d: fill from %d wrong at position %d", n, lo, pos)
+					}
+					pos++
 				}
 			}
 		}
 		for pos := 0; pos <= n; pos++ {
 			ap := br.alignSplit(pos)
-			if ap > pos || ap%blockSize != 0 && ap != n {
+			if ap > pos || pos-ap >= blockSize || ap%blockSize != 0 && ap != n {
 				t.Fatalf("n=%d: alignSplit(%d) = %d", n, pos, ap)
 			}
 		}
@@ -161,37 +167,35 @@ func FuzzBlockDecode(f *testing.F) {
 // over-covers its key range.
 func TestIteratorRemainingLazyDeletions(t *testing.T) {
 	keys := sortedRandomKeys(rand.New(rand.NewSource(17)), 4*blockSize)
-	for _, codec := range []runCodec{flatCodec{}, blockCodec{}} {
-		r := buildRun(codec, keys)
-		// An iterator restricted to the middle of the run whose tombstone
-		// slice also names keys before, inside, and after its range.
-		lo, hi := blockSize, 3*blockSize
-		dels := []rdf.EncodedTriple{
-			keys[0], keys[5], // before the range: must not count
-			keys[lo+10], keys[lo+20], keys[hi-1], // inside: must count
-			keys[hi], keys[len(keys)-1], // after the range: must not count
+	r := buildBlockRun(keys)
+	// An iterator restricted to the middle of the run whose tombstone
+	// slice also names keys before, inside, and after its range.
+	lo, hi := blockSize, 3*blockSize
+	dels := []rdf.EncodedTriple{
+		keys[0], keys[5], // before the range: must not count
+		keys[lo+10], keys[lo+20], keys[hi-1], // inside: must count
+		keys[hi], keys[len(keys)-1], // after the range: must not count
+	}
+	it := Iterator{kind: permSPO, base: r, lo: lo, hi: hi, dels: dels}
+	want := (hi - lo) - 3
+	if got := it.Remaining(); got != want {
+		t.Fatalf("Remaining = %d, want %d", got, want)
+	}
+	// The count must stay exact as iteration consumes the range.
+	n := 0
+	for it.Next() {
+		n++
+		if got := it.Remaining(); got != want-n {
+			t.Fatalf("after %d yields Remaining = %d, want %d", n, got, want-n)
 		}
-		it := Iterator{kind: permSPO, base: r, lo: lo, hi: hi, dels: dels}
-		want := (hi - lo) - 3
-		if got := it.Remaining(); got != want {
-			t.Fatalf("%s: Remaining = %d, want %d", codec.name(), got, want)
-		}
-		// The count must stay exact as iteration consumes the range.
-		n := 0
-		for it.Next() {
-			n++
-			if got := it.Remaining(); got != want-n {
-				t.Fatalf("%s: after %d yields Remaining = %d, want %d", codec.name(), n, got, want-n)
-			}
-		}
-		if n != want {
-			t.Fatalf("%s: iterator yielded %d, want %d", codec.name(), n, want)
-		}
-		// With no base left, pending tombstones cancel nothing.
-		empty := Iterator{kind: permSPO, base: r, lo: hi, hi: hi,
-			extra: []rdf.EncodedTriple{{1, 1, 1}}, dels: dels}
-		if got := empty.Remaining(); got != 1 {
-			t.Fatalf("%s: exhausted-base Remaining = %d, want 1", codec.name(), got)
-		}
+	}
+	if n != want {
+		t.Fatalf("iterator yielded %d, want %d", n, want)
+	}
+	// With no base left, pending tombstones cancel nothing.
+	empty := Iterator{kind: permSPO, base: r, lo: hi, hi: hi,
+		extra: []rdf.EncodedTriple{{1, 1, 1}}, dels: dels}
+	if got := empty.Remaining(); got != 1 {
+		t.Fatalf("exhausted-base Remaining = %d, want 1", got)
 	}
 }

@@ -11,12 +11,11 @@ import (
 // Each graph keeps three sorted runs — one per access permutation (SPO, POS,
 // OSP) — with the triple components stored in that permutation's key order,
 // so every bound-component prefix of a triple pattern maps to one contiguous
-// run range found by binary search. The runs are stored behind the run
-// interface (run.go): flat fixed-width slices or delta/varint-compressed
-// blocks (block.go), chosen per graph by codec. On top of the immutable runs
-// sits a small delta overlay (pending inserts and tombstones, overlay.go) —
-// sorted per permutation like the runs, replaced copy-on-write by each write —
-// that is merged into fresh runs once it exceeds a fraction of the base
+// run range found by binary search. Each run is a sequence of delta/varint-
+// compressed blocks (run.go, block.go). On top of the immutable runs sits a
+// small delta overlay (pending inserts and tombstones, overlay.go) — sorted
+// per permutation like the runs, replaced copy-on-write by each write — that
+// is merged into fresh runs once it exceeds a fraction of the base
 // (LSM-style). Readers capture the run plus the in-range sub-slices of the
 // overlay, so an Iterator never reads the Graph while yielding and a later
 // write by the graph's owner never invalidates it.
@@ -89,30 +88,18 @@ func sortKeys(ts []rdf.EncodedTriple) {
 // rangeOf binary-searches the half-open run range whose first depth key
 // components equal key's. depth 0 returns the whole run; a nil run (an index
 // never written to) is the empty range.
-func rangeOf(r run, key rdf.EncodedTriple, depth int) (lo, hi int) {
+func rangeOf(r *blockRun, key rdf.EncodedTriple, depth int) (lo, hi int) {
 	if r == nil {
 		return 0, 0
 	}
-	if depth == 0 {
-		return 0, r.size()
-	}
-	if br, ok := r.(*blockRun); ok {
-		// Combined bound search: one fence narrowing and at most one decode
-		// when both bounds land in the same block — the common case for
-		// selective probes.
-		return br.searchRange(key, depth)
-	}
-	lo = r.search(0, key, depth, false)
-	hi = r.search(lo, key, depth, true)
-	return lo, hi
+	return r.searchRange(key, depth)
 }
 
 // searchPrefix returns the first index in run[from:] ∪ {len(run)} whose
 // depth-prefix is ≥ key's (upper=false) or > key's (upper=true). Depths 1
 // and 2 reduce to a lower-bound search against a packed integer target
 // (upper bound = lower bound of target+1), keeping the comparison loop
-// branch-light. This is the flat-slice search primitive, shared by flatRun,
-// the delta-overlay slices, and in-block searches over decoded columns.
+// branch-light. This is the search primitive over the delta-overlay slices.
 func searchPrefix(run []rdf.EncodedTriple, from int, key rdf.EncodedTriple, depth int, upper bool) int {
 	lo, hi := from, len(run)
 	switch depth {
@@ -181,13 +168,12 @@ func choosePerm(s, p, o rdf.ID) (kind permKind, key rdf.EncodedTriple, depth int
 }
 
 // mergeRuns three-way merges a base run with sorted inserts and sorted
-// tombstones, streaming the result through a fresh builder in the graph's
-// codec — block runs are re-encoded block by block with no intermediate flat
-// materialization. Inserts are disjoint from base; tombstones are a subset
-// of base.
-func mergeRuns(c runCodec, base run, ins, del []rdf.EncodedTriple) run {
-	n := runSize(base)
-	b := c.newBuilder(n + len(ins) - len(del))
+// tombstones, streaming the result through a fresh blockBuilder, so the new
+// run is encoded block by block with no intermediate flat materialization.
+// Inserts are disjoint from base; tombstones are a subset of base.
+func mergeRuns(base *blockRun, ins, del []rdf.EncodedTriple) *blockRun {
+	n := base.size()
+	b := newBlockBuilder(n + len(ins) - len(del))
 	var a spanArena
 	pos, j, k := 0, 0, 0
 	for pos < n || j < len(ins) {
@@ -232,15 +218,14 @@ func permuteSorted(kind permKind, ts []rdf.EncodedTriple) []rdf.EncodedTriple {
 
 // Iterator streams the triples matching one pattern in the permutation's
 // sorted order. The base range is read block-at-a-time through a reusable
-// decode arena, so iteration performs no per-triple allocation for either
-// codec (the arena itself is allocated once, lazily, and survives ScanInto
-// reuse).
+// decode arena, so iteration performs no per-triple allocation (the arena
+// itself is allocated once, lazily, and survives ScanInto reuse).
 //
 // An Iterator is a consistent snapshot: concurrent writes to the graph do not
 // affect triples it yields, and it must not be shared between goroutines.
 type Iterator struct {
 	kind   permKind
-	base   run        // shared immutable run (nil for pure-delta ranges)
+	base   *blockRun  // shared immutable run (nil for pure-delta ranges)
 	lo, hi int        // remaining base positions [lo, hi)
 	a      *spanArena // decoded span; a.key(a.idx) is the key at lo
 
@@ -334,7 +319,7 @@ func (it *Iterator) NextSpan() (s, p, o []rdf.ID) {
 	// Delta overlay in range: merge through Next into reusable buffers, sized
 	// to what is left — a point scan beside a writer must not pay for a
 	// full-span buffer.
-	chunk := min(spanChunk, it.hi-it.lo+len(it.extra))
+	chunk := min(blockSize, it.hi-it.lo+len(it.extra))
 	if cap(it.ms) < chunk {
 		it.ms = make([]rdf.ID, 0, chunk)
 		it.mp = make([]rdf.ID, 0, chunk)

@@ -8,8 +8,7 @@
 // range of the overlay. This is the layout
 // of native RDF stores such as RDF-3X/HDT and is what the paper assumes of
 // "any RDF triple store with SPARQL query processing". The runs are
-// block-compressed (block.go); a fixed-width flat layout exists only as the
-// oracle differential tests compare against (NewGraphWithCodec).
+// block-compressed (block.go), and that is their only representation.
 //
 // Concurrency: a Graph has any number of readers, or one owner that writes
 // while no one reads; it holds no lock. MVCC gets both at once by forking:

@@ -26,19 +26,15 @@ const (
 // forking: readers keep the published graph, which is never written again,
 // and the writer mutates its private Fork. The triple data lives in three
 // sorted permutation runs plus a delta overlay; see columnar.go for the
-// layout and run.go/block.go for the run encodings.
+// layout and run.go/block.go for the run encoding.
 type Graph struct {
 	dict *rdf.Dict
-
-	// codec encodes the immutable runs: block, or flat for the test oracle
-	// (see Codec).
-	codec runCodec
 
 	// runs are the immutable sorted columnar runs, one per permutation, each
 	// storing keys in that permutation's component order. Compaction and bulk
 	// loads replace the runs wholesale, never mutate them in place, so live
 	// Iterators stay valid across writes. A nil run is an empty index.
-	runs [numPerms]run
+	runs [numPerms]*blockRun
 
 	// ov is the delta overlay: triples inserted and run triples tombstoned
 	// since the last compaction, as sorted slices that are immutable once
@@ -85,9 +81,9 @@ func (g *Graph) Version() int64 { return g.version }
 // delta-log chaining assume it never repeats.
 func (g *Graph) SetVersion(v int64) { g.version = v }
 
-// NewGraph returns an empty block-coded graph with a fresh dictionary.
+// NewGraph returns an empty graph with a fresh dictionary.
 func NewGraph() *Graph {
-	return &Graph{dict: rdf.NewDict(), codec: blockCodec{}}
+	return &Graph{dict: rdf.NewDict()}
 }
 
 // BuildFrom constructs a compacted graph directly from a triple slice — the
@@ -144,7 +140,7 @@ func (g *Graph) Compact() {
 		return
 	}
 	for k := permKind(0); k < numPerms; k++ {
-		g.runs[k] = mergeRuns(g.codec, g.runs[k], g.ov.adds[k], g.ov.dels[k])
+		g.runs[k] = mergeRuns(g.runs[k], g.ov.adds[k], g.ov.dels[k])
 	}
 	g.ov = overlay{}
 	g.foldCounts()
@@ -289,7 +285,6 @@ func (g *Graph) Fork() *Graph {
 func (g *Graph) shareData() *Graph {
 	c := &Graph{
 		dict:    g.dict,
-		codec:   g.codec,
 		runs:    g.runs,
 		ov:      g.ov,
 		n:       g.n,
@@ -371,7 +366,7 @@ func (g *Graph) loadEncoded(ts []rdf.EncodedTriple) int {
 		if k != permSPO {
 			ins = permuteSorted(k, fresh)
 		}
-		g.runs[k] = mergeRuns(g.codec, g.runs[k], ins, nil)
+		g.runs[k] = mergeRuns(g.runs[k], ins, nil)
 	}
 	g.n += len(fresh)
 	g.version += int64(len(fresh))

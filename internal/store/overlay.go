@@ -214,7 +214,7 @@ func (b *batch) maybeCompact() {
 	g := b.g
 	delta := g.ov.size() + b.grown
 	if delta >= compactMinDelta &&
-		(delta >= compactMaxDelta || delta*compactFraction >= runSize(g.runs[permSPO])) {
+		(delta >= compactMaxDelta || delta*compactFraction >= g.runs[permSPO].size()) {
 		b.flush()
 		g.Compact()
 	}

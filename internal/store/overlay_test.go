@@ -42,7 +42,7 @@ func checkOverlayInvariants(t *testing.T, g *Graph) {
 			}
 		}
 	}
-	if want := runSize(g.runs[permSPO]) - len(g.ov.dels[permSPO]) + len(g.ov.adds[permSPO]); g.n != want {
+	if want := g.runs[permSPO].size() - len(g.ov.dels[permSPO]) + len(g.ov.adds[permSPO]); g.n != want {
 		t.Fatalf("n = %d, runs and overlay hold %d", g.n, want)
 	}
 	for i := range g.counts {

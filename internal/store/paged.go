@@ -62,15 +62,12 @@ const (
 // SavePaged writes the graph as a paged (v3) snapshot with an explicit page
 // size; Save uses defaultPageSize. Small page sizes keep exhaustive
 // corruption sweeps fast in tests; every page must still fit the largest
-// block payload. Only block-coded graphs have a paged form.
+// block payload.
 func (g *Graph) SavePaged(out io.Writer, pageSize int) error {
 	if pageSize < minPageSize || pageSize > maxPageSize || pageSize&(pageSize-1) != 0 {
 		return fmt.Errorf("store: invalid page size %d", pageSize)
 	}
-	brs, err := g.blockRuns()
-	if err != nil {
-		return err
-	}
+	brs := g.blockRuns()
 	// Greedy page assignment: blocks in order, a new page whenever the next
 	// payload would cross the boundary. Deterministic from the payload
 	// lengths, so the loader can (and does) verify it as a canonical form.
@@ -507,7 +504,7 @@ func loadPagedBytes(full []byte, mapped bool) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{dict: dict, codec: blockCodec{}}
+	g := &Graph{dict: dict}
 	maxID := rdf.ID(dict.Len())
 	adds, err := readOverlaySection(r, "overlay-add", maxID)
 	if err != nil {

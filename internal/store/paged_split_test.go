@@ -36,10 +36,7 @@ func TestSplitAlignsToPageBoundaries(t *testing.T) {
 			serial := collect(loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID))
 			for _, n := range []int{2, 3, 4, 8, 16} {
 				it := loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-				br, ok := it.base.(*blockRun)
-				if !ok {
-					t.Fatalf("full scan over a paged snapshot is not a block run (%T)", it.base)
-				}
+				br := it.base
 				if br.psz != pageSize {
 					t.Fatalf("paged run page size = %d, want %d", br.psz, pageSize)
 				}
@@ -77,12 +74,8 @@ func TestSplitCompactionRevertsToBlockAlignment(t *testing.T) {
 	addOne(loaded, tr("post-load", "p", "o"))
 	loaded.Compact()
 	it := loaded.Scan(rdf.NoID, rdf.NoID, rdf.NoID)
-	br, ok := it.base.(*blockRun)
-	if !ok {
-		t.Skipf("compacted scan is not a block run (%T)", it.base)
-	}
-	if br.psz != 0 {
-		t.Fatalf("rebuilt run kept page size %d, want 0 (heap re-encodings are not paged)", br.psz)
+	if psz := it.base.psz; psz != 0 {
+		t.Fatalf("rebuilt run kept page size %d, want 0 (heap re-encodings are not paged)", psz)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestPagedLoadRejectsCorruptPayload(t *testing.T) {
 	}
 	runStart := len(data) - clean.MemStats().Pages*4096
 	for k := permKind(0); k < numPerms; k++ {
-		br := clean.runs[k].(*blockRun)
+		br := clean.runs[k]
 		if len(br.meta) < 2 || br.meta[1].plen == 0 {
 			t.Fatalf("%s run has no second block payload to corrupt", permName(k))
 		}

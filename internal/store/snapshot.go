@@ -15,9 +15,8 @@ import (
 // dictionary, the delta overlay, the component counts and the block runs —
 // so generated datasets, expanded graphs, and durability checkpoints can be
 // saved and reloaded without re-running generators or re-parsing N-Triples.
-// There is one format, the paged v3 layout described in paged.go, and only
-// block-coded graphs have it: the runs are persisted verbatim, never
-// re-encoded.
+// There is one format, the paged v3 layout described in paged.go: the block
+// runs are persisted verbatim, never re-encoded.
 //
 // The two earlier formats (v1, magic "SOFOSGR1", and v2, "SOFOSGR2") are
 // retired: Load recognizes their magic only to say so, and a data directory
@@ -133,7 +132,6 @@ func (g *Graph) writeTerms(w *snapshotWriter) error {
 }
 
 // Save writes the graph as a paged (v3) snapshot with the default page size.
-// Only block-coded graphs can be saved; the flat test oracle cannot.
 func (g *Graph) Save(w io.Writer) error {
 	return g.SavePaged(w, defaultPageSize)
 }
@@ -154,28 +152,20 @@ func (g *Graph) writeOverlays(w *snapshotWriter) error {
 	return nil
 }
 
-// blockRuns returns the graph's permutation runs as blockRuns, with
-// empty stand-ins for never-written indexes, erroring if the graph holds a
-// different run representation.
-func (g *Graph) blockRuns() ([numPerms]*blockRun, error) {
-	var brs [numPerms]*blockRun
-	for k := permKind(0); k < numPerms; k++ {
-		if g.runs[k] != nil {
-			br, ok := g.runs[k].(*blockRun)
-			if !ok {
-				return brs, fmt.Errorf("store: only block-coded graphs have a snapshot form (graph holds a %T run)", g.runs[k])
-			}
-			brs[k] = br
-		}
+// blockRuns returns the graph's permutation runs, with empty stand-ins for
+// never-written indexes.
+func (g *Graph) blockRuns() [numPerms]*blockRun {
+	brs := g.runs
+	for k := range brs {
 		if brs[k] == nil {
 			brs[k] = &blockRun{}
 		}
 	}
-	return brs, nil
+	return brs
 }
 
-// Load reads a snapshot written by Save into a fresh block-coded graph on
-// the heap; LoadFile opens a snapshot file. Both check every payload CRC.
+// Load reads a snapshot written by Save into a fresh graph on the heap;
+// LoadFile opens a snapshot file. Both check every payload CRC.
 // No binary calls Load: it stays as the heap-path oracle that tests compare
 // the mapped LoadFile against (TestEngineDifferentialHeapVsMmap and the
 // store's Load-vs-LoadFile differentials).

@@ -119,17 +119,15 @@ const overlayEntryBytes = 3 * 12
 // IndexMemStats is the resident footprint of one permutation index.
 type IndexMemStats struct {
 	Keys   int   `json:"keys"`                   // triples stored in the run
-	Blocks int   `json:"blocks,omitempty"`       // compressed blocks (0 for flat)
+	Blocks int   `json:"blocks,omitempty"`       // compressed blocks (0 for an empty run)
 	Bytes  int64 `json:"bytes"`                  // heap-resident bytes of the run encoding
 	Mapped int64 `json:"mapped_bytes,omitempty"` // mmap-backed payload bytes
 }
 
 // MemStats reports the actual resident bytes of the graph's storage, broken
-// down per permutation index, plus the active run codec. It measures the
-// real encoding, so the block codec's compression win is observable in
-// /stats.
+// down per permutation index. It measures the real encoding, so the block
+// compression win is observable in /v1/stats.
 type MemStats struct {
-	Codec       string        `json:"codec"`
 	Storage     string        `json:"storage"` // mmap for a mapped snapshot, else heap
 	Triples     int           `json:"triples"`
 	Pages       int           `json:"pages,omitempty"`     // paged-snapshot pages backing the runs
@@ -148,7 +146,6 @@ type MemStats struct {
 // MemStats measures the graph's current resident storage footprint.
 func (g *Graph) MemStats() MemStats {
 	ms := MemStats{
-		Codec:       g.codec.name(),
 		Storage:     "heap",
 		Triples:     g.n,
 		OverlayAdds: len(g.ov.adds[permSPO]),
